@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .bracket import (IndexBracket, LowerBoundCertificate, SearchConfig, VertexBound,
                       index_bracket, lower_bound, upper_bound, vertex_minimax)
-from .dual import DualPolytope, dual_norm, polar
+from .dual import dual_norm, polar
 from .errors import (ComputationError, InputError, PolyindexError, SingularMatrixError,
                      ValidationError)
 from .families import (bipyramid_square_prism, irregular_hexagon, linf_sum, oblique_prism,
@@ -29,7 +29,7 @@ from .scalars import (Context, DEFAULT_EPS, EXACT, Scalar, float_context, format
                       parse_rational)
 
 __all__ = [
-    "ComputationError", "Context", "DEFAULT_EPS", "DualPolytope", "EXACT",
+    "ComputationError", "Context", "DEFAULT_EPS", "EXACT",
     "FacetFunctional", "Incidence", "IndexBracket", "InputError", "LPSolution",
     "LinearProgram", "LowerBoundCertificate", "Operator", "PolyindexError", "Polytope",
     "ProfileRow", "RadiusCertificate", "Scalar", "SearchConfig", "SingularMatrixError",

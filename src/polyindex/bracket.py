@@ -17,9 +17,8 @@ search over matrix entries; the identity (v = 1) is the fallback.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import ComputationError, InputError
 from .linalg import dot, rank
@@ -80,13 +79,6 @@ class IndexBracket:
     witness: Operator
     radius_certificate: RadiusCertificate
     status: str  # "tight" or "gap"
-
-
-def _map_maybe_parallel(fn: Callable, items, threads: int):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
 
 
 def vertex_minimax(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
@@ -154,8 +146,7 @@ def vertex_minimax(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidenc
 
 
 def lower_bound(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
-                subsets: Optional[Mapping[int, Sequence[int]]] = None,
-                threads: int = 1):
+                subsets: Optional[Mapping[int, Sequence[int]]] = None):
     """Certified lower bound on the numerical index: min over vertex orbits
     of the per-vertex min-max. Antipodal vertices share the same bound and
     are computed once.
@@ -163,13 +154,8 @@ def lower_bound(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
     ``subsets`` optionally maps vertex indices to explicit functional
     subsets (the same subset, negated, is implied at the antipode).
     """
-    reps = p.orbit_representatives()
-
-    def solve_one(i):
-        subset = None if subsets is None else subsets.get(i)
-        return vertex_minimax(p, facets, inc, i, subset)
-
-    entries = tuple(_map_maybe_parallel(solve_one, reps, threads))
+    entries = tuple(vertex_minimax(p, facets, inc, i, None if subsets is None else subsets.get(i))
+                    for i in p.orbit_representatives())
     cert = LowerBoundCertificate(entries=entries)
     return cert.minimum, cert
 
@@ -239,8 +225,7 @@ def _search_candidates(p, facets, inc, witnesses, cfg: SearchConfig):
 
 
 def upper_bound(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
-                witnesses: Sequence[Operator] = (), search: Optional[SearchConfig] = None,
-                threads: int = 1):
+                witnesses: Sequence[Operator] = (), search: Optional[SearchConfig] = None):
     """Upper bound on the numerical index: min of v(T/||T||) over the
     provided witnesses, the identity (implicit fallback, v = 1), and the
     outcome of the optional local search.
@@ -270,8 +255,7 @@ def upper_bound(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
 def index_bracket(p: Polytope, facets: Optional[Sequence[FacetFunctional]] = None,
                   inc: Optional[Incidence] = None, witnesses: Sequence[Operator] = (),
                   search: Optional[SearchConfig] = None,
-                  subsets: Optional[Mapping[int, Sequence[int]]] = None,
-                  threads: int = 1) -> IndexBracket:
+                  subsets: Optional[Mapping[int, Sequence[int]]] = None) -> IndexBracket:
     """Combined two-sided bracket on the numerical index.
 
     Status is "tight" when the endpoints agree (exactly on the rational
@@ -281,9 +265,8 @@ def index_bracket(p: Polytope, facets: Optional[Sequence[FacetFunctional]] = Non
         facets = facet_enumeration(p)
     if inc is None:
         inc = incidence(p, facets)
-    lo, cert = lower_bound(p, facets, inc, subsets=subsets, threads=threads)
-    hi, witness, rcert = upper_bound(p, facets, inc, witnesses=witnesses, search=search,
-                                     threads=threads)
+    lo, cert = lower_bound(p, facets, inc, subsets=subsets)
+    hi, witness, rcert = upper_bound(p, facets, inc, witnesses=witnesses, search=search)
     status = "tight" if p.ctx.eq(lo, hi) else "gap"
     return IndexBracket(lower=lo, upper=hi, lower_certificate=cert,
                         witness=witness, radius_certificate=rcert, status=status)

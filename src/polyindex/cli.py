@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from fractions import Fraction
 
@@ -23,19 +22,6 @@ from .families import FAMILIES, linf_sum, scale_coordinate
 from .operators import numerical_radius, operator_norm, radius_profile
 from .polytope import facet_enumeration, gauge, incidence
 from .scalars import parse_rational
-
-THREADS_ENV_VAR = "POLYINDEX_THREADS"
-
-
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is not None:
-        try:
-            return max(int(raw), 1)
-        except ValueError as exc:
-            raise InputError(f"{THREADS_ENV_VAR}: not an integer: {raw!r}") from exc
-    return os.cpu_count() or 1
-
 
 def _read_json(path: str, what: str):
     try:
@@ -96,13 +82,12 @@ def _vector_json(vec):
     return [scalar_to_json(x) for x in vec]
 
 
-def _load_polytope(args, permissive=False):
-    doc = _read_json(args.input, "input")
-    return polytope_from_document(doc, eps=args.eps, permissive=permissive)
+def _load_polytope(args):
+    return polytope_from_document(_read_json(args.input, "input"), eps=args.eps)
 
 
 def _config(args, **extra):
-    cfg = {"eps": args.eps, "threads": getattr(args, "threads", 1)}
+    cfg = {"eps": args.eps}
     cfg.update(extra)
     return cfg
 
@@ -192,7 +177,7 @@ def cmd_bound(args) -> int:
                    for i in p.orbit_representatives()}
     search = SearchConfig(budget=args.search, seed=args.seed) if args.search else None
     bracket = index_bracket(p, facets, inc, witnesses=witnesses, search=search,
-                            subsets=subsets, threads=args.threads)
+                            subsets=subsets)
     results = {
         "vertex_bounds": [{
             "vertex": e.vertex_index,
@@ -346,8 +331,6 @@ def _add_common(sp, with_input=True):
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.add_argument("--eps", type=float, default=None,
                     help="float-backend comparison tolerance (default 1e-9 or POLYINDEX_EPS)")
-    sp.add_argument("--threads", type=int, default=None,
-                    help="parallelism bound (default: available parallelism or POLYINDEX_THREADS)")
     if with_input:
         sp.add_argument("--input", "-i", default="-", help="polytope document path or - for stdin")
 
@@ -411,8 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", None) is None:
-        args.threads = _default_threads()
     try:
         return args.func(args)
     except InputError as exc:

@@ -67,8 +67,7 @@ def polytope_to_document(p: Polytope, witness: Optional[Operator] = None) -> dic
     return doc
 
 
-def polytope_from_document(doc, eps: Optional[float] = None,
-                           permissive: bool = False) -> Tuple[Polytope, Optional[Operator]]:
+def polytope_from_document(doc, eps: Optional[float] = None) -> Tuple[Polytope, Optional[Operator]]:
     dim, kind = _check_header(doc, "polytope")
     verts = doc.get("vertices")
     if not isinstance(verts, list) or not verts:
@@ -79,7 +78,7 @@ def polytope_from_document(doc, eps: Optional[float] = None,
             raise InputError(f"polytope.vertices[{i}]: expected an array of length {dim}")
         parsed.append([_scalar_from_json(x, kind, f"polytope.vertices[{i}][{j}]")
                        for j, x in enumerate(row)])
-    p = Polytope(parsed, backend=kind, eps=eps, permissive=permissive)
+    p = Polytope(parsed, backend=kind, eps=eps)
     witness = None
     if "witness" in doc and doc["witness"] is not None:
         witness = operator_from_document(doc["witness"], eps=eps)

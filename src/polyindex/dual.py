@@ -16,8 +16,6 @@ from .linalg import dot
 from .polytope import FacetFunctional, Polytope, facet_enumeration
 from .scalars import Scalar
 
-DualPolytope = Polytope
-
 
 def polar(p: Polytope, facets: Sequence[FacetFunctional] | None = None) -> Polytope:
     """The polar unit ball: vertices are the facet functionals of ``p``.

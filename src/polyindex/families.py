@@ -166,17 +166,17 @@ def prism_with_pyramids_witness(n: int) -> Operator:
 FAMILIES = {
     "regular_2n_gon": {"builder": lambda n, l: regular_2n_gon(n),
                        "witness": lambda n, l: polygon_witness_operator(n),
-                       "needs_n": True, "takes_l": False},
+                       "needs_n": True},
     "oblique_prism": {"builder": lambda n, l: oblique_prism(n, l),
                       "witness": lambda n, l: prism_witness_operator(n, l),
-                      "needs_n": True, "takes_l": True},
+                      "needs_n": True},
     "prism_with_pyramids": {"builder": lambda n, l: prism_with_pyramids(n),
                             "witness": lambda n, l: prism_with_pyramids_witness(n),
-                            "needs_n": True, "takes_l": False},
+                            "needs_n": True},
     "bipyramid_square_prism": {"builder": lambda n, l: bipyramid_square_prism(),
                                "witness": lambda n, l: pyramid_witness_operator(),
-                               "needs_n": False, "takes_l": False},
+                               "needs_n": False},
     "irregular_hexagon": {"builder": lambda n, l: irregular_hexagon(),
                           "witness": None,
-                          "needs_n": False, "takes_l": False},
+                          "needs_n": False},
 }

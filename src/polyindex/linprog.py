@@ -1,8 +1,8 @@
 """Dense two-phase simplex with Bland's pivot rule.
 
-The solver is deliberately small: the programs it faces (support checks,
-extremality tests, per-facet min-max problems) have at most a few dozen
-variables, but they are routinely degenerate and — on the rational
+The solver is deliberately small: the only programs it faces are the
+per-facet min-max problems of the lower bound. They have at most a few
+dozen variables, but they are routinely degenerate and — on the rational
 backend — must be solved bit-exactly. Bland's smallest-index rule
 guarantees termination on degenerate instances; all tableau arithmetic
 happens in the scalar type selected by the context, so rational inputs

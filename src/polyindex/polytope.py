@@ -2,11 +2,12 @@
 
 A :class:`Polytope` stores the full vertex list (antipodal pairs included)
 of a symmetric, full-dimensional polytope with the origin in its interior
-— the unit ball of a polyhedral norm. The H-representation is computed on
-demand by :func:`facet_enumeration`: an incremental double-description
-run converts the vertex half-space system into the extreme rays of its
-homogenization, which after normalization are exactly the supporting
-functionals of the facets, scaled so each facet lies on ``{f = 1}``.
+— the unit ball of a polyhedral norm. One incremental double-description
+run per polytope converts the vertex half-space system into the extreme
+rays of its homogenization. :func:`validate` reads extremality of every
+input point off those rays; :func:`facet_enumeration` normalizes them into
+the supporting functionals of the facets, scaled so each facet lies on
+``{f = 1}``.
 
 The Minkowski gauge of the ball (the norm itself) is then the maximum of
 ``|f(x)|`` over the facet functionals.
@@ -18,8 +19,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ComputationError, InputError, ValidationError
-from .linalg import dot, rank, vscale, vsub
-from .linprog import LinearProgram, solve_lp
+from .linalg import dot, rank, vneg, vscale, vsub
 from .scalars import Context, EXACT, Scalar, float_context, infer_exact
 
 
@@ -59,21 +59,20 @@ class Polytope:
         self.dim = d
         if permissive:
             self._strip_redundant()
-        self._antipode = None
-        self._validated = False
+        self._antipodes = None
+        self._cone = None  # polar cone (rays, lineality), stored once validation passes
 
     def _strip_redundant(self):
         ctx = self.ctx
         kept = []
         for v in self.vertices:
-            if any(all(ctx.eq(a, b) for a, b in zip(v, w)) for w in kept):
+            if _index_of(kept, v, ctx) is not None:
                 warnings.warn(f"dropping duplicate vertex {v}")
                 continue
             kept.append(v)
         extreme = []
-        for i, v in enumerate(kept):
-            others = kept[:i] + kept[i + 1:]
-            if others and _in_hull(v, others, ctx):
+        for v, is_vertex in zip(kept, _vertex_flags(kept, _polar_cone(kept, ctx), ctx)):
+            if not is_vertex:
                 warnings.warn(f"dropping non-extreme input point {v}")
                 continue
             extreme.append(v)
@@ -86,24 +85,19 @@ class Polytope:
         kind = "rational" if self.ctx.exact else "float"
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, backend={kind})"
 
+    def _antipode_map(self) -> tuple:
+        """Per vertex v, the index of the first listed -v, or None if -v is missing."""
+        if self._antipodes is None:
+            self._antipodes = tuple(_index_of(self.vertices, vneg(v), self.ctx)
+                                    for v in self.vertices)
+        return self._antipodes
+
     def antipode_index(self, i: int) -> int:
         """Index of the vertex -v for vertex i (requires symmetry)."""
-        if self._antipode is None:
-            amap = []
-            for v in self.vertices:
-                neg = tuple(-x for x in v)
-                j = self._find_vertex(neg)
-                if j is None:
-                    raise ValidationError([f"not symmetric: vertex {v} has no antipode"])
-                amap.append(j)
-            self._antipode = tuple(amap)
-        return self._antipode[i]
-
-    def _find_vertex(self, x) -> Optional[int]:
-        for j, w in enumerate(self.vertices):
-            if all(self.ctx.eq(a, b) for a, b in zip(x, w)):
-                return j
-        return None
+        j = self._antipode_map()[i]
+        if j is None:
+            raise ValidationError([f"not symmetric: vertex {self.vertices[i]} has no antipode"])
+        return j
 
     def orbit_representatives(self) -> tuple:
         """One vertex index per antipodal pair, the smaller index of each."""
@@ -142,62 +136,72 @@ class ValidationReport:
             raise ValidationError(self.violations)
 
 
-def _in_hull(x, points, ctx: Context) -> bool:
-    """Is x a convex combination of the given points? (feasibility LP)"""
-    n = len(points)
-    d = len(x)
-    eq_lhs = [[p[k] for p in points] for k in range(d)]
-    eq_rhs = list(x)
-    eq_lhs.append([1] * n)
-    eq_rhs.append(1)
-    lp = LinearProgram(objective=(0,) * n, eq_lhs=eq_lhs, eq_rhs=eq_rhs, nonneg=(True,) * n)
-    return solve_lp(lp, ctx).is_optimal
+def _index_of(points, x, ctx: Context) -> Optional[int]:
+    """Index of the first point equal to x (within the context's tolerance), or None."""
+    for j, w in enumerate(points):
+        if all(ctx.eq(a, b) for a, b in zip(x, w)):
+            return j
+    return None
 
 
-def _zero_interior(p: Polytope) -> bool:
-    """Is 0 an interior point? maximize s subject to sum(lam)=1, sum(lam v)=0, lam_j >= s."""
-    n = len(p.vertices)
-    d = p.dim
-    # variables: lam_1..lam_n, s
-    eq_lhs = [[v[k] for v in p.vertices] + [0] for k in range(d)]
-    eq_rhs = [0] * d
-    eq_lhs.append([1] * n + [0])
-    eq_rhs.append(1)
-    ineq_lhs = [[-1 if j == i else 0 for j in range(n)] + [1] for i in range(n)]  # s - lam_i <= 0
-    ineq_rhs = [0] * n
-    lp = LinearProgram(objective=(0,) * n + (-1,), ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs,
-                       eq_lhs=eq_lhs, eq_rhs=eq_rhs, nonneg=(True,) * n + (False,))
-    sol = solve_lp(lp, p.ctx)
-    return sol.is_optimal and p.ctx.sign(-sol.value) > 0
+def _polar_cone(points, ctx: Context):
+    """Double description of {(f, t) : f . v <= t for every point v}, the
+    homogenized polar of the points; returns (rays, lineality)."""
+    one = ctx.coerce(1)
+    rows = [vneg(v) + (one,) for v in points]
+    return _double_description(rows, len(points[0]) + 1, ctx)
+
+
+def _vertex_flags(points, cone, ctx: Context) -> list:
+    """For each point, whether it is a vertex of the convex hull of the points.
+
+    ``cone`` is :func:`_polar_cone` of the points. Point i is a vertex
+    exactly when its row defines a facet of the cone, i.e. when the rays
+    tight at row i together with the lineality span a hyperplane. On that
+    face t = f . v_i, so the rank can be read off the first d coordinates:
+    the point is a vertex iff they have rank d. A point listed more than
+    once is not a vertex of the list (each copy lies in the hull of the
+    others).
+    """
+    rays, lineality = cone
+    d = len(points[0])
+    faces = [[l[:d] for l in lineality] for _ in points]
+    for r, zs in rays:
+        for i in zs:
+            faces[i].append(r[:d])
+    flags = [rank(face, ctx) == d for face in faces]
+    for i, v in enumerate(points):
+        j = _index_of(points, v, ctx)
+        if j != i:
+            flags[i] = flags[j] = False
+    return flags
 
 
 def validate(p: Polytope) -> ValidationReport:
     """Check the unit-ball invariants, returning all violations found.
 
-    Checks: symmetry of the vertex set, full dimensionality, extremality
-    of every listed vertex (by LP against the hull of the others), and
-    that 0 is an interior point.
+    Checks: symmetry of the vertex set, full dimensionality, and
+    extremality of every listed vertex, read off the double description
+    of the polar cone (see :func:`_vertex_flags`). That 0 is an interior
+    point needs no check of its own: for a symmetric vertex set, 0 is the
+    average of the vertices with every weight positive, so it lies in the
+    relative interior of their hull, which is the interior once the
+    vertices span R^d. On success the cone is stored on ``p`` for
+    :func:`facet_enumeration`.
     """
     ctx = p.ctx
-    violations = []
-    for i, v in enumerate(p.vertices):
-        neg = tuple(-x for x in v)
-        if p._find_vertex(neg) is None:
-            violations.append(f"not symmetric: vertex {v} has no antipode")
+    violations = [f"not symmetric: vertex {v} has no antipode"
+                  for v, j in zip(p.vertices, p._antipode_map()) if j is None]
     if rank(p.vertices, ctx) < p.dim:
         violations.append(f"not full-dimensional: vertices span less than {p.dim} dimensions")
+    cone = _polar_cone(p.vertices, ctx)
     seen = set()
-    for i, v in enumerate(p.vertices):
-        others = [w for j, w in enumerate(p.vertices) if j != i]
-        if others and _in_hull(v, others, ctx):
-            key = tuple(v)
-            if key not in seen:
-                violations.append(f"vertex {v} is not extreme (lies in the hull of the others)")
-                seen.add(key)
-    if not violations and not _zero_interior(p):
-        violations.append("0 is not an interior point")
+    for v, is_vertex in zip(p.vertices, _vertex_flags(p.vertices, cone, ctx)):
+        if not is_vertex and v not in seen:
+            violations.append(f"vertex {v} is not extreme (lies in the hull of the others)")
+            seen.add(v)
     if not violations:
-        p._validated = True
+        p._cone = cone
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
@@ -228,9 +232,11 @@ def _normalize_ray(ray, ctx: Context):
 def _double_description(rows, k: int, ctx: Context):
     """Minimal generator set of the cone {y in R^k : row . y >= 0}.
 
-    Returns the list of extreme rays. Raises ComputationError if the cone
-    contains a line (cannot happen for the bounded polars built here).
-    Incremental insertion with the combinatorial adjacency test.
+    Returns ``(rays, lineality)``: the extreme rays modulo the lineality
+    space, each paired with its zero set (the indices of the rows it makes
+    tight), and a basis of the lineality space, which is empty exactly
+    when the cone is pointed. Incremental insertion with the combinatorial
+    adjacency test.
     """
     lineality = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
     lineality = [tuple(map(ctx.coerce, l)) for l in lineality]
@@ -243,7 +249,7 @@ def _double_description(rows, k: int, ctx: Context):
                 s = ctx.sign(dot(a, l))
                 if s != 0:
                     pivot = pos
-                    l0 = l if s > 0 else tuple(-x for x in l)
+                    l0 = l if s > 0 else vneg(l)
                     break
             if pivot is not None:
                 al0 = dot(a, l0)
@@ -288,9 +294,7 @@ def _double_description(rows, k: int, ctx: Context):
                 new.append((_normalize_ray(combined, ctx), (zp & zm) | {idx}))
         rays = new
 
-    if lineality:
-        raise ComputationError("cone contains a line; the input polytope cannot be full-dimensional")
-    return rays
+    return rays, lineality
 
 
 def facet_enumeration(p: Polytope) -> tuple:
@@ -298,19 +302,21 @@ def facet_enumeration(p: Polytope) -> tuple:
 
     The vertex system ``{f : f(v) <= 1 for every vertex v}`` (the polar
     body) is homogenized to a cone in dimension d+1 whose extreme rays,
-    scaled to last coordinate 1, are exactly the facet functionals. Both
+    scaled to last coordinate 1, are exactly the facet functionals. The
+    cone is the one :func:`validate` built and stored on ``p``. Both
     f and -f occur because the ball is symmetric. Facets are returned
     sorted by coefficient vector for deterministic reports.
 
     Raises:
         ValidationError: when the input violates a unit-ball invariant.
     """
-    if not p._validated:
+    if p._cone is None:
         validate(p).raise_if_failed()
+    rays, lineality = p._cone
+    if lineality:
+        raise ComputationError("cone contains a line; the input polytope cannot be full-dimensional")
     ctx = p.ctx
     d = p.dim
-    rows = [tuple(-x for x in v) + (ctx.coerce(1),) for v in p.vertices]
-    rays = _double_description(rows, d + 1, ctx)
     functionals = []
     for r, _ in rays:
         t = r[d]

@@ -196,9 +196,3 @@ def test_lower_bound_bounds_every_operator(hexagon, hexagon_facets, bipyramid,
                 continue
             assert lo <= numerical_radius(p, facets, inc, op).value / norm
 
-
-def test_threads_give_same_answer(bipyramid, bipyramid_facets, bipyramid_incidence):
-    lo1, c1 = lower_bound(bipyramid, bipyramid_facets, bipyramid_incidence, threads=1)
-    lo2, c2 = lower_bound(bipyramid, bipyramid_facets, bipyramid_incidence, threads=4)
-    assert lo1 == lo2
-    assert [e.value for e in c1.entries] == [e.value for e in c2.entries]

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,11 @@ def test_validate_rejects_interior_point(square):
     report = validate(p)
     assert not report.ok
     assert any("not extreme" in v for v in report.violations)
+    # A vertex listed twice: both copies lie in the hull of the others, and
+    # the point is reported once.
+    report = validate(Polytope(list(square.vertices) + [(1, 1)]))
+    assert [v for v in report.violations if "not extreme" in v] == [
+        f"vertex {(Fraction(1), Fraction(1))} is not extreme (lies in the hull of the others)"]
 
 
 def test_validate_rejects_collinear():
@@ -124,6 +130,89 @@ def test_permissive_strips_with_warning(square):
     with pytest.warns(UserWarning, match="duplicate"):
         p = Polytope(list(square.vertices) + [(1, 1)], permissive=True)
     assert len(p.vertices) == 4
+
+
+def _in_hull_of(points, x):
+    """Independent oracle: is x a convex combination of points? (scipy HiGHS)"""
+    import numpy as np
+    from scipy.optimize import linprog
+    a = np.array(points, dtype=float).T
+    a_eq = np.vstack([a, np.ones(len(points))])
+    b_eq = np.append(np.array(x, dtype=float), 1.0)
+    res = linprog(np.zeros(len(points)), A_eq=a_eq, b_eq=b_eq, bounds=(0, None),
+                  method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+def _random_bad_input(rng):
+    """Small integer point sets, each drawn to break a unit-ball invariant
+    some of the time: asymmetric, rank-deficient, duplicated, with the origin."""
+    dim = rng.choice((2, 3))
+    pts = [tuple(rng.randint(-2, 2) for _ in range(dim)) for _ in range(rng.randint(1, 5))]
+    if rng.random() < 0.3:  # flatten onto a coordinate hyperplane
+        pts = [v[:-1] + (0,) for v in pts]
+    if rng.random() < 0.6:
+        pts += [tuple(-x for x in v) for v in pts]
+    if rng.random() < 0.3:
+        pts.append(rng.choice(pts))
+    if rng.random() < 0.3:
+        pts.insert(rng.randrange(len(pts) + 1), (0,) * dim)
+    rng.shuffle(pts)
+    return pts
+
+
+def test_validation_matches_lp_oracle():
+    import numpy as np
+    rng = random.Random(2024)
+    # The 4-D cross-polytope with an edge midpoint: the midpoint lies on d = 4
+    # facets whose functionals have rank 3, so counting facets is not enough.
+    cross = [tuple(2 * s if k == j else 0 for k in range(4)) for j in range(4) for s in (1, -1)]
+    cases = [_random_bad_input(rng) for _ in range(80)] + [cross + [(1, 1, 0, 0), (-1, -1, 0, 0)]]
+    for pts in cases:
+        dim = len(pts[0])
+        for backend in ("rational", "float"):
+            p = Polytope(pts, backend=backend)
+            expected = [f"not symmetric: vertex {w} has no antipode"
+                        for v, w in zip(pts, p.vertices) if tuple(-x for x in v) not in pts]
+            if np.linalg.matrix_rank(np.array(pts, dtype=float)) < dim:
+                expected.append(f"not full-dimensional: vertices span less than {dim} dimensions")
+            flagged = []
+            for i, (v, w) in enumerate(zip(pts, p.vertices)):
+                others = pts[:i] + pts[i + 1:]
+                if others and _in_hull_of(others, v) and w not in flagged:
+                    flagged.append(w)
+            expected += [f"vertex {w} is not extreme (lies in the hull of the others)"
+                         for w in flagged]
+            assert list(validate(p).violations) == expected, (pts, backend)
+
+            kept = list(dict.fromkeys(pts))
+            survivors = [v for i, v in enumerate(kept)
+                         if not (len(kept) > 1 and _in_hull_of(kept[:i] + kept[i + 1:], v))]
+            with warnings.catch_warnings(record=True) as dropped:
+                warnings.simplefilter("always")
+                stripped = Polytope(pts, backend=backend, permissive=True)
+            assert len(dropped) == len(pts) - len(survivors)
+            assert stripped.vertices == Polytope(survivors, backend=backend).vertices, pts
+
+
+def test_one_double_description_per_polytope(monkeypatch, square):
+    import polyindex.polytope as polytope_module
+    calls = []
+    real = polytope_module._double_description
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polytope_module, "_double_description", counting)
+    p = Polytope(square.vertices)
+    assert validate(p).ok
+    facet_enumeration(p)
+    facet_enumeration(p)
+    assert len(calls) == 1
+    facet_enumeration(Polytope(square.vertices))
+    assert len(calls) == 2
 
 
 def test_strict_mode_keeps_input_for_validation(square):
