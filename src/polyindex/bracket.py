@@ -81,6 +81,38 @@ class IndexBracket:
     status: str  # "tight" or "gap"
 
 
+@dataclass(frozen=True)
+class _SphereFacet:
+    """One facet of an antipodal facet pair, with the data its LPs need."""
+
+    index: int      # facet index k
+    members: tuple  # sorted indices of the vertices on facet k
+    values: tuple   # values[r][a] = f_r(w_a) for every facet functional f_r, member w_a
+    floors: tuple   # floors[r] = min of |f_r| over facet k
+
+
+def _sphere_facets(p: Polytope, facets: Sequence[FacetFunctional]) -> tuple:
+    """The facet table of the sphere, one entry per antipodal facet pair.
+
+    f_r is affine on a facet, so over the facet it takes exactly the convex
+    combinations of its values at the facet's vertices: when those values
+    share a strict sign, the minimum of |f_r| is the least of them, and
+    otherwise it is 0.
+    """
+    ctx = p.ctx
+    zero = ctx.coerce(0)
+    table = []
+    for k, _ in facet_antipode_pairs(facets, ctx):
+        members = tuple(sorted(facets[k].incident_vertices))
+        values = tuple(tuple(dot(f.coeffs, p.vertices[j]) for j in members) for f in facets)
+        floors = []
+        for row in values:
+            signs = {ctx.sign(v) for v in row}
+            floors.append(min(map(abs, row)) if signs in ({1}, {-1}) else zero)
+        table.append(_SphereFacet(index=k, members=members, values=values, floors=tuple(floors)))
+    return tuple(table)
+
+
 def vertex_minimax(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
                    vertex_index: int, subset: Optional[Sequence[int]] = None) -> VertexBound:
     """Exact min over the unit sphere of max_r |f_r(x)|.
@@ -93,7 +125,21 @@ def vertex_minimax(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidenc
     One LP per antipodal facet pair of the sphere: on the facet
     conv(w_1..w_k), minimize t subject to x = sum lam_j w_j,
     sum lam_j = 1, lam >= 0 and -t <= f_r(x) <= t for every r.
+
+    A facet's LP is skipped when it cannot win. Its value is at least the
+    largest, over the chosen r, of the minimum of |f_r| on the facet
+    (see :func:`_sphere_facets`), which needs no LP. The loop keeps the
+    first strict minimum, so a facet whose bound exceeds the best value so
+    far (exactly on rationals, by more than eps on floats) could never
+    replace it, and its LP is skipped. A bound that ties the best within
+    eps is still solved: on floats its LP value may round below the best.
+    So the value, the sphere facet and the minimizer are the ones that
+    solving every LP gives.
     """
+    return _vertex_minimax(p, _sphere_facets(p, facets), facets, inc, vertex_index, subset)
+
+
+def _vertex_minimax(p, sphere, facets, inc, vertex_index, subset) -> VertexBound:
     ctx = p.ctx
     incident = inc.vertex_to_facets[vertex_index]
     if subset is None:
@@ -112,13 +158,15 @@ def vertex_minimax(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidenc
             "the min-max over the sphere would be 0")
 
     best = None
-    for k, _ in facet_antipode_pairs(facets, ctx):
-        members = sorted(facets[k].incident_vertices)
+    for sf in sphere:
+        if best is not None and ctx.lt(best[0], max(sf.floors[r] for r in chosen)):
+            continue
+        members = sf.members
         nl = len(members)
-        action = [[dot(f, p.vertices[j]) for j in members] for f in funcs]
         # variables: lam_1..lam_nl, t
         ineq_lhs, ineq_rhs = [], []
-        for row in action:
+        for r in chosen:
+            row = sf.values[r]
             ineq_lhs.append(list(row) + [-1])
             ineq_rhs.append(0)
             ineq_lhs.append([-a for a in row] + [-1])
@@ -134,7 +182,7 @@ def vertex_minimax(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidenc
             lams = sol.point[:nl]
             x = tuple(sum(lams[a] * p.vertices[j][c] for a, j in enumerate(members))
                       for c in range(p.dim))
-            best = (sol.value, k, x)
+            best = (sol.value, sf.index, x)
 
     value, facet_k, x = best
     if ctx.sign(value) <= 0:
@@ -149,12 +197,15 @@ def lower_bound(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
                 subsets: Optional[Mapping[int, Sequence[int]]] = None):
     """Certified lower bound on the numerical index: min over vertex orbits
     of the per-vertex min-max. Antipodal vertices share the same bound and
-    are computed once.
+    are computed once, and the facet table of the sphere is built once for
+    all orbits.
 
     ``subsets`` optionally maps vertex indices to explicit functional
     subsets (the same subset, negated, is implied at the antipode).
     """
-    entries = tuple(vertex_minimax(p, facets, inc, i, None if subsets is None else subsets.get(i))
+    sphere = _sphere_facets(p, facets)
+    entries = tuple(_vertex_minimax(p, sphere, facets, inc, i,
+                                    None if subsets is None else subsets.get(i))
                     for i in p.orbit_representatives())
     cert = LowerBoundCertificate(entries=entries)
     return cert.minimum, cert

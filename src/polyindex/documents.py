@@ -8,6 +8,7 @@ into the bound command.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -41,7 +42,13 @@ def _scalar_from_json(value, kind: str, where: str):
         raise InputError(f"{where}: expected integer or rational string, got {type(value).__name__}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{where}: float documents take numbers, got {value!r}")
-    return float(value)
+    try:
+        x = float(value)
+    except OverflowError:  # an integer beyond the float range
+        x = math.inf
+    if not math.isfinite(x):
+        raise InputError(f"{where}: not a finite number")
+    return x
 
 
 def _check_header(doc, what: str) -> Tuple[int, str]:

@@ -16,6 +16,13 @@ Problem form::
                 x_j >= 0        for j with nonneg[j] (others are free)
 
 Free variables are split internally as x = u - w with u, w >= 0.
+
+The simplex starts from the slack basis: every inequality row with
+``b_i >= 0`` starts with its slack variable basic, so it needs no
+artificial variable. Only equality rows and inequality rows with
+``b_i < 0`` get one, and phase 1 runs only when some row has one. The
+min-max LPs of the lower bound have every row ``<= 0`` except
+``sum lam = 1``, so they carry a single artificial column.
 """
 from __future__ import annotations
 
@@ -88,17 +95,18 @@ class LPSolution:
 
 
 def _pivot(rows, objs, basis, r, c):
-    piv = rows[r][c]
-    rows[r] = [x / piv for x in rows[r]]
+    """Pivot on entry (r, c), in place. Only the columns where the pivot row
+    is nonzero can change, so the update visits just those."""
     prow = rows[r]
-    for i, row in enumerate(rows):
-        if i != r and row[c] != 0:
-            f = row[c]
-            rows[i] = [x - f * y for x, y in zip(row, prow)]
-    for k, obj in enumerate(objs):
-        if obj[c] != 0:
-            f = obj[c]
-            objs[k] = [x - f * y for x, y in zip(obj, prow)]
+    piv = prow[c]
+    nonzero = [j for j, y in enumerate(prow) if y != 0]
+    for j in nonzero:
+        prow[j] = prow[j] / piv
+    for row in rows + objs:
+        f = row[c]
+        if f != 0 and row is not prow:
+            for j in nonzero:
+                row[j] = row[j] - f * prow[j]
     basis[r] = c
 
 
@@ -130,10 +138,14 @@ def _simplex(rows, objs, basis, allowed, ctx, max_pivots):
 def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
     """Solve a linear program on the backend selected by ``ctx``.
 
-    Two-phase simplex: phase 1 minimizes the sum of one artificial
-    variable per row and declares infeasibility when that sum cannot be
-    driven to zero; phase 2 minimizes the real objective. Bland's rule is
-    used throughout, so the method terminates on degenerate input.
+    Two-phase simplex started from the slack basis: an inequality row with
+    a nonnegative right-hand side starts with its own slack variable basic.
+    Only equality rows and inequality rows with a negative right-hand side
+    get an artificial variable. Phase 1 minimizes the sum of those
+    artificials and declares infeasibility when it cannot be driven to
+    zero; it is skipped when there are none. Phase 2 minimizes the real
+    objective. Bland's rule is used throughout, so the method terminates
+    on degenerate input.
     """
     n = lp.n_vars
     nonneg = lp.nonneg or (False,) * n
@@ -153,11 +165,10 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
             ncols += 1
     n_struct = ncols
     n_slack = len(lp.ineq_lhs)
-    n_rows = len(lp.ineq_lhs) + len(lp.eq_lhs)
-    total = n_struct + n_slack + n_rows  # + artificials
+    width = n_struct + n_slack  # structural and slack columns, the ones that may enter
 
     def expand(coeffs):
-        row = [zero] * total
+        row = [zero] * (width + 1)
         for j, a in enumerate(coeffs):
             a = ctx.coerce(a)
             row[col_of_plus[j]] = a
@@ -165,71 +176,75 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
                 row[col_of_minus[j]] = -a
         return row
 
-    rows = []
-    rhs_list = list(lp.ineq_rhs) + list(lp.eq_rhs)
-    for i, coeffs in enumerate(lp.ineq_lhs + lp.eq_lhs):
+    rows, basis, art_rows = [], [], []
+    for i, (coeffs, rhs) in enumerate(zip(lp.ineq_lhs + lp.eq_lhs, lp.ineq_rhs + lp.eq_rhs)):
         row = expand(coeffs)
+        row[-1] = ctx.coerce(rhs)
         if i < n_slack:
             row[n_struct + i] = one
-        row.append(ctx.coerce(rhs_list[i]))
-        if row[-1] < 0:
+        negative = row[-1] < 0
+        if negative:
             row = [-x for x in row]
+        if i < n_slack and not negative:
+            basis.append(n_struct + i)
+        else:
+            basis.append(width + len(art_rows))
+            art_rows.append(i)
         rows.append(row)
-    # Insert artificial columns (identity block) just before the RHS.
+    n_rows = len(rows)
+    # Artificial columns (an identity block on art_rows) just before the RHS.
+    total = width + len(art_rows)
     for i, row in enumerate(rows):
-        body, rhs = row[:-1], row[-1]
-        art = [zero] * n_rows
-        art[i] = one
-        rows[i] = body[: n_struct + n_slack] + art + [rhs]
+        art = [zero] * len(art_rows)
+        if basis[i] >= width:
+            art[basis[i] - width] = one
+        rows[i] = row[:width] + art + row[width:]
 
-    basis = [n_struct + n_slack + i for i in range(n_rows)]
-
-    # Phase-1 objective (sum of artificials) and the real objective, both
-    # kept reduced with respect to the current basis while pivoting.
-    phase1 = [zero] * (total + 1)
-    for i in range(n_rows):
-        phase1[basis[i]] = one
-    for i, row in enumerate(rows):
-        phase1 = [x - y for x, y in zip(phase1, row)]
-        phase1[basis[i]] = zero
     phase2 = [zero] * (total + 1)
     for j in range(n):
         c = ctx.coerce(lp.objective[j])
         phase2[col_of_plus[j]] = c
         if col_of_minus[j] is not None:
             phase2[col_of_minus[j]] = -c
-    objs = [phase1, phase2]
 
     max_pivots = 40 * (total + 1) * (n_rows + 1) + 1000
     # Artificial columns never re-enter the basis; restricting the entering
     # candidates to structural and slack columns is the standard safe choice.
-    allowed = list(range(n_struct + n_slack))
-    status = _simplex(rows, objs, basis, allowed, ctx, max_pivots)
-    if status != OPTIMAL:
-        raise ComputationError("phase 1 cannot be unbounded")  # sum of artificials >= 0
-    if ctx.sign(-objs[0][-1]) > 0:  # residual infeasibility
-        return LPSolution(status=INFEASIBLE)
+    allowed = list(range(width))
+    if art_rows:
+        # Phase-1 objective (sum of artificials), reduced with respect to the
+        # starting basis; both objectives stay reduced while pivoting.
+        phase1 = [zero] * (total + 1)
+        for i in art_rows:
+            phase1 = [x - y for x, y in zip(phase1, rows[i])]
+        for j in range(width, total):
+            phase1[j] = zero
+        objs = [phase1, phase2]
+        status = _simplex(rows, objs, basis, allowed, ctx, max_pivots)
+        if status != OPTIMAL:
+            raise ComputationError("phase 1 cannot be unbounded")  # sum of artificials >= 0
+        if ctx.sign(-objs[0][-1]) > 0:  # residual infeasibility
+            return LPSolution(status=INFEASIBLE)
 
-    # Drive leftover artificial variables out of the basis (degenerate rows).
-    art_start = n_struct + n_slack
-    drop = []
-    for i in range(n_rows):
-        if basis[i] >= art_start:
-            pivot_col = None
-            for j in allowed:
-                if not ctx.is_zero(rows[i][j]):
-                    pivot_col = j
-                    break
-            if pivot_col is None:
-                drop.append(i)  # redundant constraint
-            else:
-                _pivot(rows, objs, basis, i, pivot_col)
-    if drop:
-        rows = [row for i, row in enumerate(rows) if i not in drop]
-        basis = [b for i, b in enumerate(basis) if i not in drop]
+        # Drive leftover artificial variables out of the basis (degenerate rows).
+        drop = []
+        for i in range(n_rows):
+            if basis[i] >= width:
+                pivot_col = None
+                for j in allowed:
+                    if not ctx.is_zero(rows[i][j]):
+                        pivot_col = j
+                        break
+                if pivot_col is None:
+                    drop.append(i)  # redundant constraint
+                else:
+                    _pivot(rows, objs, basis, i, pivot_col)
+        if drop:
+            rows = [row for i, row in enumerate(rows) if i not in drop]
+            basis = [b for i, b in enumerate(basis) if i not in drop]
+        phase2 = objs[1]
 
-    objs = [objs[1]]
-    status = _simplex(rows, objs, basis, allowed, ctx, max_pivots)
+    status = _simplex(rows, [phase2], basis, allowed, ctx, max_pivots)
     if status == UNBOUNDED:
         return LPSolution(status=UNBOUNDED)
 

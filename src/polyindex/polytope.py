@@ -305,7 +305,9 @@ def facet_enumeration(p: Polytope) -> tuple:
     scaled to last coordinate 1, are exactly the facet functionals. The
     cone is the one :func:`validate` built and stored on ``p``. Both
     f and -f occur because the ball is symmetric. Facets are returned
-    sorted by coefficient vector for deterministic reports.
+    sorted by coefficient vector for deterministic reports. Row i of the
+    cone is the constraint of vertex i, so the zero set of a ray is the set
+    of vertices on its facet.
 
     Raises:
         ValidationError: when the input violates a unit-ball invariant.
@@ -318,13 +320,12 @@ def facet_enumeration(p: Polytope) -> tuple:
     ctx = p.ctx
     d = p.dim
     functionals = []
-    for r, _ in rays:
+    for r, zs in rays:
         t = r[d]
         if ctx.sign(t) <= 0:
             raise ComputationError(f"unexpected recession ray {r} in the polar body")
         f = tuple(x / t for x in r[:d])
-        incident = frozenset(i for i, v in enumerate(p.vertices) if ctx.eq(dot(f, v), 1))
-        functionals.append(FacetFunctional(coeffs=f, incident_vertices=incident))
+        functionals.append(FacetFunctional(coeffs=f, incident_vertices=zs))
     functionals.sort(key=lambda f: f.coeffs)
     return tuple(functionals)
 

@@ -12,6 +12,7 @@ rationals and tolerantly on floats.
 """
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
@@ -84,18 +85,24 @@ class Context:
                 return parse_rational(value)
             try:
                 return Fraction(value)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise InputError(f"cannot interpret {value!r} as an exact rational") from exc
         try:
-            return float(value)
-        except (TypeError, ValueError) as exc:
+            x = float(value)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise InputError(f"cannot interpret {value!r} as a float") from exc
+        if not math.isfinite(x):
+            raise InputError(f"not a finite number: {value!r}")
+        return x
 
     def sign(self, value) -> int:
         """-1, 0, or +1; values within eps of zero count as zero."""
-        if value > self.eps:
+        # The int 0 on the exact backend: comparing a Fraction with the float
+        # 0.0 would convert the float to a Fraction on every call.
+        tol = self.eps or 0
+        if value > tol:
             return 1
-        if value < -self.eps:
+        if value < -tol:
             return -1
         return 0
 

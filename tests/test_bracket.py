@@ -5,10 +5,15 @@ from itertools import combinations
 
 import pytest
 
-from polyindex import (InputError, Operator, SearchConfig, facet_enumeration, gauge,
-                       incidence, index_bracket, lower_bound, numerical_radius,
-                       oblique_prism, operator_norm, prism_witness_operator,
-                       pyramid_witness_operator, upper_bound, vertex_minimax)
+import polyindex.bracket as bracket_module
+from polyindex import (InputError, LinearProgram, Operator, SearchConfig,
+                       bipyramid_square_prism, facet_enumeration, gauge, incidence,
+                       index_bracket, irregular_hexagon, linf_sum, lower_bound,
+                       numerical_radius, oblique_prism, operator_norm, prism_witness_operator,
+                       pyramid_witness_operator, regular_2n_gon, solve_lp, upper_bound,
+                       vertex_minimax)
+from polyindex.linalg import dot, rank
+from polyindex.polytope import facet_antipode_pairs
 from helpers import boundary_minimax_2d, random_rational_matrix, random_symmetric_polytope
 
 
@@ -196,3 +201,65 @@ def test_lower_bound_bounds_every_operator(hexagon, hexagon_facets, bipyramid,
                 continue
             assert lo <= numerical_radius(p, facets, inc, op).value / norm
 
+
+def _reference_minimax(p, facets, chosen):
+    """Every per-pair LP solved, keeping the first strict minimum:
+    (value, sphere facet, minimizer)."""
+    funcs = [facets[k].coeffs for k in chosen]
+    best = None
+    for k, _ in facet_antipode_pairs(facets, p.ctx):
+        members = sorted(facets[k].incident_vertices)
+        nl = len(members)
+        ineq_lhs = []
+        for f in funcs:
+            row = [dot(f, p.vertices[j]) for j in members]
+            ineq_lhs.append(row + [-1])
+            ineq_lhs.append([-a for a in row] + [-1])
+        sol = solve_lp(LinearProgram(objective=(0,) * nl + (1,), ineq_lhs=ineq_lhs,
+                                     ineq_rhs=[0] * len(ineq_lhs), eq_lhs=[[1] * nl + [0]],
+                                     eq_rhs=[1], nonneg=(True,) * (nl + 1)), p.ctx)
+        assert sol.is_optimal
+        if best is None or sol.value < best[0]:
+            x = tuple(sum(sol.point[a] * p.vertices[j][c] for a, j in enumerate(members))
+                      for c in range(p.dim))
+            best = (sol.value, k, x)
+    return best
+
+
+@pytest.mark.parametrize("make", [irregular_hexagon, bipyramid_square_prism,
+                                  lambda: linf_sum(irregular_hexagon(), irregular_hexagon()),
+                                  lambda: regular_2n_gon(40)],
+                         ids=["hexagon", "bipyramid", "linf_hexagons", "80-gon"])
+def test_skipped_facet_lps_change_nothing(make):
+    p = make()
+    facets = facet_enumeration(p)
+    inc = incidence(p, facets)
+    for i in p.orbit_representatives():
+        incident = inc.vertex_to_facets[i]
+        # A different functional order, and a proper subset where one exists.
+        subset = next(tuple(reversed(sub)) for sub in combinations(incident, p.dim)
+                      if rank([facets[k].coeffs for k in sub], p.ctx) == p.dim)
+        for chosen in (None, subset):
+            e = vertex_minimax(p, facets, inc, i, subset=chosen)
+            want = _reference_minimax(p, facets, incident if chosen is None else chosen)
+            assert (e.value, e.sphere_facet_index, e.minimizer) == want
+
+
+def test_lower_bound_work_counts(monkeypatch):
+    calls = {"solve_lp": 0, "facet_antipode_pairs": 0}
+    for name in calls:
+        real = getattr(bracket_module, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(bracket_module, name, counting)
+    p = regular_2n_gon(40)
+    facets = facet_enumeration(p)
+    _, cert = lower_bound(p, facets, incidence(p, facets))
+    assert calls["facet_antipode_pairs"] == 1
+    orbits, pairs = len(cert.entries), len(facets) // 2
+    assert (orbits, pairs) == (40, 40)
+    # LPs whose facet cannot beat the best value so far are skipped.
+    assert 0 < calls["solve_lp"] < orbits * pairs

@@ -90,6 +90,19 @@ def test_witness_flag_overrides_embedded(capsys, tmp_path, hexagon_file):
     assert report["results"]["upper"] == 1
 
 
+def test_calls_share_no_parsed_state(capsys, tmp_path, hexagon_file):
+    # main() reuses one parser; options of one call must not reach the next.
+    op_path = tmp_path / "rotation.json"
+    op_path.write_text(json.dumps({"dim": 2, "scalar": "rational",
+                                   "matrix": [[0, -1], [1, 0]]}))
+    report = run_json(capsys, "bound", "-i", hexagon_file, "--witness", str(op_path),
+                      "--policy", "subset")
+    assert report["results"]["upper"] == "7/12"
+    report = run_json(capsys, "bound", "-i", hexagon_file)
+    assert report["results"]["upper"] == 1
+    assert report["config"]["policy"] == "all"
+
+
 def test_policy_subset(capsys, hexagon_file):
     # In the plane every vertex has exactly two incident edges, so the
     # first-d subset equals the full set and the bounds agree.
@@ -148,6 +161,11 @@ def test_exit_code_2_on_malformed_document(capsys, tmp_path):
     code, _, err = run(capsys, "hull", "-i", str(path))
     assert code == 2
     assert "vertices[0][1]" in err
+    path.write_text('{"dim": 2, "scalar": "float", '
+                    '"vertices": [[1e999, 0], [-1e999, 0], [0, 1], [0, -1]]}')
+    code, _, err = run(capsys, "bound", "-i", str(path))
+    assert code == 2
+    assert "polytope.vertices[0][0]: not a finite number" in err
 
 
 def test_exit_code_2_on_missing_file(capsys):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -87,3 +88,14 @@ def test_malformed_operator_documents():
         operator_from_document({"dim": 2, "scalar": "rational", "matrix": [[1, 0]]})
     with pytest.raises(InputError, match="matrix\\[1\\]"):
         operator_from_document({"dim": 2, "scalar": "rational", "matrix": [[1, 0], [1]]})
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, 10 ** 400])
+def test_non_finite_floats_name_the_field(bad):
+    doc = {"dim": 2, "scalar": "float",
+           "vertices": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, bad]]}
+    with pytest.raises(InputError, match=r"polytope\.vertices\[3\]\[1\]: not a finite number"):
+        polytope_from_document(doc)
+    doc = {"dim": 2, "scalar": "float", "matrix": [[1.0, bad], [0.0, 1.0]]}
+    with pytest.raises(InputError, match=r"operator\.matrix\[0\]\[1\]: not a finite number"):
+        operator_from_document(doc)

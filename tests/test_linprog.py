@@ -130,3 +130,77 @@ def test_redundant_equalities_dropped():
 def test_basis_certificate_reported():
     sol = solve_lp(LinearProgram(objective=(1,), ineq_lhs=[(-1,)], ineq_rhs=(-3,)))
     assert sol.basis and all(isinstance(i, int) for i in sol.basis)
+
+
+def _random_mixed_lp(rng):
+    """Small LP with inequality rows of b > 0, b = 0 and b < 0, some equality
+    rows and a mix of free and nonnegative variables. The draws include
+    infeasible and unbounded programs."""
+    n = rng.randint(1, 4)
+
+    def coeffs():
+        return tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+
+    ineq_lhs = [coeffs() for _ in range(rng.randint(0, 5))]
+    ineq_rhs = [Fraction(rng.choice((-1, 0, 1)) * rng.randint(1, 4), rng.randint(1, 3))
+                for _ in ineq_lhs]
+    eq_lhs = [coeffs() for _ in range(rng.randint(0, 2))]
+    eq_rhs = [Fraction(rng.randint(-3, 3)) for _ in eq_lhs]
+    return LinearProgram(objective=coeffs(), ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs,
+                         eq_lhs=eq_lhs, eq_rhs=eq_rhs,
+                         nonneg=tuple(rng.random() < 0.5 for _ in range(n)))
+
+
+def test_random_mixed_lps_match_highs():
+    from scipy.optimize import linprog
+    rng = random.Random(4242)
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(300):
+        lp = _random_mixed_lp(rng)
+        sol = solve_lp(lp)
+        ref = linprog([float(c) for c in lp.objective],
+                      A_ub=[[float(a) for a in row] for row in lp.ineq_lhs] or None,
+                      b_ub=[float(b) for b in lp.ineq_rhs] or None,
+                      A_eq=[[float(a) for a in row] for row in lp.eq_lhs] or None,
+                      b_eq=[float(b) for b in lp.eq_rhs] or None,
+                      bounds=[(0, None) if nn else (None, None) for nn in lp.nonneg],
+                      method="highs",
+                      # HiGHS presolve calls one feasible, unbounded draw of
+                      # this seed infeasible; the plain simplex does not.
+                      options={"presolve": False})
+        assert sol.status == {0: "optimal", 2: "infeasible", 3: "unbounded"}[ref.status], lp
+        seen[sol.status] += 1
+        if sol.is_optimal:
+            assert abs(float(sol.value) - ref.fun) < 1e-9, lp
+            assert sol.value == dot(lp.objective, sol.point)
+            for row, b in zip(lp.ineq_lhs, lp.ineq_rhs):
+                assert dot(row, sol.point) <= b
+            for row, b in zip(lp.eq_lhs, lp.eq_rhs):
+                assert dot(row, sol.point) == b
+            for x, nn in zip(sol.point, lp.nonneg):
+                assert x >= 0 or not nn
+    # Every outcome occurs often enough for the comparison to mean something.
+    assert min(seen.values()) >= 20, seen
+
+
+def test_nonnegative_rhs_needs_no_phase_1(monkeypatch):
+    # Every row has b >= 0, so the slack basis is feasible from the start:
+    # one simplex run (phase 2) and no artificial column.
+    import polyindex.linprog as linprog_module
+    runs = []
+    real = linprog_module._simplex
+
+    def counting(rows, objs, *args):
+        runs.append(len(rows[0]))
+        return real(rows, objs, *args)
+
+    monkeypatch.setattr(linprog_module, "_simplex", counting)
+    # maximize x + y over the square [0, 1]^2 cut by x + 2y <= 2 and y - x <= 0
+    lp = LinearProgram(objective=(-1, -1),
+                       ineq_lhs=[(1, 0), (0, 1), (1, 2), (-1, 1)],
+                       ineq_rhs=(1, 1, 2, 0), nonneg=(True, True))
+    sol = solve_lp(lp)
+    assert sol.is_optimal
+    assert sol.value == Fraction(-3, 2)
+    assert sol.point == (Fraction(1), Fraction(1, 2))
+    assert runs == [2 + 4 + 1]  # two structural and four slack columns, then the RHS

@@ -6,9 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyindex import (InputError, Polytope, ValidationError, facet_enumeration, gauge,
-                       incidence, oblique_prism, validate)
-from polyindex.linalg import rank, vsub
+from polyindex import (InputError, Operator, Polytope, ValidationError,
+                       bipyramid_square_prism, facet_enumeration, gauge, incidence,
+                       irregular_hexagon, linf_sum, oblique_prism, prism_with_pyramids,
+                       regular_2n_gon, validate)
+from polyindex.linalg import dot, rank, vsub
 from helpers import brute_force_facets, random_symmetric_polytope
 
 
@@ -213,6 +215,35 @@ def test_one_double_description_per_polytope(monkeypatch, square):
     assert len(calls) == 1
     facet_enumeration(Polytope(square.vertices))
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Polytope([(1, 1), (-1, 1), (-1, -1), (1, -1)]),
+    irregular_hexagon,
+    bipyramid_square_prism,
+    lambda: linf_sum(irregular_hexagon(), irregular_hexagon()),
+    lambda: Polytope([(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1),
+                      (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, -1)]),
+    *[lambda n=n: regular_2n_gon(n) for n in (2, 3, 7, 40)],
+    *[lambda n=n, l=l: oblique_prism(n, l) for n in (2, 3, 5, 8) for l in (0, 0.25, 0.5, 1)],
+    *[lambda n=n: prism_with_pyramids(n) for n in (2, 3, 6)],
+])
+def test_incidence_from_double_description_matches_dot_products(make):
+    # The facets' vertex sets come from the zero sets of the double
+    # description; they must be the vertices v with f(v) = 1.
+    p = make()
+    for f in facet_enumeration(p):
+        on_facet = {i for i, v in enumerate(p.vertices) if p.ctx.eq(dot(f.coeffs, v), 1)}
+        assert f.incident_vertices == on_facet
+
+
+@pytest.mark.parametrize("backend", [None, "float", "rational"])
+def test_non_finite_coordinates_rejected(backend):
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(InputError):
+            Polytope([(bad, 0), (-bad, 0), (0, 1), (0, -1)], backend=backend)
+    with pytest.raises(InputError, match="finite"):
+        Operator([[math.nan, 0], [0, 1]])
 
 
 def test_strict_mode_keeps_input_for_validation(square):
