@@ -16,12 +16,16 @@ search over matrix entries; the identity (v = 1) is the fallback.
 """
 from __future__ import annotations
 
+import math
 import random
+import sys
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from fractions import Fraction
+from operator import mul
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, InputError
-from .linalg import dot, rank
+from .linalg import dot, matvec, rank
 from .linprog import LinearProgram, solve_lp
 from .operators import Operator, RadiusCertificate, numerical_radius, operator_norm
 from .polytope import (FacetFunctional, Incidence, Polytope, facet_antipode_pairs,
@@ -67,8 +71,13 @@ class SearchConfig:
 
     budget: int = 0
     seed: int = 0
-    starts: int = 6
-    step: float = 0.5
+
+
+_STARTS = 6     # search starts: the witnesses, then random matrices up to this many
+_STEP = 0.5     # initial standard deviation of a proposal's move in each entry
+_MARGIN = 1e-9  # relative gap below which float screen values decide no comparison
+_UNIT_ROUNDOFF = sys.float_info.epsilon / 2
+_TINIEST = 5e-324  # the least subnormal float
 
 
 @dataclass(frozen=True)
@@ -175,9 +184,13 @@ def _vertex_minimax(p, sphere, facets, inc, vertex_index, subset) -> VertexBound
                            ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs,
                            eq_lhs=[[1] * nl + [0]], eq_rhs=[1],
                            nonneg=(True,) * (nl + 1))
-        sol = solve_lp(lp, ctx)
+        try:
+            sol = solve_lp(lp, ctx)
+        except ComputationError as exc:
+            raise ComputationError(f"vertex {vertex_index}, sphere facet {sf.index}: {exc}") from exc
         if not sol.is_optimal:
-            raise ComputationError(f"facet LP unexpectedly {sol.status}")
+            raise ComputationError(f"vertex {vertex_index}, sphere facet {sf.index}: "
+                                   f"facet LP unexpectedly {sol.status}")
         if best is None or sol.value < best[0]:
             lams = sol.point[:nl]
             x = tuple(sum(lams[a] * p.vertices[j][c] for a, j in enumerate(members))
@@ -186,7 +199,8 @@ def _vertex_minimax(p, sphere, facets, inc, vertex_index, subset) -> VertexBound
 
     value, facet_k, x = best
     if ctx.sign(value) <= 0:
-        raise ComputationError("vertex bound is not positive despite trivial common kernel")
+        raise ComputationError(f"vertex {vertex_index}, sphere facet {facet_k}: vertex bound "
+                               "is not positive despite trivial common kernel")
     return VertexBound(vertex_index=vertex_index,
                        antipode_index=p.antipode_index(vertex_index),
                        value=value, functional_indices=chosen,
@@ -212,11 +226,179 @@ def lower_bound(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
 
 
 def _normalized_radius(p, facets, inc, op):
+    """(radius certificate, unit operator) of op/||op||, or None when ||op|| is 0."""
     norm, _ = operator_norm(p, facets, op)
     if p.ctx.is_zero(norm):
-        raise InputError("witness operator has norm 0")
+        return None
     unit = op.scale(1 / norm)
     return numerical_radius(p, facets, inc, unit), unit
+
+
+def _operator(p: Polytope, entries) -> Operator:
+    return Operator(entries, backend="rational" if p.ctx.exact else "float",
+                    eps=None if p.ctx.exact else p.ctx.eps)
+
+
+def _float_copy(xs):
+    """xs as floats, or None when some nonzero entry does not round to a
+    finite normal float (so that rounding stays within half an ulp)."""
+    try:
+        ys = tuple(map(float, xs))
+    except OverflowError:
+        return None
+    if all(math.isfinite(y) and (abs(y) >= sys.float_info.min or not x) for x, y in zip(xs, ys)):
+        return ys
+    return None
+
+
+class _Screened(NamedTuple):
+    """A search candidate's float screen (see :meth:`_Screen.screen`)."""
+
+    value: float  # v(T/||T||) in floats
+    slack: float  # bound on |value - the value the exact evaluation returns|
+    pairs: list   # pairs[a][j] = |g_j(T v_a)| in floats
+    err: float    # bound on the error of each entry of ``pairs``
+
+
+class _Screen:
+    """Float copies of half the ball, built once per search.
+
+    ``vertices`` holds one vertex v_a per antipodal orbit and ``functionals``
+    one facet functional g_j per antipodal facet pair. The ball is
+    symmetric, so |g(T(-v))| = |g(T v)| = |(-g)(T v)|: the norm of T is
+    the largest |g_j(T v_a)|, and its numerical radius the largest over
+    ``incident``, the pairs (a, j) where v_a or -v_a lies on a facet of
+    pair j. The float tables are None when some coordinate does not
+    convert to a finite normal float (a rational ball scaled by 10^400 or
+    10^-400); then every candidate goes to the exact evaluation.
+    """
+
+    def __init__(self, p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence):
+        self.p, self.facets, self.inc = p, facets, inc
+        pairs = facet_antipode_pairs(facets, p.ctx)
+        pair_of = {k: j for j, pair in enumerate(pairs) for k in pair}
+        reps = p.orbit_representatives()
+        self.vertices = tuple(p.vertices[i] for i in reps)
+        self.functionals = tuple(facets[k].coeffs for k, _ in pairs)
+        self.incident = tuple(
+            (a, j) for a, i in enumerate(reps)
+            for j in sorted({pair_of[k] for k in inc.vertex_to_facets[i]
+                             + inc.vertex_to_facets[p.antipode_index(i)]}))
+        self.all_pairs = tuple((a, j) for a in range(len(reps)) for j in range(len(pairs)))
+        self.fvertices = self.ffunctionals = None
+        fv = [_float_copy(v) for v in p.vertices]
+        fg = [_float_copy(f.coeffs) for f in facets]
+        if None in fv or None in fg:
+            return
+        self.fvertices = [fv[i] for i in reps]
+        self.ffunctionals = [fg[k] for k, _ in pairs]
+        # Error bound for one |g_j(T v_a)| computed in floats, per unit of
+        # max |T_ij| (see :meth:`screen`). ``skew_*`` is how far a stored
+        # antipode is from the exact negation (nonzero on float balls only).
+        size_v = max(sum(map(abs, v)) for v in fv)
+        size_g = max(sum(map(abs, g)) for g in fg)
+        skew_v = max(sum(abs(x + y) for x, y in zip(fv[i], fv[p.antipode_index(i)])) for i in reps)
+        skew_g = max(sum(abs(x + y) for x, y in zip(fg[k], fg[k2])) for k, k2 in pairs)
+        d = p.dim
+        self.err_scale = 2 * ((2 * d + 3) * _UNIT_ROUNDOFF * size_g * size_v
+                              + size_g * skew_v + size_v * skew_g)
+        self.err_floor = 2 * d * _TINIEST * (1 + size_g)  # underflow
+
+    def screen(self, entries) -> Optional[_Screened]:
+        """v(T/||T||) in floats, or None when floats cannot rank T.
+
+        One computed |g_j(T v_a)| is within ``err`` of the exact value of
+        the same pair on the exact ball: with m = max |T_ij|, rounding costs
+        at most (2d+3) u m sum|g| sum|v| (two dot products of length d,
+        plus converting g and v), antipodes that are not exact negations
+        cost m (sum|g| skew_v + sum|v| skew_g), and underflow a few
+        subnormal units. ``err`` doubles that. The norm and the radius are
+        maxima of such values, so each is within ``err`` too, and then
+        v = radius/norm within 2 err/norm plus one rounding. The float
+        backend's own value is within about as much again, and ``slack``
+        covers both with room to spare. None when T has a non-finite
+        entry, or when the radius or the norm is too close to 0 (on float
+        balls: to eps, below which the norm counts as 0) to tell.
+        """
+        if self.fvertices is None:
+            return None
+        images = [[sum(map(mul, row, v)) for row in entries] for v in self.fvertices]
+        pairs = [[abs(sum(map(mul, g, tv))) for g in self.ffunctionals] for tv in images]
+        norm = max(map(max, pairs))
+        radius = max(pairs[a][j] for a, j in self.incident)
+        err = self.err_scale * max(abs(x) for row in entries for x in row) + self.err_floor
+        if not (radius > 2 * err and 2 * err + self.p.ctx.eps < norm < math.inf):
+            return None
+        return _Screened(radius / norm, 16 * err / norm + 4 * _UNIT_ROUNDOFF, pairs, err)
+
+    def exact(self, entries, screened: Optional[_Screened]):
+        """float(v(T/||T||)) as the exact evaluation gives it, None when ||T|| is 0."""
+        if screened is None or not self.p.ctx.exact:
+            result = _normalized_radius(self.p, self.facets, self.inc, _operator(self.p, entries))
+            return None if result is None else float(result[0].value)
+        return float(self.rational_value(entries, screened))
+
+    def rational_value(self, entries, screened: _Screened) -> Fraction:
+        """radius/norm of T as a Fraction, which equals
+        ``_normalized_radius(...)[0].value`` on a rational ball.
+
+        Each maximum is taken exactly over only the pairs whose float value
+        is within the margin (and within 2 err) of the float maximum: the
+        pair attaining the exact maximum is among them. Only the vertices
+        those pairs touch get exact images.
+        """
+        pairs, err = screened.pairs, screened.err
+        matrix = [[Fraction(x) for x in row] for row in entries]
+        images = {}
+
+        def top(candidates):
+            high = max(pairs[a][j] for a, j in candidates)
+            low = high - max(_MARGIN * high, 2 * err)
+            best = 0
+            for a, j in candidates:
+                if pairs[a][j] >= low:
+                    if a not in images:
+                        images[a] = matvec(matrix, self.vertices[a])
+                    best = max(best, abs(dot(self.functionals[j], images[a])))
+            return best
+
+        return top(self.incident) / top(self.all_pairs)
+
+
+_UNSET = object()
+
+
+class _Candidate:
+    """A search point: its entries, its float screen and, once a comparison
+    needs it, its exact value (computed at most once)."""
+
+    __slots__ = ("entries", "screened", "_screen", "_value")
+
+    def __init__(self, screen: _Screen, entries):
+        self.entries = entries
+        self.screened = screen.screen(entries)
+        self._screen = screen
+        self._value = _UNSET
+
+    @property
+    def value(self):
+        if self._value is _UNSET:
+            self._value = self._screen.exact(self.entries, self.screened)
+        return self._value
+
+    @property
+    def zero_norm(self) -> bool:
+        return self.screened is None and self.value is None
+
+    def __lt__(self, other: "_Candidate") -> bool:
+        """The exact search's ``float(v(self)) < float(v(other))``, for
+        candidates of nonzero norm; floats decide only a clear gap."""
+        a, b = self.screened, other.screened
+        if a is not None and b is not None:
+            gap = b.value - a.value
+            if abs(gap) > max(_MARGIN * max(a.value, b.value), a.slack + b.slack):
+                return gap > 0
+        return self.value < other.value
 
 
 def _search_candidates(p, facets, inc, witnesses, cfg: SearchConfig):
@@ -224,22 +406,31 @@ def _search_candidates(p, facets, inc, witnesses, cfg: SearchConfig):
 
     Only ever tightens the upper bound; carries no optimality claim.
     Deterministic for a fixed seed.
+
+    The search accepts a proposal whose value is below the current point's
+    and keeps the start that ends lowest, where a value is float(v) of the
+    exact evaluation (:func:`_normalized_radius`). Each candidate gets a
+    float screen instead (:meth:`_Screen.screen`): v with one norm, over
+    half the vertices and half the facets. The screen decides a comparison
+    only when both candidates have one and the two differ by more than
+    _MARGIN relative (and more than their float error bounds). A near-tie,
+    or a candidate without a screen, goes to the exact values, each
+    computed at most once per point: radius/norm as a Fraction over the
+    pairs near the float maxima on rational balls, and
+    :func:`_normalized_radius` itself on float balls or where the screen
+    is missing. So every comparison comes out as exact evaluation of every
+    candidate would decide it, the search visits the same points, and the
+    output is byte-identical to that of the exact search. The winner alone
+    is re-evaluated through :func:`_normalized_radius`, which gives the
+    returned value, unit witness and certificate: the bound never rests on
+    a float.
     """
     rng = random.Random(cfg.seed)
     d = p.dim
-    backend = "rational" if p.ctx.exact else "float"
-
-    def evaluate(entries):
-        op = Operator([row[:] for row in entries], backend=backend,
-                      eps=None if p.ctx.exact else p.ctx.eps)
-        norm, _ = operator_norm(p, facets, op)
-        if p.ctx.is_zero(norm):
-            return None
-        cert, unit = _normalized_radius(p, facets, inc, op)
-        return float(cert.value), cert, unit
+    screen = _Screen(p, facets, inc)
 
     starts = [[list(map(float, row)) for row in w.matrix] for w in witnesses]
-    while len(starts) < max(cfg.starts, 1):
+    while len(starts) < _STARTS:
         starts.append([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(d)])
 
     budget = cfg.budget
@@ -248,19 +439,19 @@ def _search_candidates(p, facets, inc, witnesses, cfg: SearchConfig):
     for entries in starts:
         if budget <= 0:
             break
-        current = evaluate(entries)
+        current = _Candidate(screen, entries)
         budget -= 1
-        if current is None:
+        if current.zero_norm:
             continue
-        step = cfg.step
+        step = _STEP
         fails = 0
         spent = 1
         while budget > 0 and spent < per_start and step > 1e-9:
             proposal = [[x + step * rng.gauss(0, 1) for x in row] for row in entries]
-            cand = evaluate(proposal)
+            cand = _Candidate(screen, proposal)
             budget -= 1
             spent += 1
-            if cand is not None and cand[0] < current[0]:
+            if not cand.zero_norm and cand < current:
                 entries, current = proposal, cand
                 fails = 0
             else:
@@ -268,11 +459,12 @@ def _search_candidates(p, facets, inc, witnesses, cfg: SearchConfig):
                 if fails >= 8:
                     step *= 0.5
                     fails = 0
-        if best is None or current[0] < best[0]:
+        if best is None or current < best:
             best = current
     if best is None:
         return []
-    return [(best[1].value, best[2], best[1])]
+    cert, unit = _normalized_radius(p, facets, inc, _operator(p, best.entries))
+    return [(cert.value, unit, cert)]
 
 
 def upper_bound(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
@@ -288,7 +480,10 @@ def upper_bound(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
     for w in witnesses:
         if w.dim != p.dim:
             raise InputError(f"witness dimension {w.dim} does not match space dimension {p.dim}")
-        cert, unit = _normalized_radius(p, facets, inc, w)
+        result = _normalized_radius(p, facets, inc, w)
+        if result is None:
+            raise InputError("witness operator has norm 0")
+        cert, unit = result
         candidates.append((cert.value, unit, cert))
     ident = Operator.identity(p.dim, exact=p.ctx.exact)
     cert, unit = _normalized_radius(p, facets, inc, ident)

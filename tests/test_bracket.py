@@ -6,12 +6,12 @@ from itertools import combinations
 import pytest
 
 import polyindex.bracket as bracket_module
-from polyindex import (InputError, LinearProgram, Operator, SearchConfig,
-                       bipyramid_square_prism, facet_enumeration, gauge, incidence,
-                       index_bracket, irregular_hexagon, linf_sum, lower_bound,
-                       numerical_radius, oblique_prism, operator_norm, prism_witness_operator,
-                       pyramid_witness_operator, regular_2n_gon, solve_lp, upper_bound,
-                       vertex_minimax)
+from polyindex import (ComputationError, InputError, LinearProgram, Operator, Polytope,
+                       SearchConfig, bipyramid_square_prism, facet_enumeration, gauge,
+                       incidence, index_bracket, irregular_hexagon, linf_sum, lower_bound,
+                       numerical_radius, oblique_prism, operator_norm, polygon_witness_operator,
+                       prism_witness_operator, pyramid_witness_operator, regular_2n_gon,
+                       solve_lp, upper_bound, vertex_minimax)
 from polyindex.linalg import dot, rank
 from polyindex.polytope import facet_antipode_pairs
 from helpers import boundary_minimax_2d, random_rational_matrix, random_symmetric_polytope
@@ -263,3 +263,178 @@ def test_lower_bound_work_counts(monkeypatch):
     assert (orbits, pairs) == (40, 40)
     # LPs whose facet cannot beat the best value so far are skipped.
     assert 0 < calls["solve_lp"] < orbits * pairs
+
+
+def test_lower_bound_failures_name_vertex_and_facet(hexagon, hexagon_facets, monkeypatch):
+    inc = incidence(hexagon, hexagon_facets)
+
+    def failing(lp, ctx):
+        raise ComputationError("phase 1 cannot be unbounded")
+
+    monkeypatch.setattr(bracket_module, "solve_lp", failing)
+    with pytest.raises(ComputationError) as exc:
+        lower_bound(hexagon, hexagon_facets, inc)
+    first = facet_antipode_pairs(hexagon_facets, hexagon.ctx)[0][0]
+    assert str(exc.value) == f"vertex 0, sphere facet {first}: phase 1 cannot be unbounded"
+    assert isinstance(exc.value.__cause__, ComputationError)
+
+
+def _reference_search(p, facets, inc, witnesses, budget, seed):
+    """The search loop with every candidate evaluated exactly: an exact
+    Operator, its norm and its normalized radius, compared as floats."""
+    rng = random.Random(seed)
+    d = p.dim
+    backend = "rational" if p.ctx.exact else "float"
+
+    def evaluate(entries):
+        op = Operator([row[:] for row in entries], backend=backend,
+                      eps=None if p.ctx.exact else p.ctx.eps)
+        norm, _ = operator_norm(p, facets, op)
+        if p.ctx.is_zero(norm):
+            return None
+        unit = op.scale(1 / norm)
+        cert = numerical_radius(p, facets, inc, unit)
+        return float(cert.value), cert, unit
+
+    starts = [[list(map(float, row)) for row in w.matrix] for w in witnesses]
+    while len(starts) < 6:
+        starts.append([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(d)])
+    best = None
+    per_start = max(budget // len(starts), 1)
+    for entries in starts:
+        if budget <= 0:
+            break
+        current = evaluate(entries)
+        budget -= 1
+        if current is None:
+            continue
+        step, fails, spent = 0.5, 0, 1
+        while budget > 0 and spent < per_start and step > 1e-9:
+            proposal = [[x + step * rng.gauss(0, 1) for x in row] for row in entries]
+            cand = evaluate(proposal)
+            budget -= 1
+            spent += 1
+            if cand is not None and cand[0] < current[0]:
+                entries, current = proposal, cand
+                fails = 0
+            else:
+                fails += 1
+                if fails >= 8:
+                    step *= 0.5
+                    fails = 0
+        if best is None or current[0] < best[0]:
+            best = current
+    return [] if best is None else [(best[1].value, best[2], best[1])]
+
+
+def _scaled_hexagon(scale):
+    return Polytope([[x * scale for x in v] for v in irregular_hexagon().vertices])
+
+
+# Two starts whose exact values differ in the last bit while their float
+# screens tie: only the exact values pick the second.
+_NEAR_TIE_STARTS = ([[1.089, 1.646], [0.482, -1.194]],
+                    [[1.089, 1.6460000000000008], [0.482, -1.194]])
+
+_SEARCH_CASES = {
+    **{f"hexagon-{seed}": (irregular_hexagon, (), 100, seed)
+       for seed in (1, 266658282, 334269678, 931280680)},
+    "hexagon-near-tie-starts": (irregular_hexagon, _NEAR_TIE_STARTS, 2, 0),
+    "bipyramid+witness": (bipyramid_square_prism, (pyramid_witness_operator(),), 40, 5),
+    "oblique_prism(5,1/2)": (lambda: oblique_prism(5, 0.5),
+                             (prism_witness_operator(5, 0.5),), 100, 3),
+    "regular_2n_gon(12)": (lambda: regular_2n_gon(12), (polygon_witness_operator(12),),
+                           100, 4),
+    "hexagon*10^400": (lambda: _scaled_hexagon(Fraction(10) ** 400), (), 40, 1),
+    "hexagon*10^-400": (lambda: _scaled_hexagon(Fraction(10) ** -400), (), 40, 2),
+}
+
+
+@pytest.mark.parametrize("case", list(_SEARCH_CASES))
+def test_search_decides_as_exact_evaluation(case):
+    make, starts, budget, seed = _SEARCH_CASES[case]
+    p = make()
+    facets = facet_enumeration(p)
+    inc = incidence(p, facets)
+    witnesses = [w if isinstance(w, Operator) else Operator(w, backend="rational")
+                 for w in starts]
+    got = bracket_module._search_candidates(p, facets, inc, witnesses,
+                                            SearchConfig(budget=budget, seed=seed))
+    want = _reference_search(p, facets, inc, witnesses, budget, seed)
+    assert len(got) == len(want) == 1
+    (value, unit, cert), (want_value, want_unit, want_cert) = got[0], want[0]
+    assert type(value) is type(want_value) and value == want_value
+    assert unit.matrix == want_unit.matrix
+    assert cert == want_cert
+
+
+# Matrices with one entry solved for, in floats, to tie the two largest
+# pairs |g(T v)|: their float order is the reverse of their exact order.
+_TIED_PAIRS = {
+    "hexagon": [[[-0.003528833050657449, 0.005927779969126383],
+                 [0.018988217523005512, 0.00811829825948183]],
+                [[-1.3248313657118442, 1.2897537391956708],
+                 [-1.2138442451896687, 2.3082469231232703]]],
+    "bipyramid": [[[-0.9093099372055086, 0.3122874840703231, -0.6181196995653467],
+                   [1.8826518363765958, 0.3121974604141179, 0.07449423254277826],
+                   [-0.16101178998898913, -1.0398061184119658, -2.2339220386037537]],
+                  [[0.5456401772617849, 0.5627087421456689, -1.684926668599903],
+                   [0.39787230011631275, -2.313729697011483, -0.08167359087956093],
+                   [2.3156308262253456, 1.0130711254858107, 0.3031211264239911]]],
+    "hexagon/10^30": [],
+}
+
+
+@pytest.mark.parametrize("make,name", [
+    (irregular_hexagon, "hexagon"), (bipyramid_square_prism, "bipyramid"),
+    (lambda: _scaled_hexagon(Fraction(7, 3 * 10 ** 30)), "hexagon/10^30")],
+    ids=list(_TIED_PAIRS))
+def test_rational_value_is_the_normalized_radius(make, name):
+    p = make()
+    facets = facet_enumeration(p)
+    inc = incidence(p, facets)
+    screen = bracket_module._Screen(p, facets, inc)
+    d = p.dim
+    rng = random.Random(77)
+    # Random matrices; signed permutations, at which pairs tie exactly; and
+    # the same with a 2^-60 entry, which parts the tied pairs by less than
+    # floats resolve.
+    matrices = [[[rng.gauss(0, 1) for _ in range(d)] for _ in range(d)] for _ in range(60)]
+    for _ in range(20):
+        perm = rng.sample(range(d), d)
+        signed = [[rng.choice((1.0, -1.0)) if j == perm[i] else 0.0 for j in range(d)]
+                  for i in range(d)]
+        nudged = [row[:] for row in signed]
+        i = rng.randrange(d)
+        nudged[i][(perm[i] + 1) % d] = rng.choice((1.0, -1.0)) * 2.0 ** -60
+        matrices += [signed, nudged]
+    for entries in matrices + _TIED_PAIRS[name]:
+        screened = screen.screen(entries)
+        assert screened is not None
+        want = bracket_module._normalized_radius(p, facets, inc,
+                                                 Operator(entries, backend="rational"))[0].value
+        assert screen.rational_value(entries, screened) == want
+        assert abs(screened.value - float(want)) <= screened.slack
+
+
+def test_search_screen_missing_when_coordinates_do_not_convert():
+    for scale in (Fraction(10) ** 400, Fraction(10) ** -400):
+        p = _scaled_hexagon(scale)
+        facets = facet_enumeration(p)
+        screen = bracket_module._Screen(p, facets, incidence(p, facets))
+        assert screen.screen([[1.0, 0.5], [0.0, 2.0]]) is None
+
+
+def test_search_evaluates_only_the_winner_exactly(hexagon, hexagon_facets, monkeypatch):
+    calls = []
+    real = bracket_module.operator_norm
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bracket_module, "operator_norm", counting)
+    inc = incidence(hexagon, hexagon_facets)
+    upper_bound(hexagon, hexagon_facets, inc, search=SearchConfig(budget=100, seed=1))
+    # The identity fallback and the winner; the exact search took 193.
+    assert len(calls) <= 3

@@ -168,6 +168,20 @@ def test_exit_code_2_on_malformed_document(capsys, tmp_path):
     assert "polytope.vertices[0][0]: not a finite number" in err
 
 
+def test_exit_code_1_names_the_failing_facet_lp(capsys, hexagon_file, monkeypatch):
+    import polyindex.bracket
+    from polyindex import ComputationError
+
+    def failing(lp, ctx):
+        raise ComputationError("phase 1 cannot be unbounded")
+
+    monkeypatch.setattr(polyindex.bracket, "solve_lp", failing)
+    code, _, err = run(capsys, "bound", "-i", hexagon_file)
+    assert code == 1
+    assert "computation failed: vertex 0, sphere facet " in err
+    assert err.rstrip().endswith(": phase 1 cannot be unbounded")
+
+
 def test_exit_code_2_on_missing_file(capsys):
     code, _, err = run(capsys, "hull", "-i", "/nonexistent/nowhere.json")
     assert code == 2

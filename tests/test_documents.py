@@ -99,3 +99,23 @@ def test_non_finite_floats_name_the_field(bad):
     doc = {"dim": 2, "scalar": "float", "matrix": [[1.0, bad], [0.0, 1.0]]}
     with pytest.raises(InputError, match=r"operator\.matrix\[0\]\[1\]: not a finite number"):
         operator_from_document(doc)
+    doc = {"dim": 2, "scalar": "float", "vertices": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]],
+           "witness": {"dim": 2, "scalar": "float", "matrix": [[bad, 0.0], [0.0, 1.0]]}}
+    with pytest.raises(InputError, match=r"^witness\.matrix\[0\]\[0\]: not a finite number"):
+        polytope_from_document(doc)
+
+
+@pytest.mark.parametrize("witness,field", [
+    ({"dim": 0, "scalar": "rational", "matrix": []}, "witness.dim"),
+    ({"dim": 2, "scalar": "complex", "matrix": [[1, 0], [0, 1]]}, "witness.scalar"),
+    ({"dim": 2, "scalar": "rational", "matrix": [[1, 0]]}, "witness.matrix:"),
+    ({"dim": 2, "scalar": "rational", "matrix": [[1, 0], [1]]}, "witness.matrix[1]:"),
+    ({"dim": 2, "scalar": "rational", "matrix": [[1, 0], [0, "1/0"]]}, "witness.matrix[1][1]:"),
+    ([[1, 0], [0, 1]], "witness: expected a JSON object"),
+])
+def test_embedded_witness_errors_name_the_witness(hexagon, witness, field):
+    doc = polytope_to_document(hexagon)
+    doc["witness"] = witness
+    with pytest.raises(InputError) as exc:
+        polytope_from_document(doc)
+    assert str(exc.value).startswith(field)
