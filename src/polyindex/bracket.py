@@ -21,15 +21,14 @@ import random
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, InputError
 from .linalg import dot, matvec, rank
 from .linprog import LinearProgram, solve_lp
 from .operators import Operator, RadiusCertificate, numerical_radius, operator_norm
-from .polytope import (FacetFunctional, Incidence, Polytope, facet_antipode_pairs,
-                       facet_enumeration, incidence)
+from .polytope import Polytope, facet_antipode_pairs, facet_enumeration, incidence
 from .scalars import Scalar
 
 
@@ -55,14 +54,6 @@ class LowerBoundCertificate:
     @property
     def minimum(self) -> Scalar:
         return min(e.value for e in self.entries)
-
-    @property
-    def argmin(self) -> VertexBound:
-        best = self.entries[0]
-        for e in self.entries[1:]:
-            if e.value < best.value:
-                best = e
-        return best
 
 
 @dataclass(frozen=True)
@@ -100,7 +91,7 @@ class _SphereFacet:
     floors: tuple   # floors[r] = min of |f_r| over facet k
 
 
-def _sphere_facets(p: Polytope, facets: Sequence[FacetFunctional]) -> tuple:
+def _sphere_facets(p: Polytope) -> tuple:
     """The facet table of the sphere, one entry per antipodal facet pair.
 
     f_r is affine on a facet, so over the facet it takes exactly the convex
@@ -110,8 +101,9 @@ def _sphere_facets(p: Polytope, facets: Sequence[FacetFunctional]) -> tuple:
     """
     ctx = p.ctx
     zero = ctx.coerce(0)
+    facets = facet_enumeration(p)
     table = []
-    for k, _ in facet_antipode_pairs(facets, ctx):
+    for k, _ in facet_antipode_pairs(p):
         members = tuple(sorted(facets[k].incident_vertices))
         values = tuple(tuple(dot(f.coeffs, p.vertices[j]) for j in members) for f in facets)
         floors = []
@@ -122,8 +114,8 @@ def _sphere_facets(p: Polytope, facets: Sequence[FacetFunctional]) -> tuple:
     return tuple(table)
 
 
-def vertex_minimax(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
-                   vertex_index: int, subset: Optional[Sequence[int]] = None) -> VertexBound:
+def vertex_minimax(p: Polytope, vertex_index: int,
+                   subset: Optional[Sequence[int]] = None) -> VertexBound:
     """Exact min over the unit sphere of max_r |f_r(x)|.
 
     ``subset`` selects which supporting functionals at the vertex to use
@@ -145,12 +137,12 @@ def vertex_minimax(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidenc
     So the value, the sphere facet and the minimizer are the ones that
     solving every LP gives.
     """
-    return _vertex_minimax(p, _sphere_facets(p, facets), facets, inc, vertex_index, subset)
+    return _vertex_minimax(p, _sphere_facets(p), vertex_index, subset)
 
 
-def _vertex_minimax(p, sphere, facets, inc, vertex_index, subset) -> VertexBound:
+def _vertex_minimax(p, sphere, vertex_index, subset) -> VertexBound:
     ctx = p.ctx
-    incident = inc.vertex_to_facets[vertex_index]
+    incident = incidence(p).vertex_to_facets[vertex_index]
     if subset is None:
         chosen = tuple(incident)
     else:
@@ -160,6 +152,7 @@ def _vertex_minimax(p, sphere, facets, inc, vertex_index, subset) -> VertexBound
             raise InputError(f"facets {bad} are not incident to vertex {vertex_index}")
         if not chosen:
             raise InputError("functional subset must be nonempty")
+    facets = facet_enumeration(p)
     funcs = [facets[k].coeffs for k in chosen]
     if rank(funcs, ctx) < p.dim:
         raise InputError(
@@ -207,8 +200,7 @@ def _vertex_minimax(p, sphere, facets, inc, vertex_index, subset) -> VertexBound
                        sphere_facet_index=facet_k, minimizer=x)
 
 
-def lower_bound(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
-                subsets: Optional[Mapping[int, Sequence[int]]] = None):
+def lower_bound(p: Polytope, subsets: Optional[Mapping[int, Sequence[int]]] = None):
     """Certified lower bound on the numerical index: min over vertex orbits
     of the per-vertex min-max. Antipodal vertices share the same bound and
     are computed once, and the facet table of the sphere is built once for
@@ -217,21 +209,20 @@ def lower_bound(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
     ``subsets`` optionally maps vertex indices to explicit functional
     subsets (the same subset, negated, is implied at the antipode).
     """
-    sphere = _sphere_facets(p, facets)
-    entries = tuple(_vertex_minimax(p, sphere, facets, inc, i,
-                                    None if subsets is None else subsets.get(i))
+    sphere = _sphere_facets(p)
+    entries = tuple(_vertex_minimax(p, sphere, i, None if subsets is None else subsets.get(i))
                     for i in p.orbit_representatives())
     cert = LowerBoundCertificate(entries=entries)
     return cert.minimum, cert
 
 
-def _normalized_radius(p, facets, inc, op):
+def _normalized_radius(p, op):
     """(radius certificate, unit operator) of op/||op||, or None when ||op|| is 0."""
-    norm, _ = operator_norm(p, facets, op)
+    norm, _ = operator_norm(p, op)
     if p.ctx.is_zero(norm):
         return None
     unit = op.scale(1 / norm)
-    return numerical_radius(p, facets, inc, unit), unit
+    return numerical_radius(p, unit), unit
 
 
 def _operator(p: Polytope, entries) -> Operator:
@@ -273,9 +264,10 @@ class _Screen:
     10^-400); then every candidate goes to the exact evaluation.
     """
 
-    def __init__(self, p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence):
-        self.p, self.facets, self.inc = p, facets, inc
-        pairs = facet_antipode_pairs(facets, p.ctx)
+    def __init__(self, p: Polytope):
+        self.p = p
+        facets, inc = facet_enumeration(p), incidence(p)
+        pairs = facet_antipode_pairs(p)
         pair_of = {k: j for j, pair in enumerate(pairs) for k in pair}
         reps = p.orbit_representatives()
         self.vertices = tuple(p.vertices[i] for i in reps)
@@ -334,7 +326,7 @@ class _Screen:
     def exact(self, entries, screened: Optional[_Screened]):
         """float(v(T/||T||)) as the exact evaluation gives it, None when ||T|| is 0."""
         if screened is None or not self.p.ctx.exact:
-            result = _normalized_radius(self.p, self.facets, self.inc, _operator(self.p, entries))
+            result = _normalized_radius(self.p, _operator(self.p, entries))
             return None if result is None else float(result[0].value)
         return float(self.rational_value(entries, screened))
 
@@ -401,7 +393,7 @@ class _Candidate:
         return self.value < other.value
 
 
-def _search_candidates(p, facets, inc, witnesses, cfg: SearchConfig):
+def _search_candidates(p, witnesses, cfg: SearchConfig):
     """Multi-start hill climbing on v(T/||T||) over float matrix entries.
 
     Only ever tightens the upper bound; carries no optimality claim.
@@ -427,7 +419,7 @@ def _search_candidates(p, facets, inc, witnesses, cfg: SearchConfig):
     """
     rng = random.Random(cfg.seed)
     d = p.dim
-    screen = _Screen(p, facets, inc)
+    screen = _Screen(p)
 
     starts = [[list(map(float, row)) for row in w.matrix] for w in witnesses]
     while len(starts) < _STARTS:
@@ -463,12 +455,12 @@ def _search_candidates(p, facets, inc, witnesses, cfg: SearchConfig):
             best = current
     if best is None:
         return []
-    cert, unit = _normalized_radius(p, facets, inc, _operator(p, best.entries))
+    cert, unit = _normalized_radius(p, _operator(p, best.entries))
     return [(cert.value, unit, cert)]
 
 
-def upper_bound(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
-                witnesses: Sequence[Operator] = (), search: Optional[SearchConfig] = None):
+def upper_bound(p: Polytope, witnesses: Sequence[Operator] = (),
+                search: Optional[SearchConfig] = None):
     """Upper bound on the numerical index: min of v(T/||T||) over the
     provided witnesses, the identity (implicit fallback, v = 1), and the
     outcome of the optional local search.
@@ -480,26 +472,21 @@ def upper_bound(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
     for w in witnesses:
         if w.dim != p.dim:
             raise InputError(f"witness dimension {w.dim} does not match space dimension {p.dim}")
-        result = _normalized_radius(p, facets, inc, w)
+        result = _normalized_radius(p, w)
         if result is None:
             raise InputError("witness operator has norm 0")
         cert, unit = result
         candidates.append((cert.value, unit, cert))
     ident = Operator.identity(p.dim, exact=p.ctx.exact)
-    cert, unit = _normalized_radius(p, facets, inc, ident)
+    cert, unit = _normalized_radius(p, ident)
     candidates.append((cert.value, unit, cert))
     if search is not None and search.budget > 0:
-        candidates.extend(_search_candidates(p, facets, inc, witnesses, search))
+        candidates.extend(_search_candidates(p, witnesses, search))
 
-    best = candidates[0]
-    for cand in candidates[1:]:
-        if cand[0] < best[0]:
-            best = cand
-    return best[0], best[1], best[2]
+    return min(candidates, key=itemgetter(0))  # the first of equal values
 
 
-def index_bracket(p: Polytope, facets: Optional[Sequence[FacetFunctional]] = None,
-                  inc: Optional[Incidence] = None, witnesses: Sequence[Operator] = (),
+def index_bracket(p: Polytope, witnesses: Sequence[Operator] = (),
                   search: Optional[SearchConfig] = None,
                   subsets: Optional[Mapping[int, Sequence[int]]] = None) -> IndexBracket:
     """Combined two-sided bracket on the numerical index.
@@ -507,12 +494,8 @@ def index_bracket(p: Polytope, facets: Optional[Sequence[FacetFunctional]] = Non
     Status is "tight" when the endpoints agree (exactly on the rational
     backend, within eps on floats); otherwise "gap".
     """
-    if facets is None:
-        facets = facet_enumeration(p)
-    if inc is None:
-        inc = incidence(p, facets)
-    lo, cert = lower_bound(p, facets, inc, subsets=subsets)
-    hi, witness, rcert = upper_bound(p, facets, inc, witnesses=witnesses, search=search)
+    lo, cert = lower_bound(p, subsets=subsets)
+    hi, witness, rcert = upper_bound(p, witnesses=witnesses, search=search)
     status = "tight" if p.ctx.eq(lo, hi) else "gap"
     return IndexBracket(lower=lo, upper=hi, lower_certificate=cert,
                         witness=witness, radius_certificate=rcert, status=status)

@@ -19,7 +19,9 @@ from .bracket import SearchConfig, index_bracket, lower_bound
 from .documents import (operator_from_document, operator_to_document,
                         polytope_from_document, polytope_to_document, scalar_to_json)
 from .errors import InputError, PolyindexError
-from .families import FAMILIES, linf_sum, scale_coordinate
+from .families import (FAMILIES, bipyramid_square_prism, irregular_hexagon, linf_sum,
+                       oblique_prism, prism_with_pyramids, prism_with_pyramids_witness,
+                       prism_witness_operator, pyramid_witness_operator, scale_coordinate)
 from .operators import numerical_radius, operator_norm, radius_profile
 from .polytope import facet_enumeration, gauge, incidence
 from .scalars import parse_rational
@@ -68,11 +70,26 @@ def _flat(v):
     return str(v)
 
 
+def _json(value, pad="\n") -> str:
+    """``json.dumps(value, indent=2)`` for a document with string keys.
+
+    ``json.dumps`` with ``indent`` runs the pure-Python encoder, which leaves
+    a reference cycle per call; here it only sees keys and scalars.
+    """
+    inner = pad + "  "
+    if isinstance(value, dict) and value:
+        items = (f"{inner}{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items())
+        return "{" + ",".join(items) + pad + "}"
+    if isinstance(value, (list, tuple)) and value:
+        return "[" + ",".join(inner + _json(v, inner) for v in value) + pad + "]"
+    return json.dumps(value)
+
+
 def _emit(report, fmt: str):
     if fmt == "text":
         print("\n".join(_render_text(report)))
     else:
-        print(json.dumps(report, indent=2))
+        print(_json(report))
 
 
 def _report(command: str, config: dict, results: dict) -> dict:
@@ -88,15 +105,13 @@ def _load_polytope(args):
 
 
 def _config(args, **extra):
-    cfg = {"eps": args.eps}
-    cfg.update(extra)
-    return cfg
+    return {"eps": args.eps, **extra}
 
 
 def cmd_hull(args) -> int:
     p, _ = _load_polytope(args)
     facets = facet_enumeration(p)
-    inc = incidence(p, facets)
+    inc = incidence(p)
     results = {
         "dim": p.dim,
         "facet_count": len(facets),
@@ -119,8 +134,7 @@ def cmd_dual(args) -> int:
 def cmd_norm(args) -> int:
     p, _ = _load_polytope(args)
     point = _parse_point(args.point, p)
-    facets = facet_enumeration(p)
-    value = gauge(facets, point)
+    value = gauge(p, point)
     results = {"point": _vector_json(point), "value": scalar_to_json(value)}
     _emit(_report("norm", _config(args), results), args.format)
     return 0
@@ -146,11 +160,9 @@ def cmd_radius(args) -> int:
         op = embedded
     else:
         raise InputError("radius: needs --operator FILE or a polytope document with a witness")
-    facets = facet_enumeration(p)
-    inc = incidence(p, facets)
-    norm, norm_vertex = operator_norm(p, facets, op)
-    cert = numerical_radius(p, facets, inc, op)
-    profile = radius_profile(p, facets, inc, op)
+    norm, norm_vertex = operator_norm(p, op)
+    cert = numerical_radius(p, op)
+    profile = radius_profile(p, op)
     results = {
         "operator_norm": scalar_to_json(norm),
         "norm_vertex": norm_vertex,
@@ -166,19 +178,16 @@ def cmd_radius(args) -> int:
 
 def cmd_bound(args) -> int:
     p, embedded = _load_polytope(args)
-    facets = facet_enumeration(p)
-    inc = incidence(p, facets)
     witnesses = [operator_from_document(_read_json(path, "witness"), eps=args.eps)
                  for path in args.witness or []]
     if not witnesses and embedded is not None:
         witnesses = [embedded]
     subsets = None
     if args.policy == "subset":
-        subsets = {i: tuple(inc.vertex_to_facets[i][: p.dim])
-                   for i in p.orbit_representatives()}
+        v2f = incidence(p).vertex_to_facets
+        subsets = {i: v2f[i][: p.dim] for i in p.orbit_representatives()}
     search = SearchConfig(budget=args.search, seed=args.seed) if args.search else None
-    bracket = index_bracket(p, facets, inc, witnesses=witnesses, search=search,
-                            subsets=subsets)
+    bracket = index_bracket(p, witnesses=witnesses, search=search, subsets=subsets)
     results = {
         "vertex_bounds": [{
             "vertex": e.vertex_index,
@@ -241,8 +250,7 @@ def cmd_family(args) -> int:
                 m[axis][j] *= hf
                 m[j][axis] /= hf
             witness = type(witness)(m, backend="float")
-    doc = polytope_to_document(p, witness=witness)
-    text = json.dumps(doc, indent=2)
+    text = _json(polytope_to_document(p, witness=witness))
     if args.output and args.output != "-":
         with open(args.output, "w") as fh:
             fh.write(text + "\n")
@@ -260,13 +268,8 @@ def _verify_checks():
                        "computed": computed, "pass": bool(ok)})
 
     # Irregular hexagon: exact per-vertex bounds and the lower bound.
-    from .families import bipyramid_square_prism, irregular_hexagon, oblique_prism, \
-        prism_with_pyramids, prism_with_pyramids_witness, prism_witness_operator, \
-        pyramid_witness_operator
     hexagon = irregular_hexagon()
-    facets = facet_enumeration(hexagon)
-    inc = incidence(hexagon, facets)
-    lo, cert = lower_bound(hexagon, facets, inc)
+    lo, cert = lower_bound(hexagon)
     expected = [Fraction(5, 17), Fraction(4, 7), Fraction(9, 13)]
     values = [e.value for e in cert.entries]
     for i, (want, got) in enumerate(zip(expected, values)):
@@ -274,20 +277,18 @@ def _verify_checks():
             scalar_to_json(got), want == got)
     add("irregular_hexagon", "lower_bound", "5/17", scalar_to_json(lo),
         lo == Fraction(5, 17))
-    dual_vertices = {f.coeffs for f in facets}
+    dual_vertices = {f.coeffs for f in facet_enumeration(hexagon)}
     target = (Fraction(2, 3), Fraction(1, 3))
     add("irregular_hexagon", "dual_vertex (2/3, 1/3)", True, target in dual_vertices,
         target in dual_vertices)
 
     # Rational bipyramid solid: exact tight bracket at 1/2.
     bp = bipyramid_square_prism()
-    bfacets = facet_enumeration(bp)
-    binc = incidence(bp, bfacets)
     witness = pyramid_witness_operator()
-    wnorm, _ = operator_norm(bp, bfacets, witness)
+    wnorm, _ = operator_norm(bp, witness)
     add("bipyramid_square_prism", "witness_norm", "1", scalar_to_json(wnorm),
         wnorm == Fraction(1))
-    bracket = index_bracket(bp, bfacets, binc, witnesses=[witness])
+    bracket = index_bracket(bp, witnesses=[witness])
     add("bipyramid_square_prism", "lower_bound", "1/2", scalar_to_json(bracket.lower),
         bracket.lower == Fraction(1, 2))
     add("bipyramid_square_prism", "witness_radius", "1/2",
@@ -324,16 +325,15 @@ def cmd_verify(args) -> int:
     passed = all(c["pass"] for c in checks)
     results = {"checks": checks, "passed": passed,
                "summary": f"{sum(c['pass'] for c in checks)}/{len(checks)} checks passed"}
-    _emit(_report("verify", _config(args), results), args.format)
+    _emit(_report("verify", {}, results), args.format)
     return 0 if passed else 1
 
 
-def _add_common(sp, with_input=True):
+def _add_common(sp):
     sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.add_argument("--eps", type=float, default=None,
                     help="float-backend comparison tolerance (default 1e-9 or POLYINDEX_EPS)")
-    if with_input:
-        sp.add_argument("--input", "-i", default="-", help="polytope document path or - for stdin")
+    sp.add_argument("--input", "-i", default="-", help="polytope document path or - for stdin")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -386,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_family)
 
     sp = sub.add_parser("verify", help="run the built-in reproduction suite")
-    _add_common(sp, with_input=False)
+    sp.add_argument("--format", choices=("json", "text"), default="json")
     sp.set_defaults(func=cmd_verify)
 
     return parser

@@ -9,26 +9,22 @@ the bipolar round-trip the test suite checks.
 """
 from __future__ import annotations
 
-from typing import Sequence
-
 from .errors import InputError
 from .linalg import dot
-from .polytope import FacetFunctional, Polytope, facet_enumeration
+from .polytope import Polytope, facet_enumeration
 from .scalars import Scalar
 
 
-def polar(p: Polytope, facets: Sequence[FacetFunctional] | None = None) -> Polytope:
+def polar(p: Polytope) -> Polytope:
     """The polar unit ball: vertices are the facet functionals of ``p``.
 
     The result lives on the same scalar backend. Its own facets identify
     with the vertices of ``p`` (bipolar identity), which the property
     tests verify by running the enumeration in both directions.
     """
-    if facets is None:
-        facets = facet_enumeration(p)
     eps = None if p.ctx.exact else p.ctx.eps
     backend = "rational" if p.ctx.exact else "float"
-    return Polytope([f.coeffs for f in facets], backend=backend, eps=eps)
+    return Polytope([f.coeffs for f in facet_enumeration(p)], backend=backend, eps=eps)
 
 
 def dual_norm(p: Polytope, f) -> Scalar:

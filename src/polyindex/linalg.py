@@ -16,10 +16,6 @@ def dot(a, b):
     return sum(x * y for x, y in zip(a, b))
 
 
-def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 

@@ -9,11 +9,12 @@ the results are exact on the rational backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from operator import attrgetter
+from typing import Optional
 
 from .errors import ComputationError, InputError
 from .linalg import dot, identity, inverse, matmul, matvec, transpose
-from .polytope import FacetFunctional, Incidence, Polytope, gauge
+from .polytope import Polytope, facet_enumeration, gauge, incidence
 from .scalars import Context, EXACT, Scalar, float_context, infer_exact
 
 
@@ -104,7 +105,7 @@ def _check_dims(p: Polytope, op: Operator):
                          f"space has dimension {p.dim}")
 
 
-def operator_norm(p: Polytope, facets: Sequence[FacetFunctional], op: Operator):
+def operator_norm(p: Polytope, op: Operator):
     """(norm, attaining vertex index); the norm is max over vertices of gauge(T v).
 
     Ties go to the lowest vertex index.
@@ -112,36 +113,29 @@ def operator_norm(p: Polytope, facets: Sequence[FacetFunctional], op: Operator):
     _check_dims(p, op)
     best, best_i = None, None
     for i, v in enumerate(p.vertices):
-        g = gauge(facets, op(v))
+        g = gauge(p, op(v))
         if best is None or g > best:
             best, best_i = g, i
     return best, best_i
 
 
-def numerical_radius(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
-                     op: Operator) -> RadiusCertificate:
+def numerical_radius(p: Polytope, op: Operator) -> RadiusCertificate:
     """max of |f(T v)| over all incident vertex-facet pairs, with certificate.
 
-    Pair enumeration covers every incidence; ties are broken by lowest
-    (vertex index, facet index).
+    The first row of :func:`radius_profile` with the largest value, so ties
+    are broken by lowest (vertex index, facet index).
     """
-    _check_dims(p, op)
-    best = None
-    for i, v in enumerate(p.vertices):
-        tv = op(v)
-        for k in inc.vertex_to_facets[i]:
-            val = abs(dot(facets[k].coeffs, tv))
-            if best is None or val > best.value:
-                best = RadiusCertificate(value=val, vertex_index=i, facet_index=k)
-    if best is None:
-        raise ComputationError("no vertex-facet incidences; invalid polytope data")
-    return best
+    best = max(radius_profile(p, op), key=attrgetter("value"))
+    return RadiusCertificate(value=best.value, vertex_index=best.vertex_index,
+                             facet_index=best.facet_index)
 
 
-def radius_profile(p: Polytope, facets: Sequence[FacetFunctional], inc: Incidence,
-                   op: Operator) -> tuple:
-    """Per-vertex table of max incident |f(T v)|; its overall max is the radius."""
+def radius_profile(p: Polytope, op: Operator) -> tuple:
+    """Per-vertex table of max incident |f(T v)|, ties to the lowest facet
+    index; its overall max is the radius."""
     _check_dims(p, op)
+    facets = facet_enumeration(p)
+    inc = incidence(p)
     rows = []
     for i, v in enumerate(p.vertices):
         tv = op(v)

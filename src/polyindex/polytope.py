@@ -7,7 +7,8 @@ run per polytope converts the vertex half-space system into the extreme
 rays of its homogenization. :func:`validate` reads extremality of every
 input point off those rays; :func:`facet_enumeration` normalizes them into
 the supporting functionals of the facets, scaled so each facet lies on
-``{f = 1}``.
+``{f = 1}``. The facets, their incidence with the vertices and their
+antipodal pairs are computed once per ball and kept on it.
 
 The Minkowski gauge of the ball (the norm itself) is then the maximum of
 ``|f(x)|`` over the facet functionals.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import ComputationError, InputError, ValidationError
 from .linalg import dot, rank, vneg, vscale, vsub
@@ -61,6 +62,7 @@ class Polytope:
             self._strip_redundant()
         self._antipodes = None
         self._cone = None  # polar cone (rays, lineality), stored once validation passes
+        self._facets = self._incidence = self._facet_pairs = None
 
     def _strip_redundant(self):
         ctx = self.ctx
@@ -307,11 +309,13 @@ def facet_enumeration(p: Polytope) -> tuple:
     f and -f occur because the ball is symmetric. Facets are returned
     sorted by coefficient vector for deterministic reports. Row i of the
     cone is the constraint of vertex i, so the zero set of a ray is the set
-    of vertices on its facet.
+    of vertices on its facet. Computed once per ball.
 
     Raises:
         ValidationError: when the input violates a unit-ball invariant.
     """
+    if p._facets is not None:
+        return p._facets
     if p._cone is None:
         validate(p).raise_if_failed()
     rays, lineality = p._cone
@@ -327,50 +331,54 @@ def facet_enumeration(p: Polytope) -> tuple:
         f = tuple(x / t for x in r[:d])
         functionals.append(FacetFunctional(coeffs=f, incident_vertices=zs))
     functionals.sort(key=lambda f: f.coeffs)
-    return tuple(functionals)
+    p._facets = tuple(functionals)
+    return p._facets
 
 
-def incidence(p: Polytope, facets: Sequence[FacetFunctional]) -> Incidence:
-    """Bidirectional vertex-facet incidence: v on facet f iff f(v) = 1."""
-    v2f = [[] for _ in p.vertices]
-    f2v = []
-    for k, f in enumerate(facets):
-        members = sorted(f.incident_vertices)
-        f2v.append(tuple(members))
-        for i in members:
-            v2f[i].append(k)
-    return Incidence(vertex_to_facets=tuple(map(tuple, v2f)), facet_to_vertices=tuple(f2v))
+def incidence(p: Polytope) -> Incidence:
+    """Bidirectional vertex-facet incidence: v on facet f iff f(v) = 1.
+
+    Computed once per ball.
+    """
+    if p._incidence is None:
+        f2v = tuple(tuple(sorted(f.incident_vertices)) for f in facet_enumeration(p))
+        v2f = [[] for _ in p.vertices]
+        for k, members in enumerate(f2v):
+            for i in members:
+                v2f[i].append(k)
+        p._incidence = Incidence(vertex_to_facets=tuple(map(tuple, v2f)), facet_to_vertices=f2v)
+    return p._incidence
 
 
-def gauge(facets: Sequence[FacetFunctional], x) -> Scalar:
+def gauge(p: Polytope, x) -> Scalar:
     """The norm of x: max over facet functionals of |f(x)|.
 
     Zero exactly at x = 0, positively homogeneous, and equal to 1 on the
     boundary of the ball.
     """
-    if not facets:
-        raise InputError("gauge needs a nonempty facet list")
-    if len(x) != len(facets[0].coeffs):
+    if len(x) != p.dim:
         raise InputError(f"dimension mismatch: point has {len(x)} coordinates, "
-                         f"facets have {len(facets[0].coeffs)}")
-    return max(abs(dot(f.coeffs, x)) for f in facets)
+                         f"space has dimension {p.dim}")
+    return max(abs(dot(f.coeffs, x)) for f in facet_enumeration(p))
 
 
-def facet_antipode_pairs(facets: Sequence[FacetFunctional], ctx: Context) -> tuple:
-    """Pair each facet with its antipodal facet (-f); returns index pairs (k, k') with k <= k'."""
-    pairs = []
-    used = set()
-    for k, f in enumerate(facets):
-        if k in used:
-            continue
-        neg = tuple(-c for c in f.coeffs)
-        partner = None
-        for j in range(len(facets)):
-            if j != k and j not in used and all(ctx.eq(a, b) for a, b in zip(facets[j].coeffs, neg)):
-                partner = j
-                break
-        if partner is None:
-            raise ComputationError(f"facet {f.coeffs} has no antipodal facet; ball not symmetric?")
-        used.update((k, partner))
-        pairs.append((k, partner))
-    return tuple(pairs)
+def facet_antipode_pairs(p: Polytope) -> tuple:
+    """Pair each facet with its antipodal facet (-f); returns index pairs
+    (k, k') with k < k', in ascending k. Computed once per ball.
+
+    The facet -f holds exactly the antipodes of the vertices on f, so the
+    partner is found by its vertex set, with no comparison of coordinates.
+    """
+    if p._facet_pairs is None:
+        facets = facet_enumeration(p)
+        index = {f.incident_vertices: k for k, f in enumerate(facets)}
+        pairs = []
+        for k, f in enumerate(facets):
+            partner = index.get(frozenset(map(p.antipode_index, f.incident_vertices)))
+            if partner is None:
+                raise ComputationError(f"facet {f.coeffs} has no antipodal facet; "
+                                       "ball not symmetric?")
+            if k < partner:
+                pairs.append((k, partner))
+        p._facet_pairs = tuple(pairs)
+    return p._facet_pairs

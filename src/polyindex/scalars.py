@@ -112,9 +112,6 @@ class Context:
     def eq(self, a, b) -> bool:
         return self.sign(a - b) == 0
 
-    def leq(self, a, b) -> bool:
-        return self.sign(a - b) <= 0
-
     def lt(self, a, b) -> bool:
         return self.sign(a - b) < 0
 

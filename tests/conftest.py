@@ -36,5 +36,5 @@ def bipyramid_facets(bipyramid):
 
 
 @pytest.fixture(scope="session")
-def bipyramid_incidence(bipyramid, bipyramid_facets):
-    return incidence(bipyramid, bipyramid_facets)
+def bipyramid_incidence(bipyramid):
+    return incidence(bipyramid)

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from polyindex import (Operator, Polytope, bipyramid_square_prism, facet_enumeration,
-                       incidence, index_bracket, irregular_hexagon, linf_sum,
+                       index_bracket, irregular_hexagon, linf_sum,
                        lower_bound, numerical_radius, oblique_prism, operator_norm,
                        polar, prism_with_pyramids, prism_with_pyramids_witness,
                        prism_witness_operator, pyramid_witness_operator,
@@ -27,13 +27,11 @@ def report(number, ok, detail, elapsed):
 def test_criterion_1_hexagon_exact_reproduction():
     t0 = time.perf_counter()
     hexagon = irregular_hexagon()
-    facets = facet_enumeration(hexagon)
-    inc = incidence(hexagon, facets)
-    lo, cert = lower_bound(hexagon, facets, inc)
+    lo, cert = lower_bound(hexagon)
     values = [e.value for e in cert.entries]
     ok = values == [Fraction(5, 17), Fraction(4, 7), Fraction(9, 13)]
     ok = ok and lo == Fraction(5, 17)
-    dual_vertices = vertex_set(polar(hexagon, facets))
+    dual_vertices = vertex_set(polar(hexagon))
     ok = ok and (Fraction(2, 3), Fraction(1, 3)) in dual_vertices
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
@@ -43,13 +41,11 @@ def test_criterion_1_hexagon_exact_reproduction():
 def test_criterion_2_bipyramid_exact_reproduction():
     t0 = time.perf_counter()
     p = bipyramid_square_prism()
-    facets = facet_enumeration(p)
-    inc = incidence(p, facets)
-    lo, _ = lower_bound(p, facets, inc)
+    lo, _ = lower_bound(p)
     witness = pyramid_witness_operator()
-    norm, _ = operator_norm(p, facets, witness)
-    radius = numerical_radius(p, facets, inc, witness).value
-    bracket = index_bracket(p, facets, inc, witnesses=[witness])
+    norm, _ = operator_norm(p, witness)
+    radius = numerical_radius(p, witness).value
+    bracket = index_bracket(p, witnesses=[witness])
     ok = (lo == Fraction(1, 2) and norm == Fraction(1) and radius == Fraction(1, 2)
           and bracket.status == "tight" and bracket.lower == bracket.upper == Fraction(1, 2))
     elapsed = time.perf_counter() - t0
@@ -135,18 +131,16 @@ def test_criterion_7_radius_norm_properties():
     ok = True
     per_fixture = 40  # 5 fixtures x 40 = 200 operators
     for p in fixtures:
-        facets = facet_enumeration(p)
-        inc = incidence(p, facets)
-        lo, _ = lower_bound(p, facets, inc)
+        lo, _ = lower_bound(p)
         ident = Operator.identity(p.dim)
-        ok = ok and numerical_radius(p, facets, inc, ident).value == Fraction(1)
+        ok = ok and numerical_radius(p, ident).value == Fraction(1)
         for _ in range(per_fixture):
             op = Operator(random_rational_matrix(rng, p.dim))
-            norm, _ = operator_norm(p, facets, op)
-            v = numerical_radius(p, facets, inc, op).value
+            norm, _ = operator_norm(p, op)
+            v = numerical_radius(p, op).value
             ok = ok and v <= norm
             lam = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
-            ok = ok and numerical_radius(p, facets, inc, op.scale(lam)).value == abs(lam) * v
+            ok = ok and numerical_radius(p, op.scale(lam)).value == abs(lam) * v
             if norm != 0:
                 ok = ok and lo <= v / norm
             if not ok:
@@ -166,9 +160,8 @@ def test_criterion_8_oracle_equivalence_2d():
         assert len(p.vertices) <= 10
         facets = facet_enumeration(p)
         ok = ok and sorted(f.coeffs for f in facets) == brute_force_facets(p.vertices)
-        inc = incidence(p, facets)
         for i in p.orbit_representatives():
-            entry = vertex_minimax(p, facets, inc, i)
+            entry = vertex_minimax(p, i)
             funcs = [facets[k].coeffs for k in entry.functional_indices]
             sampled = boundary_minimax_2d(p, funcs, 100000)
             gap = sampled - float(entry.value)
@@ -188,16 +181,15 @@ def test_criterion_9_certificates_on_general_inputs():
     for trial in range(6):
         p = random_symmetric_polytope(rng, 2 + trial % 2, n_pairs=5)
         facets = facet_enumeration(p)
-        inc = incidence(p, facets)
         witnesses = []
         while len(witnesses) < 2:
             m = random_rational_matrix(rng, p.dim)
             if any(x != 0 for row in m for x in row):
                 witnesses.append(Operator(m))
-        br = index_bracket(p, facets, inc, witnesses=witnesses)
+        br = index_bracket(p, witnesses=witnesses)
         ok = ok and 0 < br.lower <= br.upper <= 1
         # Witness is normalized and its certificate re-evaluates.
-        norm, _ = operator_norm(p, facets, br.witness)
+        norm, _ = operator_norm(p, br.witness)
         ok = ok and norm == Fraction(1)
         c = br.radius_certificate
         f = facets[c.facet_index]

@@ -17,45 +17,39 @@ from polyindex.polytope import facet_antipode_pairs
 from helpers import boundary_minimax_2d, random_rational_matrix, random_symmetric_polytope
 
 
-def test_hexagon_vertex_bounds_exact(hexagon, hexagon_facets):
-    inc = incidence(hexagon, hexagon_facets)
-    lo, cert = lower_bound(hexagon, hexagon_facets, inc)
+def test_hexagon_vertex_bounds_exact(hexagon):
+    lo, cert = lower_bound(hexagon)
     assert [e.value for e in cert.entries] == [Fraction(5, 17), Fraction(4, 7), Fraction(9, 13)]
     assert lo == Fraction(5, 17)
 
 
 def test_hexagon_minimizer_re_evaluates(hexagon, hexagon_facets):
-    inc = incidence(hexagon, hexagon_facets)
-    _, cert = lower_bound(hexagon, hexagon_facets, inc)
+    _, cert = lower_bound(hexagon)
     for e in cert.entries:
         attained = max(abs(sum(c * x for c, x in zip(hexagon_facets[k].coeffs, e.minimizer)))
                        for k in e.functional_indices)
         assert attained == e.value
         # The minimizer lies on the sphere, on the reported facet.
-        assert gauge(hexagon_facets, e.minimizer) == Fraction(1)
+        assert gauge(hexagon, e.minimizer) == Fraction(1)
         f = hexagon_facets[e.sphere_facet_index]
         assert sum(c * x for c, x in zip(f.coeffs, e.minimizer)) == Fraction(1)
 
 
 def test_square_vertex_bound_is_one(square):
-    facets = facet_enumeration(square)
-    inc = incidence(square, facets)
     i = square.vertices.index((Fraction(1), Fraction(1)))
-    entry = vertex_minimax(square, facets, inc, i)
+    entry = vertex_minimax(square, i)
     assert entry.value == Fraction(1)
 
 
-def test_bipyramid_lower_bound(bipyramid, bipyramid_facets, bipyramid_incidence):
-    lo, cert = lower_bound(bipyramid, bipyramid_facets, bipyramid_incidence)
+def test_bipyramid_lower_bound(bipyramid):
+    lo, cert = lower_bound(bipyramid)
     assert lo == Fraction(1, 2)
     assert all(e.value > 0 for e in cert.entries)
 
 
 def test_prism_lower_bound_float():
     p = oblique_prism(3, 0.0)
-    facets = facet_enumeration(p)
-    inc = incidence(p, facets)
-    lo, _ = lower_bound(p, facets, inc)
+    lo, _ = lower_bound(p)
     assert abs(lo - 0.5) < 1e-9
 
 
@@ -63,55 +57,50 @@ def test_vertex_bounds_positive_on_random_instances():
     rng = random.Random(314)
     for trial in range(6):
         p = random_symmetric_polytope(rng, 2 + trial % 2, n_pairs=5)
-        facets = facet_enumeration(p)
-        inc = incidence(p, facets)
-        _, cert = lower_bound(p, facets, inc)
+        _, cert = lower_bound(p)
         assert all(e.value > 0 for e in cert.entries)
 
 
 def test_subset_with_common_kernel_rejected():
     p = oblique_prism(2, 0.0)
-    facets = facet_enumeration(p)
-    inc = incidence(p, facets)
+    inc = incidence(p)
     i = 0
     with pytest.raises(InputError, match="kernel"):
-        vertex_minimax(p, facets, inc, i, subset=inc.vertex_to_facets[i][:1])
+        vertex_minimax(p, i, subset=inc.vertex_to_facets[i][:1])
 
 
 def test_subset_must_be_incident(square):
     facets = facet_enumeration(square)
-    inc = incidence(square, facets)
+    inc = incidence(square)
     not_incident = [k for k in range(len(facets)) if k not in inc.vertex_to_facets[0]]
     with pytest.raises(InputError, match="not incident"):
-        vertex_minimax(square, facets, inc, 0, subset=(not_incident[0],))
+        vertex_minimax(square, 0, subset=(not_incident[0],))
 
 
-def test_all_incident_dominates_subsets(bipyramid, bipyramid_facets, bipyramid_incidence):
+def test_all_incident_dominates_subsets(bipyramid, bipyramid_incidence):
     # max over a superset dominates pointwise, hence also after the min.
     d = bipyramid.dim
     for i in bipyramid.orbit_representatives():
         incident = bipyramid_incidence.vertex_to_facets[i]
-        full = vertex_minimax(bipyramid, bipyramid_facets, bipyramid_incidence, i).value
+        full = vertex_minimax(bipyramid, i).value
         for sub in combinations(incident, d):
             try:
-                e = vertex_minimax(bipyramid, bipyramid_facets, bipyramid_incidence, i, subset=sub)
+                e = vertex_minimax(bipyramid, i, subset=sub)
             except InputError:
                 continue  # sub has a common kernel
             assert full >= e.value
 
 
-def test_antipodal_orbits_share_value(hexagon, hexagon_facets):
-    inc = incidence(hexagon, hexagon_facets)
+def test_antipodal_orbits_share_value(hexagon):
     for i in range(len(hexagon.vertices)):
         a = hexagon.antipode_index(i)
-        vi = vertex_minimax(hexagon, hexagon_facets, inc, i).value
-        va = vertex_minimax(hexagon, hexagon_facets, inc, a).value
+        vi = vertex_minimax(hexagon, i).value
+        va = vertex_minimax(hexagon, a).value
         assert vi == va
 
 
 def test_sampling_oracle_2d(hexagon, hexagon_facets):
-    inc = incidence(hexagon, hexagon_facets)
-    _, cert = lower_bound(hexagon, hexagon_facets, inc)
+    _, cert = lower_bound(hexagon)
     for e in cert.entries:
         funcs = [hexagon_facets[k].coeffs for k in e.functional_indices]
         sampled = boundary_minimax_2d(hexagon, funcs, 20000)
@@ -119,40 +108,35 @@ def test_sampling_oracle_2d(hexagon, hexagon_facets):
         assert sampled - float(e.value) < 1e-3
 
 
-def test_upper_bound_identity_fallback(hexagon, hexagon_facets):
-    inc = incidence(hexagon, hexagon_facets)
-    val, witness, cert = upper_bound(hexagon, hexagon_facets, inc)
+def test_upper_bound_identity_fallback(hexagon):
+    val, witness, cert = upper_bound(hexagon)
     assert val == Fraction(1)
     assert witness.matrix == Operator.identity(2).matrix
     assert cert.value == Fraction(1)
 
 
-def test_upper_bound_rejects_zero_witness(hexagon, hexagon_facets):
-    inc = incidence(hexagon, hexagon_facets)
+def test_upper_bound_rejects_zero_witness(hexagon):
     with pytest.raises(InputError, match="norm 0"):
-        upper_bound(hexagon, hexagon_facets, inc, witnesses=[Operator.zero(2)])
+        upper_bound(hexagon, witnesses=[Operator.zero(2)])
 
 
-def test_upper_bound_normalizes_witness(bipyramid, bipyramid_facets, bipyramid_incidence):
+def test_upper_bound_normalizes_witness(bipyramid):
     # A scaled witness yields the same bound: the search space is T/||T||.
     w = pyramid_witness_operator()
     for lam in (Fraction(1), Fraction(3), Fraction(1, 7)):
-        val, unit, cert = upper_bound(bipyramid, bipyramid_facets, bipyramid_incidence,
-                                      witnesses=[w.scale(lam)])
+        val, unit, cert = upper_bound(bipyramid, witnesses=[w.scale(lam)])
         assert val == Fraction(1, 2)
-        assert operator_norm(bipyramid, bipyramid_facets, unit)[0] == Fraction(1)
+        assert operator_norm(bipyramid, unit)[0] == Fraction(1)
         assert cert.value == val
 
 
-def test_bracket_tight_on_bipyramid(bipyramid, bipyramid_facets, bipyramid_incidence):
-    br = index_bracket(bipyramid, bipyramid_facets, bipyramid_incidence,
-                       witnesses=[pyramid_witness_operator()])
+def test_bracket_tight_on_bipyramid(bipyramid):
+    br = index_bracket(bipyramid, witnesses=[pyramid_witness_operator()])
     assert (br.lower, br.upper, br.status) == (Fraction(1, 2), Fraction(1, 2), "tight")
 
 
-def test_bracket_gap_without_witness(hexagon, hexagon_facets):
-    inc = incidence(hexagon, hexagon_facets)
-    br = index_bracket(hexagon, hexagon_facets, inc)
+def test_bracket_gap_without_witness(hexagon):
+    br = index_bracket(hexagon)
     assert br.lower == Fraction(5, 17)
     assert br.upper == Fraction(1)
     assert br.status == "gap"
@@ -170,36 +154,31 @@ def test_bracket_prism_even_n(l):
     assert br.status == "tight"
 
 
-def test_search_tightens_hexagon_upper_bound(hexagon, hexagon_facets):
-    inc = incidence(hexagon, hexagon_facets)
-    br = index_bracket(hexagon, hexagon_facets, inc,
-                       search=SearchConfig(budget=300, seed=1))
+def test_search_tightens_hexagon_upper_bound(hexagon):
+    br = index_bracket(hexagon, search=SearchConfig(budget=300, seed=1))
     assert br.lower == Fraction(5, 17)
     assert br.lower <= br.upper < Fraction(1)
 
 
-def test_search_is_deterministic(hexagon, hexagon_facets):
-    inc = incidence(hexagon, hexagon_facets)
+def test_search_is_deterministic(hexagon):
     cfg = SearchConfig(budget=120, seed=9)
-    a = index_bracket(hexagon, hexagon_facets, inc, search=cfg)
-    b = index_bracket(hexagon, hexagon_facets, inc, search=cfg)
+    a = index_bracket(hexagon, search=cfg)
+    b = index_bracket(hexagon, search=cfg)
     assert a.upper == b.upper
     assert a.witness.matrix == b.witness.matrix
 
 
-def test_lower_bound_bounds_every_operator(hexagon, hexagon_facets, bipyramid,
-                                           bipyramid_facets):
+def test_lower_bound_bounds_every_operator(hexagon, bipyramid):
     rng = random.Random(2718)
-    for p, facets, d in ((hexagon, hexagon_facets, 2), (bipyramid, bipyramid_facets, 3)):
-        inc = incidence(p, facets)
-        lo, _ = lower_bound(p, facets, inc)
+    for p, d in ((hexagon, 2), (bipyramid, 3)):
+        lo, _ = lower_bound(p)
         for _ in range(20):
             m = random_rational_matrix(rng, d)
             op = Operator(m)
-            norm, _ = operator_norm(p, facets, op)
+            norm, _ = operator_norm(p, op)
             if norm == 0:
                 continue
-            assert lo <= numerical_radius(p, facets, inc, op).value / norm
+            assert lo <= numerical_radius(p, op).value / norm
 
 
 def _reference_minimax(p, facets, chosen):
@@ -207,7 +186,7 @@ def _reference_minimax(p, facets, chosen):
     (value, sphere facet, minimizer)."""
     funcs = [facets[k].coeffs for k in chosen]
     best = None
-    for k, _ in facet_antipode_pairs(facets, p.ctx):
+    for k, _ in facet_antipode_pairs(p):
         members = sorted(facets[k].incident_vertices)
         nl = len(members)
         ineq_lhs = []
@@ -233,53 +212,54 @@ def _reference_minimax(p, facets, chosen):
 def test_skipped_facet_lps_change_nothing(make):
     p = make()
     facets = facet_enumeration(p)
-    inc = incidence(p, facets)
+    inc = incidence(p)
     for i in p.orbit_representatives():
         incident = inc.vertex_to_facets[i]
         # A different functional order, and a proper subset where one exists.
         subset = next(tuple(reversed(sub)) for sub in combinations(incident, p.dim)
                       if rank([facets[k].coeffs for k in sub], p.ctx) == p.dim)
         for chosen in (None, subset):
-            e = vertex_minimax(p, facets, inc, i, subset=chosen)
+            e = vertex_minimax(p, i, subset=chosen)
             want = _reference_minimax(p, facets, incident if chosen is None else chosen)
             assert (e.value, e.sphere_facet_index, e.minimizer) == want
 
 
 def test_lower_bound_work_counts(monkeypatch):
-    calls = {"solve_lp": 0, "facet_antipode_pairs": 0}
-    for name in calls:
+    results = {"solve_lp": [], "facet_antipode_pairs": []}
+    for name in results:
         real = getattr(bracket_module, name)
 
-        def counting(*args, _real=real, _name=name):
-            calls[_name] += 1
-            return _real(*args)
+        def recording(*args, _real=real, _name=name):
+            results[_name].append(_real(*args))
+            return results[_name][-1]
 
-        monkeypatch.setattr(bracket_module, name, counting)
+        monkeypatch.setattr(bracket_module, name, recording)
     p = regular_2n_gon(40)
-    facets = facet_enumeration(p)
-    _, cert = lower_bound(p, facets, incidence(p, facets))
-    assert calls["facet_antipode_pairs"] == 1
-    orbits, pairs = len(cert.entries), len(facets) // 2
+    br = index_bracket(p, search=SearchConfig(budget=100, seed=1))
+    # The lower bound's facet table and the search screen both read the
+    # pairing, which is computed once for the ball.
+    pairings = results["facet_antipode_pairs"]
+    assert len(pairings) == 2 and pairings[1] is pairings[0]
+    orbits, pairs = len(br.lower_certificate.entries), len(facet_enumeration(p)) // 2
     assert (orbits, pairs) == (40, 40)
     # LPs whose facet cannot beat the best value so far are skipped.
-    assert 0 < calls["solve_lp"] < orbits * pairs
+    assert 0 < len(results["solve_lp"]) < orbits * pairs
 
 
-def test_lower_bound_failures_name_vertex_and_facet(hexagon, hexagon_facets, monkeypatch):
-    inc = incidence(hexagon, hexagon_facets)
+def test_lower_bound_failures_name_vertex_and_facet(hexagon, monkeypatch):
 
     def failing(lp, ctx):
         raise ComputationError("phase 1 cannot be unbounded")
 
     monkeypatch.setattr(bracket_module, "solve_lp", failing)
     with pytest.raises(ComputationError) as exc:
-        lower_bound(hexagon, hexagon_facets, inc)
-    first = facet_antipode_pairs(hexagon_facets, hexagon.ctx)[0][0]
+        lower_bound(hexagon)
+    first = facet_antipode_pairs(hexagon)[0][0]
     assert str(exc.value) == f"vertex 0, sphere facet {first}: phase 1 cannot be unbounded"
     assert isinstance(exc.value.__cause__, ComputationError)
 
 
-def _reference_search(p, facets, inc, witnesses, budget, seed):
+def _reference_search(p, witnesses, budget, seed):
     """The search loop with every candidate evaluated exactly: an exact
     Operator, its norm and its normalized radius, compared as floats."""
     rng = random.Random(seed)
@@ -289,11 +269,11 @@ def _reference_search(p, facets, inc, witnesses, budget, seed):
     def evaluate(entries):
         op = Operator([row[:] for row in entries], backend=backend,
                       eps=None if p.ctx.exact else p.ctx.eps)
-        norm, _ = operator_norm(p, facets, op)
+        norm, _ = operator_norm(p, op)
         if p.ctx.is_zero(norm):
             return None
         unit = op.scale(1 / norm)
-        cert = numerical_radius(p, facets, inc, unit)
+        cert = numerical_radius(p, unit)
         return float(cert.value), cert, unit
 
     starts = [[list(map(float, row)) for row in w.matrix] for w in witnesses]
@@ -354,13 +334,10 @@ _SEARCH_CASES = {
 def test_search_decides_as_exact_evaluation(case):
     make, starts, budget, seed = _SEARCH_CASES[case]
     p = make()
-    facets = facet_enumeration(p)
-    inc = incidence(p, facets)
     witnesses = [w if isinstance(w, Operator) else Operator(w, backend="rational")
                  for w in starts]
-    got = bracket_module._search_candidates(p, facets, inc, witnesses,
-                                            SearchConfig(budget=budget, seed=seed))
-    want = _reference_search(p, facets, inc, witnesses, budget, seed)
+    got = bracket_module._search_candidates(p, witnesses, SearchConfig(budget=budget, seed=seed))
+    want = _reference_search(p, witnesses, budget, seed)
     assert len(got) == len(want) == 1
     (value, unit, cert), (want_value, want_unit, want_cert) = got[0], want[0]
     assert type(value) is type(want_value) and value == want_value
@@ -391,9 +368,7 @@ _TIED_PAIRS = {
     ids=list(_TIED_PAIRS))
 def test_rational_value_is_the_normalized_radius(make, name):
     p = make()
-    facets = facet_enumeration(p)
-    inc = incidence(p, facets)
-    screen = bracket_module._Screen(p, facets, inc)
+    screen = bracket_module._Screen(p)
     d = p.dim
     rng = random.Random(77)
     # Random matrices; signed permutations, at which pairs tie exactly; and
@@ -411,8 +386,7 @@ def test_rational_value_is_the_normalized_radius(make, name):
     for entries in matrices + _TIED_PAIRS[name]:
         screened = screen.screen(entries)
         assert screened is not None
-        want = bracket_module._normalized_radius(p, facets, inc,
-                                                 Operator(entries, backend="rational"))[0].value
+        want = bracket_module._normalized_radius(p, Operator(entries, backend="rational"))[0].value
         assert screen.rational_value(entries, screened) == want
         assert abs(screened.value - float(want)) <= screened.slack
 
@@ -420,12 +394,11 @@ def test_rational_value_is_the_normalized_radius(make, name):
 def test_search_screen_missing_when_coordinates_do_not_convert():
     for scale in (Fraction(10) ** 400, Fraction(10) ** -400):
         p = _scaled_hexagon(scale)
-        facets = facet_enumeration(p)
-        screen = bracket_module._Screen(p, facets, incidence(p, facets))
+        screen = bracket_module._Screen(p)
         assert screen.screen([[1.0, 0.5], [0.0, 2.0]]) is None
 
 
-def test_search_evaluates_only_the_winner_exactly(hexagon, hexagon_facets, monkeypatch):
+def test_search_evaluates_only_the_winner_exactly(hexagon, monkeypatch):
     calls = []
     real = bracket_module.operator_norm
 
@@ -434,7 +407,16 @@ def test_search_evaluates_only_the_winner_exactly(hexagon, hexagon_facets, monke
         return real(*args)
 
     monkeypatch.setattr(bracket_module, "operator_norm", counting)
-    inc = incidence(hexagon, hexagon_facets)
-    upper_bound(hexagon, hexagon_facets, inc, search=SearchConfig(budget=100, seed=1))
+    upper_bound(hexagon, search=SearchConfig(budget=100, seed=1))
     # The identity fallback and the winner; the exact search took 193.
     assert len(calls) <= 3
+
+
+def test_tiny_float_hexagon_bracket():
+    # Facet coefficients near 1e8: pairing facets by coordinates within the
+    # absolute eps found no antipodal facet here.
+    p = Polytope([[float(x) * 1e-8 for x in v] for v in irregular_hexagon().vertices],
+                 backend="float")
+    br = index_bracket(p)
+    assert abs(br.lower - 5 / 17) <= 1e-12 * (5 / 17)
+    assert br.lower <= br.upper

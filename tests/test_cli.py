@@ -1,8 +1,11 @@
+import gc
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from polyindex import cli
 from polyindex.cli import main
 from polyindex.documents import polytope_to_document
 from polyindex.families import irregular_hexagon
@@ -221,3 +224,52 @@ def test_verify_text_table(capsys):
     code, out, _ = run(capsys, "verify", "--format", "text")
     assert code == 0
     assert "checks passed" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("bound", "-i", "{hexagon}"),
+    ("hull", "-i", "{hexagon}"),
+    ("family", "bipyramid_square_prism", "--with-witness"),
+], ids=["bound", "hull", "family"])
+def test_json_output_leaves_no_cyclic_garbage(capsys, hexagon_file, argv):
+    argv = [a.format(hexagon=hexagon_file) for a in argv]
+    run(capsys, *argv)  # builds the cached parser
+    gc.collect()
+    gc.disable()
+    try:
+        code = main(argv)
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    out = capsys.readouterr().out
+    assert code == 0
+    assert garbage == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(), children),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES)
+def test_json_renderer_matches_indented_dumps(value):
+    assert cli._json(value) == json.dumps(value, indent=2)
+
+
+def test_verify_has_no_eps_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--eps", "1e-3"])
+    assert exc.value.code == 2
+
+
+def test_bound_on_tiny_float_hexagon(capsys, tmp_path):
+    # Facet coefficients near 1e8, far beyond the absolute eps.
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps({
+        "dim": 2, "scalar": "float",
+        "vertices": [[float(x) * 1e-8 for x in v] for v in irregular_hexagon().vertices]}))
+    report = run_json(capsys, "bound", "-i", str(path))
+    assert abs(report["results"]["lower"] - 5 / 17) <= 1e-12 * (5 / 17)

@@ -59,13 +59,12 @@ def test_dual_norm_dimension_mismatch(square):
 
 
 def test_pairing_inequality(hexagon):
-    facets = facet_enumeration(hexagon)
     rng = random.Random(5)
     for _ in range(50):
         f = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
         x = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(2))
         lhs = abs(sum(a * b for a, b in zip(f, x)))
-        assert lhs <= dual_norm(hexagon, f) * gauge(facets, x)
+        assert lhs <= dual_norm(hexagon, f) * gauge(hexagon, x)
 
 
 def test_pairing_equality_on_incident_pairs(hexagon):
@@ -74,7 +73,7 @@ def test_pairing_equality_on_incident_pairs(hexagon):
         for i in f.incident_vertices:
             v = hexagon.vertices[i]
             assert sum(a * b for a, b in zip(f.coeffs, v)) == Fraction(1)
-            assert dual_norm(hexagon, f.coeffs) * gauge(facets, v) == Fraction(1)
+            assert dual_norm(hexagon, f.coeffs) * gauge(hexagon, v) == Fraction(1)
 
 
 def test_float_bipolar_within_tolerance():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from polyindex import (InputError, Operator, bipyramid_square_prism,
-                       facet_enumeration, gauge, incidence, index_bracket,
+                       facet_enumeration, gauge, index_bracket,
                        irregular_hexagon, linf_sum, numerical_radius, oblique_prism,
                        operator_norm, polygon_witness_operator, prism_with_pyramids,
                        prism_with_pyramids_witness, prism_witness_operator,
@@ -80,14 +80,13 @@ def test_prism_with_pyramids_counts():
 def test_prism_with_pyramids_apexes_extreme():
     p = prism_with_pyramids(3)
     assert validate(p).ok
-    facets = facet_enumeration(p)
-    assert close(gauge(facets, (0.0, 0.0, 2.0)), 1.0)
+    assert close(gauge(p, (0.0, 0.0, 2.0)), 1.0)
 
 
 def test_bipyramid_vertices_and_facets(bipyramid, bipyramid_facets):
     assert len(bipyramid.vertices) == 10
     assert len(bipyramid_facets) == 12
-    assert gauge(bipyramid_facets, (Fraction(0), Fraction(0), Fraction(2))) == Fraction(1)
+    assert gauge(bipyramid, (Fraction(0), Fraction(0), Fraction(2))) == Fraction(1)
 
 
 def test_hexagon_fixture_is_exact(hexagon):
@@ -107,13 +106,13 @@ def test_families_validate_across_parameters():
     assert validate(segment()).ok
 
 
-def test_pyramid_witness_exact_values(bipyramid, bipyramid_facets, bipyramid_incidence):
+def test_pyramid_witness_exact_values(bipyramid):
     t = pyramid_witness_operator()
     assert t((Fraction(0), Fraction(0), Fraction(2))) == (1, 0, 0)
     for v in bipyramid.vertices:
         if abs(v[2]) == 1:
             assert t(v) == (v[2] * Fraction(1, 2), 0, 0)
-    assert numerical_radius(bipyramid, bipyramid_facets, bipyramid_incidence, t).value == \
+    assert numerical_radius(bipyramid, t).value == \
         Fraction(1, 2)
 
 
@@ -126,12 +125,10 @@ def test_prism_witness_norm_one_and_radius():
     for n in (3, 5):
         for l in (0.0, 0.5):
             p = oblique_prism(n, l)
-            facets = facet_enumeration(p)
-            inc = incidence(p, facets)
             t = prism_witness_operator(n, l)
-            norm, _ = operator_norm(p, facets, t)
+            norm, _ = operator_norm(p, t)
             assert close(norm, 1.0)
-            assert close(numerical_radius(p, facets, inc, t).value, math.sin(math.pi / (2 * n)))
+            assert close(numerical_radius(p, t).value, math.sin(math.pi / (2 * n)))
 
 
 def test_prism_witness_general_image_formula():
@@ -152,7 +149,6 @@ def test_prism_witness_images_land_on_side_facets_odd_n():
     for n, l in ((3, 0.0), (5, 0.5)):
         p = oblique_prism(n, l)
         facets = facet_enumeration(p)
-        inc = incidence(p, facets)
         t = prism_witness_operator(n, l)
         for j in range(1, 2 * n + 1):
             k = ((n + 2 * j - 1) // 2 - 1) % (2 * n)   # 0-based ring position
@@ -169,12 +165,10 @@ def test_prism_witness_images_land_on_side_facets_odd_n():
 def test_pyramided_prism_witnesses():
     for n in (3, 4):
         p = prism_with_pyramids(n)
-        facets = facet_enumeration(p)
-        inc = incidence(p, facets)
         t = prism_with_pyramids_witness(n)
         want = math.sin(math.pi / (2 * n)) if n % 2 else math.tan(math.pi / (2 * n))
-        norm, _ = operator_norm(p, facets, t)
-        cert = numerical_radius(p, facets, inc, t.scale(1 / norm))
+        norm, _ = operator_norm(p, t)
+        cert = numerical_radius(p, t.scale(1 / norm))
         assert close(cert.value, want)
 
 

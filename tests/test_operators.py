@@ -7,36 +7,34 @@ import pytest
 from polyindex import (ComputationError, InputError, Operator, facet_enumeration, gauge,
                        incidence, numerical_radius, oblique_prism, operator_norm,
                        prism_witness_operator, pyramid_witness_operator, radius_profile)
+from polyindex.linalg import dot
 from helpers import random_rational_matrix
 
 
-def test_identity_norm_and_radius(hexagon, hexagon_facets):
-    inc = incidence(hexagon, hexagon_facets)
+def test_identity_norm_and_radius(hexagon):
     ident = Operator.identity(2)
-    norm, _ = operator_norm(hexagon, hexagon_facets, ident)
+    norm, _ = operator_norm(hexagon, ident)
     assert norm == Fraction(1)
-    assert numerical_radius(hexagon, hexagon_facets, inc, ident).value == Fraction(1)
+    assert numerical_radius(hexagon, ident).value == Fraction(1)
 
 
-def test_zero_operator(hexagon, hexagon_facets):
-    inc = incidence(hexagon, hexagon_facets)
+def test_zero_operator(hexagon):
     z = Operator.zero(2)
-    norm, _ = operator_norm(hexagon, hexagon_facets, z)
+    norm, _ = operator_norm(hexagon, z)
     assert norm == 0
-    assert numerical_radius(hexagon, hexagon_facets, inc, z).value == 0
-    assert all(r.value == 0 for r in radius_profile(hexagon, hexagon_facets, inc, z))
+    assert numerical_radius(hexagon, z).value == 0
+    assert all(r.value == 0 for r in radius_profile(hexagon, z))
 
 
-def test_apex_collapse_operator_norm(bipyramid, bipyramid_facets):
+def test_apex_collapse_operator_norm(bipyramid):
     op = pyramid_witness_operator()
-    norm, vertex = operator_norm(bipyramid, bipyramid_facets, op)
+    norm, vertex = operator_norm(bipyramid, op)
     assert norm == Fraction(1)
     assert bipyramid.vertices[vertex] == (Fraction(0), Fraction(0), Fraction(2))
 
 
-def test_apex_collapse_numerical_radius(bipyramid, bipyramid_facets, bipyramid_incidence):
-    cert = numerical_radius(bipyramid, bipyramid_facets, bipyramid_incidence,
-                            pyramid_witness_operator())
+def test_apex_collapse_numerical_radius(bipyramid, bipyramid_facets):
+    cert = numerical_radius(bipyramid, pyramid_witness_operator())
     assert cert.value == Fraction(1, 2)
     # Certificate re-evaluates: the named facet supports the named vertex.
     f = bipyramid_facets[cert.facet_index]
@@ -51,7 +49,6 @@ def test_quarter_turn_on_square(square):
     # facets +-e_0, +-e_1; the quarter turn sends (x, y) to (-y, x), and
     # every incident pair evaluates to |e_i . R v| = 1, so v(R) = 1.
     facets = facet_enumeration(square)
-    inc = incidence(square, facets)
     rot = Operator([(0, -1), (1, 0)])
     by_hand = []
     for i, v in enumerate(square.vertices):
@@ -61,12 +58,11 @@ def test_quarter_turn_on_square(square):
                 by_hand.append(abs(sum(a * b for a, b in zip(f.coeffs, rv))))
     assert len(by_hand) == 8
     assert max(by_hand) == Fraction(1)
-    assert numerical_radius(square, facets, inc, rot).value == Fraction(1)
+    assert numerical_radius(square, rot).value == Fraction(1)
 
 
-def test_radius_profile_identity_rows(hexagon, hexagon_facets):
-    inc = incidence(hexagon, hexagon_facets)
-    rows = radius_profile(hexagon, hexagon_facets, inc, Operator.identity(2))
+def test_radius_profile_identity_rows(hexagon):
+    rows = radius_profile(hexagon, Operator.identity(2))
     assert len(rows) == len(hexagon.vertices)
     assert all(r.value == Fraction(1) for r in rows)
 
@@ -74,58 +70,75 @@ def test_radius_profile_identity_rows(hexagon, hexagon_facets):
 def test_radius_profile_prism_witness_rows():
     n = 3
     p = oblique_prism(n, 0.0)
-    facets = facet_enumeration(p)
-    inc = incidence(p, facets)
     op = prism_witness_operator(n, 0.0)
-    norm, _ = operator_norm(p, facets, op)
+    norm, _ = operator_norm(p, op)
     assert abs(norm - 1) < 1e-9
     want = math.sin(math.pi / (2 * n))
-    rows = radius_profile(p, facets, inc, op)
-    attaining = [r for r in rows if abs(gauge(facets, op(p.vertices[r.vertex_index])) - 1) < 1e-9]
+    rows = radius_profile(p, op)
+    attaining = [r for r in rows if abs(gauge(p, op(p.vertices[r.vertex_index])) - 1) < 1e-9]
     assert attaining
     for r in attaining:
         assert abs(r.value - want) < 1e-9
-    assert max(r.value for r in rows) == numerical_radius(p, facets, inc, op).value
+    assert max(r.value for r in rows) == numerical_radius(p, op).value
 
 
-def test_profile_max_equals_radius(bipyramid, bipyramid_facets, bipyramid_incidence):
+def _reference_radius_pair(p, op):
+    """(value, vertex, facet) of the first incident pair, in (vertex, facet)
+    order, at which |f(T v)| is largest."""
+    facets, inc = facet_enumeration(p), incidence(p)
+    best = None
+    for i, v in enumerate(p.vertices):
+        tv = op(v)
+        for k in inc.vertex_to_facets[i]:
+            val = abs(dot(facets[k].coeffs, tv))
+            if best is None or val > best[0]:
+                best = (val, i, k)
+    return best
+
+
+def test_profile_max_equals_radius(bipyramid, hexagon, square):
     rng = random.Random(31)
-    for _ in range(5):
-        op = Operator(random_rational_matrix(rng, 3))
-        rows = radius_profile(bipyramid, bipyramid_facets, bipyramid_incidence, op)
-        cert = numerical_radius(bipyramid, bipyramid_facets, bipyramid_incidence, op)
-        assert max(r.value for r in rows) == cert.value
+    for p in (bipyramid, hexagon, square):
+        d = p.dim
+        ops = [Operator(random_rational_matrix(rng, d)) for _ in range(5)]
+        # Signed permutations tie many pairs, so the tie-break decides.
+        for _ in range(10):
+            perm = rng.sample(range(d), d)
+            ops.append(Operator([[rng.choice((1, -1)) if j == perm[i] else 0 for j in range(d)]
+                                 for i in range(d)]))
+        for op in ops:
+            rows = radius_profile(p, op)
+            cert = numerical_radius(p, op)
+            assert max(r.value for r in rows) == cert.value
+            want = _reference_radius_pair(p, op)
+            assert (cert.value, cert.vertex_index, cert.facet_index) == want
 
 
-def test_radius_at_most_norm(hexagon, hexagon_facets, bipyramid, bipyramid_facets):
+def test_radius_at_most_norm(hexagon, bipyramid):
     rng = random.Random(17)
-    cases = [(hexagon, hexagon_facets, 2), (bipyramid, bipyramid_facets, 3)]
-    for p, facets, d in cases:
-        inc = incidence(p, facets)
+    cases = [(hexagon, 2), (bipyramid, 3)]
+    for p, d in cases:
         for _ in range(25):
             op = Operator(random_rational_matrix(rng, d))
-            norm, _ = operator_norm(p, facets, op)
-            assert numerical_radius(p, facets, inc, op).value <= norm
+            norm, _ = operator_norm(p, op)
+            assert numerical_radius(p, op).value <= norm
 
 
-def test_radius_homogeneity(hexagon, hexagon_facets):
-    inc = incidence(hexagon, hexagon_facets)
+def test_radius_homogeneity(hexagon):
     rng = random.Random(23)
     for _ in range(10):
         op = Operator(random_rational_matrix(rng, 2))
         lam = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
-        v = numerical_radius(hexagon, hexagon_facets, inc, op).value
-        v_scaled = numerical_radius(hexagon, hexagon_facets, inc, op.scale(lam)).value
+        v = numerical_radius(hexagon, op).value
+        v_scaled = numerical_radius(hexagon, op.scale(lam)).value
         assert v_scaled == abs(lam) * v
-        v_neg = numerical_radius(hexagon, hexagon_facets, inc, op.scale(-1)).value
+        v_neg = numerical_radius(hexagon, op.scale(-1)).value
         assert v_neg == v
 
 
 def test_isometry_conjugation_on_square(square):
     # The quarter turn permutes the square's vertices, so conjugating by it
     # preserves both the norm and the radius exactly.
-    facets = facet_enumeration(square)
-    inc = incidence(square, facets)
     s = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
     s_inv = ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
     rng = random.Random(41)
@@ -134,16 +147,15 @@ def test_isometry_conjugation_on_square(square):
         m = random_rational_matrix(rng, 2)
         op = Operator(m)
         conj = Operator(matmul(s_inv, matmul(m, s)))
-        assert numerical_radius(square, facets, inc, conj).value == \
-            numerical_radius(square, facets, inc, op).value
-        assert operator_norm(square, facets, conj)[0] == operator_norm(square, facets, op)[0]
+        assert numerical_radius(square, conj).value == \
+            numerical_radius(square, op).value
+        assert operator_norm(square, conj)[0] == operator_norm(square, op)[0]
 
 
 def test_radius_vs_dense_boundary_sampling(hexagon, hexagon_facets):
     # 2-D sampling oracle: boundary points with their supporting
     # functionals never beat the enumerated radius.
     import numpy as np
-    inc = incidence(hexagon, hexagon_facets)
     rng = random.Random(77)
     funcs = np.array([[float(c) for c in f.coeffs] for f in hexagon_facets])
     verts = np.array([[float(x) for x in v] for v in hexagon.vertices])
@@ -152,7 +164,7 @@ def test_radius_vs_dense_boundary_sampling(hexagon, hexagon_facets):
     for _ in range(5):
         m = random_rational_matrix(rng, 2)
         op = Operator(m)
-        vt = numerical_radius(hexagon, hexagon_facets, inc, op).value
+        vt = numerical_radius(hexagon, op).value
         mf = np.array([[float(x) for x in row] for row in m])
         best = 0.0
         for i in range(len(ring)):
@@ -171,9 +183,8 @@ def test_radius_vs_dense_boundary_sampling(hexagon, hexagon_facets):
 
 
 def test_dimension_mismatch(square):
-    facets = facet_enumeration(square)
     with pytest.raises(InputError):
-        operator_norm(square, facets, Operator.identity(3))
+        operator_norm(square, Operator.identity(3))
     with pytest.raises(InputError):
         Operator.identity(2)((1, 2, 3))
 

@@ -11,6 +11,7 @@ from polyindex import (InputError, Operator, Polytope, ValidationError,
                        irregular_hexagon, linf_sum, oblique_prism, prism_with_pyramids,
                        regular_2n_gon, validate)
 from polyindex.linalg import dot, rank, vsub
+from polyindex.polytope import facet_antipode_pairs
 from helpers import brute_force_facets, random_symmetric_polytope
 
 
@@ -47,7 +48,7 @@ def test_facets_match_oracle_on_exact_prism():
 
 def test_square_incidence(square):
     facets = facet_enumeration(square)
-    inc = incidence(square, facets)
+    inc = incidence(square)
     i_vertex = square.vertices.index((Fraction(1), Fraction(1)))
     mine = {facets[k].coeffs for k in inc.vertex_to_facets[i_vertex]}
     assert mine == {(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))}
@@ -70,21 +71,20 @@ def test_bipyramid_incidence_counts(bipyramid, bipyramid_facets, bipyramid_incid
     }
 
 
-def test_gauge_examples(square, hexagon, hexagon_facets):
-    sq_facets = facet_enumeration(square)
-    assert gauge(sq_facets, (2, 0)) == Fraction(2)
-    assert gauge(hexagon_facets, (Fraction(1, 2), Fraction(2))) == Fraction(1)
+def test_gauge_examples(square, hexagon):
+    assert gauge(square, (2, 0)) == Fraction(2)
+    assert gauge(hexagon, (Fraction(1, 2), Fraction(2))) == Fraction(1)
 
 
-def test_gauge_is_one_on_every_vertex(hexagon, hexagon_facets, bipyramid, bipyramid_facets):
-    for p, facets in ((hexagon, hexagon_facets), (bipyramid, bipyramid_facets)):
+def test_gauge_is_one_on_every_vertex(hexagon, bipyramid):
+    for p in (hexagon, bipyramid):
         for v in p.vertices:
-            assert gauge(facets, v) == Fraction(1)
+            assert gauge(p, v) == Fraction(1)
 
 
-def test_gauge_dimension_mismatch(hexagon_facets):
+def test_gauge_dimension_mismatch(hexagon):
     with pytest.raises(InputError):
-        gauge(hexagon_facets, (1, 2, 3))
+        gauge(hexagon, (1, 2, 3))
 
 
 def test_validate_passes_on_square(square):
@@ -266,15 +266,14 @@ def test_hull_round_trip_random():
     rng = random.Random(99)
     for _ in range(6):
         p = random_symmetric_polytope(rng, 2, n_pairs=5)
-        facets = facet_enumeration(p)
         for v in p.vertices:
-            assert gauge(facets, v) == Fraction(1)
+            assert gauge(p, v) == Fraction(1)
         # random hull points stay inside
         for _ in range(10):
             w = rng.choices(range(len(p.vertices)), k=2)
             t = Fraction(rng.randint(0, 10), 10)
             x = tuple(t * a + (1 - t) * b for a, b in zip(p.vertices[w[0]], p.vertices[w[1]]))
-            assert gauge(facets, x) <= Fraction(1)
+            assert gauge(p, x) <= Fraction(1)
 
 
 def test_incident_sets_span_facet_dimension(bipyramid, bipyramid_facets):
@@ -285,15 +284,15 @@ def test_incident_sets_span_facet_dimension(bipyramid, bipyramid_facets):
         assert rank(diffs, bipyramid.ctx) == bipyramid.dim - 1
 
 
-def test_every_vertex_on_at_least_dim_facets(bipyramid, bipyramid_facets, bipyramid_incidence):
+def test_every_vertex_on_at_least_dim_facets(bipyramid, bipyramid_incidence):
     for facet_list in bipyramid_incidence.vertex_to_facets:
         assert len(facet_list) >= bipyramid.dim
     for vertex_list in bipyramid_incidence.facet_to_vertices:
         assert len(vertex_list) >= bipyramid.dim
 
 
-def test_incidence_bidirectionally_consistent(hexagon, hexagon_facets):
-    inc = incidence(hexagon, hexagon_facets)
+def test_incidence_bidirectionally_consistent(hexagon):
+    inc = incidence(hexagon)
     for i, ks in enumerate(inc.vertex_to_facets):
         for k in ks:
             assert i in inc.facet_to_vertices[k]
@@ -307,12 +306,12 @@ coords = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 
 @settings(max_examples=40, deadline=None)
 @given(coords, coords, coords, coords, st.fractions(min_value=-3, max_value=3, max_denominator=4))
-def test_gauge_norm_axioms(hexagon_facets, x0, x1, y0, y1, lam):
+def test_gauge_norm_axioms(hexagon, x0, x1, y0, y1, lam):
     x, y = (x0, x1), (y0, y1)
-    gx = gauge(hexagon_facets, x)
-    gy = gauge(hexagon_facets, y)
-    assert gauge(hexagon_facets, (x0 + y0, x1 + y1)) <= gx + gy
-    assert gauge(hexagon_facets, (lam * x0, lam * x1)) == abs(lam) * gx
+    gx = gauge(hexagon, x)
+    gy = gauge(hexagon, y)
+    assert gauge(hexagon, (x0 + y0, x1 + y1)) <= gx + gy
+    assert gauge(hexagon, (lam * x0, lam * x1)) == abs(lam) * gx
     assert (gx == 0) == (x == (0, 0))
 
 
@@ -335,3 +334,68 @@ def test_segment_dimension_one():
     s = segment()
     facets = facet_enumeration(s)
     assert coeff_set(facets) == [(-1,), (1,)]
+
+
+def _reference_facet_pairs(facets, ctx):
+    """The coordinate scan that paired facets before they were paired by
+    vertex sets: each facet, in order, with the first unused facet whose
+    coefficients equal its negation within the context's tolerance."""
+    pairs = []
+    used = set()
+    for k, f in enumerate(facets):
+        if k in used:
+            continue
+        neg = tuple(-c for c in f.coeffs)
+        partner = None
+        for j in range(len(facets)):
+            if j != k and j not in used and all(ctx.eq(a, b) for a, b in zip(facets[j].coeffs, neg)):
+                partner = j
+                break
+        assert partner is not None, f"facet {f.coeffs} has no antipodal facet"
+        used.update((k, partner))
+        pairs.append((k, partner))
+    return tuple(pairs)
+
+
+def _antipode_cases():
+    yield from (Polytope([(1, 1), (-1, 1), (-1, -1), (1, -1)]), irregular_hexagon(),
+                bipyramid_square_prism(), linf_sum(irregular_hexagon(), irregular_hexagon()))
+    for n in range(2, 13):
+        for l in (0.0, 0.25, 0.5, 1.0):
+            yield oblique_prism(n, l)
+        yield regular_2n_gon(n)
+        yield prism_with_pyramids(n)
+    rng = random.Random(4242)
+    for trial in range(40):
+        yield random_symmetric_polytope(rng, 2 + trial % 2, n_pairs=rng.randint(3, 7))
+
+
+def test_facet_antipodes_match_coordinates():
+    for p in _antipode_cases():
+        want = _reference_facet_pairs(facet_enumeration(p), p.ctx)
+        assert facet_antipode_pairs(p) == want, p
+
+
+def test_combinatorics_computed_once_per_ball():
+    p = irregular_hexagon()
+    assert facet_enumeration(p) is facet_enumeration(p)
+    assert incidence(p) is incidence(p)
+    assert facet_antipode_pairs(p) is facet_antipode_pairs(p)
+    q = irregular_hexagon()
+    assert facet_enumeration(q) == facet_enumeration(p)
+    assert facet_enumeration(q) is not facet_enumeration(p)
+
+
+def test_facet_antipodes_of_a_tiny_float_hexagon():
+    # Facet coefficients near 1e8 differ from their exact negations by far
+    # more than the absolute eps; the vertex sets still pair them.
+    p = Polytope([[float(x) * 1e-8 for x in v] for v in irregular_hexagon().vertices],
+                 backend="float")
+    facets = facet_enumeration(p)
+    pairs = facet_antipode_pairs(p)
+    assert len(pairs) == 3
+    for k, k2 in pairs:
+        assert facets[k2].incident_vertices == {p.antipode_index(i)
+                                                for i in facets[k].incident_vertices}
+        f, g = facets[k].coeffs, facets[k2].coeffs
+        assert max(abs(a + b) for a, b in zip(f, g)) <= 1e-12 * max(map(abs, f))
