@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from operator import attrgetter
 
 from . import __version__
 from .bracket import SearchConfig, index_bracket, lower_bound
@@ -22,7 +23,7 @@ from .errors import InputError, PolyindexError
 from .families import (FAMILIES, bipyramid_square_prism, irregular_hexagon, linf_sum,
                        oblique_prism, prism_with_pyramids, prism_with_pyramids_witness,
                        prism_witness_operator, pyramid_witness_operator, scale_coordinate)
-from .operators import numerical_radius, operator_norm, radius_profile
+from .operators import operator_norm, radius_profile
 from .polytope import facet_enumeration, gauge, incidence
 from .scalars import parse_rational
 
@@ -161,8 +162,9 @@ def cmd_radius(args) -> int:
     else:
         raise InputError("radius: needs --operator FILE or a polytope document with a witness")
     norm, norm_vertex = operator_norm(p, op)
-    cert = numerical_radius(p, op)
     profile = radius_profile(p, op)
+    # The first maximal row, which is the certificate numerical_radius returns.
+    cert = max(profile, key=attrgetter("value"))
     results = {
         "operator_norm": scalar_to_json(norm),
         "norm_vertex": norm_vertex,

@@ -3,8 +3,18 @@
 Vectors are tuples, matrices tuples of row tuples. Dimensions here are
 tiny (2 to 5), so everything is plain Gaussian elimination with exact
 pivoting on the rational backend and max-magnitude pivoting on floats.
+
+:func:`rank` on the rational backend eliminates fraction-free. Each row is
+first scaled to integers by the lcm of its denominators, which leaves the
+rank alone. An elimination step replaces a row by ``row*piv - f*prow``,
+where ``piv`` is the pivot and ``f`` the row's entry in the pivot column,
+and then divides it by the gcd of its entries (:func:`eliminate`). So no
+``Fraction`` is built while eliminating, and the entries stay small. The
+simplex of :mod:`polyindex.linprog` pivots with the same two helpers.
 """
 from __future__ import annotations
+
+import math
 
 from .errors import InputError, SingularMatrixError
 from .scalars import Context
@@ -93,9 +103,36 @@ def inverse(a, ctx: Context):
     return transpose(cols)
 
 
+def integer_row(values) -> list:
+    """The Fractions ``values`` times the lcm of their denominators: a row of
+    ints that is a positive multiple of the given row."""
+    # Lists, not generators, go to lcm and gcd here and in eliminate: CPython
+    # parks the argument tuple of a generator call in a free list of its
+    # resized length, and those free lists grow with every call.
+    dens = [x.denominator for x in values]
+    scale = math.lcm(*dens)
+    return [x.numerator * (scale // d) for x, d in zip(values, dens)]
+
+
+def eliminate(row, prow, piv, col) -> list:
+    """``row*piv - row[col]*prow`` divided by the gcd of its entries.
+
+    One fraction-free elimination step on integer rows: the result is zero
+    at ``col`` and, when ``piv > 0``, a positive multiple of the row that
+    Fraction elimination by the normalized pivot row gives.
+    """
+    f = row[col]
+    new = [x * piv - f * y for x, y in zip(row, prow)]
+    g = math.gcd(*new)
+    return [x // g for x in new] if g > 1 else new
+
+
 def rank(rows, ctx: Context) -> int:
     """Rank of a (not necessarily square) matrix given as an iterable of rows."""
-    work = [list(map(ctx.coerce, row)) for row in rows]
+    if ctx.exact:
+        work = [integer_row([ctx.coerce(x) for x in row]) for row in rows]
+    else:
+        work = [list(map(ctx.coerce, row)) for row in rows]
     if not work:
         return 0
     ncols = len(work[0])
@@ -106,11 +143,16 @@ def rank(rows, ctx: Context) -> int:
             continue
         work[r], work[p] = work[p], work[r]
         piv = work[r][col]
-        work[r] = [x / piv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][col] != 0:
-                factor = work[i][col]
-                work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
+        if ctx.exact:
+            for i in range(r + 1, len(work)):
+                if work[i][col] != 0:
+                    work[i] = eliminate(work[i], work[r], piv, col)
+        else:
+            work[r] = [x / piv for x in work[r]]
+            for i in range(len(work)):
+                if i != r and work[i][col] != 0:
+                    factor = work[i][col]
+                    work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
         r += 1
         if r == len(work):
             break

@@ -4,9 +4,21 @@ The solver is deliberately small: the only programs it faces are the
 per-facet min-max problems of the lower bound. They have at most a few
 dozen variables, but they are routinely degenerate and — on the rational
 backend — must be solved bit-exactly. Bland's smallest-index rule
-guarantees termination on degenerate instances; all tableau arithmetic
-happens in the scalar type selected by the context, so rational inputs
-yield rational optima with no rounding anywhere.
+guarantees termination on degenerate instances.
+
+On the float backend the tableau holds floats and each pivot divides the
+pivot row by the pivot. On the rational backend it holds Python ints and
+no ``Fraction`` is built while pivoting (fraction-free pivoting, as in
+lrs and Bareiss elimination). Each constraint row is stored as a
+*positive* multiple of the row the Fraction tableau would hold, and its
+scale is its own entry in its basic column. A pivot on (r, c) turns every
+other row into ``row*piv - f*prow`` divided by the gcd of its entries
+(:func:`polyindex.linalg.eliminate`), with ``piv > 0``. The objective rows
+are positive multiples too. So every sign that Bland's rule reads is the
+sign of the Fraction entry, and every ratio ``b_i / a_i`` is the same
+number, compared by cross-multiplication. The pivots are therefore those
+of the Fraction simplex, and so are the final basis, the optimal point and
+its value, which are read off as ``Fraction(row[-1], row[basis[i]])``.
 
 Problem form::
 
@@ -27,10 +39,11 @@ min-max LPs of the lower bound have every row ``<= 0`` except
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .errors import ComputationError, InputError
-from .linalg import dot
+from .linalg import dot, eliminate, integer_row
 from .scalars import Context, EXACT, Scalar
 
 OPTIMAL = "optimal"
@@ -94,9 +107,18 @@ class LPSolution:
         return self.status == OPTIMAL
 
 
-def _pivot(rows, objs, basis, r, c):
-    """Pivot on entry (r, c), in place. Only the columns where the pivot row
-    is nonzero can change, so the update visits just those."""
+def _pivot(rows, objs, basis, r, c, ctx):
+    """Pivot on entry (r, c), in place."""
+    if ctx.exact:
+        _pivot_integer(rows, objs, r, c)
+    else:
+        _pivot_float(rows, objs, r, c)
+    basis[r] = c
+
+
+def _pivot_float(rows, objs, r, c):
+    """Only the columns where the pivot row is nonzero can change, so the
+    update visits just those."""
     prow = rows[r]
     piv = prow[c]
     nonzero = [j for j, y in enumerate(prow) if y != 0]
@@ -107,31 +129,60 @@ def _pivot(rows, objs, basis, r, c):
         if f != 0 and row is not prow:
             for j in nonzero:
                 row[j] = row[j] - f * prow[j]
-    basis[r] = c
+
+
+def _pivot_integer(rows, objs, r, c):
+    """Fraction-free pivot on integer rows. The pivot row is negated when its
+    entry is negative, so that every row stays a positive multiple of its
+    Fraction counterpart and the new scale of row r is its entry at c."""
+    prow = rows[r]
+    if prow[c] < 0:
+        prow = rows[r] = [-x for x in prow]
+    piv = prow[c]
+    for table in (rows, objs):
+        for i, row in enumerate(table):
+            if row[c] != 0 and row is not prow:
+                table[i] = eliminate(row, prow, piv, c)
+
+
+def _leaving_row(rows, basis, enter, tol, exact):
+    """Bland's ratio test: the row with the least b_i / a_i over the rows
+    with a_i > 0, ties to the lowest basic column; None when there is none.
+
+    Integer rows compare the ratios by cross-multiplication, which keeps
+    their order because every a_i compared is positive.
+    """
+    leave = None
+    for i, row in enumerate(rows):
+        a = row[enter]
+        if a > tol:
+            if leave is not None:
+                if exact:
+                    lhs, rhs = row[-1] * best_a, best_b * a
+                else:
+                    lhs, rhs = row[-1] / a, best_b / best_a
+                if not (lhs < rhs or (lhs == rhs and basis[i] < basis[leave])):
+                    continue
+            leave, best_b, best_a = i, row[-1], a
+    return leave
 
 
 def _simplex(rows, objs, basis, allowed, ctx, max_pivots):
     """Run Bland-rule simplex on objs[0]; returns 'optimal' or 'unbounded'."""
+    tol = ctx.eps or 0  # obj[j] < -tol is ctx.sign(obj[j]) < 0, without the call
     for _ in range(max_pivots):
         obj = objs[0]
         enter = None
         for j in allowed:
-            if ctx.sign(obj[j]) < 0:
+            if obj[j] < -tol:
                 enter = j
                 break
         if enter is None:
             return OPTIMAL
-        leave = None
-        best = None
-        for i, row in enumerate(rows):
-            a = row[enter]
-            if ctx.sign(a) > 0:
-                ratio = row[-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+        leave = _leaving_row(rows, basis, enter, tol, ctx.exact)
         if leave is None:
             return UNBOUNDED
-        _pivot(rows, objs, basis, leave, enter)
+        _pivot(rows, objs, basis, leave, enter, ctx)
     raise ComputationError("simplex exceeded its pivot budget (cycling?)")
 
 
@@ -211,6 +262,7 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
     # Artificial columns never re-enter the basis; restricting the entering
     # candidates to structural and slack columns is the standard safe choice.
     allowed = list(range(width))
+    objs = [phase2]
     if art_rows:
         # Phase-1 objective (sum of artificials), reduced with respect to the
         # starting basis; both objectives stay reduced while pivoting.
@@ -219,7 +271,12 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
             phase1 = [x - y for x, y in zip(phase1, rows[i])]
         for j in range(width, total):
             phase1[j] = zero
-        objs = [phase1, phase2]
+        objs.insert(0, phase1)
+    if ctx.exact:
+        # Scaled only now: the phase-1 objective is the sum of the unscaled rows.
+        rows = [integer_row(row) for row in rows]
+        objs = [integer_row(obj) for obj in objs]
+    if art_rows:
         status = _simplex(rows, objs, basis, allowed, ctx, max_pivots)
         if status != OPTIMAL:
             raise ComputationError("phase 1 cannot be unbounded")  # sum of artificials >= 0
@@ -238,17 +295,19 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
                 if pivot_col is None:
                     drop.append(i)  # redundant constraint
                 else:
-                    _pivot(rows, objs, basis, i, pivot_col)
+                    _pivot(rows, objs, basis, i, pivot_col, ctx)
         if drop:
             rows = [row for i, row in enumerate(rows) if i not in drop]
             basis = [b for i, b in enumerate(basis) if i not in drop]
-        phase2 = objs[1]
 
-    status = _simplex(rows, [phase2], basis, allowed, ctx, max_pivots)
+    status = _simplex(rows, objs[-1:], basis, allowed, ctx, max_pivots)
     if status == UNBOUNDED:
         return LPSolution(status=UNBOUNDED)
 
-    values = {b: rows[i][-1] for i, b in enumerate(basis)}
+    if ctx.exact:
+        values = {b: Fraction(row[-1], row[b]) for row, b in zip(rows, basis)}
+    else:
+        values = {b: row[-1] for row, b in zip(rows, basis)}
     point = []
     for j in range(n):
         x = values.get(col_of_plus[j], zero)

@@ -110,3 +110,141 @@ def boundary_minimax_2d(polygon, functionals, n_points):
         vals = np.abs(pts @ funcs.T).max(axis=1)
         best = min(best, float(vals.min()))
     return best
+
+
+def reference_rank(rows):
+    """Rank by Gauss-Jordan elimination on Fractions, the first nonzero
+    entry of each column as pivot."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    r = 0
+    for col in range(len(work[0]) if work else 0):
+        p = next((i for i in range(r, len(work)) if work[i][col] != 0), None)
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        work[r] = [x / work[r][col] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        r += 1
+    return r
+
+
+def _reference_pivot(rows, objs, basis, r, c):
+    prow = rows[r]
+    piv = prow[c]
+    nonzero = [j for j, y in enumerate(prow) if y != 0]
+    for j in nonzero:
+        prow[j] = prow[j] / piv
+    for row in rows + objs:
+        f = row[c]
+        if f != 0 and row is not prow:
+            for j in nonzero:
+                row[j] = row[j] - f * prow[j]
+    basis[r] = c
+
+
+def _reference_simplex(rows, objs, basis, allowed, max_pivots):
+    for _ in range(max_pivots):
+        obj = objs[0]
+        enter = next((j for j in allowed if obj[j] < 0), None)
+        if enter is None:
+            return "optimal"
+        leave = None
+        best = None
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                ratio = row[-1] / a
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            return "unbounded"
+        _reference_pivot(rows, objs, basis, leave, enter)
+    raise AssertionError("reference simplex exceeded its pivot budget")
+
+
+def reference_solve_lp(lp):
+    """The simplex of ``polyindex.linprog`` with every tableau entry a
+    Fraction: the same slack basis, artificial columns, Bland's rule and
+    redundant-row drop, but each pivot divides the pivot row by the pivot.
+    Returns an ``LPSolution`` to compare field by field."""
+    from polyindex.linprog import LPSolution
+    n = lp.n_vars
+    nonneg = lp.nonneg or (False,) * n
+    zero, one = Fraction(0), Fraction(1)
+    col_of_plus, col_of_minus, ncols = [], [], 0
+    for j in range(n):
+        col_of_plus.append(ncols)
+        col_of_minus.append(None if nonneg[j] else ncols + 1)
+        ncols += 1 if nonneg[j] else 2
+    n_struct = ncols
+    n_slack = len(lp.ineq_lhs)
+    width = n_struct + n_slack
+    rows, basis, art_rows = [], [], []
+    for i, (coeffs, rhs) in enumerate(zip(lp.ineq_lhs + lp.eq_lhs, lp.ineq_rhs + lp.eq_rhs)):
+        row = [zero] * (width + 1)
+        for j, a in enumerate(coeffs):
+            row[col_of_plus[j]] = Fraction(a)
+            if col_of_minus[j] is not None:
+                row[col_of_minus[j]] = -Fraction(a)
+        row[-1] = Fraction(rhs)
+        if i < n_slack:
+            row[n_struct + i] = one
+        negative = row[-1] < 0
+        if negative:
+            row = [-x for x in row]
+        if i < n_slack and not negative:
+            basis.append(n_struct + i)
+        else:
+            basis.append(width + len(art_rows))
+            art_rows.append(i)
+        rows.append(row)
+    n_rows = len(rows)
+    total = width + len(art_rows)
+    for i, row in enumerate(rows):
+        art = [zero] * len(art_rows)
+        if basis[i] >= width:
+            art[basis[i] - width] = one
+        rows[i] = row[:width] + art + row[width:]
+    phase2 = [zero] * (total + 1)
+    for j in range(n):
+        phase2[col_of_plus[j]] = Fraction(lp.objective[j])
+        if col_of_minus[j] is not None:
+            phase2[col_of_minus[j]] = -Fraction(lp.objective[j])
+    max_pivots = 40 * (total + 1) * (n_rows + 1) + 1000
+    allowed = list(range(width))
+    if art_rows:
+        phase1 = [zero] * (total + 1)
+        for i in art_rows:
+            phase1 = [x - y for x, y in zip(phase1, rows[i])]
+        for j in range(width, total):
+            phase1[j] = zero
+        objs = [phase1, phase2]
+        assert _reference_simplex(rows, objs, basis, allowed, max_pivots) == "optimal"
+        if -objs[0][-1] > 0:
+            return LPSolution(status="infeasible")
+        drop = []
+        for i in range(n_rows):
+            if basis[i] >= width:
+                pivot_col = next((j for j in allowed if rows[i][j] != 0), None)
+                if pivot_col is None:
+                    drop.append(i)
+                else:
+                    _reference_pivot(rows, objs, basis, i, pivot_col)
+        rows = [row for i, row in enumerate(rows) if i not in drop]
+        basis = [b for i, b in enumerate(basis) if i not in drop]
+        phase2 = objs[1]
+    if _reference_simplex(rows, [phase2], basis, allowed, max_pivots) == "unbounded":
+        return LPSolution(status="unbounded")
+    values = {b: rows[i][-1] for i, b in enumerate(basis)}
+    point = []
+    for j in range(n):
+        x = values.get(col_of_plus[j], zero)
+        if col_of_minus[j] is not None:
+            x = x - values.get(col_of_minus[j], zero)
+        point.append(x)
+    point = tuple(point)
+    value = sum(Fraction(c) * x for c, x in zip(lp.objective, point))
+    return LPSolution(status="optimal", value=value, point=point, basis=tuple(sorted(basis)))

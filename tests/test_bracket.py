@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -14,7 +14,8 @@ from polyindex import (ComputationError, InputError, LinearProgram, Operator, Po
                        solve_lp, upper_bound, vertex_minimax)
 from polyindex.linalg import dot, rank
 from polyindex.polytope import facet_antipode_pairs
-from helpers import boundary_minimax_2d, random_rational_matrix, random_symmetric_polytope
+from helpers import (boundary_minimax_2d, random_rational_matrix, random_symmetric_polytope,
+                     reference_solve_lp)
 
 
 def test_hexagon_vertex_bounds_exact(hexagon):
@@ -257,6 +258,28 @@ def test_lower_bound_failures_name_vertex_and_facet(hexagon, monkeypatch):
     first = facet_antipode_pairs(hexagon)[0][0]
     assert str(exc.value) == f"vertex 0, sphere facet {first}: phase 1 cannot be unbounded"
     assert isinstance(exc.value.__cause__, ComputationError)
+
+
+def test_facet_lps_match_fraction_simplex(monkeypatch, hexagon, bipyramid):
+    # Every facet LP of the lower bound, solved on integer rows, has the
+    # status, value, point and basis of the Fraction simplex.
+    solved = []
+
+    def recording(lp, ctx):
+        sol = solve_lp(lp, ctx)
+        solved.append((lp, sol))
+        return sol
+
+    monkeypatch.setattr(bracket_module, "solve_lp", recording)
+    cube = Polytope(list(product((-1, 1), repeat=4)))
+    cross = Polytope([tuple(s if k == j else 0 for k in range(4))
+                      for j in range(4) for s in (1, -1)])
+    for p in (hexagon, bipyramid, linf_sum(hexagon, hexagon), cube, cross):
+        solved.clear()
+        lower_bound(p)
+        assert solved
+        for lp, sol in solved:
+            assert sol == reference_solve_lp(lp), lp
 
 
 def _reference_search(p, witnesses, budget, seed):

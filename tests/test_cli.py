@@ -5,9 +5,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyindex import cli
+import polyindex.operators as operators_module
+from polyindex import (Operator, bipyramid_square_prism, cli, numerical_radius, oblique_prism,
+                       operator_norm, prism_witness_operator, pyramid_witness_operator,
+                       radius_profile)
 from polyindex.cli import main
-from polyindex.documents import polytope_to_document
+from polyindex.documents import operator_to_document, polytope_to_document, scalar_to_json
 from polyindex.families import irregular_hexagon
 
 
@@ -83,6 +86,48 @@ def test_radius_command(capsys, tmp_path):
     assert report["results"]["operator_norm"] == 1
     assert report["results"]["numerical_radius"] == "1/2"
     assert len(report["results"]["profile"]) == 10
+
+
+@pytest.mark.parametrize("case", ["hexagon", "bipyramid", "oblique_prism"])
+def test_radius_builds_one_profile(capsys, tmp_path, monkeypatch, case):
+    if case == "hexagon":
+        # Vertices 1 and 4 tie at 11/5; the certificate names vertex 1.
+        p = irregular_hexagon()
+        op = Operator([[Fraction(1, 2), -1], [2, Fraction(3, 4)]])
+    elif case == "bipyramid":
+        p, op = bipyramid_square_prism(), pyramid_witness_operator()
+    else:
+        p, op = oblique_prism(3, 0.5), prism_witness_operator(3, 0.5)
+    (tmp_path / "ball.json").write_text(json.dumps(polytope_to_document(p)))
+    (tmp_path / "op.json").write_text(json.dumps(operator_to_document(op)))
+    # The report as built from one numerical_radius and one radius_profile call.
+    norm, norm_vertex = operator_norm(p, op)
+    cert = numerical_radius(p, op)
+    want = cli._json(cli._report("radius", {"eps": None}, {
+        "operator_norm": scalar_to_json(norm),
+        "norm_vertex": norm_vertex,
+        "numerical_radius": scalar_to_json(cert.value),
+        "radius_vertex": cert.vertex_index,
+        "radius_facet": cert.facet_index,
+        "profile": [{"vertex": r.vertex_index, "value": scalar_to_json(r.value),
+                     "facet": r.facet_index} for r in radius_profile(p, op)],
+    })) + "\n"
+
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return radius_profile(*args)
+
+    monkeypatch.setattr(cli, "radius_profile", counting)
+    monkeypatch.setattr(operators_module, "radius_profile", counting)
+    code, out, err = run(capsys, "radius", "-i", str(tmp_path / "ball.json"),
+                         "--operator", str(tmp_path / "op.json"))
+    assert code == 0, err
+    assert len(calls) == 1
+    assert out == want
+    if case == "hexagon":
+        assert (cert.value, cert.vertex_index, cert.facet_index) == (Fraction(11, 5), 1, 2)
 
 
 def test_witness_flag_overrides_embedded(capsys, tmp_path, hexagon_file):

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from helpers import reference_rank, reference_solve_lp
 
 from polyindex import InputError, LinearProgram, solve_lp
-from polyindex.linalg import dot
+from polyindex.linalg import dot, rank
 from polyindex.scalars import EXACT, float_context
 
 
@@ -204,3 +206,54 @@ def test_nonnegative_rhs_needs_no_phase_1(monkeypatch):
     assert sol.value == Fraction(-3, 2)
     assert sol.point == (Fraction(1), Fraction(1, 2))
     assert runs == [2 + 4 + 1]  # two structural and four slack columns, then the RHS
+    # The float backend runs the same _simplex and skips phase 1 too.
+    runs.clear()
+    fsol = solve_lp(lp, float_context())
+    assert fsol.is_optimal
+    assert abs(fsol.value + 1.5) < 1e-9
+    assert fsol.basis == sol.basis
+    assert runs == [2 + 4 + 1]
+
+
+def test_random_mixed_lps_match_fraction_simplex():
+    # The integer tableau makes the Fraction simplex's pivots, so status,
+    # value, point and final basis all agree, degenerate programs included.
+    rng = random.Random(4242)
+    for _ in range(300):
+        lp = _random_mixed_lp(rng)
+        assert solve_lp(lp) == reference_solve_lp(lp), lp
+
+
+_ENTRIES = st.one_of(
+    st.just(0),
+    st.integers(-3, 3),
+    st.fractions(min_value=-10, max_value=10, max_denominator=10**12),
+)
+
+
+@st.composite
+def _rank_matrices(draw):
+    """Rows drawn to be rank-deficient: zero rows, repeated rows and
+    combinations of earlier rows mixed in with fresh ones."""
+    ncols = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combine"]) if rows
+                    else st.just("fresh"))
+        if kind == "fresh":
+            rows.append(draw(st.lists(_ENTRIES, min_size=ncols, max_size=ncols)))
+        elif kind == "zero":
+            rows.append([0] * ncols)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(_ENTRIES), draw(_ENTRIES)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return [[Fraction(x) for x in row] for row in draw(st.permutations(rows))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rank_matrices())
+def test_exact_rank_matches_fraction_elimination(rows):
+    assert rank(rows, EXACT) == reference_rank(rows)
