@@ -25,7 +25,7 @@ from operator import itemgetter, mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, InputError
-from .linalg import dot, matvec, rank
+from .linalg import dot, matvec, rank, scaled_integer_row
 from .linprog import LinearProgram, solve_lp
 from .operators import Operator, RadiusCertificate, numerical_radius, operator_norm
 from .polytope import Polytope, facet_antipode_pairs, facet_enumeration, incidence
@@ -98,14 +98,26 @@ def _sphere_facets(p: Polytope) -> tuple:
     combinations of its values at the facet's vertices: when those values
     share a strict sign, the minimum of |f_r| is the least of them, and
     otherwise it is 0.
+
+    On the exact backend every facet row and vertex row is kept as ints
+    with its lcm scale, and each value f_r(w_a) is built as one
+    ``Fraction(F_r . W_a, L_r * L_a)`` instead of a ``Fraction`` dot product.
     """
     ctx = p.ctx
     zero = ctx.coerce(0)
     facets = facet_enumeration(p)
+    if ctx.exact:
+        frows = [scaled_integer_row(f.coeffs) for f in facets]
+        vrows = [scaled_integer_row(v) for v in p.vertices]
     table = []
     for k, _ in facet_antipode_pairs(p):
         members = tuple(sorted(facets[k].incident_vertices))
-        values = tuple(tuple(dot(f.coeffs, p.vertices[j]) for j in members) for f in facets)
+        if ctx.exact:
+            wrows = [vrows[j] for j in members]
+            values = tuple(tuple(Fraction(sum(map(mul, fi, wi)), fl * wl) for wi, wl in wrows)
+                           for fi, fl in frows)
+        else:
+            values = tuple(tuple(dot(f.coeffs, p.vertices[j]) for j in members) for f in facets)
         floors = []
         for row in values:
             signs = {ctx.sign(v) for v in row}

@@ -6,11 +6,13 @@ pivoting on the rational backend and max-magnitude pivoting on floats.
 
 :func:`rank` on the rational backend eliminates fraction-free. Each row is
 first scaled to integers by the lcm of its denominators, which leaves the
-rank alone. An elimination step replaces a row by ``row*piv - f*prow``,
-where ``piv`` is the pivot and ``f`` the row's entry in the pivot column,
-and then divides it by the gcd of its entries (:func:`eliminate`). So no
-``Fraction`` is built while eliminating, and the entries stay small. The
-simplex of :mod:`polyindex.linprog` pivots with the same two helpers.
+rank alone; a row of ints, such as a double-description ray of
+:mod:`polyindex.polytope`, is taken as it is. An elimination step replaces
+a row by ``row*piv - f*prow``, where ``piv`` is the pivot and ``f`` the
+row's entry in the pivot column, and then divides it by the gcd of its
+entries (:func:`eliminate`). So no ``Fraction`` is built while
+eliminating, and the entries stay small. The simplex of
+:mod:`polyindex.linprog` pivots with the same two helpers.
 """
 from __future__ import annotations
 
@@ -103,15 +105,21 @@ def inverse(a, ctx: Context):
     return transpose(cols)
 
 
-def integer_row(values) -> list:
-    """The Fractions ``values`` times the lcm of their denominators: a row of
-    ints that is a positive multiple of the given row."""
+def scaled_integer_row(values) -> tuple:
+    """``(ints, scale)``: the Fractions ``values`` times ``scale``, the lcm of
+    their denominators, as a row of ints; ``values[i] == ints[i] / scale``."""
     # Lists, not generators, go to lcm and gcd here and in eliminate: CPython
     # parks the argument tuple of a generator call in a free list of its
     # resized length, and those free lists grow with every call.
     dens = [x.denominator for x in values]
     scale = math.lcm(*dens)
-    return [x.numerator * (scale // d) for x, d in zip(values, dens)]
+    return [x.numerator * (scale // d) for x, d in zip(values, dens)], scale
+
+
+def integer_row(values) -> list:
+    """The Fractions ``values`` times the lcm of their denominators: a row of
+    ints that is a positive multiple of the given row."""
+    return scaled_integer_row(values)[0]
 
 
 def eliminate(row, prow, piv, col) -> list:
@@ -130,7 +138,8 @@ def eliminate(row, prow, piv, col) -> list:
 def rank(rows, ctx: Context) -> int:
     """Rank of a (not necessarily square) matrix given as an iterable of rows."""
     if ctx.exact:
-        work = [integer_row([ctx.coerce(x) for x in row]) for row in rows]
+        work = [list(row) if all(type(x) is int for x in row)
+                else integer_row([ctx.coerce(x) for x in row]) for row in rows]
     else:
         work = [list(map(ctx.coerce, row)) for row in rows]
     if not work:

@@ -10,17 +10,28 @@ the supporting functionals of the facets, scaled so each facet lies on
 ``{f = 1}``. The facets, their incidence with the vertices and their
 antipodal pairs are computed once per ball and kept on it.
 
+On the rational backend the double description runs on Python ints: each
+row is scaled to integers, and each ray is kept as the primitive integer
+vector on it (entries with gcd 1). A rational ray has exactly one such
+vector, so these are the rays that ``Fraction`` arithmetic reaches, in the
+same order and with the same zero sets; no ``Fraction`` is built until
+:func:`facet_enumeration` divides by the last coordinate. Exact equality is
+``==``, so duplicate and antipodal vertices are found through a dict on
+that backend (:class:`_PointIndex`); floats keep the tolerant scan.
+
 The Minkowski gauge of the ball (the norm itself) is then the maximum of
 ``|f(x)|`` over the facet functionals.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from .errors import ComputationError, InputError, ValidationError
-from .linalg import dot, rank, vneg, vscale, vsub
+from .linalg import dot, integer_row, rank, vneg, vscale, vsub
 from .scalars import Context, EXACT, Scalar, float_context, infer_exact
 
 
@@ -66,12 +77,13 @@ class Polytope:
 
     def _strip_redundant(self):
         ctx = self.ctx
-        kept = []
+        seen = _PointIndex((), ctx)
         for v in self.vertices:
-            if _index_of(kept, v, ctx) is not None:
+            if seen.find(v) is not None:
                 warnings.warn(f"dropping duplicate vertex {v}")
                 continue
-            kept.append(v)
+            seen.add(v)
+        kept = seen.points
         extreme = []
         for v, is_vertex in zip(kept, _vertex_flags(kept, _polar_cone(kept, ctx), ctx)):
             if not is_vertex:
@@ -90,8 +102,8 @@ class Polytope:
     def _antipode_map(self) -> tuple:
         """Per vertex v, the index of the first listed -v, or None if -v is missing."""
         if self._antipodes is None:
-            self._antipodes = tuple(_index_of(self.vertices, vneg(v), self.ctx)
-                                    for v in self.vertices)
+            index = _PointIndex(self.vertices, self.ctx)
+            self._antipodes = tuple(index.find(vneg(v)) for v in self.vertices)
         return self._antipodes
 
     def antipode_index(self, i: int) -> int:
@@ -138,19 +150,48 @@ class ValidationReport:
             raise ValidationError(self.violations)
 
 
-def _index_of(points, x, ctx: Context) -> Optional[int]:
-    """Index of the first point equal to x (within the context's tolerance), or None."""
-    for j, w in enumerate(points):
-        if all(ctx.eq(a, b) for a, b in zip(x, w)):
-            return j
-    return None
+class _PointIndex:
+    """The points added so far, looked up by value.
+
+    ``find(x)`` is the index of the first point equal to x, or None. Exact
+    equality is ``==`` and a ``Fraction`` hashes by its value, so on the
+    rational backend one dict of first indices answers. Equality within
+    eps is not transitive, so floats scan every point with ``ctx.eq``.
+    """
+
+    def __init__(self, points, ctx: Context):
+        self.ctx = ctx
+        self.points = []
+        self._first = {}
+        for v in points:
+            self.add(v)
+
+    def add(self, v):
+        if self.ctx.exact:
+            self._first.setdefault(v, len(self.points))
+        self.points.append(v)
+
+    def find(self, x) -> Optional[int]:
+        if self.ctx.exact:
+            return self._first.get(x)
+        eq = self.ctx.eq
+        for j, w in enumerate(self.points):
+            if all(eq(a, b) for a, b in zip(x, w)):
+                return j
+        return None
 
 
 def _polar_cone(points, ctx: Context):
     """Double description of {(f, t) : f . v <= t for every point v}, the
-    homogenized polar of the points; returns (rays, lineality)."""
+    homogenized polar of the points; returns (rays, lineality).
+
+    On the rational backend each row (-v, 1) is scaled to ints by the lcm
+    of its denominators, a positive factor that leaves the cone as it is.
+    """
     one = ctx.coerce(1)
     rows = [vneg(v) + (one,) for v in points]
+    if ctx.exact:
+        rows = [tuple(integer_row(row)) for row in rows]
     return _double_description(rows, len(points[0]) + 1, ctx)
 
 
@@ -172,8 +213,9 @@ def _vertex_flags(points, cone, ctx: Context) -> list:
         for i in zs:
             faces[i].append(r[:d])
     flags = [rank(face, ctx) == d for face in faces]
+    index = _PointIndex(points, ctx)
     for i, v in enumerate(points):
-        j = _index_of(points, v, ctx)
+        j = index.find(v)
         if j != i:
             flags[i] = flags[j] = False
     return flags
@@ -212,23 +254,29 @@ def validate(p: Polytope) -> ValidationReport:
 # ---------------------------------------------------------------------------
 
 def _normalize_ray(ray, ctx: Context):
+    """The ray scaled by a positive factor: on the exact backend an int
+    vector divided by the gcd of its entries, on floats divided by its
+    largest magnitude. A zero vector is returned as it is."""
     if ctx.exact:
-        from math import gcd
-        denom = 1
-        for x in ray:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ints = [int(x * denom) for x in ray]
-        g = 0
-        for n in ints:
-            g = gcd(g, abs(n))
-        if g == 0:
-            return ray
-        scale = ctx.coerce(denom) / g
-        return tuple(x * scale for x in ray)
+        # A tuple, never a generator, goes to gcd (see linalg.integer_row).
+        g = math.gcd(*ray)
+        return tuple(x // g for x in ray) if g > 1 else ray
     m = max(abs(x) for x in ray)
     if m == 0:
         return ray
     return tuple(x / m for x in ray)
+
+
+def _project(y, l0, a, al0, ctx: Context):
+    """y moved along l0 onto the hyperplane {a . y = 0}, where al0 = a . l0 > 0.
+
+    The exact backend returns the projection times al0, so int vectors
+    stay ints and the result is a positive multiple of the rational one.
+    """
+    if ctx.exact:
+        s = dot(a, y)
+        return tuple(x * al0 - z * s for x, z in zip(y, l0))
+    return vsub(y, vscale(l0, dot(a, y) / al0))
 
 
 def _double_description(rows, k: int, ctx: Context):
@@ -239,9 +287,20 @@ def _double_description(rows, k: int, ctx: Context):
     tight), and a basis of the lineality space, which is empty exactly
     when the cone is pointed. Incremental insertion with the combinatorial
     adjacency test.
+
+    On the exact backend the rows are int tuples and so is every vector.
+    A projection onto a new hyperplane (:func:`_project`) and the
+    combination ``sp*rm - sm*rp`` of two adjacent rays each give a positive
+    multiple of the vector that ``Fraction`` arithmetic gives, and
+    :func:`_normalize_ray` divides a ray by the gcd of its entries. The
+    primitive integer vector on a rational ray is unique, so every ray is
+    the one the ``Fraction`` run normalizes to, with the same signs against
+    every row, hence the same order and the same zero sets. A lineality
+    vector is a positive multiple of the ``Fraction`` one.
     """
     lineality = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-    lineality = [tuple(map(ctx.coerce, l)) for l in lineality]
+    if not ctx.exact:
+        lineality = [tuple(map(ctx.coerce, l)) for l in lineality]
     rays = []  # list of (vector, zeroset)
 
     for idx, a in enumerate(rows):
@@ -255,11 +314,11 @@ def _double_description(rows, k: int, ctx: Context):
                     break
             if pivot is not None:
                 al0 = dot(a, l0)
-                lineality = [vsub(l, vscale(l0, dot(a, l) / al0))
+                lineality = [_project(l, l0, a, al0, ctx)
                              for pos, l in enumerate(lineality) if pos != pivot]
                 # Project every ray onto the new hyperplane; they all become
                 # tight for this inequality, while l0 is the unique ray off it.
-                rays = [(_normalize_ray(vsub(r, vscale(l0, dot(a, r) / al0)), ctx), zs | {idx})
+                rays = [(_normalize_ray(_project(r, l0, a, al0, ctx), ctx), zs | {idx})
                         for r, zs in rays]
                 rays.append((_normalize_ray(l0, ctx), frozenset(range(idx))))
                 continue
@@ -328,7 +387,8 @@ def facet_enumeration(p: Polytope) -> tuple:
         t = r[d]
         if ctx.sign(t) <= 0:
             raise ComputationError(f"unexpected recession ray {r} in the polar body")
-        f = tuple(x / t for x in r[:d])
+        # Fraction(x, t), not x / t: on the exact backend x and t are ints.
+        f = tuple(Fraction(x, t) for x in r[:d]) if ctx.exact else tuple(x / t for x in r[:d])
         functionals.append(FacetFunctional(coeffs=f, incident_vertices=zs))
     functionals.sort(key=lambda f: f.coeffs)
     p._facets = tuple(functionals)

@@ -248,3 +248,127 @@ def reference_solve_lp(lp):
     point = tuple(point)
     value = sum(Fraction(c) * x for c, x in zip(lp.objective, point))
     return LPSolution(status="optimal", value=value, point=point, basis=tuple(sorted(basis)))
+
+
+def _reference_normalize_ray(ray):
+    denom = 1
+    for x in ray:
+        denom = denom * x.denominator // math.gcd(denom, x.denominator)
+    ints = [int(x * denom) for x in ray]
+    g = 0
+    for n in ints:
+        g = math.gcd(g, abs(n))
+    if g == 0:
+        return ray
+    scale = Fraction(denom) / g
+    return tuple(x * scale for x in ray)
+
+
+def reference_double_description(rows, k):
+    """The double description of ``polyindex.polytope`` with every entry a
+    Fraction: the same insertion order, lineality pivot and adjacency test,
+    but each projection divides by ``a . l0`` and each ray is normalized by
+    rescaling its Fractions. Returns ``(rays, lineality)`` to compare."""
+    def dot(a, b):
+        return sum(x * y for x, y in zip(a, b))
+
+    rows = [tuple(map(Fraction, row)) for row in rows]
+    lineality = [tuple(Fraction(int(i == j)) for i in range(k)) for j in range(k)]
+    rays = []
+    for idx, a in enumerate(rows):
+        if lineality:
+            pivot = next((pos for pos, l in enumerate(lineality) if dot(a, l) != 0), None)
+            if pivot is not None:
+                l0 = lineality[pivot]
+                if dot(a, l0) < 0:
+                    l0 = tuple(-x for x in l0)
+                al0 = dot(a, l0)
+
+                def project(y):
+                    s = dot(a, y) / al0
+                    return tuple(x - z * s for x, z in zip(y, l0))
+
+                lineality = [project(l) for pos, l in enumerate(lineality) if pos != pivot]
+                rays = [(_reference_normalize_ray(project(r)), zs | {idx}) for r, zs in rays]
+                rays.append((_reference_normalize_ray(l0), frozenset(range(idx))))
+                continue
+        plus, zero, minus = [], [], []
+        for r, zs in rays:
+            s = dot(a, r)
+            if s > 0:
+                plus.append((r, zs))
+            elif s == 0:
+                zero.append((r, zs | {idx}))
+            else:
+                minus.append((r, zs))
+        if not minus:
+            rays = plus + zero
+            continue
+        zerosets = [zs for _, zs in rays]
+        new = plus + zero
+        for rp, zp in plus:
+            sp = dot(a, rp)
+            for rm, zm in minus:
+                common = zp & zm
+                if any(common <= zs for zs in zerosets if zs is not zp and zs is not zm):
+                    continue
+                sm = dot(a, rm)
+                combined = tuple(sp * xm - sm * xp for xp, xm in zip(rp, rm))
+                new.append((_reference_normalize_ray(combined), common | {idx}))
+        rays = new
+    return rays, lineality
+
+
+def reference_polar_cone(points):
+    """:func:`reference_double_description` of the rows (-v, 1)."""
+    rows = [tuple(-Fraction(x) for x in v) + (Fraction(1),) for v in points]
+    return reference_double_description(rows, len(points[0]) + 1)
+
+
+def reference_index_of(points, x):
+    """Index of the first point equal to x, by a scan over every point."""
+    for j, w in enumerate(points):
+        if all(a == b for a, b in zip(x, w)):
+            return j
+    return None
+
+
+def reference_antipode_map(points):
+    return tuple(reference_index_of(points, tuple(-a for a in v)) for v in points)
+
+
+def reference_vertex_flags(points, cone):
+    """Whether each point is a vertex of the list, from a cone of
+    :func:`reference_polar_cone`: the rays tight at the point and the
+    lineality have rank d in their first d coordinates, and the point is
+    listed once (found by a scan)."""
+    rays, lineality = cone
+    d = len(points[0])
+    faces = [[l[:d] for l in lineality] for _ in points]
+    for r, zs in rays:
+        for i in zs:
+            faces[i].append(r[:d])
+    flags = [reference_rank(face) == d for face in faces]
+    for i, v in enumerate(points):
+        j = reference_index_of(points, v)
+        if j != i:
+            flags[i] = flags[j] = False
+    return flags
+
+
+def reference_strip(points):
+    """What ``Polytope(points, permissive=True)`` keeps, and the warnings it
+    gives, with repeats found by a scan: ``(kept points, messages)``."""
+    messages, kept = [], []
+    for v in points:
+        if reference_index_of(kept, v) is not None:
+            messages.append(f"dropping duplicate vertex {v}")
+        else:
+            kept.append(v)
+    extreme = []
+    for v, is_vertex in zip(kept, reference_vertex_flags(kept, reference_polar_cone(kept))):
+        if is_vertex:
+            extreme.append(v)
+        else:
+            messages.append(f"dropping non-extreme input point {v}")
+    return tuple(extreme), messages

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 import warnings
@@ -9,10 +10,12 @@ from hypothesis import given, settings, strategies as st
 from polyindex import (InputError, Operator, Polytope, ValidationError,
                        bipyramid_square_prism, facet_enumeration, gauge, incidence,
                        irregular_hexagon, linf_sum, oblique_prism, prism_with_pyramids,
-                       regular_2n_gon, validate)
+                       regular_2n_gon, scale_coordinate, segment, validate)
 from polyindex.linalg import dot, rank, vsub
-from polyindex.polytope import facet_antipode_pairs
-from helpers import brute_force_facets, random_symmetric_polytope
+from polyindex.polytope import _polar_cone, _vertex_flags, facet_antipode_pairs
+from polyindex.scalars import EXACT
+from helpers import (brute_force_facets, random_symmetric_polytope, reference_antipode_map,
+                     reference_polar_cone, reference_strip, reference_vertex_flags)
 
 
 def coeff_set(facets):
@@ -399,3 +402,101 @@ def test_facet_antipodes_of_a_tiny_float_hexagon():
                                                 for i in facets[k].incident_vertices}
         f, g = facets[k].coeffs, facets[k2].coeffs
         assert max(abs(a + b) for a, b in zip(f, g)) <= 1e-12 * max(map(abs, f))
+
+
+def _rational_balls():
+    hexagon = irregular_hexagon()
+    yield Polytope([(1, 1), (-1, 1), (-1, -1), (1, -1)])
+    yield hexagon
+    yield bipyramid_square_prism()
+    yield segment()
+    yield linf_sum(hexagon, hexagon)
+    yield linf_sum(hexagon, segment())
+    yield scale_coordinate(hexagon, 0, Fraction(3, 7))
+    yield Polytope([tuple(s * (k == j) for k in range(4)) for j in range(4) for s in (1, -1)])
+    yield Polytope(list(itertools.product((1, -1), repeat=4)))
+    # Float families with their binary coordinates taken exactly, denominators
+    # near 2^52; the antipodes are exact negations of one vertex per pair.
+    for q in (regular_2n_gon(5), oblique_prism(3, 0.5), prism_with_pyramids(2)):
+        yield Polytope([w for i in q.orbit_representatives()
+                        for w in (q.vertices[i], tuple(-x for x in q.vertices[i]))],
+                       backend="rational")
+
+
+def _assert_cone_matches_reference(points):
+    rays, lineality = _polar_cone(points, EXACT)
+    ref_rays, ref_lineality = reference_polar_cone(points)
+    assert all(type(x) is int for r, _ in rays for x in r)
+    assert [(tuple(map(Fraction, r)), zs) for r, zs in rays] == ref_rays
+    assert len(lineality) == len(ref_lineality)
+    for l, m in zip(lineality, ref_lineality):
+        i = next(i for i, y in enumerate(m) if y != 0)
+        c = Fraction(l[i]) / m[i]
+        assert c > 0 and all(Fraction(x) == c * y for x, y in zip(l, m)), (l, m)
+
+
+def test_integer_double_description_matches_fraction_reference():
+    for p in _rational_balls():
+        _assert_cone_matches_reference(p.vertices)
+        assert all(type(c) is Fraction for f in facet_enumeration(p) for c in f.coeffs), p
+
+
+_small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_huge = st.fractions(min_value=-3, max_value=3, max_denominator=10 ** 12)
+
+
+@st.composite
+def rational_point_sets(draw):
+    """Rational points in d = 2..5: symmetric or not, sometimes flat (a
+    nonempty lineality), with repeated and interior points, and with
+    denominators up to 10^12."""
+    d = draw(st.integers(2, 5))
+    coord = draw(st.sampled_from((_small, _huge, st.one_of(_small, _huge))))
+    pts = draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=d + 3))
+    if draw(st.booleans()):
+        pts += [tuple(-x for x in v) for v in pts]
+    if draw(st.integers(0, 3)) == 0:
+        pts = [v[:-1] + (Fraction(0),) for v in pts]
+    for _ in range(draw(st.integers(0, 2))):
+        pts.append(draw(st.sampled_from(pts)))
+    if draw(st.booleans()):
+        v, w = draw(st.sampled_from(pts)), draw(st.sampled_from(pts))
+        pts.append(tuple((a + b) / 2 for a, b in zip(v, w)))
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=80, deadline=None)
+@given(rational_point_sets())
+def test_integer_double_description_matches_fraction_reference_on_random_points(pts):
+    _assert_cone_matches_reference(Polytope(pts, backend="rational").vertices)
+
+
+def _repeated_point_sets(rng):
+    """Random symmetric rational point sets with some points repeated two
+    and three times, and sometimes one antipode removed."""
+    for trial in range(30):
+        dim = 2 + trial % 3
+        pts = []
+        for _ in range(rng.randint(dim, dim + 3)):
+            v = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(dim))
+            pts += [v, tuple(-x for x in v)]
+        for times in (2, 3):
+            pts += [rng.choice(pts)] * (times - 1)
+        if trial % 2:
+            pts.remove(rng.choice(pts))
+        rng.shuffle(pts)
+        yield pts
+
+
+def test_hashed_lookups_match_linear_scan():
+    for pts in _repeated_point_sets(random.Random(808)):
+        p = Polytope(pts, backend="rational")
+        assert p._antipode_map() == reference_antipode_map(p.vertices)
+        assert (_vertex_flags(p.vertices, _polar_cone(p.vertices, p.ctx), p.ctx)
+                == reference_vertex_flags(p.vertices, reference_polar_cone(p.vertices)))
+        kept, messages = reference_strip(p.vertices)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            stripped = Polytope(pts, backend="rational", permissive=True)
+        assert stripped.vertices == kept
+        assert [str(w.message) for w in caught] == messages
