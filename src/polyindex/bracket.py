@@ -83,46 +83,56 @@ class IndexBracket:
 
 @dataclass(frozen=True)
 class _SphereFacet:
-    """One facet of an antipodal facet pair, with the data its LPs need."""
+    """One facet of an antipodal facet pair, with the data its LPs need.
+
+    ``values`` and ``floors`` are keyed by facet index r and hold a row
+    only for the functionals f_r that some chosen set reads (the ``used``
+    argument of :func:`_sphere_facets`).
+    """
 
     index: int      # facet index k
     members: tuple  # sorted indices of the vertices on facet k
-    values: tuple   # values[r][a] = f_r(w_a) for every facet functional f_r, member w_a
-    floors: tuple   # floors[r] = min of |f_r| over facet k
+    values: dict    # values[r][a] = f_r(w_a) for each facet functional f_r in use, member w_a
+    floors: dict    # floors[r] = min of |f_r| over facet k
 
 
-def _sphere_facets(p: Polytope) -> tuple:
-    """The facet table of the sphere, one entry per antipodal facet pair.
+def _sphere_facets(p: Polytope, used) -> tuple:
+    """The facet table of the sphere, one entry per antipodal facet pair,
+    in ascending facet index, tabulated for the facet functionals ``used``.
 
     f_r is affine on a facet, so over the facet it takes exactly the convex
     combinations of its values at the facet's vertices: when those values
-    share a strict sign, the minimum of |f_r| is the least of them, and
-    otherwise it is 0.
+    share a strict sign, the minimum of |f_r| is the least of them in
+    absolute value, and otherwise it is 0.
 
     On the exact backend every facet row and vertex row is kept as ints
     with its lcm scale, and each value f_r(w_a) is built as one
     ``Fraction(F_r . W_a, L_r * L_a)`` instead of a ``Fraction`` dot product.
+    Floats sum the same products in the same order as ``linalg.dot``.
     """
     ctx = p.ctx
     zero = ctx.coerce(0)
     facets = facet_enumeration(p)
+    used = sorted(used)
     if ctx.exact:
-        frows = [scaled_integer_row(f.coeffs) for f in facets]
+        frows = [scaled_integer_row(facets[r].coeffs) for r in used]
         vrows = [scaled_integer_row(v) for v in p.vertices]
     table = []
     for k, _ in facet_antipode_pairs(p):
         members = tuple(sorted(facets[k].incident_vertices))
         if ctx.exact:
             wrows = [vrows[j] for j in members]
-            values = tuple(tuple(Fraction(sum(map(mul, fi, wi)), fl * wl) for wi, wl in wrows)
-                           for fi, fl in frows)
+            rows = [tuple(Fraction(sum(map(mul, fi, wi)), fl * wl) for wi, wl in wrows)
+                    for fi, fl in frows]
         else:
-            values = tuple(tuple(dot(f.coeffs, p.vertices[j]) for j in members) for f in facets)
-        floors = []
-        for row in values:
-            signs = {ctx.sign(v) for v in row}
-            floors.append(min(map(abs, row)) if signs in ({1}, {-1}) else zero)
-        table.append(_SphereFacet(index=k, members=members, values=values, floors=tuple(floors)))
+            wrows = [p.vertices[j] for j in members]
+            rows = [tuple(sum(map(mul, facets[r].coeffs, w)) for w in wrows) for r in used]
+        values = dict(zip(used, rows))
+        floors = {}
+        for r, row in values.items():
+            lo, hi = min(row), max(row)
+            floors[r] = lo if ctx.sign(lo) > 0 else -hi if ctx.sign(hi) < 0 else zero
+        table.append(_SphereFacet(index=k, members=members, values=values, floors=floors))
     return tuple(table)
 
 
@@ -139,17 +149,24 @@ def vertex_minimax(p: Polytope, vertex_index: int,
     conv(w_1..w_k), minimize t subject to x = sum lam_j w_j,
     sum lam_j = 1, lam >= 0 and -t <= f_r(x) <= t for every r.
 
-    A facet's LP is skipped when it cannot win. Its value is at least the
-    largest, over the chosen r, of the minimum of |f_r| on the facet
-    (see :func:`_sphere_facets`), which needs no LP. The loop keeps the
-    first strict minimum, so a facet whose bound exceeds the best value so
-    far (exactly on rationals, by more than eps on floats) could never
-    replace it, and its LP is skipped. A bound that ties the best within
-    eps is still solved: on floats its LP value may round below the best.
-    So the value, the sphere facet and the minimizer are the ones that
-    solving every LP gives.
+    A facet's LP value is at least its bound: the largest, over the chosen
+    r, of the minimum of |f_r| on the facet (see :func:`_sphere_facets`),
+    which needs no LP. The facets are visited in ascending bound order,
+    ties in facet index order, and the result is the least
+    (value, facet index) among the LPs solved. Once the best value so far
+    is below a facet's bound (exactly on rationals, by more than eps on
+    floats), that facet and every later one has a value above the best, so
+    none of them could replace it, and the loop stops. A bound that ties
+    the best within eps is still solved: on floats its LP value may round
+    below the best. So the value, the sphere facet and the minimizer are
+    the least (value, facet index) over all facets, which is the first
+    strict minimum in facet index order that solving every LP gives.
+
+    The facet table is tabulated only for the facets incident to the
+    vertex; :func:`lower_bound` builds one table for all orbits.
     """
-    return _vertex_minimax(p, _sphere_facets(p), vertex_index, subset)
+    sphere = _sphere_facets(p, incidence(p).vertex_to_facets[vertex_index])
+    return _vertex_minimax(p, sphere, vertex_index, subset)
 
 
 def _vertex_minimax(p, sphere, vertex_index, subset) -> VertexBound:
@@ -171,10 +188,12 @@ def _vertex_minimax(p, sphere, vertex_index, subset) -> VertexBound:
             f"functionals at vertex {vertex_index} have a nontrivial common kernel; "
             "the min-max over the sphere would be 0")
 
+    bounds = [max(sf.floors[r] for r in chosen) for sf in sphere]
     best = None
-    for sf in sphere:
-        if best is not None and ctx.lt(best[0], max(sf.floors[r] for r in chosen)):
-            continue
+    for s in sorted(range(len(sphere)), key=bounds.__getitem__):
+        sf = sphere[s]
+        if best is not None and ctx.lt(best[0], bounds[s]):
+            break  # the bounds only grow from here
         members = sf.members
         nl = len(members)
         # variables: lam_1..lam_nl, t
@@ -196,7 +215,7 @@ def _vertex_minimax(p, sphere, vertex_index, subset) -> VertexBound:
         if not sol.is_optimal:
             raise ComputationError(f"vertex {vertex_index}, sphere facet {sf.index}: "
                                    f"facet LP unexpectedly {sol.status}")
-        if best is None or sol.value < best[0]:
+        if best is None or (sol.value, sf.index) < best[:2]:
             lams = sol.point[:nl]
             x = tuple(sum(lams[a] * p.vertices[j][c] for a, j in enumerate(members))
                       for c in range(p.dim))
@@ -216,14 +235,17 @@ def lower_bound(p: Polytope, subsets: Optional[Mapping[int, Sequence[int]]] = No
     """Certified lower bound on the numerical index: min over vertex orbits
     of the per-vertex min-max. Antipodal vertices share the same bound and
     are computed once, and the facet table of the sphere is built once for
-    all orbits.
+    all orbits, tabulated for the facets incident to some orbit
+    representative.
 
     ``subsets`` optionally maps vertex indices to explicit functional
     subsets (the same subset, negated, is implied at the antipode).
     """
-    sphere = _sphere_facets(p)
+    reps = p.orbit_representatives()
+    v2f = incidence(p).vertex_to_facets
+    sphere = _sphere_facets(p, {r for i in reps for r in v2f[i]})
     entries = tuple(_vertex_minimax(p, sphere, i, None if subsets is None else subsets.get(i))
-                    for i in p.orbit_representatives())
+                    for i in reps)
     cert = LowerBoundCertificate(entries=entries)
     return cert.minimum, cert
 

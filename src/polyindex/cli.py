@@ -23,6 +23,7 @@ from .errors import InputError, PolyindexError
 from .families import (FAMILIES, bipyramid_square_prism, irregular_hexagon, linf_sum,
                        oblique_prism, prism_with_pyramids, prism_with_pyramids_witness,
                        prism_witness_operator, pyramid_witness_operator, scale_coordinate)
+from .linalg import rank
 from .operators import operator_norm, radius_profile
 from .polytope import facet_enumeration, gauge, incidence
 from .scalars import parse_rational
@@ -178,6 +179,20 @@ def cmd_radius(args) -> int:
     return 0
 
 
+def _spanning_facets(p, i) -> tuple:
+    """The first facets incident to vertex i, in order, whose normals raise
+    the rank, up to ``p.dim`` of them. The incident normals at a vertex span
+    the space, so the normals chosen are a basis."""
+    facets = facet_enumeration(p)
+    chosen = []
+    for k in incidence(p).vertex_to_facets[i]:
+        if rank([facets[r].coeffs for r in chosen + [k]], p.ctx) > len(chosen):
+            chosen.append(k)
+            if len(chosen) == p.dim:
+                break
+    return tuple(chosen)
+
+
 def cmd_bound(args) -> int:
     p, embedded = _load_polytope(args)
     witnesses = [operator_from_document(_read_json(path, "witness"), eps=args.eps)
@@ -186,8 +201,7 @@ def cmd_bound(args) -> int:
         witnesses = [embedded]
     subsets = None
     if args.policy == "subset":
-        v2f = incidence(p).vertex_to_facets
-        subsets = {i: v2f[i][: p.dim] for i in p.orbit_representatives()}
+        subsets = {i: _spanning_facets(p, i) for i in p.orbit_representatives()}
     search = SearchConfig(budget=args.search, seed=args.seed) if args.search else None
     bracket = index_bracket(p, witnesses=witnesses, search=search, subsets=subsets)
     results = {
@@ -370,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--search", type=int, default=0,
                     help="budget of objective evaluations for the local search (default off)")
     sp.add_argument("--policy", choices=("all", "subset"), default="all",
-                    help="functionals per vertex: all incident facets, or the first d")
+                    help="functionals per vertex: all incident facets, or the first d "
+                         "with independent normals")
     sp.add_argument("--seed", type=int, default=0, help="seed for the local search")
     sp.set_defaults(func=cmd_bound)
 

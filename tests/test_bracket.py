@@ -10,8 +10,8 @@ from polyindex import (ComputationError, InputError, LinearProgram, Operator, Po
                        SearchConfig, bipyramid_square_prism, facet_enumeration, gauge,
                        incidence, index_bracket, irregular_hexagon, linf_sum, lower_bound,
                        numerical_radius, oblique_prism, operator_norm, polygon_witness_operator,
-                       prism_witness_operator, pyramid_witness_operator, regular_2n_gon,
-                       solve_lp, upper_bound, vertex_minimax)
+                       prism_with_pyramids, prism_witness_operator, pyramid_witness_operator,
+                       regular_2n_gon, solve_lp, upper_bound, vertex_minimax)
 from polyindex.linalg import dot, rank
 from polyindex.polytope import facet_antipode_pairs
 from helpers import (boundary_minimax_2d, random_rational_matrix, random_symmetric_polytope,
@@ -208,13 +208,22 @@ def _reference_minimax(p, facets, chosen):
 
 @pytest.mark.parametrize("make", [irregular_hexagon, bipyramid_square_prism,
                                   lambda: linf_sum(irregular_hexagon(), irregular_hexagon()),
-                                  lambda: regular_2n_gon(40)],
-                         ids=["hexagon", "bipyramid", "linf_hexagons", "80-gon"])
+                                  lambda: regular_2n_gon(40),
+                                  lambda: oblique_prism(5, 0.5),
+                                  lambda: prism_with_pyramids(4),
+                                  lambda: random_symmetric_polytope(random.Random(3), 3, 6),
+                                  lambda: random_symmetric_polytope(random.Random(4), 4, 6)],
+                         ids=["hexagon", "bipyramid", "linf_hexagons", "80-gon",
+                              "oblique_prism(5,1/2)", "prism_with_pyramids(4)",
+                              "random_d3", "random_d4"])
 def test_skipped_facet_lps_change_nothing(make):
     p = make()
     facets = facet_enumeration(p)
     inc = incidence(p)
-    for i in p.orbit_representatives():
+    reps = p.orbit_representatives()
+    # Every orbit, and one vertex that is not an orbit representative: the
+    # facet table vertex_minimax builds for it holds only its own functionals.
+    for i in reps + (p.antipode_index(reps[0]),):
         incident = inc.vertex_to_facets[i]
         # A different functional order, and a proper subset where one exists.
         subset = next(tuple(reversed(sub)) for sub in combinations(incident, p.dim)
@@ -243,8 +252,9 @@ def test_lower_bound_work_counts(monkeypatch):
     assert len(pairings) == 2 and pairings[1] is pairings[0]
     orbits, pairs = len(br.lower_certificate.entries), len(facet_enumeration(p)) // 2
     assert (orbits, pairs) == (40, 40)
-    # LPs whose facet cannot beat the best value so far are skipped.
-    assert 0 < len(results["solve_lp"]) < orbits * pairs
+    # Facets are visited by their bound, and the loop stops at the first
+    # one that cannot beat the best value so far.
+    assert 0 < len(results["solve_lp"]) <= 2 * orbits
 
 
 def test_lower_bound_failures_name_vertex_and_facet(hexagon, monkeypatch):
@@ -255,7 +265,20 @@ def test_lower_bound_failures_name_vertex_and_facet(hexagon, monkeypatch):
     monkeypatch.setattr(bracket_module, "solve_lp", failing)
     with pytest.raises(ComputationError) as exc:
         lower_bound(hexagon)
-    first = facet_antipode_pairs(hexagon)[0][0]
+    # The first LP attempted is on the sphere facet with the least bound
+    # for vertex 0 (the largest floor of its functionals), ties to the
+    # lowest facet index.
+    facets = facet_enumeration(hexagon)
+    chosen = incidence(hexagon).vertex_to_facets[0]
+
+    def bound(k):
+        floors = []
+        for r in chosen:
+            vals = [dot(facets[r].coeffs, hexagon.vertices[j]) for j in facets[k].incident_vertices]
+            floors.append(min(map(abs, vals)) if min(vals) > 0 or max(vals) < 0 else 0)
+        return max(floors)
+
+    first = min((bound(k), k) for k, _ in facet_antipode_pairs(hexagon))[1]
     assert str(exc.value) == f"vertex 0, sphere facet {first}: phase 1 cannot be unbounded"
     assert isinstance(exc.value.__cause__, ComputationError)
 

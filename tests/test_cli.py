@@ -1,17 +1,20 @@
 import gc
 import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import polyindex.operators as operators_module
-from polyindex import (Operator, bipyramid_square_prism, cli, numerical_radius, oblique_prism,
-                       operator_norm, prism_witness_operator, pyramid_witness_operator,
-                       radius_profile)
+from polyindex import (Operator, bipyramid_square_prism, cli, facet_enumeration, incidence,
+                       numerical_radius, oblique_prism, operator_norm, prism_witness_operator,
+                       pyramid_witness_operator, radius_profile)
 from polyindex.cli import main
 from polyindex.documents import operator_to_document, polytope_to_document, scalar_to_json
 from polyindex.families import irregular_hexagon
+from polyindex.linalg import rank
+from helpers import random_symmetric_polytope
 
 
 def run(capsys, *argv):
@@ -158,6 +161,42 @@ def test_policy_subset(capsys, hexagon_file):
     sub = run_json(capsys, "bound", "-i", hexagon_file, "--policy", "subset")
     assert full["results"]["lower"] == sub["results"]["lower"]
     assert sub["config"]["policy"] == "subset"
+
+
+def test_policy_subset_skips_dependent_facets(capsys, tmp_path):
+    # A linear image of the 4-cube: at vertex 0 the first four incident
+    # facets have dependent normals, so the subset takes facet 8 instead of 3.
+    path = tmp_path / "ball.json"
+    path.write_text(json.dumps({"dim": 4, "scalar": "rational", "vertices": [
+        [-1, 0, -1, 2], [1, 0, 1, -2], [0, -3, 2, 2], [0, 3, -2, -2],
+        [1, 1, 1, 1], [-1, -1, -1, -1], [2, 0, 0, 1], [-2, 0, 0, -1]]}))
+    full = run_json(capsys, "bound", "-i", str(path))
+    assert (full["results"]["lower"], full["results"]["status"]) == (1, "tight")
+    sub = run_json(capsys, "bound", "-i", str(path), "--policy", "subset")
+    assert [e["functionals"] for e in sub["results"]["vertex_bounds"]][0] == [0, 1, 2, 8]
+    assert sub["results"]["lower"] == "1/5"
+
+
+def test_policy_subset_spans_on_random_balls(capsys, tmp_path):
+    rng = random.Random(5)
+    path = tmp_path / "ball.json"
+    dependent = 0
+    for trial in range(24):
+        p = random_symmetric_polytope(rng, 3 + trial % 2, n_pairs=rng.randint(4, 6))
+        path.write_text(json.dumps(polytope_to_document(p)))
+        report = run_json(capsys, "bound", "-i", str(path), "--policy", "subset")
+        facets, v2f = facet_enumeration(p), incidence(p).vertex_to_facets
+        for e in report["results"]["vertex_bounds"]:
+            chosen, incident = e["functionals"], v2f[e["vertex"]]
+            # p.dim incident facets, in incidence order, with independent normals.
+            assert len(chosen) == p.dim and rank([facets[k].coeffs for k in chosen], p.ctx) == p.dim
+            assert chosen == [k for k in incident if k in chosen]
+            first = list(incident[:p.dim])
+            if rank([facets[k].coeffs for k in first], p.ctx) == p.dim:
+                assert chosen == first
+            else:
+                dependent += 1
+    assert dependent > 0
 
 
 def test_search_seed_determinism(capsys, hexagon_file):
