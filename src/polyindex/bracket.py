@@ -25,10 +25,11 @@ from operator import itemgetter, mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, InputError
-from .linalg import dot, matvec, rank, scaled_integer_row
+from .linalg import dot, matvec, rank
 from .linprog import LinearProgram, solve_lp
 from .operators import Operator, RadiusCertificate, numerical_radius, operator_norm
-from .polytope import Polytope, facet_antipode_pairs, facet_enumeration, incidence
+from .polytope import (Polytope, evaluation_table, facet_antipode_pairs, facet_enumeration,
+                       incidence)
 from .scalars import Scalar
 
 
@@ -96,6 +97,16 @@ class _SphereFacet:
     floors: dict    # floors[r] = min of |f_r| over facet k
 
 
+def _own_scale(row, scale) -> tuple:
+    """``(ints, lcm)``: an integer table row ``row`` over the common
+    ``scale`` divided by their gcd. The result is the row's own
+    ``linalg.scaled_integer_row``: for each prime, some entry of the
+    ``Fraction`` row carries the full power of it in the row's lcm, and so
+    leaves a scaled entry prime to it."""
+    g = math.gcd(*row, scale)
+    return [x // g for x in row], scale // g
+
+
 def _sphere_facets(p: Polytope, used) -> tuple:
     """The facet table of the sphere, one entry per antipodal facet pair,
     in ascending facet index, tabulated for the facet functionals ``used``.
@@ -105,18 +116,22 @@ def _sphere_facets(p: Polytope, used) -> tuple:
     share a strict sign, the minimum of |f_r| is the least of them in
     absolute value, and otherwise it is 0.
 
-    On the exact backend every facet row and vertex row is kept as ints
-    with its lcm scale, and each value f_r(w_a) is built as one
-    ``Fraction(F_r . W_a, L_r * L_a)`` instead of a ``Fraction`` dot product.
-    Floats sum the same products in the same order as ``linalg.dot``.
+    The values are dot products of the rows of the ball's evaluation table
+    (:func:`polytope.evaluation_table`). On the exact backend each integer
+    row is first brought back to its own scale (:func:`_own_scale`), and
+    each value is built as one ``Fraction(F_r . W_a, L_r * L_a)`` instead
+    of a ``Fraction`` dot product: the ball-wide scales would make every
+    value's integers and gcd as large as the lcm over all rows. Floats sum
+    the same products in the same order as ``linalg.dot``.
     """
     ctx = p.ctx
     zero = ctx.coerce(0)
     facets = facet_enumeration(p)
+    ev = evaluation_table(p)
     used = sorted(used)
     if ctx.exact:
-        frows = [scaled_integer_row(facets[r].coeffs) for r in used]
-        vrows = [scaled_integer_row(v) for v in p.vertices]
+        frows = [_own_scale(ev.facets[r], ev.facet_scale) for r in used]
+        vrows = [_own_scale(w, ev.vertex_scale) for w in ev.vertices]
     table = []
     for k, _ in facet_antipode_pairs(p):
         members = tuple(sorted(facets[k].incident_vertices))
@@ -125,8 +140,8 @@ def _sphere_facets(p: Polytope, used) -> tuple:
             rows = [tuple(Fraction(sum(map(mul, fi, wi)), fl * wl) for wi, wl in wrows)
                     for fi, fl in frows]
         else:
-            wrows = [p.vertices[j] for j in members]
-            rows = [tuple(sum(map(mul, facets[r].coeffs, w)) for w in wrows) for r in used]
+            wrows = [ev.vertices[j] for j in members]
+            rows = [tuple(sum(map(mul, ev.facets[r], w)) for w in wrows) for r in used]
         values = dict(zip(used, rows))
         floors = {}
         for r, row in values.items():

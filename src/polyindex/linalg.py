@@ -116,6 +116,15 @@ def scaled_integer_row(values) -> tuple:
     return [x.numerator * (scale // d) for x, d in zip(values, dens)], scale
 
 
+def scaled_integer_rows(rows) -> tuple:
+    """``(int rows, scale)``: every row of the rectangular Fraction matrix
+    ``rows`` times one common scale, the lcm of all their denominators, as a
+    tuple of int tuples."""
+    flat, scale = scaled_integer_row([x for row in rows for x in row])
+    d = len(rows[0])
+    return tuple(tuple(flat[i:i + d]) for i in range(0, len(flat), d)), scale
+
+
 def integer_row(values) -> list:
     """The Fractions ``values`` times the lcm of their denominators: a row of
     ints that is a positive multiple of the given row."""

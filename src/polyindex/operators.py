@@ -5,16 +5,28 @@ a vertex of the ball, and the numerical radius only needs the extreme
 points of the primal and dual balls, i.e. the incident (vertex, facet)
 pairs. Everything here is exhaustive enumeration — no optimization, so
 the results are exact on the rational backend.
+
+Both read the ball's evaluation table (:func:`polytope.evaluation_table`).
+On a rational ball with a rational operator T, the matrix is scaled once to
+ints, M = L_T T, and each vertex row becomes the int image M W_a. Then
+f_r(T v_a) = F_r . M W_a / (L_F L_T L_W): every comparison is between ints
+over one common positive denominator, and the answer is built as one
+``Fraction``. On floats the same loops run on the coefficient tuples,
+summing the same products in the same order as ``linalg.dot``, so every
+float result is the one a ``dot`` per pair gives. A mixed pair (a float
+operator on a rational ball, or the reverse) uses the facet coefficients
+and vertices as they are, in float arithmetic.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
+from fractions import Fraction
+from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import ComputationError, InputError
-from .linalg import dot, identity, inverse, matmul, matvec, transpose
-from .polytope import Polytope, facet_enumeration, gauge, incidence
+from .linalg import identity, inverse, matmul, matvec, scaled_integer_rows, transpose
+from .polytope import Polytope, evaluation_table, facet_enumeration, incidence
 from .scalars import Context, EXACT, Scalar, float_context, infer_exact
 
 
@@ -105,18 +117,57 @@ def _check_dims(p: Polytope, op: Operator):
                          f"space has dimension {p.dim}")
 
 
+def _evaluation(p: Polytope, op: Operator):
+    """``(facet rows, images, scale)``: images[a] is T v_a as a row that the
+    facet rows dot with, and f_r(T v_a) is that dot product divided by
+    ``scale``, or the dot product itself when ``scale`` is None."""
+    _check_dims(p, op)
+    if p.ctx.exact != op.ctx.exact:
+        # A mixed pair: the coefficients and vertices as they are, in floats.
+        rows = [f.coeffs for f in facet_enumeration(p)]
+        matrix, vertices, scale = op.matrix, p.vertices, None
+    else:
+        table = evaluation_table(p)
+        rows, vertices = table.facets, table.vertices
+        matrix, scale = op.matrix, None
+        if p.ctx.exact:
+            matrix, op_scale = scaled_integer_rows(op.matrix)
+            scale = table.facet_scale * op_scale * table.vertex_scale
+    images = [tuple(sum(map(mul, row, v)) for row in matrix) for v in vertices]
+    return rows, images, scale
+
+
+def _value(x, scale):
+    return x if scale is None else Fraction(x, scale)
+
+
 def operator_norm(p: Polytope, op: Operator):
     """(norm, attaining vertex index); the norm is max over vertices of gauge(T v).
 
     Ties go to the lowest vertex index.
     """
-    _check_dims(p, op)
+    rows, images, scale = _evaluation(p, op)
     best, best_i = None, None
-    for i, v in enumerate(p.vertices):
-        g = gauge(p, op(v))
+    for i, tv in enumerate(images):
+        g = max(abs(sum(map(mul, f, tv))) for f in rows)
         if best is None or g > best:
             best, best_i = g, i
-    return best, best_i
+    return _value(best, scale), best_i
+
+
+def _radius_rows(p: Polytope, op: Operator):
+    """Per vertex (index, max incident |f(T v)| unscaled, its facet), ties to
+    the lowest facet index, and the scale of the values."""
+    rows, images, scale = _evaluation(p, op)
+    table = []
+    for i, (tv, facets) in enumerate(zip(images, incidence(p).vertex_to_facets)):
+        best, best_k = None, None
+        for k in facets:
+            val = abs(sum(map(mul, rows[k], tv)))
+            if best is None or val > best:
+                best, best_k = val, k
+        table.append((i, best, best_k))
+    return table, scale
 
 
 def numerical_radius(p: Polytope, op: Operator) -> RadiusCertificate:
@@ -125,24 +176,14 @@ def numerical_radius(p: Polytope, op: Operator) -> RadiusCertificate:
     The first row of :func:`radius_profile` with the largest value, so ties
     are broken by lowest (vertex index, facet index).
     """
-    best = max(radius_profile(p, op), key=attrgetter("value"))
-    return RadiusCertificate(value=best.value, vertex_index=best.vertex_index,
-                             facet_index=best.facet_index)
+    table, scale = _radius_rows(p, op)
+    i, best, k = max(table, key=itemgetter(1))
+    return RadiusCertificate(value=_value(best, scale), vertex_index=i, facet_index=k)
 
 
 def radius_profile(p: Polytope, op: Operator) -> tuple:
     """Per-vertex table of max incident |f(T v)|, ties to the lowest facet
     index; its overall max is the radius."""
-    _check_dims(p, op)
-    facets = facet_enumeration(p)
-    inc = incidence(p)
-    rows = []
-    for i, v in enumerate(p.vertices):
-        tv = op(v)
-        best, best_k = None, None
-        for k in inc.vertex_to_facets[i]:
-            val = abs(dot(facets[k].coeffs, tv))
-            if best is None or val > best:
-                best, best_k = val, k
-        rows.append(ProfileRow(vertex_index=i, value=best, facet_index=best_k))
-    return tuple(rows)
+    table, scale = _radius_rows(p, op)
+    return tuple(ProfileRow(vertex_index=i, value=_value(best, scale), facet_index=k)
+                 for i, best, k in table)

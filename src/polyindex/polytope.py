@@ -21,6 +21,17 @@ that backend (:class:`_PointIndex`); floats keep the tolerant scan.
 
 The Minkowski gauge of the ball (the norm itself) is then the maximum of
 ``|f(x)|`` over the facet functionals.
+
+The operator maxima evaluate the facet functionals from one table per ball
+(:func:`evaluation_table`), built on first use. On the rational backend it
+holds every facet row and every vertex row as Python ints with one common
+scale per table, f_r = F_r / L_F and v_a = W_a / L_W, so a value f_r(x)
+is an int dot product and a maximum over many of them is an int
+comparison; a ``Fraction`` is built once per answer. On floats it holds
+the coefficient tuples and vertices as they are. The operator norm and
+numerical radius of :mod:`polyindex.operators` and the facet table of the
+lower bound read it; a mixed pair (a float operator on a rational ball, or
+the reverse) is evaluated on the raw coefficients in float arithmetic.
 """
 from __future__ import annotations
 
@@ -31,7 +42,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ComputationError, InputError, ValidationError
-from .linalg import dot, integer_row, rank, vneg, vscale, vsub
+from .linalg import dot, integer_row, rank, scaled_integer_rows, vneg, vscale, vsub
 from .scalars import Context, EXACT, Scalar, float_context, infer_exact
 
 
@@ -73,7 +84,7 @@ class Polytope:
             self._strip_redundant()
         self._antipodes = None
         self._cone = None  # polar cone (rays, lineality), stored once validation passes
-        self._facets = self._incidence = self._facet_pairs = None
+        self._facets = self._incidence = self._facet_pairs = self._table = None
 
     def _strip_redundant(self):
         ctx = self.ctx
@@ -138,6 +149,24 @@ class Incidence:
 
     vertex_to_facets: tuple  # tuple of sorted tuples of facet indices
     facet_to_vertices: tuple  # tuple of sorted tuples of vertex indices
+
+
+@dataclass(frozen=True)
+class EvaluationTable:
+    """The facet functionals and the vertices as rows for dot products.
+
+    On the rational backend ``facets[r]`` is F_r = L_F f_r and
+    ``vertices[a]`` is W_a = L_W v_a, tuples of Python ints, where the
+    scales L_F and L_W are the lcm of every denominator among the facet
+    coefficients and among the vertex coordinates: f_r(v_a) is
+    F_r . W_a / (L_F L_W). On floats the rows are the coefficient tuples and
+    the vertices as they are, and both scales are 1.
+    """
+
+    facets: tuple
+    facet_scale: int
+    vertices: tuple
+    vertex_scale: int
 
 
 @dataclass(frozen=True)
@@ -408,6 +437,21 @@ def incidence(p: Polytope) -> Incidence:
                 v2f[i].append(k)
         p._incidence = Incidence(vertex_to_facets=tuple(map(tuple, v2f)), facet_to_vertices=f2v)
     return p._incidence
+
+
+def evaluation_table(p: Polytope) -> EvaluationTable:
+    """The ball's facet and vertex rows (see :class:`EvaluationTable`).
+
+    Computed once per ball.
+    """
+    if p._table is None:
+        facets = [f.coeffs for f in facet_enumeration(p)]
+        if p.ctx.exact:
+            p._table = EvaluationTable(*scaled_integer_rows(facets),
+                                       *scaled_integer_rows(p.vertices))
+        else:
+            p._table = EvaluationTable(tuple(facets), 1, p.vertices, 1)
+    return p._table
 
 
 def gauge(p: Polytope, x) -> Scalar:

@@ -372,3 +372,43 @@ def reference_strip(points):
         else:
             messages.append(f"dropping non-extreme input point {v}")
     return tuple(extreme), messages
+
+
+def reference_operator_values(p, matrix):
+    """Operator norm, radius profile and numerical radius of ``matrix`` on
+    the ball ``p`` by brute force: one ``linalg.dot`` per (vertex, facet)
+    pair, exact on Fractions and in the library's float order on floats.
+
+    Returns ``(norm, profile, radius)``: ``norm`` is (value, first vertex
+    attaining it), ``profile[i]`` is (max incident value at vertex i, first
+    facet attaining it), and ``radius`` is (value, vertex, facet) of the
+    first largest profile row.
+    """
+    from polyindex import facet_enumeration, incidence
+    from polyindex.linalg import dot, matvec
+    facets = [f.coeffs for f in facet_enumeration(p)]
+    v2f = incidence(p).vertex_to_facets
+    norm, profile = None, []
+    for i, v in enumerate(p.vertices):
+        tv = matvec(matrix, v)
+        values = [abs(dot(f, tv)) for f in facets]
+        g = max(values)
+        if norm is None or g > norm[0]:
+            norm = (g, i)
+        best = None
+        for k in v2f[i]:
+            if best is None or values[k] > best[0]:
+                best = (values[k], k)
+        profile.append(best)
+    radius = None
+    for i, (value, k) in enumerate(profile):
+        if radius is None or value > radius[0]:
+            radius = (value, i, k)
+    return norm, tuple(profile), radius
+
+
+def reference_gauge(p, x):
+    """max |f(x)| over the facet functionals, one ``linalg.dot`` each."""
+    from polyindex import facet_enumeration
+    from polyindex.linalg import dot
+    return max(abs(dot(f.coeffs, x)) for f in facet_enumeration(p))

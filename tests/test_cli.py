@@ -1,11 +1,16 @@
 import gc
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polyindex
 import polyindex.operators as operators_module
 from polyindex import (Operator, bipyramid_square_prism, cli, facet_enumeration, incidence,
                        numerical_radius, oblique_prism, operator_norm, prism_witness_operator,
@@ -357,3 +362,23 @@ def test_bound_on_tiny_float_hexagon(capsys, tmp_path):
         "vertices": [[float(x) * 1e-8 for x in v] for v in irregular_hexagon().vertices]}))
     report = run_json(capsys, "bound", "-i", str(path))
     assert abs(report["results"]["lower"] - 5 / 17) <= 1e-12 * (5 / 17)
+
+
+def test_closed_pipe_exits_1_without_traceback(tmp_path):
+    # `polyindex radius ... | head`: the reader is gone before the report is
+    # written. The read end is closed first, so every write fails.
+    doc = tmp_path / "prism.json"
+    doc.write_text(json.dumps(polytope_to_document(
+        oblique_prism(5, 0.5), witness=prism_witness_operator(5, 0.5))))
+    src = str(Path(polyindex.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "polyindex.cli", "radius", "-i", str(doc)],
+                              stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""

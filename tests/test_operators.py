@@ -3,12 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from polyindex import (ComputationError, InputError, Operator, facet_enumeration, gauge,
-                       incidence, numerical_radius, oblique_prism, operator_norm,
-                       prism_witness_operator, pyramid_witness_operator, radius_profile)
-from polyindex.linalg import dot
-from helpers import random_rational_matrix
+from polyindex import (ComputationError, InputError, Operator, Polytope, facet_enumeration,
+                       gauge, numerical_radius, oblique_prism, operator_norm,
+                       polygon_witness_operator, prism_witness_operator,
+                       pyramid_witness_operator, radius_profile, regular_2n_gon)
+from helpers import (random_rational_matrix, random_symmetric_polytope, reference_gauge,
+                     reference_operator_values)
 
 
 def test_identity_norm_and_radius(hexagon):
@@ -82,20 +84,6 @@ def test_radius_profile_prism_witness_rows():
     assert max(r.value for r in rows) == numerical_radius(p, op).value
 
 
-def _reference_radius_pair(p, op):
-    """(value, vertex, facet) of the first incident pair, in (vertex, facet)
-    order, at which |f(T v)| is largest."""
-    facets, inc = facet_enumeration(p), incidence(p)
-    best = None
-    for i, v in enumerate(p.vertices):
-        tv = op(v)
-        for k in inc.vertex_to_facets[i]:
-            val = abs(dot(facets[k].coeffs, tv))
-            if best is None or val > best[0]:
-                best = (val, i, k)
-    return best
-
-
 def test_profile_max_equals_radius(bipyramid, hexagon, square):
     rng = random.Random(31)
     for p in (bipyramid, hexagon, square):
@@ -110,7 +98,7 @@ def test_profile_max_equals_radius(bipyramid, hexagon, square):
             rows = radius_profile(p, op)
             cert = numerical_radius(p, op)
             assert max(r.value for r in rows) == cert.value
-            want = _reference_radius_pair(p, op)
+            _, _, want = reference_operator_values(p, op.matrix)
             assert (cert.value, cert.vertex_index, cert.facet_index) == want
 
 
@@ -199,3 +187,89 @@ def test_operator_document_shapes():
         Operator([(1, 0), (1,)])
     with pytest.raises(InputError):
         Operator([])
+
+
+def _assert_matches_reference(p, op):
+    """Values, their types and every tie-break equal the brute-force ones."""
+    norm, profile, radius = reference_operator_values(p, op.matrix)
+    got = operator_norm(p, op)
+    assert got == norm and type(got[0]) is type(norm[0])
+    rows = radius_profile(p, op)
+    assert [r.vertex_index for r in rows] == list(range(len(p.vertices)))
+    assert [(r.value, r.facet_index) for r in rows] == list(profile)
+    assert all(type(r.value) is type(want) for r, (want, _) in zip(rows, profile))
+    cert = numerical_radius(p, op)
+    assert (cert.value, cert.vertex_index, cert.facet_index) == radius
+    assert type(cert.value) is type(radius[0])
+
+
+def _assert_gauge_matches_reference(p, x):
+    got, want = gauge(p, x), reference_gauge(p, x)
+    assert got == want and type(got) is type(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4))
+def test_operators_match_brute_force_on_random_balls(seed, dim):
+    rng = random.Random(seed)
+    ball = random_symmetric_polytope(rng, dim, rng.randint(dim, dim + 2))
+    # A rational scale per coordinate gives the vertex and facet rows
+    # denominators of their own.
+    scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(dim)]
+    p = Polytope([[x * s for x, s in zip(v, scales)] for v in ball.vertices])
+    u = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(dim)]
+    w = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(dim)]
+    matrices = [
+        random_rational_matrix(rng, dim),
+        [[0] * dim for _ in range(dim)],     # every pair ties at 0
+        [[a * b for b in w] for a in u],     # rank one: ties across vertices and facets
+        [[int(i == j) for j in range(dim)] for i in range(dim)],
+    ]
+    for m in matrices:
+        _assert_matches_reference(p, Operator(m))
+        # A float operator on a rational ball keeps the float arithmetic.
+        _assert_matches_reference(p, Operator([[float(x) for x in row] for row in m]))
+    points = [tuple(u), tuple(rng.randint(-3, 3) for _ in range(dim)), p.vertices[0],
+              (0,) * dim, (float(u[0]),) + tuple(u[1:])]
+    for x in points:
+        _assert_gauge_matches_reference(p, x)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: (oblique_prism(3, 0.0), prism_witness_operator(3, 0.0)),
+    lambda: (oblique_prism(5, 0.5), prism_witness_operator(5, 0.5)),
+    lambda: (oblique_prism(4, 0.25), prism_witness_operator(4, 0.25)),
+    lambda: (regular_2n_gon(6), polygon_witness_operator(6)),
+    lambda: (regular_2n_gon(40), polygon_witness_operator(40)),
+], ids=["oblique_prism(3,0)", "oblique_prism(5,1/2)", "oblique_prism(4,1/4)",
+        "regular_2n_gon(6)", "regular_2n_gon(40)"])
+def test_float_results_equal_dot_products(make):
+    p, witness = make()
+    rng = random.Random(p.dim * 1000 + len(p.vertices))
+    d = p.dim
+    ops = [witness, Operator.identity(d, exact=False), Operator.zero(d, exact=False),
+           Operator(random_rational_matrix(rng, d))]  # a rational operator on a float ball
+    ops += [Operator([[rng.uniform(-2, 2) for _ in range(d)] for _ in range(d)])
+            for _ in range(4)]
+    for op in ops:
+        _assert_matches_reference(p, op)
+    for _ in range(5):
+        _assert_gauge_matches_reference(p, tuple(rng.uniform(-3, 3) for _ in range(d)))
+    _assert_gauge_matches_reference(p, (Fraction(1, 3),) + (0.7,) * (d - 1))
+
+
+def test_mixed_backend_values_pinned(hexagon):
+    # `polyindex radius --operator` can pair a rational ball with a float
+    # operator; these are the values of float arithmetic on the rational
+    # coefficients.
+    op = Operator([[0.3, -1.25], [0.5, 2.0]])
+    norm, vertex = operator_norm(hexagon, op)
+    assert (norm, vertex) == (3.4899999999999998, 1) and type(norm) is float
+    cert = numerical_radius(hexagon, op)
+    assert (cert.value, cert.vertex_index, cert.facet_index) == (3.4899999999999998, 1, 2)
+    op = Operator([[Fraction(1, 3), Fraction(-5, 4)], [Fraction(1, 2), 2]])
+    assert operator_norm(hexagon, op) == (Fraction(209, 60), 1)
+    cert = numerical_radius(hexagon, op)
+    assert (cert.value, cert.vertex_index, cert.facet_index) == (Fraction(209, 60), 1, 2)
+    value = gauge(hexagon, (Fraction(1, 3), 0.7))
+    assert value == 0.4555555555555555 and type(value) is float

@@ -11,8 +11,10 @@ from polyindex import (InputError, Operator, Polytope, ValidationError,
                        bipyramid_square_prism, facet_enumeration, gauge, incidence,
                        irregular_hexagon, linf_sum, oblique_prism, prism_with_pyramids,
                        regular_2n_gon, scale_coordinate, segment, validate)
-from polyindex.linalg import dot, rank, vsub
-from polyindex.polytope import _polar_cone, _vertex_flags, facet_antipode_pairs
+from polyindex.bracket import _own_scale
+from polyindex.linalg import dot, rank, scaled_integer_row, vsub
+from polyindex.polytope import (_polar_cone, _vertex_flags, evaluation_table,
+                                facet_antipode_pairs)
 from polyindex.scalars import EXACT
 from helpers import (brute_force_facets, random_symmetric_polytope, reference_antipode_map,
                      reference_polar_cone, reference_strip, reference_vertex_flags)
@@ -384,9 +386,44 @@ def test_combinatorics_computed_once_per_ball():
     assert facet_enumeration(p) is facet_enumeration(p)
     assert incidence(p) is incidence(p)
     assert facet_antipode_pairs(p) is facet_antipode_pairs(p)
+    assert evaluation_table(p) is evaluation_table(p)
     q = irregular_hexagon()
     assert facet_enumeration(q) == facet_enumeration(p)
     assert facet_enumeration(q) is not facet_enumeration(p)
+
+
+def _scaled_random_ball(d):
+    # A rational scale per coordinate: many facet and vertex denominators.
+    rng = random.Random(d)
+    ball = random_symmetric_polytope(rng, d, 8)
+    scales = [Fraction(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(d)]
+    return Polytope([[x * s for x, s in zip(v, scales)] for v in ball.vertices])
+
+
+@pytest.mark.parametrize("make", [
+    irregular_hexagon, bipyramid_square_prism,
+    lambda: scale_coordinate(irregular_hexagon(), 1, Fraction(3, 7)),
+    lambda: linf_sum(irregular_hexagon(), scale_coordinate(segment(), 0, Fraction(5, 2))),
+    lambda: oblique_prism(3, 0.5), lambda: regular_2n_gon(6),
+    lambda: _scaled_random_ball(4),
+])
+def test_evaluation_table_rows(make):
+    p = make()
+    table = evaluation_table(p)
+    coeffs = [f.coeffs for f in facet_enumeration(p)]
+    if not p.ctx.exact:
+        assert (table.facets, table.facet_scale, table.vertices, table.vertex_scale) == \
+            (tuple(coeffs), 1, p.vertices, 1)
+        return
+    for rows, scale, want in ((table.facets, table.facet_scale, coeffs),
+                              (table.vertices, table.vertex_scale, p.vertices)):
+        assert all(type(x) is int for row in rows for x in row)
+        assert [tuple(Fraction(x, scale) for x in row) for row in rows] == list(want)
+        # The least common scale: the lcm of the denominators.
+        assert scale == math.lcm(*[x.denominator for row in want for x in row])
+        # The lower bound's facet table takes each row back to its own scale.
+        assert [_own_scale(row, scale) for row in rows] == \
+            [scaled_integer_row(w) for w in want]
 
 
 def test_facet_antipodes_of_a_tiny_float_hexagon():
