@@ -25,7 +25,7 @@ from operator import itemgetter, mul
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, InputError
-from .linalg import dot, matvec, rank
+from .linalg import rank, scaled_integer_rows
 from .linprog import LinearProgram, solve_lp
 from .operators import Operator, RadiusCertificate, numerical_radius, operator_norm
 from .polytope import (Polytope, evaluation_table, facet_antipode_pairs, facet_enumeration,
@@ -279,63 +279,45 @@ def _operator(p: Polytope, entries) -> Operator:
                     eps=None if p.ctx.exact else p.ctx.eps)
 
 
-def _float_copy(xs):
-    """xs as floats, or None when some nonzero entry does not round to a
-    finite normal float (so that rounding stays within half an ulp)."""
-    try:
-        ys = tuple(map(float, xs))
-    except OverflowError:
-        return None
-    if all(math.isfinite(y) and (abs(y) >= sys.float_info.min or not x) for x, y in zip(xs, ys)):
-        return ys
-    return None
-
-
 class _Screened(NamedTuple):
     """A search candidate's float screen (see :meth:`_Screen.screen`)."""
 
     value: float  # v(T/||T||) in floats
     slack: float  # bound on |value - the value the exact evaluation returns|
-    pairs: list   # pairs[a][j] = |g_j(T v_a)| in floats
-    err: float    # bound on the error of each entry of ``pairs``
 
 
 class _Screen:
-    """Float copies of half the ball, built once per search.
+    """Half the ball's evaluation table, built once per search.
 
-    ``vertices`` holds one vertex v_a per antipodal orbit and ``functionals``
-    one facet functional g_j per antipodal facet pair. The ball is
-    symmetric, so |g(T(-v))| = |g(T v)| = |(-g)(T v)|: the norm of T is
-    the largest |g_j(T v_a)|, and its numerical radius the largest over
-    ``incident``, the pairs (a, j) where v_a or -v_a lies on a facet of
-    pair j. The float tables are None when some coordinate does not
-    convert to a finite normal float (a rational ball scaled by 10^400 or
-    10^-400); then every candidate goes to the exact evaluation.
+    ``vertices`` holds one row W_a of :func:`polytope.evaluation_table` per
+    antipodal vertex orbit and ``functionals`` one facet row G_j per
+    antipodal facet pair. The ball is symmetric, so |g(T(-v))| = |g(T v)|
+    = |(-g)(T v)|: the norm of T is the largest |g_j(T v_a)|, and its
+    numerical radius the largest over ``incident``, the pairs (a, j) where
+    v_a or -v_a lies on a facet of pair j. On a rational ball the rows are
+    ints over the table's common scales, and :meth:`exact` evaluates every
+    candidate on them; on a float ball they are the coordinates, and
+    :meth:`screen` ranks candidates in floats.
     """
 
     def __init__(self, p: Polytope):
         self.p = p
-        facets, inc = facet_enumeration(p), incidence(p)
+        inc, table = incidence(p), evaluation_table(p)
         pairs = facet_antipode_pairs(p)
         pair_of = {k: j for j, pair in enumerate(pairs) for k in pair}
         reps = p.orbit_representatives()
-        self.vertices = tuple(p.vertices[i] for i in reps)
-        self.functionals = tuple(facets[k].coeffs for k, _ in pairs)
+        self.vertices = tuple(table.vertices[i] for i in reps)
+        self.functionals = tuple(table.facets[k] for k, _ in pairs)
         self.incident = tuple(
             (a, j) for a, i in enumerate(reps)
             for j in sorted({pair_of[k] for k in inc.vertex_to_facets[i]
                              + inc.vertex_to_facets[p.antipode_index(i)]}))
-        self.all_pairs = tuple((a, j) for a in range(len(reps)) for j in range(len(pairs)))
-        self.fvertices = self.ffunctionals = None
-        fv = [_float_copy(v) for v in p.vertices]
-        fg = [_float_copy(f.coeffs) for f in facets]
-        if None in fv or None in fg:
+        if p.ctx.exact:
             return
-        self.fvertices = [fv[i] for i in reps]
-        self.ffunctionals = [fg[k] for k, _ in pairs]
         # Error bound for one |g_j(T v_a)| computed in floats, per unit of
         # max |T_ij| (see :meth:`screen`). ``skew_*`` is how far a stored
-        # antipode is from the exact negation (nonzero on float balls only).
+        # antipode is from the exact negation.
+        fv, fg = table.vertices, table.facets
         size_v = max(sum(map(abs, v)) for v in fv)
         size_g = max(sum(map(abs, g)) for g in fg)
         skew_v = max(sum(abs(x + y) for x, y in zip(fv[i], fv[p.antipode_index(i)])) for i in reps)
@@ -345,65 +327,52 @@ class _Screen:
                               + size_g * skew_v + size_v * skew_g)
         self.err_floor = 2 * d * _TINIEST * (1 + size_g)  # underflow
 
+    def _maxima(self, matrix) -> tuple:
+        """(radius, norm) of the operator with rows ``matrix``, over the rows
+        of the half table: the largest |G_j . (matrix W_a)| over the incident
+        pairs, and over all pairs."""
+        images = [[sum(map(mul, row, v)) for row in matrix] for v in self.vertices]
+        pairs = [[abs(sum(map(mul, g, tv))) for g in self.functionals] for tv in images]
+        return max(pairs[a][j] for a, j in self.incident), max(map(max, pairs))
+
     def screen(self, entries) -> Optional[_Screened]:
-        """v(T/||T||) in floats, or None when floats cannot rank T.
+        """v(T/||T||) in floats, or None when floats cannot rank T or the
+        ball is rational.
 
         One computed |g_j(T v_a)| is within ``err`` of the exact value of
         the same pair on the exact ball: with m = max |T_ij|, rounding costs
-        at most (2d+3) u m sum|g| sum|v| (two dot products of length d,
-        plus converting g and v), antipodes that are not exact negations
-        cost m (sum|g| skew_v + sum|v| skew_g), and underflow a few
-        subnormal units. ``err`` doubles that. The norm and the radius are
-        maxima of such values, so each is within ``err`` too, and then
+        at most (2d+3) u m sum|g| sum|v| (two dot products of length d),
+        antipodes that are not exact negations cost
+        m (sum|g| skew_v + sum|v| skew_g), and underflow a few subnormal
+        units. ``err`` doubles that. The norm and the radius are maxima of
+        such values, so each is within ``err`` too, and then
         v = radius/norm within 2 err/norm plus one rounding. The float
         backend's own value is within about as much again, and ``slack``
         covers both with room to spare. None when T has a non-finite
-        entry, or when the radius or the norm is too close to 0 (on float
-        balls: to eps, below which the norm counts as 0) to tell.
+        entry, or when the radius or the norm is too close to 0 (to eps,
+        below which the norm counts as 0) to tell.
         """
-        if self.fvertices is None:
+        if self.p.ctx.exact:
             return None
-        images = [[sum(map(mul, row, v)) for row in entries] for v in self.fvertices]
-        pairs = [[abs(sum(map(mul, g, tv))) for g in self.ffunctionals] for tv in images]
-        norm = max(map(max, pairs))
-        radius = max(pairs[a][j] for a, j in self.incident)
+        radius, norm = self._maxima(entries)
         err = self.err_scale * max(abs(x) for row in entries for x in row) + self.err_floor
         if not (radius > 2 * err and 2 * err + self.p.ctx.eps < norm < math.inf):
             return None
-        return _Screened(radius / norm, 16 * err / norm + 4 * _UNIT_ROUNDOFF, pairs, err)
+        return _Screened(radius / norm, 16 * err / norm + 4 * _UNIT_ROUNDOFF)
 
-    def exact(self, entries, screened: Optional[_Screened]):
-        """float(v(T/||T||)) as the exact evaluation gives it, None when ||T|| is 0."""
-        if screened is None or not self.p.ctx.exact:
+    def exact(self, entries):
+        """float(v(T/||T||)) as the exact evaluation gives it, None when ||T|| is 0.
+
+        On a rational ball T is scaled once to ints, M = L_T T: the radius
+        and the norm are then ints over one common scale, and ``int / int``
+        rounds their quotient as ``float`` of a ``Fraction`` does.
+        """
+        if not self.p.ctx.exact:
             result = _normalized_radius(self.p, _operator(self.p, entries))
             return None if result is None else float(result[0].value)
-        return float(self.rational_value(entries, screened))
-
-    def rational_value(self, entries, screened: _Screened) -> Fraction:
-        """radius/norm of T as a Fraction, which equals
-        ``_normalized_radius(...)[0].value`` on a rational ball.
-
-        Each maximum is taken exactly over only the pairs whose float value
-        is within the margin (and within 2 err) of the float maximum: the
-        pair attaining the exact maximum is among them. Only the vertices
-        those pairs touch get exact images.
-        """
-        pairs, err = screened.pairs, screened.err
-        matrix = [[Fraction(x) for x in row] for row in entries]
-        images = {}
-
-        def top(candidates):
-            high = max(pairs[a][j] for a, j in candidates)
-            low = high - max(_MARGIN * high, 2 * err)
-            best = 0
-            for a, j in candidates:
-                if pairs[a][j] >= low:
-                    if a not in images:
-                        images[a] = matvec(matrix, self.vertices[a])
-                    best = max(best, abs(dot(self.functionals[j], images[a])))
-            return best
-
-        return top(self.incident) / top(self.all_pairs)
+        matrix, _ = scaled_integer_rows([[Fraction(x) for x in row] for row in entries])
+        radius, norm = self._maxima(matrix)
+        return radius / norm if norm else None
 
 
 _UNSET = object()
@@ -424,7 +393,7 @@ class _Candidate:
     @property
     def value(self):
         if self._value is _UNSET:
-            self._value = self._screen.exact(self.entries, self.screened)
+            self._value = self._screen.exact(self.entries)
         return self._value
 
     @property
@@ -450,16 +419,16 @@ def _search_candidates(p, witnesses, cfg: SearchConfig):
 
     The search accepts a proposal whose value is below the current point's
     and keeps the start that ends lowest, where a value is float(v) of the
-    exact evaluation (:func:`_normalized_radius`). Each candidate gets a
-    float screen instead (:meth:`_Screen.screen`): v with one norm, over
-    half the vertices and half the facets. The screen decides a comparison
-    only when both candidates have one and the two differ by more than
-    _MARGIN relative (and more than their float error bounds). A near-tie,
-    or a candidate without a screen, goes to the exact values, each
-    computed at most once per point: radius/norm as a Fraction over the
-    pairs near the float maxima on rational balls, and
-    :func:`_normalized_radius` itself on float balls or where the screen
-    is missing. So every comparison comes out as exact evaluation of every
+    exact evaluation (:func:`_normalized_radius`). On a rational ball each
+    candidate is evaluated exactly on the ints of half the ball's
+    evaluation table (:meth:`_Screen.exact`), which gives that float bit for
+    bit. On a float ball each candidate gets a float screen instead
+    (:meth:`_Screen.screen`): v with one norm, over half the vertices and
+    half the facets. The screen decides a comparison only when both
+    candidates have one and the two differ by more than _MARGIN relative
+    (and more than their float error bounds). A near-tie, or a candidate
+    without a screen, goes to :func:`_normalized_radius`, at most once per
+    point. So every comparison comes out as exact evaluation of every
     candidate would decide it, the search visits the same points, and the
     output is byte-identical to that of the exact search. The winner alone
     is re-evaluated through :func:`_normalized_radius`, which gives the

@@ -27,7 +27,7 @@ from .families import (FAMILIES, bipyramid_square_prism, irregular_hexagon, linf
 from .linalg import rank
 from .operators import operator_norm, radius_profile
 from .polytope import facet_enumeration, gauge, incidence
-from .scalars import parse_rational
+from .scalars import check_tolerance, parse_rational
 
 def _read_json(path: str, what: str):
     try:
@@ -203,6 +203,8 @@ def cmd_bound(args) -> int:
     subsets = None
     if args.policy == "subset":
         subsets = {i: _spanning_facets(p, i) for i in p.orbit_representatives()}
+    if args.search < 0:
+        raise InputError(f"--search: budget must be nonnegative, got {args.search}")
     search = SearchConfig(budget=args.search, seed=args.seed) if args.search else None
     bracket = index_bracket(p, witnesses=witnesses, search=search, subsets=subsets)
     results = {
@@ -260,13 +262,14 @@ def cmd_family(args) -> int:
         p = scale_coordinate(p, axis, h if p.ctx.exact else float(h))
         if witness is not None:
             # Conjugate the witness by the rescaling so it stays sharp:
-            # row `axis` scales by h, column `axis` by 1/h.
-            hf = float(h)
+            # row `axis` scales by h, column `axis` by 1/h, in the witness's
+            # own arithmetic.
+            hw = witness.ctx.coerce(h)
             m = [list(row) for row in witness.matrix]
             for j in range(len(m)):
-                m[axis][j] *= hf
-                m[j][axis] /= hf
-            witness = type(witness)(m, backend="float")
+                m[axis][j] *= hw
+                m[j][axis] /= hw
+            witness = type(witness)(m, backend="rational" if witness.ctx.exact else "float")
     text = _json(polytope_to_document(p, witness=witness))
     if args.output and args.output != "-":
         with open(args.output, "w") as fh:
@@ -422,6 +425,8 @@ def main(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "eps", None) is not None:
+            check_tolerance(args.eps, "--eps")
         code = args.func(args)
         sys.stdout.flush()
         return code

@@ -35,8 +35,16 @@ def default_eps() -> float:
         eps = float(raw)
     except ValueError as exc:
         raise InputError(f"{EPS_ENV_VAR}: not a number: {raw!r}") from exc
-    if eps <= 0:
-        raise InputError(f"{EPS_ENV_VAR}: tolerance must be positive, got {eps}")
+    return check_tolerance(eps, EPS_ENV_VAR)
+
+
+def check_tolerance(eps: float, name: str) -> float:
+    """eps, when it is a finite positive float tolerance; otherwise an
+    InputError naming its source ``name``. A tolerance of 0 would select
+    the exact backend, and a NaN or infinite one makes every comparison
+    fail."""
+    if not (math.isfinite(eps) and eps > 0):
+        raise InputError(f"{name}: tolerance must be finite and positive, got {eps}")
     return eps
 
 
@@ -120,7 +128,7 @@ EXACT = Context(0.0)
 
 
 def float_context(eps: float | None = None) -> Context:
-    return Context(default_eps() if eps is None else float(eps))
+    return Context(default_eps() if eps is None else check_tolerance(float(eps), "eps"))
 
 
 def infer_exact(values: Iterable) -> bool:

@@ -373,6 +373,12 @@ _SEARCH_CASES = {
                            100, 4),
     "hexagon*10^400": (lambda: _scaled_hexagon(Fraction(10) ** 400), (), 40, 1),
     "hexagon*10^-400": (lambda: _scaled_hexagon(Fraction(10) ** -400), (), 40, 2),
+    # Float balls with subnormal coordinates, screened in floats.
+    "square+1e-310": (lambda: Polytope([(1.0, 1e-310), (-1.0, -1e-310), (0.0, 1.0), (0.0, -1.0)],
+                                       backend="float"), (), 60, 1),
+    "hexagon+5e-324": (lambda: Polytope([(1.0, 5e-324), (-1.0, -5e-324), (0.3, 1.0),
+                                         (-0.3, -1.0), (0.7, -0.6), (-0.7, 0.6)],
+                                        backend="float"), (), 60, 2),
 }
 
 
@@ -408,18 +414,10 @@ _TIED_PAIRS = {
 }
 
 
-@pytest.mark.parametrize("make,name", [
-    (irregular_hexagon, "hexagon"), (bipyramid_square_prism, "bipyramid"),
-    (lambda: _scaled_hexagon(Fraction(7, 3 * 10 ** 30)), "hexagon/10^30")],
-    ids=list(_TIED_PAIRS))
-def test_rational_value_is_the_normalized_radius(make, name):
-    p = make()
-    screen = bracket_module._Screen(p)
-    d = p.dim
-    rng = random.Random(77)
-    # Random matrices; signed permutations, at which pairs tie exactly; and
-    # the same with a 2^-60 entry, which parts the tied pairs by less than
-    # floats resolve.
+def _probe_matrices(d, rng):
+    """Random matrices; signed permutations, at which pairs tie exactly; and
+    the same with a 2^-60 entry, which parts the tied pairs by less than
+    floats resolve."""
     matrices = [[[rng.gauss(0, 1) for _ in range(d)] for _ in range(d)] for _ in range(60)]
     for _ in range(20):
         perm = rng.sample(range(d), d)
@@ -429,19 +427,34 @@ def test_rational_value_is_the_normalized_radius(make, name):
         i = rng.randrange(d)
         nudged[i][(perm[i] + 1) % d] = rng.choice((1.0, -1.0)) * 2.0 ** -60
         matrices += [signed, nudged]
-    for entries in matrices + _TIED_PAIRS[name]:
+    return matrices
+
+
+@pytest.mark.parametrize("make,name", [
+    (irregular_hexagon, "hexagon"), (bipyramid_square_prism, "bipyramid"),
+    (lambda: _scaled_hexagon(Fraction(7, 3 * 10 ** 30)), "hexagon/10^30")],
+    ids=list(_TIED_PAIRS))
+def test_rational_value_is_the_normalized_radius(make, name):
+    # On a rational ball the search evaluates every candidate on the ints of
+    # the half table, and gets float(v) of the exact evaluation bit for bit.
+    p = make()
+    screen = bracket_module._Screen(p)
+    for entries in _probe_matrices(p.dim, random.Random(77)) + _TIED_PAIRS[name]:
+        assert screen.screen(entries) is None
+        want = bracket_module._normalized_radius(p, Operator(entries, backend="rational"))[0].value
+        assert screen.exact(entries) == float(want)
+
+
+@pytest.mark.parametrize("make", [lambda: oblique_prism(5, 0.5), lambda: regular_2n_gon(12)],
+                         ids=["oblique_prism(5,1/2)", "regular_2n_gon(12)"])
+def test_float_screen_is_within_its_slack(make):
+    p = make()
+    screen = bracket_module._Screen(p)
+    for entries in _probe_matrices(p.dim, random.Random(77)):
         screened = screen.screen(entries)
         assert screened is not None
-        want = bracket_module._normalized_radius(p, Operator(entries, backend="rational"))[0].value
-        assert screen.rational_value(entries, screened) == want
-        assert abs(screened.value - float(want)) <= screened.slack
-
-
-def test_search_screen_missing_when_coordinates_do_not_convert():
-    for scale in (Fraction(10) ** 400, Fraction(10) ** -400):
-        p = _scaled_hexagon(scale)
-        screen = bracket_module._Screen(p)
-        assert screen.screen([[1.0, 0.5], [0.0, 2.0]]) is None
+        want = bracket_module._normalized_radius(p, bracket_module._operator(p, entries))[0].value
+        assert abs(screened.value - want) <= screened.slack
 
 
 def test_search_evaluates_only_the_winner_exactly(hexagon, monkeypatch):

@@ -227,6 +227,13 @@ def test_family_height_keeps_witness_sharp(capsys, tmp_path):
     report = run_json(capsys, "bound", "-i", str(path))
     assert abs(report["results"]["lower"] - 0.5) < 1e-7
     assert abs(report["results"]["upper"] - 0.5) < 1e-7
+    # A rational family keeps a rational witness, and so an exact bracket.
+    code, _, _ = run(capsys, "family", "bipyramid_square_prism", "--height", "3",
+                     "--with-witness", "-o", str(path))
+    assert code == 0
+    results = run_json(capsys, "bound", "-i", str(path))["results"]
+    assert results["witness"]["scalar"] == "rational"
+    assert (results["lower"], results["upper"], results["status"]) == ("1/2", "1/2", "tight")
 
 
 def test_family_linf_sum(capsys, tmp_path):
@@ -299,6 +306,37 @@ def test_eps_env_var(capsys, hexagon_file, monkeypatch):
     monkeypatch.setenv("POLYINDEX_EPS", "1e-6")
     report = run_json(capsys, "bound", "-i", hexagon_file)
     assert report["results"]["lower"] == "5/17"  # rational path unaffected
+
+
+@pytest.fixture
+def square_file(tmp_path):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"dim": 2, "scalar": "float",
+                                "vertices": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("eps", ["0", "nan", "inf", "-1e-9"])
+def test_bad_eps_exits_2(capsys, square_file, eps):
+    # 0 would select the exact backend for a float document, and NaN or
+    # infinity would fail every comparison.
+    code, out, err = run(capsys, "hull", "-i", square_file, f"--eps={eps}")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --eps: tolerance must be finite and positive")
+
+
+@pytest.mark.parametrize("eps", ["0", "nan", "inf"])
+def test_bad_eps_env_var_exits_2(capsys, square_file, monkeypatch, eps):
+    monkeypatch.setenv("POLYINDEX_EPS", eps)
+    code, out, err = run(capsys, "bound", "-i", square_file)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: POLYINDEX_EPS: tolerance must be finite and positive")
+
+
+def test_negative_search_budget_exits_2(capsys, hexagon_file):
+    code, out, err = run(capsys, "bound", "-i", hexagon_file, "--search", "-5")
+    assert (code, out) == (2, "")
+    assert "--search" in err
 
 
 def test_verify_passes(capsys):

@@ -1,10 +1,11 @@
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from polyindex import InputError, format_rational, parse_rational
-from polyindex.scalars import Context, EXACT, float_context, infer_exact
+from polyindex.scalars import Context, EXACT, check_tolerance, float_context, infer_exact
 
 
 def test_parse_fraction():
@@ -83,6 +84,23 @@ def test_float_context_default_env(monkeypatch):
 def test_negative_tolerance_rejected():
     with pytest.raises(InputError):
         Context(-1e-9)
+
+
+@pytest.mark.parametrize("raw", ["0", "-1e-9", "nan", "inf", "-inf"])
+def test_float_context_rejects_bad_env_tolerance(monkeypatch, raw):
+    monkeypatch.setenv("POLYINDEX_EPS", raw)
+    with pytest.raises(InputError, match="^POLYINDEX_EPS: tolerance must be finite and positive"):
+        float_context()
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-9, math.nan, math.inf])
+def test_bad_tolerance_names_its_source(eps):
+    # A float context with eps 0 would be the exact backend.
+    with pytest.raises(InputError, match="^--eps: "):
+        check_tolerance(eps, "--eps")
+    with pytest.raises(InputError, match="^eps: "):
+        float_context(eps)
+    assert check_tolerance(1e-12, "--eps") == 1e-12
 
 
 def test_coerce():
