@@ -86,14 +86,16 @@ class IndexBracket:
 class _SphereFacet:
     """One facet of an antipodal facet pair, with the data its LPs need.
 
-    ``values`` and ``floors`` are keyed by facet index r and hold a row
+    ``rows`` and ``floors`` are keyed by facet index r and hold an entry
     only for the functionals f_r that some chosen set reads (the ``used``
-    argument of :func:`_sphere_facets`).
+    argument of :func:`_sphere_facets`). On the exact backend ``rows[r]``
+    is a row of ints with its positive int scale; on floats it is the row
+    of float values with scale 1.
     """
 
     index: int      # facet index k
     members: tuple  # sorted indices of the vertices on facet k
-    values: dict    # values[r][a] = f_r(w_a) for each facet functional f_r in use, member w_a
+    rows: dict      # rows[r] = (row, scale): f_r(w_a) = row[a] / scale at member w_a
     floors: dict    # floors[r] = min of |f_r| over facet k
 
 
@@ -118,14 +120,16 @@ def _sphere_facets(p: Polytope, used) -> tuple:
 
     The values are dot products of the rows of the ball's evaluation table
     (:func:`polytope.evaluation_table`). On the exact backend each integer
-    row is first brought back to its own scale (:func:`_own_scale`), and
-    each value is built as one ``Fraction(F_r . W_a, L_r * L_a)`` instead
-    of a ``Fraction`` dot product: the ball-wide scales would make every
-    value's integers and gcd as large as the lcm over all rows. Floats sum
-    the same products in the same order as ``linalg.dot``.
+    row is first brought back to its own scale (:func:`_own_scale`):
+    f_r = F_r / L_r and w_a = W_a / L_a. With m_k the lcm of the L_a over
+    the members of facet k, the values of f_r there are the ints
+    ``F_r . W_a * (m_k // L_a)`` over the scale ``L_r * m_k``, both divided
+    by their gcd. The facet LPs take these ints as they are, and a floor
+    is one ``Fraction`` per row. Floats sum the same products in the same
+    order as ``linalg.dot``, with scale 1.
     """
     ctx = p.ctx
-    zero = ctx.coerce(0)
+    zero = 0 if ctx.exact else ctx.coerce(0)
     facets = facet_enumeration(p)
     ev = evaluation_table(p)
     used = sorted(used)
@@ -136,18 +140,23 @@ def _sphere_facets(p: Polytope, used) -> tuple:
     for k, _ in facet_antipode_pairs(p):
         members = tuple(sorted(facets[k].incident_vertices))
         if ctx.exact:
-            wrows = [vrows[j] for j in members]
-            rows = [tuple(Fraction(sum(map(mul, fi, wi)), fl * wl) for wi, wl in wrows)
-                    for fi, fl in frows]
+            m = math.lcm(*[vrows[j][1] for j in members])
+            wrows = [[x * (m // wl) for x in wi] for wi, wl in (vrows[j] for j in members)]
+            rows = []
+            for fi, fl in frows:
+                row = [sum(map(mul, fi, w)) for w in wrows]
+                g = math.gcd(*row, fl * m)
+                rows.append(([x // g for x in row], fl * m // g))
         else:
             wrows = [ev.vertices[j] for j in members]
-            rows = [tuple(sum(map(mul, ev.facets[r], w)) for w in wrows) for r in used]
-        values = dict(zip(used, rows))
+            rows = [([sum(map(mul, ev.facets[r], w)) for w in wrows], 1) for r in used]
         floors = {}
-        for r, row in values.items():
+        for r, (row, scale) in zip(used, rows):
             lo, hi = min(row), max(row)
-            floors[r] = lo if ctx.sign(lo) > 0 else -hi if ctx.sign(hi) < 0 else zero
-        table.append(_SphereFacet(index=k, members=members, values=values, floors=floors))
+            floor = lo if ctx.sign(lo) > 0 else -hi if ctx.sign(hi) < 0 else zero
+            floors[r] = Fraction(floor, scale) if ctx.exact else floor
+        table.append(_SphereFacet(index=k, members=members, rows=dict(zip(used, rows)),
+                                  floors=floors))
     return tuple(table)
 
 
@@ -196,9 +205,7 @@ def _vertex_minimax(p, sphere, vertex_index, subset) -> VertexBound:
             raise InputError(f"facets {bad} are not incident to vertex {vertex_index}")
         if not chosen:
             raise InputError("functional subset must be nonempty")
-    facets = facet_enumeration(p)
-    funcs = [facets[k].coeffs for k in chosen]
-    if rank(funcs, ctx) < p.dim:
+    if rank([evaluation_table(p).facets[k] for k in chosen], ctx) < p.dim:
         raise InputError(
             f"functionals at vertex {vertex_index} have a nontrivial common kernel; "
             "the min-max over the sphere would be 0")
@@ -209,18 +216,15 @@ def _vertex_minimax(p, sphere, vertex_index, subset) -> VertexBound:
         sf = sphere[s]
         if best is not None and ctx.lt(best[0], bounds[s]):
             break  # the bounds only grow from here
-        members = sf.members
-        nl = len(members)
-        # variables: lam_1..lam_nl, t
-        ineq_lhs, ineq_rhs = [], []
+        nl = len(sf.members)
+        # variables: lam_1..lam_nl, t; -t <= f_r(x) <= t times the row's scale
+        ineq_lhs = []
         for r in chosen:
-            row = sf.values[r]
-            ineq_lhs.append(list(row) + [-1])
-            ineq_rhs.append(0)
-            ineq_lhs.append([-a for a in row] + [-1])
-            ineq_rhs.append(0)
+            row, scale = sf.rows[r]
+            ineq_lhs.append(list(row) + [-scale])
+            ineq_lhs.append([-a for a in row] + [-scale])
         lp = LinearProgram(objective=(0,) * nl + (1,),
-                           ineq_lhs=ineq_lhs, ineq_rhs=ineq_rhs,
+                           ineq_lhs=ineq_lhs, ineq_rhs=(0,) * len(ineq_lhs),
                            eq_lhs=[[1] * nl + [0]], eq_rhs=[1],
                            nonneg=(True,) * (nl + 1))
         try:
@@ -231,15 +235,14 @@ def _vertex_minimax(p, sphere, vertex_index, subset) -> VertexBound:
             raise ComputationError(f"vertex {vertex_index}, sphere facet {sf.index}: "
                                    f"facet LP unexpectedly {sol.status}")
         if best is None or (sol.value, sf.index) < best[:2]:
-            lams = sol.point[:nl]
-            x = tuple(sum(lams[a] * p.vertices[j][c] for a, j in enumerate(members))
-                      for c in range(p.dim))
-            best = (sol.value, sf.index, x)
+            best = (sol.value, sf.index, sf.members, sol.point[:nl])
 
-    value, facet_k, x = best
+    value, facet_k, members, lams = best
     if ctx.sign(value) <= 0:
         raise ComputationError(f"vertex {vertex_index}, sphere facet {facet_k}: vertex bound "
                                "is not positive despite trivial common kernel")
+    x = tuple(sum(lams[a] * p.vertices[j][c] for a, j in enumerate(members))
+              for c in range(p.dim))
     return VertexBound(vertex_index=vertex_index,
                        antipode_index=p.antipode_index(vertex_index),
                        value=value, functional_indices=chosen,

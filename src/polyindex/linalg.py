@@ -127,8 +127,12 @@ def scaled_integer_rows(rows) -> tuple:
 
 def integer_row(values) -> list:
     """The Fractions ``values`` times the lcm of their denominators: a row of
-    ints that is a positive multiple of the given row."""
-    return scaled_integer_row(values)[0]
+    ints that is a positive multiple of the given row. An int counts as a
+    Fraction of denominator 1, and a row of ints comes back as it is."""
+    for x in values:
+        if type(x) is not int:
+            return scaled_integer_row(values)[0]
+    return list(values)
 
 
 def eliminate(row, prow, piv, col) -> list:

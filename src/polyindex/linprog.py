@@ -19,6 +19,9 @@ sign of the Fraction entry, and every ratio ``b_i / a_i`` is the same
 number, compared by cross-multiplication. The pivots are therefore those
 of the Fraction simplex, and so are the final basis, the optimal point and
 its value, which are read off as ``Fraction(row[-1], row[basis[i]])``.
+An int coefficient goes into the tableau as it is, and a row holding only
+ints is not scaled; the lower bound hands over its LPs on ints alone. The
+value and the point are ``Fraction``s all the same.
 
 Problem form::
 
@@ -197,10 +200,26 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
     zero; it is skipped when there are none. Phase 2 minimizes the real
     objective. Bland's rule is used throughout, so the method terminates
     on degenerate input.
+
+    On the exact backend an ``int`` coefficient is taken as it is and any
+    other is coerced to a ``Fraction``; ``value`` and ``point`` are
+    ``Fraction``s. Scaling an inequality row with a nonnegative right-hand
+    side by a positive factor only scales its slack column, so the pivots,
+    basis, point and value stay the same. On floats every coefficient is
+    coerced to a float.
     """
     n = lp.n_vars
     nonneg = lp.nonneg or (False,) * n
-    zero, one = ctx.coerce(0), ctx.coerce(1)
+    if ctx.exact:
+        # An int coefficient goes into the tableau as it is, and integer_row
+        # leaves a row of ints alone.
+        zero, one = 0, 1
+
+        def take(a):
+            return a if type(a) is int else ctx.coerce(a)
+    else:
+        zero, one = ctx.coerce(0), ctx.coerce(1)
+        take = ctx.coerce
 
     # Structural columns: x_j (and its negative part when the variable is free).
     col_of_plus = []
@@ -221,7 +240,7 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
     def expand(coeffs):
         row = [zero] * (width + 1)
         for j, a in enumerate(coeffs):
-            a = ctx.coerce(a)
+            a = take(a)
             row[col_of_plus[j]] = a
             if col_of_minus[j] is not None:
                 row[col_of_minus[j]] = -a
@@ -230,7 +249,7 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
     rows, basis, art_rows = [], [], []
     for i, (coeffs, rhs) in enumerate(zip(lp.ineq_lhs + lp.eq_lhs, lp.ineq_rhs + lp.eq_rhs)):
         row = expand(coeffs)
-        row[-1] = ctx.coerce(rhs)
+        row[-1] = take(rhs)
         if i < n_slack:
             row[n_struct + i] = one
         negative = row[-1] < 0
@@ -251,9 +270,10 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
             art[basis[i] - width] = one
         rows[i] = row[:width] + art + row[width:]
 
+    objective = tuple(map(take, lp.objective))
     phase2 = [zero] * (total + 1)
     for j in range(n):
-        c = ctx.coerce(lp.objective[j])
+        c = objective[j]
         phase2[col_of_plus[j]] = c
         if col_of_minus[j] is not None:
             phase2[col_of_minus[j]] = -c
@@ -308,12 +328,13 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
         values = {b: Fraction(row[-1], row[b]) for row, b in zip(rows, basis)}
     else:
         values = {b: row[-1] for row, b in zip(rows, basis)}
+    nonbasic = ctx.coerce(0)  # the value of a column that is not basic
     point = []
     for j in range(n):
-        x = values.get(col_of_plus[j], zero)
+        x = values.get(col_of_plus[j], nonbasic)
         if col_of_minus[j] is not None:
-            x = x - values.get(col_of_minus[j], zero)
+            x = x - values.get(col_of_minus[j], nonbasic)
         point.append(x)
     point = tuple(point)
-    value = dot(tuple(map(ctx.coerce, lp.objective)), point)
+    value = dot(objective, point)
     return LPSolution(status=OPTIMAL, value=value, point=point, basis=tuple(sorted(basis)))

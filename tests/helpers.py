@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 
@@ -84,6 +85,16 @@ def random_symmetric_polytope(rng, dim, n_pairs, bound=5, cls=None):
             p = cls(pts, backend="rational", permissive=True)
         if len(p.vertices) >= 2 * dim and validate(p).ok:
             return p
+
+
+def scaled_random_polytope(d):
+    """A random ball with one rational scale per coordinate: many facet and
+    vertex denominators, and facets whose vertices differ in denominator."""
+    from polyindex import Polytope
+    rng = random.Random(d)
+    ball = random_symmetric_polytope(rng, d, 8)
+    scales = [Fraction(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(d)]
+    return Polytope([[x * s for x, s in zip(v, scales)] for v in ball.vertices])
 
 
 def random_rational_matrix(rng, d, bound=4, denom=3):

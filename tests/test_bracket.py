@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 
 import pytest
 
@@ -11,11 +11,12 @@ from polyindex import (ComputationError, InputError, LinearProgram, Operator, Po
                        incidence, index_bracket, irregular_hexagon, linf_sum, lower_bound,
                        numerical_radius, oblique_prism, operator_norm, polygon_witness_operator,
                        prism_with_pyramids, prism_witness_operator, pyramid_witness_operator,
-                       regular_2n_gon, solve_lp, upper_bound, vertex_minimax)
+                       regular_2n_gon, scale_coordinate, solve_lp, upper_bound,
+                       vertex_minimax)
 from polyindex.linalg import dot, rank
-from polyindex.polytope import facet_antipode_pairs
+from polyindex.polytope import evaluation_table, facet_antipode_pairs
 from helpers import (boundary_minimax_2d, random_rational_matrix, random_symmetric_polytope,
-                     reference_solve_lp)
+                     reference_solve_lp, scaled_random_polytope)
 
 
 def test_hexagon_vertex_bounds_exact(hexagon):
@@ -285,7 +286,8 @@ def test_lower_bound_failures_name_vertex_and_facet(hexagon, monkeypatch):
 
 def test_facet_lps_match_fraction_simplex(monkeypatch, hexagon, bipyramid):
     # Every facet LP of the lower bound, solved on integer rows, has the
-    # status, value, point and basis of the Fraction simplex.
+    # status, value, point and basis of the Fraction simplex. On a rational
+    # ball the LPs reach solve_lp with int coefficients only.
     solved = []
 
     def recording(lp, ctx):
@@ -297,12 +299,29 @@ def test_facet_lps_match_fraction_simplex(monkeypatch, hexagon, bipyramid):
     cube = Polytope(list(product((-1, 1), repeat=4)))
     cross = Polytope([tuple(s if k == j else 0 for k in range(4))
                       for j in range(4) for s in (1, -1)])
-    for p in (hexagon, bipyramid, linf_sum(hexagon, hexagon), cube, cross):
+    # Facets whose vertices differ in denominator: each member's values are
+    # brought to the facet's common vertex scale by its own factor.
+    mixed = (scale_coordinate(bipyramid_square_prism(), 0, Fraction(1, 3)),
+             scaled_random_polytope(3))
+    for p in mixed:
+        table = evaluation_table(p)
+        own = [bracket_module._own_scale(w, table.vertex_scale)[1] for w in table.vertices]
+        assert any(len({own[j] for j in f.incident_vertices}) > 1 for f in facet_enumeration(p))
+    for p in (hexagon, bipyramid, linf_sum(hexagon, hexagon), cube, cross) + mixed:
         solved.clear()
         lower_bound(p)
         assert solved
         for lp, sol in solved:
             assert sol == reference_solve_lp(lp), lp
+            coeffs = chain(lp.objective, lp.ineq_rhs, lp.eq_rhs, *lp.ineq_lhs, *lp.eq_lhs)
+            assert all(type(x) is int for x in coeffs), lp
+            # Each row -t <= f_r(x) <= t comes times its scale (minus its
+            # last entry); over that scale it is the LP of Fraction values.
+            unscaled = LinearProgram(
+                objective=lp.objective, ineq_rhs=lp.ineq_rhs, eq_lhs=lp.eq_lhs,
+                eq_rhs=lp.eq_rhs, nonneg=lp.nonneg,
+                ineq_lhs=[[Fraction(x, -row[-1]) for x in row] for row in lp.ineq_lhs])
+            assert sol == reference_solve_lp(unscaled), lp
 
 
 def _reference_search(p, witnesses, budget, seed):

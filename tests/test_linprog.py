@@ -224,6 +224,57 @@ def test_random_mixed_lps_match_fraction_simplex():
         assert solve_lp(lp) == reference_solve_lp(lp), lp
 
 
+def _with_int_coefficients(lp):
+    """The same LP with every integral coefficient given as an int."""
+    def take(x):
+        return int(x) if x.denominator == 1 else x
+
+    def rows(rs):
+        return [tuple(map(take, row)) for row in rs]
+
+    return LinearProgram(objective=tuple(map(take, lp.objective)),
+                         ineq_lhs=rows(lp.ineq_lhs), ineq_rhs=tuple(map(take, lp.ineq_rhs)),
+                         eq_lhs=rows(lp.eq_lhs), eq_rhs=tuple(map(take, lp.eq_rhs)),
+                         nonneg=lp.nonneg)
+
+
+def _with_scaled_rows(lp, rng):
+    """The same LP with every inequality row of b >= 0 times a random
+    positive int. Such a row starts with its slack basic, so its scale only
+    scales the slack's column and leaves every pivot alone."""
+    lhs, rhs = [], []
+    for row, b in zip(lp.ineq_lhs, lp.ineq_rhs):
+        s = rng.randint(2, 9) if b >= 0 else 1
+        lhs.append(tuple(s * a for a in row))
+        rhs.append(s * b)
+    return LinearProgram(objective=lp.objective, ineq_lhs=lhs, ineq_rhs=rhs,
+                         eq_lhs=lp.eq_lhs, eq_rhs=lp.eq_rhs, nonneg=lp.nonneg)
+
+
+def test_int_coefficients_taken_as_they_are():
+    # ints reach the integer tableau without a Fraction; the solution is
+    # the Fraction simplex's, with Fraction value and point.
+    rng = random.Random(4242)
+    scales = random.Random(17)
+    for _ in range(300):
+        lp = _random_mixed_lp(rng)
+        want = reference_solve_lp(lp)
+        scaled = _with_scaled_rows(lp, scales)
+        for variant in (_with_int_coefficients(lp), scaled, _with_int_coefficients(scaled)):
+            sol = solve_lp(variant)
+            assert sol == want, variant
+            if sol.is_optimal:
+                assert type(sol.value) is Fraction
+                assert all(type(x) is Fraction for x in sol.point)
+    # On floats an all-int LP still solves in floats.
+    lp = LinearProgram(objective=(-1, -1), ineq_lhs=[(1, 2), (3, 1)], ineq_rhs=(4, 6),
+                       nonneg=(True, True))
+    sol = solve_lp(lp, float_context())
+    assert sol.is_optimal
+    assert type(sol.value) is float and all(type(x) is float for x in sol.point)
+    assert sol.point == pytest.approx((1.6, 1.2)) and sol.value == pytest.approx(-2.8)
+
+
 _ENTRIES = st.one_of(
     st.just(0),
     st.integers(-3, 3),

@@ -17,7 +17,8 @@ from polyindex.polytope import (_polar_cone, _vertex_flags, evaluation_table,
                                 facet_antipode_pairs)
 from polyindex.scalars import EXACT
 from helpers import (brute_force_facets, random_symmetric_polytope, reference_antipode_map,
-                     reference_polar_cone, reference_strip, reference_vertex_flags)
+                     reference_polar_cone, reference_strip, reference_vertex_flags,
+                     scaled_random_polytope)
 
 
 def coeff_set(facets):
@@ -392,20 +393,12 @@ def test_combinatorics_computed_once_per_ball():
     assert facet_enumeration(q) is not facet_enumeration(p)
 
 
-def _scaled_random_ball(d):
-    # A rational scale per coordinate: many facet and vertex denominators.
-    rng = random.Random(d)
-    ball = random_symmetric_polytope(rng, d, 8)
-    scales = [Fraction(rng.randint(1, 97), rng.randint(1, 97)) for _ in range(d)]
-    return Polytope([[x * s for x, s in zip(v, scales)] for v in ball.vertices])
-
-
 @pytest.mark.parametrize("make", [
     irregular_hexagon, bipyramid_square_prism,
     lambda: scale_coordinate(irregular_hexagon(), 1, Fraction(3, 7)),
     lambda: linf_sum(irregular_hexagon(), scale_coordinate(segment(), 0, Fraction(5, 2))),
     lambda: oblique_prism(3, 0.5), lambda: regular_2n_gon(6),
-    lambda: _scaled_random_ball(4),
+    lambda: scaled_random_polytope(4),
 ])
 def test_evaluation_table_rows(make):
     p = make()
