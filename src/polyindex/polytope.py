@@ -17,7 +17,9 @@ vector, so these are the rays that ``Fraction`` arithmetic reaches, in the
 same order and with the same zero sets; no ``Fraction`` is built until
 :func:`facet_enumeration` divides by the last coordinate. Exact equality is
 ``==``, so duplicate and antipodal vertices are found through a dict on
-that backend (:class:`_PointIndex`); floats keep the tolerant scan.
+that backend (:class:`_PointIndex`); on floats through the points sorted
+by first coordinate, testing only those in a window around the query
+that is wider than any difference the tolerant equality accepts.
 
 The Minkowski gauge of the ball (the norm itself) is then the maximum of
 ``|f(x)|`` over the facet functionals.
@@ -37,8 +39,10 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .errors import ComputationError, InputError, ValidationError
@@ -184,30 +188,41 @@ class _PointIndex:
 
     ``find(x)`` is the index of the first point equal to x, or None. Exact
     equality is ``==`` and a ``Fraction`` hashes by its value, so on the
-    rational backend one dict of first indices answers. Equality within
-    eps is not transitive, so floats scan every point with ``ctx.eq``.
+    rational backend one dict of first indices answers.
+
+    Equality within eps is not transitive, so floats cannot hash; they keep
+    ``(first coordinate, index)`` pairs sorted and test, with ``ctx.eq`` on
+    every coordinate, only the points whose first coordinate y0 lies in the
+    window [x0 - 2 eps, x0 + 2 eps] around the query's x0, both ends
+    rounded, returning the lowest matching index (the first match of a
+    scan over every point). The window holds every match: rounding is
+    monotone and 2 eps is a float (or inf), so y0 below the rounded
+    x0 - 2 eps is below x0 - 2 eps itself, and then x0 - y0 rounds to
+    2 eps or more, which ``ctx.eq`` rejects; likewise above.
     """
 
     def __init__(self, points, ctx: Context):
         self.ctx = ctx
         self.points = []
-        self._first = {}
+        self._first = {}  # exact backend: point -> first index
+        self._keys = []  # float backend: sorted (first coordinate, index)
         for v in points:
             self.add(v)
 
     def add(self, v):
         if self.ctx.exact:
             self._first.setdefault(v, len(self.points))
+        else:
+            insort(self._keys, (v[0], len(self.points)))
         self.points.append(v)
 
     def find(self, x) -> Optional[int]:
         if self.ctx.exact:
             return self._first.get(x)
-        eq = self.ctx.eq
-        for j, w in enumerate(self.points):
-            if all(eq(a, b) for a, b in zip(x, w)):
-                return j
-        return None
+        eq, points, keys = self.ctx.eq, self.points, self._keys
+        x0, w = x[0], 2 * self.ctx.eps
+        window = keys[bisect_left(keys, (x0 - w,)):bisect_right(keys, (x0 + w, math.inf))]
+        return min((j for _, j in window if all(map(eq, x, points[j]))), default=None)
 
 
 def _polar_cone(points, ctx: Context):
@@ -315,7 +330,14 @@ def _double_description(rows, k: int, ctx: Context):
     space, each paired with its zero set (the indices of the rows it makes
     tight), and a basis of the lineality space, which is empty exactly
     when the cone is pointed. Incremental insertion with the combinatorial
-    adjacency test.
+    adjacency test. The sign pass keeps each ``a . r`` (summed as
+    :func:`~polyindex.linalg.dot` sums, so the same ints and float bits)
+    for the combinations. Two adjacent rays of a cone with lineality
+    dimension l are tight together at k - l - 2 independent rows at least
+    (Fukuda and Prodon, "Double description method revisited", 1996), so a
+    pair sharing fewer rows is dropped before the zero-set scan; on exact
+    data that scan rejects every such pair anyway, since the face they
+    share then holds a third extreme ray.
 
     On the exact backend the rows are int tuples and so is every vector.
     A projection onto a new hyperplane (:func:`_project`) and the
@@ -354,22 +376,25 @@ def _double_description(rows, k: int, ctx: Context):
 
         plus, zero, minus = [], [], []
         for r, zs in rays:
-            s = ctx.sign(dot(a, r))
+            ar = sum(map(mul, a, r))
+            s = ctx.sign(ar)
             if s > 0:
-                plus.append((r, zs))
+                plus.append((r, zs, ar))
             elif s == 0:
                 zero.append((r, zs | {idx}))
             else:
-                minus.append((r, zs))
+                minus.append((r, zs, ar))
+        new = [(r, zs) for r, zs, _ in plus] + zero
         if not minus:
-            rays = plus + zero
+            rays = new
             continue
         zerosets = [zs for _, zs in rays]
-        new = plus + zero
-        for (rp, zp) in plus:
-            sp = dot(a, rp)
-            for (rm, zm) in minus:
+        tight = k - len(lineality) - 2
+        for (rp, zp, sp) in plus:
+            for (rm, zm, sm) in minus:
                 common = zp & zm
+                if len(common) < tight:
+                    continue
                 adjacent = True
                 for zs in zerosets:
                     if zs is zp or zs is zm:
@@ -379,9 +404,8 @@ def _double_description(rows, k: int, ctx: Context):
                         break
                 if not adjacent:
                     continue
-                sm = dot(a, rm)
                 combined = tuple(sp * xm - sm * xp for xp, xm in zip(rp, rm))
-                new.append((_normalize_ray(combined, ctx), (zp & zm) | {idx}))
+                new.append((_normalize_ray(combined, ctx), common | {idx}))
         rays = new
 
     return rays, lineality

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -275,23 +276,42 @@ def _reference_normalize_ray(ray):
     return tuple(x * scale for x in ray)
 
 
-def reference_double_description(rows, k):
-    """The double description of ``polyindex.polytope`` with every entry a
-    Fraction: the same insertion order, lineality pivot and adjacency test,
-    but each projection divides by ``a . l0`` and each ray is normalized by
-    rescaling its Fractions. Returns ``(rays, lineality)`` to compare."""
+def _reference_normalize_float_ray(ray):
+    m = max(abs(x) for x in ray)
+    return ray if m == 0 else tuple(x / m for x in ray)
+
+
+def reference_double_description(rows, k, ctx=None):
+    """The double description of ``polyindex.polytope`` written plainly:
+    the same insertion order, lineality pivot and adjacency test, but every
+    (plus, minus) pair goes to the zero-set scan and every product is taken
+    by its own dot.
+
+    By default every entry is a Fraction, each projection divides by
+    ``a . l0`` and each ray is normalized by rescaling its Fractions. With
+    a float ``ctx`` every entry is a float, signs are ``ctx.sign`` and each
+    ray is divided by its largest magnitude, as the library's float backend
+    does. Returns ``(rays, lineality)`` to compare."""
     def dot(a, b):
         return sum(x * y for x, y in zip(a, b))
 
-    rows = [tuple(map(Fraction, row)) for row in rows]
-    lineality = [tuple(Fraction(int(i == j)) for i in range(k)) for j in range(k)]
+    if ctx is None:
+        scalar, normalize = Fraction, _reference_normalize_ray
+
+        def sign(x):
+            return (x > 0) - (x < 0)
+    else:
+        scalar, normalize, sign = float, _reference_normalize_float_ray, ctx.sign
+
+    rows = [tuple(map(scalar, row)) for row in rows]
+    lineality = [tuple(scalar(int(i == j)) for i in range(k)) for j in range(k)]
     rays = []
     for idx, a in enumerate(rows):
         if lineality:
-            pivot = next((pos for pos, l in enumerate(lineality) if dot(a, l) != 0), None)
+            pivot = next((pos for pos, l in enumerate(lineality) if sign(dot(a, l)) != 0), None)
             if pivot is not None:
                 l0 = lineality[pivot]
-                if dot(a, l0) < 0:
+                if sign(dot(a, l0)) < 0:
                     l0 = tuple(-x for x in l0)
                 al0 = dot(a, l0)
 
@@ -300,12 +320,12 @@ def reference_double_description(rows, k):
                     return tuple(x - z * s for x, z in zip(y, l0))
 
                 lineality = [project(l) for pos, l in enumerate(lineality) if pos != pivot]
-                rays = [(_reference_normalize_ray(project(r)), zs | {idx}) for r, zs in rays]
-                rays.append((_reference_normalize_ray(l0), frozenset(range(idx))))
+                rays = [(normalize(project(r)), zs | {idx}) for r, zs in rays]
+                rays.append((normalize(l0), frozenset(range(idx))))
                 continue
         plus, zero, minus = [], [], []
         for r, zs in rays:
-            s = dot(a, r)
+            s = sign(dot(a, r))
             if s > 0:
                 plus.append((r, zs))
             elif s == 0:
@@ -325,59 +345,70 @@ def reference_double_description(rows, k):
                     continue
                 sm = dot(a, rm)
                 combined = tuple(sp * xm - sm * xp for xp, xm in zip(rp, rm))
-                new.append((_reference_normalize_ray(combined), common | {idx}))
+                new.append((normalize(combined), common | {idx}))
         rays = new
     return rays, lineality
 
 
-def reference_polar_cone(points):
-    """:func:`reference_double_description` of the rows (-v, 1)."""
-    rows = [tuple(-Fraction(x) for x in v) + (Fraction(1),) for v in points]
-    return reference_double_description(rows, len(points[0]) + 1)
+def reference_polar_cone(points, ctx=None):
+    """:func:`reference_double_description` of the rows (-v, 1), on
+    Fractions or, with a float ``ctx``, on floats."""
+    scalar = Fraction if ctx is None else float
+    rows = [tuple(-scalar(x) for x in v) + (scalar(1),) for v in points]
+    return reference_double_description(rows, len(points[0]) + 1, ctx)
 
 
-def reference_index_of(points, x):
-    """Index of the first point equal to x, by a scan over every point."""
+def reference_index_of(points, x, eq=operator.eq):
+    """Index of the first point equal to x, by a scan over every point;
+    coordinates are compared with ``eq``."""
     for j, w in enumerate(points):
-        if all(a == b for a, b in zip(x, w)):
+        if all(eq(a, b) for a, b in zip(x, w)):
             return j
     return None
 
 
-def reference_antipode_map(points):
-    return tuple(reference_index_of(points, tuple(-a for a in v)) for v in points)
+def reference_antipode_map(points, eq=operator.eq):
+    return tuple(reference_index_of(points, tuple(-a for a in v), eq) for v in points)
 
 
-def reference_vertex_flags(points, cone):
+def reference_vertex_flags(points, cone, ctx=None):
     """Whether each point is a vertex of the list, from a cone of
     :func:`reference_polar_cone`: the rays tight at the point and the
     lineality have rank d in their first d coordinates, and the point is
-    listed once (found by a scan)."""
+    listed once (found by a scan). With a float ``ctx`` the rank is the
+    library's float rank and repeats are found with ``ctx.eq``."""
+    from polyindex.linalg import rank
     rays, lineality = cone
     d = len(points[0])
     faces = [[l[:d] for l in lineality] for _ in points]
     for r, zs in rays:
         for i in zs:
             faces[i].append(r[:d])
-    flags = [reference_rank(face) == d for face in faces]
+    if ctx is None:
+        flags, eq = [reference_rank(face) == d for face in faces], operator.eq
+    else:
+        flags, eq = [rank(face, ctx) == d for face in faces], ctx.eq
     for i, v in enumerate(points):
-        j = reference_index_of(points, v)
+        j = reference_index_of(points, v, eq)
         if j != i:
             flags[i] = flags[j] = False
     return flags
 
 
-def reference_strip(points):
+def reference_strip(points, ctx=None):
     """What ``Polytope(points, permissive=True)`` keeps, and the warnings it
-    gives, with repeats found by a scan: ``(kept points, messages)``."""
+    gives, with repeats found by a scan: ``(kept points, messages)``. With a
+    float ``ctx``, what the float backend keeps with that tolerance."""
+    eq = operator.eq if ctx is None else ctx.eq
     messages, kept = [], []
     for v in points:
-        if reference_index_of(kept, v) is not None:
+        if reference_index_of(kept, v, eq) is not None:
             messages.append(f"dropping duplicate vertex {v}")
         else:
             kept.append(v)
     extreme = []
-    for v, is_vertex in zip(kept, reference_vertex_flags(kept, reference_polar_cone(kept))):
+    cone = reference_polar_cone(kept, ctx)
+    for v, is_vertex in zip(kept, reference_vertex_flags(kept, cone, ctx)):
         if is_vertex:
             extreme.append(v)
         else:

@@ -13,12 +13,12 @@ from polyindex import (InputError, Operator, Polytope, ValidationError,
                        regular_2n_gon, scale_coordinate, segment, validate)
 from polyindex.bracket import _own_scale
 from polyindex.linalg import dot, rank, scaled_integer_row, vsub
-from polyindex.polytope import (_polar_cone, _vertex_flags, evaluation_table,
+from polyindex.polytope import (_PointIndex, _polar_cone, _vertex_flags, evaluation_table,
                                 facet_antipode_pairs)
-from polyindex.scalars import EXACT
+from polyindex.scalars import EXACT, float_context
 from helpers import (brute_force_facets, random_symmetric_polytope, reference_antipode_map,
-                     reference_polar_cone, reference_strip, reference_vertex_flags,
-                     scaled_random_polytope)
+                     reference_index_of, reference_polar_cone, reference_strip,
+                     reference_vertex_flags, scaled_random_polytope)
 
 
 def coeff_set(facets):
@@ -530,3 +530,137 @@ def test_hashed_lookups_match_linear_scan():
             stripped = Polytope(pts, backend="rational", permissive=True)
         assert stripped.vertices == kept
         assert [str(w.message) for w in caught] == messages
+
+
+_NUDGES = (-2, -1.5, -1, -0.5, 0.5, 1, 1.5, 2)
+_TINY = (0.0, -0.0, 5e-324, -5e-324, 2.5e-323, 1e-310, -1e-310, 1e-300, -1e-300)
+_HUGE = (1e300, -1e300, 1.7e308)
+
+
+def _float_coordinate(rng, extremes):
+    """A float near one of the extremes (a few ulps off), an extreme itself,
+    or an ordinary value."""
+    r = rng.random()
+    if r < 0.25:
+        return rng.choice(extremes)
+    if r < 0.45:
+        x = rng.choice(extremes)
+        for _ in range(rng.randint(1, 3)):
+            x = math.nextafter(x, rng.choice((math.inf, -math.inf)))
+        return x
+    return rng.choice((1.0, -1.0, 0.5)) if r < 0.55 else rng.uniform(-2, 2)
+
+
+def _float_lookup_sets(rng, eps):
+    """Float point sets in d = 2..4 with exact repeats, copies nudged by
+    +-0.5 to +-2 eps per coordinate (chains of nudges, so a ~ b ~ c with
+    a !~ c), points sharing a first coordinate, antipodes, and coordinates
+    near 1e-300, subnormal and both zeros; every other set also near
+    +-1e300."""
+    # Deterministic edges: (-5e-324, 0) matches its nudge (eps, eps) though
+    # their first coordinates lie just over eps apart (the difference rounds
+    # to eps), and (1 + eps/2, 2) matches a query near (1, 2) at a lower
+    # index than (1, 2), which comes first in window order.
+    yield [(-5e-324, 0.0), (1.0 + eps / 2, 2.0), (1.0, 2.0), (eps, 0.0), (-0.0, 1e-300),
+           (0.0, -1e-300), (1e300, 1.0), (math.nextafter(1e300, 0.0), 1.0)]
+    for trial in range(40):
+        d = 2 + trial % 3
+        extremes = _TINY + _HUGE if trial % 2 else _TINY
+
+        def coordinate():
+            return _float_coordinate(rng, extremes)
+
+        pts = [tuple(coordinate() for _ in range(d)) for _ in range(rng.randint(2, 6))]
+        x0 = rng.choice(pts)[0]
+        pts += [(x0,) + tuple(coordinate() for _ in range(d - 1))
+                for _ in range(rng.randint(1, 4))]
+        for _ in range(rng.randint(1, 4)):
+            v = rng.choice(pts)
+            step = rng.choice(_NUDGES)
+            for _ in range(rng.randint(1, 3)):
+                v = tuple(x + (step if rng.random() < 0.7 else rng.choice(_NUDGES)) * eps
+                          for x in v)
+                pts.append(v)
+        pts += [rng.choice(pts) for _ in range(rng.randint(0, 3))]
+        pts += [tuple(-x for x in rng.choice(pts)) for _ in range(2)]
+        rng.shuffle(pts)
+        yield pts
+
+
+def _float_queries(rng, v, eps):
+    yield v
+    yield tuple(-x for x in v)
+    for c in _NUDGES:
+        yield tuple(x + c * eps for x in v)
+    for _ in range(4):
+        yield tuple(x + rng.choice(_NUDGES) * eps for x in v)
+
+
+def test_float_lookups_match_linear_scan():
+    rng = random.Random(1313)
+    for eps in (1e-9, 1e-3, 1e-300):
+        ctx = float_context(eps)
+        for pts in _float_lookup_sets(rng, eps):
+            index = _PointIndex(pts, ctx)
+            for v in pts:
+                for q in _float_queries(rng, v, eps):
+                    assert index.find(q) == reference_index_of(pts, q, ctx.eq), (q, pts)
+            p = Polytope(pts, backend="float", eps=eps)
+            assert p._antipode_map() == reference_antipode_map(p.vertices, ctx.eq)
+            # A lineality spanning every direction makes each point's face
+            # rank d, so only the duplicate marking sets a flag False.
+            d = len(pts[0])
+            spanning = ([], [tuple(float(i == j) for i in range(d + 1)) for j in range(d + 1)])
+            assert (_vertex_flags(p.vertices, spanning, ctx)
+                    == reference_vertex_flags(p.vertices, spanning, ctx))
+            if max(abs(x) for v in pts for x in v) >= 1e150:
+                continue  # the double description overflows to nan this far out
+            kept, messages = reference_strip(p.vertices, ctx)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                stripped = Polytope(pts, backend="float", eps=eps, permissive=True)
+            assert stripped.vertices == kept
+            assert [str(w.message) for w in caught] == messages
+
+
+def _random_float_point_sets(rng):
+    """Seeded float point sets in d = 2..4: symmetric or not, some flat (a
+    nonempty lineality), with repeated and midpoint points."""
+    for trial in range(60):
+        d = 2 + trial % 3
+        pts = [tuple(rng.uniform(-3, 3) for _ in range(d)) for _ in range(rng.randint(1, d + 4))]
+        if trial % 2:
+            pts += [tuple(-x for x in v) for v in pts]
+        if trial % 5 < 2:
+            pts = [v[:-1] + (0.0,) for v in pts]
+        if trial % 7 == 0:
+            pts = [v[:-2] + (0.0, 0.0) for v in pts]
+        pts += [rng.choice(pts) for _ in range(rng.randint(0, 2))]
+        if trial % 3 == 0:
+            v, w = rng.choice(pts), rng.choice(pts)
+            pts.append(tuple((a + b) / 2 for a, b in zip(v, w)))
+        rng.shuffle(pts)
+        yield pts
+
+
+def _float_balls():
+    for n in range(2, 41):
+        yield regular_2n_gon(n).vertices
+    for n, l in ((2, 0.0), (3, 0.5), (5, 0.25), (11, 0.5)):
+        yield oblique_prism(n, l).vertices
+    for n in (2, 3, 4):
+        yield prism_with_pyramids(n).vertices
+    yield scale_coordinate(prism_with_pyramids(3), 2, 0.37).vertices
+    yield from _random_float_point_sets(random.Random(2027))
+
+
+def test_float_double_description_matches_plain_reference():
+    ctx = float_context()
+    flat = 0
+    for pts in _float_balls():
+        rays, lineality = _polar_cone(pts, ctx)
+        ref_rays, ref_lineality = reference_polar_cone(pts, ctx)
+        assert rays == ref_rays, pts
+        assert lineality == ref_lineality, pts
+        flat += bool(lineality)
+    assert flat >= 10
