@@ -175,16 +175,21 @@ def vertex_minimax(p: Polytope, vertex_index: int,
 
     A facet's LP value is at least its bound: the largest, over the chosen
     r, of the minimum of |f_r| on the facet (see :func:`_sphere_facets`),
-    which needs no LP. The facets are visited in ascending bound order,
-    ties in facet index order, and the result is the least
-    (value, facet index) among the LPs solved. Once the best value so far
-    is below a facet's bound (exactly on rationals, by more than eps on
-    floats), that facet and every later one has a value above the best, so
-    none of them could replace it, and the loop stops. A bound that ties
-    the best within eps is still solved: on floats its LP value may round
-    below the best. So the value, the sphere facet and the minimizer are
-    the least (value, facet index) over all facets, which is the first
-    strict minimum in facet index order that solving every LP gives.
+    which needs no LP. The facets are visited in ascending
+    (bound, facet index) order, and the result is the least
+    (value, facet index) among the LPs solved. On rationals the loop stops
+    at the first facet whose (bound, facet index) exceeds the best
+    (value, facet index) so far: that facet, and every later one, has
+    (value, index) >= (bound, index) > best, so none of them could replace
+    the best. A facet whose bound ties the best value but whose index is
+    higher is skipped with the rest. So a skipped facet is certified by its
+    floor and its index alone, with no LP. On floats the loop stops only
+    once the best value is below the bound by more than eps; a bound that
+    ties the best within eps is still solved, as its LP value may round
+    below the best. Either way the value, the sphere facet and the
+    minimizer are the least (value, facet index) over all facets, which is
+    the first strict minimum in facet index order that solving every LP
+    gives.
 
     The facet table is tabulated only for the facets incident to the
     vertex; :func:`lower_bound` builds one table for all orbits.
@@ -214,8 +219,9 @@ def _vertex_minimax(p, sphere, vertex_index, subset) -> VertexBound:
     best = None
     for s in sorted(range(len(sphere)), key=bounds.__getitem__):
         sf = sphere[s]
-        if best is not None and ctx.lt(best[0], bounds[s]):
-            break  # the bounds only grow from here
+        if best is not None and (best[:2] < (bounds[s], sf.index) if ctx.exact
+                                 else ctx.lt(best[0], bounds[s])):
+            break  # no later facet can beat the best
         nl = len(sf.members)
         # variables: lam_1..lam_nl, t; -t <= f_r(x) <= t times the row's scale
         ineq_lhs = []

@@ -42,6 +42,7 @@ import warnings
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from operator import mul
 from typing import Optional
 
@@ -348,6 +349,11 @@ def _double_description(rows, k: int, ctx: Context):
     the one the ``Fraction`` run normalizes to, with the same signs against
     every row, hence the same order and the same zero sets. A lineality
     vector is a positive multiple of the ``Fraction`` one.
+
+    On floats, products of coordinates near the top of the float range can
+    overflow to inf and then nan. The run is finished before that is
+    checked, once, over its final rays and lineality: a non-finite entry
+    raises :class:`ComputationError`, since the input itself is finite.
     """
     lineality = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
     if not ctx.exact:
@@ -408,6 +414,9 @@ def _double_description(rows, k: int, ctx: Context):
                 new.append((_normalize_ray(combined, ctx), common | {idx}))
         rays = new
 
+    if not ctx.exact and not all(map(math.isfinite, chain(*(r for r, _ in rays), *lineality))):
+        raise ComputationError("double description: a ray overflowed to a non-finite "
+                               "float; the coordinates span too wide a range")
     return rays, lineality
 
 

@@ -183,6 +183,15 @@ def test_lower_bound_bounds_every_operator(hexagon, bipyramid):
             assert lo <= numerical_radius(p, op).value / norm
 
 
+def _cube4(backend=None):
+    return Polytope(list(product((-1, 1), repeat=4)), backend=backend)
+
+
+def _cross4(backend=None):
+    return Polytope([tuple(s if k == j else 0 for k in range(4))
+                     for j in range(4) for s in (1, -1)], backend=backend)
+
+
 def _reference_minimax(p, facets, chosen):
     """Every per-pair LP solved, keeping the first strict minimum:
     (value, sphere facet, minimizer)."""
@@ -213,10 +222,11 @@ def _reference_minimax(p, facets, chosen):
                                   lambda: oblique_prism(5, 0.5),
                                   lambda: prism_with_pyramids(4),
                                   lambda: random_symmetric_polytope(random.Random(3), 3, 6),
-                                  lambda: random_symmetric_polytope(random.Random(4), 4, 6)],
+                                  lambda: random_symmetric_polytope(random.Random(4), 4, 6),
+                                  _cube4, _cross4],
                          ids=["hexagon", "bipyramid", "linf_hexagons", "80-gon",
                               "oblique_prism(5,1/2)", "prism_with_pyramids(4)",
-                              "random_d3", "random_d4"])
+                              "random_d3", "random_d4", "4-cube", "4-cross-polytope"])
 def test_skipped_facet_lps_change_nothing(make):
     p = make()
     facets = facet_enumeration(p)
@@ -258,6 +268,44 @@ def test_lower_bound_work_counts(monkeypatch):
     assert 0 < len(results["solve_lp"]) <= 2 * orbits
 
 
+@pytest.mark.parametrize("make", [_cube4, _cross4], ids=["4-cube", "4-cross-polytope"])
+def test_tied_floors_cost_no_exact_lp(make, monkeypatch):
+    # Every floor of these balls ties the vertex bound. On rationals the
+    # first facet visited decides each orbit, and every later one is skipped
+    # by its (bound, facet index); floats still solve every eps-tie.
+    calls = []
+
+    def counting(lp, ctx):
+        calls.append(lp)
+        return solve_lp(lp, ctx)
+
+    monkeypatch.setattr(bracket_module, "solve_lp", counting)
+    for backend in ("rational", "float"):
+        p = make(backend)
+        orbits, pairs = len(p.orbit_representatives()), len(facet_antipode_pairs(p))
+        assert orbits * pairs == 32
+        calls.clear()
+        lower_bound(p)
+        assert len(calls) == (orbits if backend == "rational" else 32), backend
+
+
+def test_bound_tying_the_best_value_is_solved_at_a_lower_index(square):
+    # A hand-made table on the square's vertex 0 and its two functionals
+    # f, g. Facet 1 has floor 0 and value 1/2 (f falls 1 -> 0 as g rises
+    # 0 -> 1); facet 0 has floor = value = 1/2 (f = 1/2 throughout). Facet
+    # 1 is solved first; facet 0 ties its value at a lower index, so it
+    # must be solved and win, and a stop on the value alone would miss it.
+    f, g = incidence(square).vertex_to_facets[0]
+    sphere = (bracket_module._SphereFacet(index=0, members=(0, 1),
+                                          rows={f: ([1, 1], 2), g: ([0, 0], 1)},
+                                          floors={f: Fraction(1, 2), g: 0}),
+              bracket_module._SphereFacet(index=1, members=(0, 3),
+                                          rows={f: ([1, 0], 1), g: ([0, 1], 1)},
+                                          floors={f: 0, g: 0}))
+    e = bracket_module._vertex_minimax(square, sphere, 0, None)
+    assert (e.value, e.sphere_facet_index) == (Fraction(1, 2), 0)
+
+
 def test_lower_bound_failures_name_vertex_and_facet(hexagon, monkeypatch):
 
     def failing(lp, ctx):
@@ -296,9 +344,7 @@ def test_facet_lps_match_fraction_simplex(monkeypatch, hexagon, bipyramid):
         return sol
 
     monkeypatch.setattr(bracket_module, "solve_lp", recording)
-    cube = Polytope(list(product((-1, 1), repeat=4)))
-    cross = Polytope([tuple(s if k == j else 0 for k in range(4))
-                      for j in range(4) for s in (1, -1)])
+    cube, cross = _cube4(), _cross4()
     # Facets whose vertices differ in denominator: each member's values are
     # brought to the facet's common vertex scale by its own factor.
     mixed = (scale_coordinate(bipyramid_square_prism(), 0, Fraction(1, 3)),

@@ -281,6 +281,26 @@ def test_exit_code_1_names_the_failing_facet_lp(capsys, hexagon_file, monkeypatc
     assert err.rstrip().endswith(": phase 1 cannot be unbounded")
 
 
+@pytest.mark.parametrize("symmetric", [False, True], ids=["points", "symmetric_closure"])
+def test_exit_code_1_on_double_description_overflow(capsys, tmp_path, symmetric):
+    # Finite coordinates whose products overflow: the failure is the
+    # computation's, not the input's.
+    points = [[1.330121430422472, -1.6351347981238336, -1e-300],
+              [1e-323, 0.6154218417116057, 0.5297927544658769],
+              [1.7e308, -1.0321682864308666, -1e300],
+              [1.7e308, -1.8289300478766324, -9.999999999999996e299],
+              [1e300, -1e-310, -1e-310],
+              [1e300, -5e-10, -5e-10]]
+    if symmetric:
+        points += [[-x for x in v] for v in points]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"dim": 3, "scalar": "float", "vertices": points}))
+    code, out, err = run(capsys, "hull", "-i", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("computation failed: double description: ")
+    assert "not a finite number" not in err
+
+
 def test_exit_code_2_on_missing_file(capsys):
     code, _, err = run(capsys, "hull", "-i", "/nonexistent/nowhere.json")
     assert code == 2
