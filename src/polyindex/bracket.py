@@ -12,17 +12,19 @@ certified lower bound on the numerical index.
 Upper bound: any norm-one operator T gives n(X) <= v(T). Witness
 operators are supplied by the caller (the family generators construct the
 sharp ones) and can be supplemented by a seeded derivative-free local
-search over matrix entries; the identity (v = 1) is the fallback.
+search over matrix entries; the identity (v = 1) is the fallback. The
+search ranks its candidates on half the ball's evaluation table, exactly
+on rational balls and in floats on float balls, and only its winner is
+evaluated by the backend.
 """
 from __future__ import annotations
 
 import math
 import random
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .errors import ComputationError, InputError
 from .linalg import rank, scaled_integer_rows
@@ -67,9 +69,6 @@ class SearchConfig:
 
 _STARTS = 6     # search starts: the witnesses, then random matrices up to this many
 _STEP = 0.5     # initial standard deviation of a proposal's move in each entry
-_MARGIN = 1e-9  # relative gap below which float screen values decide no comparison
-_UNIT_ROUNDOFF = sys.float_info.epsilon / 2
-_TINIEST = 5e-324  # the least subnormal float
 
 
 @dataclass(frozen=True)
@@ -288,14 +287,7 @@ def _operator(p: Polytope, entries) -> Operator:
                     eps=None if p.ctx.exact else p.ctx.eps)
 
 
-class _Screened(NamedTuple):
-    """A search candidate's float screen (see :meth:`_Screen.screen`)."""
-
-    value: float  # v(T/||T||) in floats
-    slack: float  # bound on |value - the value the exact evaluation returns|
-
-
-class _Screen:
+class _HalfTable:
     """Half the ball's evaluation table, built once per search.
 
     ``vertices`` holds one row W_a of :func:`polytope.evaluation_table` per
@@ -304,13 +296,12 @@ class _Screen:
     = |(-g)(T v)|: the norm of T is the largest |g_j(T v_a)|, and its
     numerical radius the largest over ``incident``, the pairs (a, j) where
     v_a or -v_a lies on a facet of pair j. On a rational ball the rows are
-    ints over the table's common scales, and :meth:`exact` evaluates every
-    candidate on them; on a float ball they are the coordinates, and
-    :meth:`screen` ranks candidates in floats.
+    ints over the table's common scales; on a float ball they are the
+    coordinates.
     """
 
     def __init__(self, p: Polytope):
-        self.p = p
+        self.ctx = p.ctx
         inc, table = incidence(p), evaluation_table(p)
         pairs = facet_antipode_pairs(p)
         pair_of = {k: j for j, pair in enumerate(pairs) for k in pair}
@@ -321,103 +312,25 @@ class _Screen:
             (a, j) for a, i in enumerate(reps)
             for j in sorted({pair_of[k] for k in inc.vertex_to_facets[i]
                              + inc.vertex_to_facets[p.antipode_index(i)]}))
-        if p.ctx.exact:
-            return
-        # Error bound for one |g_j(T v_a)| computed in floats, per unit of
-        # max |T_ij| (see :meth:`screen`). ``skew_*`` is how far a stored
-        # antipode is from the exact negation.
-        fv, fg = table.vertices, table.facets
-        size_v = max(sum(map(abs, v)) for v in fv)
-        size_g = max(sum(map(abs, g)) for g in fg)
-        skew_v = max(sum(abs(x + y) for x, y in zip(fv[i], fv[p.antipode_index(i)])) for i in reps)
-        skew_g = max(sum(abs(x + y) for x, y in zip(fg[k], fg[k2])) for k, k2 in pairs)
-        d = p.dim
-        self.err_scale = 2 * ((2 * d + 3) * _UNIT_ROUNDOFF * size_g * size_v
-                              + size_g * skew_v + size_v * skew_g)
-        self.err_floor = 2 * d * _TINIEST * (1 + size_g)  # underflow
 
-    def _maxima(self, matrix) -> tuple:
-        """(radius, norm) of the operator with rows ``matrix``, over the rows
-        of the half table: the largest |G_j . (matrix W_a)| over the incident
-        pairs, and over all pairs."""
-        images = [[sum(map(mul, row, v)) for row in matrix] for v in self.vertices]
-        pairs = [[abs(sum(map(mul, g, tv))) for g in self.functionals] for tv in images]
-        return max(pairs[a][j] for a, j in self.incident), max(map(max, pairs))
-
-    def screen(self, entries) -> Optional[_Screened]:
-        """v(T/||T||) in floats, or None when floats cannot rank T or the
-        ball is rational.
-
-        One computed |g_j(T v_a)| is within ``err`` of the exact value of
-        the same pair on the exact ball: with m = max |T_ij|, rounding costs
-        at most (2d+3) u m sum|g| sum|v| (two dot products of length d),
-        antipodes that are not exact negations cost
-        m (sum|g| skew_v + sum|v| skew_g), and underflow a few subnormal
-        units. ``err`` doubles that. The norm and the radius are maxima of
-        such values, so each is within ``err`` too, and then
-        v = radius/norm within 2 err/norm plus one rounding. The float
-        backend's own value is within about as much again, and ``slack``
-        covers both with room to spare. None when T has a non-finite
-        entry, or when the radius or the norm is too close to 0 (to eps,
-        below which the norm counts as 0) to tell.
-        """
-        if self.p.ctx.exact:
-            return None
-        radius, norm = self._maxima(entries)
-        err = self.err_scale * max(abs(x) for row in entries for x in row) + self.err_floor
-        if not (radius > 2 * err and 2 * err + self.p.ctx.eps < norm < math.inf):
-            return None
-        return _Screened(radius / norm, 16 * err / norm + 4 * _UNIT_ROUNDOFF)
-
-    def exact(self, entries):
-        """float(v(T/||T||)) as the exact evaluation gives it, None when ||T|| is 0.
+    def value(self, entries) -> Optional[float]:
+        """v(T/||T||) as a float, or None when ||T|| is 0 or not finite.
 
         On a rational ball T is scaled once to ints, M = L_T T: the radius
         and the norm are then ints over one common scale, and ``int / int``
-        rounds their quotient as ``float`` of a ``Fraction`` does.
+        rounds their quotient as ``float`` of a ``Fraction`` does, so the
+        value is float(v) of the exact evaluation bit for bit. On a float
+        ball the same loop runs on the float rows.
         """
-        if not self.p.ctx.exact:
-            result = _normalized_radius(self.p, _operator(self.p, entries))
-            return None if result is None else float(result[0].value)
-        matrix, _ = scaled_integer_rows([[Fraction(x) for x in row] for row in entries])
-        radius, norm = self._maxima(matrix)
-        return radius / norm if norm else None
-
-
-_UNSET = object()
-
-
-class _Candidate:
-    """A search point: its entries, its float screen and, once a comparison
-    needs it, its exact value (computed at most once)."""
-
-    __slots__ = ("entries", "screened", "_screen", "_value")
-
-    def __init__(self, screen: _Screen, entries):
-        self.entries = entries
-        self.screened = screen.screen(entries)
-        self._screen = screen
-        self._value = _UNSET
-
-    @property
-    def value(self):
-        if self._value is _UNSET:
-            self._value = self._screen.exact(self.entries)
-        return self._value
-
-    @property
-    def zero_norm(self) -> bool:
-        return self.screened is None and self.value is None
-
-    def __lt__(self, other: "_Candidate") -> bool:
-        """The exact search's ``float(v(self)) < float(v(other))``, for
-        candidates of nonzero norm; floats decide only a clear gap."""
-        a, b = self.screened, other.screened
-        if a is not None and b is not None:
-            gap = b.value - a.value
-            if abs(gap) > max(_MARGIN * max(a.value, b.value), a.slack + b.slack):
-                return gap > 0
-        return self.value < other.value
+        matrix = entries
+        if self.ctx.exact:
+            matrix, _ = scaled_integer_rows([[Fraction(x) for x in row] for row in entries])
+        images = [[sum(map(mul, row, v)) for row in matrix] for v in self.vertices]
+        pairs = [[abs(sum(map(mul, g, tv))) for g in self.functionals] for tv in images]
+        radius, norm = max(pairs[a][j] for a, j in self.incident), max(map(max, pairs))
+        if self.ctx.is_zero(norm) or not norm < math.inf:
+            return None
+        return radius / norm
 
 
 def _search_candidates(p, witnesses, cfg: SearchConfig):
@@ -427,62 +340,54 @@ def _search_candidates(p, witnesses, cfg: SearchConfig):
     Deterministic for a fixed seed.
 
     The search accepts a proposal whose value is below the current point's
-    and keeps the start that ends lowest, where a value is float(v) of the
-    exact evaluation (:func:`_normalized_radius`). On a rational ball each
-    candidate is evaluated exactly on the ints of half the ball's
-    evaluation table (:meth:`_Screen.exact`), which gives that float bit for
-    bit. On a float ball each candidate gets a float screen instead
-    (:meth:`_Screen.screen`): v with one norm, over half the vertices and
-    half the facets. The screen decides a comparison only when both
-    candidates have one and the two differ by more than _MARGIN relative
-    (and more than their float error bounds). A near-tie, or a candidate
-    without a screen, goes to :func:`_normalized_radius`, at most once per
-    point. So every comparison comes out as exact evaluation of every
-    candidate would decide it, the search visits the same points, and the
-    output is byte-identical to that of the exact search. The winner alone
-    is re-evaluated through :func:`_normalized_radius`, which gives the
-    returned value, unit witness and certificate: the bound never rests on
-    a float.
+    and keeps the start that ends lowest. Every candidate is evaluated once,
+    on half the ball's evaluation table (:meth:`_HalfTable.value`): on a
+    rational ball that value is float(v) of the exact evaluation, on a
+    float ball v over the float half table. The winner alone is
+    re-evaluated through :func:`_normalized_radius`, which gives the
+    returned value, unit witness and certificate, so the reported bound
+    comes from the backend. Its norm is not 0: on the same rows the full
+    norm is at least the half one.
     """
     rng = random.Random(cfg.seed)
     d = p.dim
-    screen = _Screen(p)
+    table = _HalfTable(p)
 
     starts = [[list(map(float, row)) for row in w.matrix] for w in witnesses]
     while len(starts) < _STARTS:
         starts.append([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(d)])
 
     budget = cfg.budget
-    best = None
+    best = None  # (value, entries) of the lowest start so far
     per_start = max(budget // len(starts), 1)
     for entries in starts:
         if budget <= 0:
             break
-        current = _Candidate(screen, entries)
+        current = table.value(entries)
         budget -= 1
-        if current.zero_norm:
+        if current is None:
             continue
         step = _STEP
         fails = 0
         spent = 1
         while budget > 0 and spent < per_start and step > 1e-9:
             proposal = [[x + step * rng.gauss(0, 1) for x in row] for row in entries]
-            cand = _Candidate(screen, proposal)
+            value = table.value(proposal)
             budget -= 1
             spent += 1
-            if not cand.zero_norm and cand < current:
-                entries, current = proposal, cand
+            if value is not None and value < current:
+                entries, current = proposal, value
                 fails = 0
             else:
                 fails += 1
                 if fails >= 8:
                     step *= 0.5
                     fails = 0
-        if best is None or current < best:
-            best = current
+        if best is None or current < best[0]:
+            best = (current, entries)
     if best is None:
         return []
-    cert, unit = _normalized_radius(p, _operator(p, best.entries))
+    cert, unit = _normalized_radius(p, _operator(p, best[1]))
     return [(cert.value, unit, cert)]
 
 

@@ -19,6 +19,7 @@ and vertices as they are, in float arithmetic.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter, mul
@@ -144,12 +145,17 @@ def _value(x, scale):
 def operator_norm(p: Polytope, op: Operator):
     """(norm, attaining vertex index); the norm is max over vertices of gauge(T v).
 
-    Ties go to the lowest vertex index.
+    Ties go to the lowest vertex index. In floats a |f(T v)| that is not
+    finite (T v or its pairing overflowed) raises ComputationError naming
+    the vertex: the norm would be inf, and T/||T|| the zero operator.
     """
     rows, images, scale = _evaluation(p, op)
     best, best_i = None, None
     for i, tv in enumerate(images):
-        g = max(abs(sum(map(mul, f, tv))) for f in rows)
+        values = [abs(sum(map(mul, f, tv))) for f in rows]
+        if scale is None and not all(map(math.isfinite, values)):
+            raise ComputationError(f"operator norm: |f(T v)| is not finite at vertex {i}")
+        g = max(values)
         if best is None or g > best:
             best, best_i = g, i
     return _value(best, scale), best_i

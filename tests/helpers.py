@@ -454,3 +454,30 @@ def reference_gauge(p, x):
     from polyindex import facet_enumeration
     from polyindex.linalg import dot
     return max(abs(dot(f.coeffs, x)) for f in facet_enumeration(p))
+
+
+def reference_half_table_value(p, matrix):
+    """v(T/||T||) of ``matrix`` on the float ball ``p`` over half its
+    evaluation table, one ``linalg.matvec`` and ``linalg.dot`` each: the
+    largest |g(T v)| over the incident pairs divided by the largest over all
+    pairs, with v an orbit representative and g the first facet of each
+    antipodal facet pair. A pair is incident when v or its antipode lies on
+    either facet of the pair. None when the norm is 0 (to eps) or not finite.
+    """
+    from polyindex import facet_enumeration, incidence
+    from polyindex.linalg import dot, matvec
+    from polyindex.polytope import facet_antipode_pairs
+    facets = facet_enumeration(p)
+    v2f = incidence(p).vertex_to_facets
+    radius = norm = 0.0
+    for i in p.orbit_representatives():
+        tv = matvec(matrix, p.vertices[i])
+        on = set(v2f[i]) | set(v2f[p.antipode_index(i)])
+        for pair in facet_antipode_pairs(p):
+            value = abs(dot(facets[pair[0]].coeffs, tv))
+            norm = max(norm, value)
+            if on & set(pair):
+                radius = max(radius, value)
+    if p.ctx.is_zero(norm) or not norm < math.inf:
+        return None
+    return radius / norm

@@ -16,7 +16,7 @@ from polyindex import (ComputationError, InputError, LinearProgram, Operator, Po
 from polyindex.linalg import dot, rank
 from polyindex.polytope import evaluation_table, facet_antipode_pairs
 from helpers import (boundary_minimax_2d, random_rational_matrix, random_symmetric_polytope,
-                     reference_solve_lp, scaled_random_polytope)
+                     reference_half_table_value, reference_solve_lp, scaled_random_polytope)
 
 
 def test_hexagon_vertex_bounds_exact(hexagon):
@@ -257,8 +257,8 @@ def test_lower_bound_work_counts(monkeypatch):
         monkeypatch.setattr(bracket_module, name, recording)
     p = regular_2n_gon(40)
     br = index_bracket(p, search=SearchConfig(budget=100, seed=1))
-    # The lower bound's facet table and the search screen both read the
-    # pairing, which is computed once for the ball.
+    # The lower bound's facet table and the search's half table both read
+    # the pairing, which is computed once for the ball.
     pairings = results["facet_antipode_pairs"]
     assert len(pairings) == 2 and pairings[1] is pairings[0]
     orbits, pairs = len(br.lower_certificate.entries), len(facet_enumeration(p)) // 2
@@ -371,21 +371,29 @@ def test_facet_lps_match_fraction_simplex(monkeypatch, hexagon, bipyramid):
 
 
 def _reference_search(p, witnesses, budget, seed):
-    """The search loop with every candidate evaluated exactly: an exact
-    Operator, its norm and its normalized radius, compared as floats."""
+    """The search loop with every candidate evaluated by a plain reference:
+    on a rational ball an exact Operator, its norm and its normalized
+    radius, compared as floats; on a float ball v over half the table in
+    floats (:func:`helpers.reference_half_table_value`). The winner alone
+    is evaluated by the backend."""
     rng = random.Random(seed)
     d = p.dim
     backend = "rational" if p.ctx.exact else "float"
 
-    def evaluate(entries):
+    def unit_radius(entries):
         op = Operator([row[:] for row in entries], backend=backend,
                       eps=None if p.ctx.exact else p.ctx.eps)
         norm, _ = operator_norm(p, op)
         if p.ctx.is_zero(norm):
             return None
         unit = op.scale(1 / norm)
-        cert = numerical_radius(p, unit)
-        return float(cert.value), cert, unit
+        return numerical_radius(p, unit), unit
+
+    def evaluate(entries):
+        if not p.ctx.exact:
+            return reference_half_table_value(p, entries)
+        result = unit_radius(entries)
+        return None if result is None else float(result[0].value)
 
     starts = [[list(map(float, row)) for row in w.matrix] for w in witnesses]
     while len(starts) < 6:
@@ -405,7 +413,7 @@ def _reference_search(p, witnesses, budget, seed):
             cand = evaluate(proposal)
             budget -= 1
             spent += 1
-            if cand is not None and cand[0] < current[0]:
+            if cand is not None and cand < current:
                 entries, current = proposal, cand
                 fails = 0
             else:
@@ -413,17 +421,20 @@ def _reference_search(p, witnesses, budget, seed):
                 if fails >= 8:
                     step *= 0.5
                     fails = 0
-        if best is None or current[0] < best[0]:
-            best = current
-    return [] if best is None else [(best[1].value, best[2], best[1])]
+        if best is None or current < best[0]:
+            best = (current, entries)
+    if best is None:
+        return []
+    cert, unit = unit_radius(best[1])
+    return [(cert.value, unit, cert)]
 
 
 def _scaled_hexagon(scale):
     return Polytope([[x * scale for x in v] for v in irregular_hexagon().vertices])
 
 
-# Two starts whose exact values differ in the last bit while their float
-# screens tie: only the exact values pick the second.
+# Two starts on the rational hexagon whose values differ in the last bit:
+# only the exact evaluation picks the second.
 _NEAR_TIE_STARTS = ([[1.089, 1.646], [0.482, -1.194]],
                     [[1.089, 1.6460000000000008], [0.482, -1.194]])
 
@@ -438,7 +449,7 @@ _SEARCH_CASES = {
                            100, 4),
     "hexagon*10^400": (lambda: _scaled_hexagon(Fraction(10) ** 400), (), 40, 1),
     "hexagon*10^-400": (lambda: _scaled_hexagon(Fraction(10) ** -400), (), 40, 2),
-    # Float balls with subnormal coordinates, screened in floats.
+    # Float balls with subnormal coordinates, ranked in floats.
     "square+1e-310": (lambda: Polytope([(1.0, 1e-310), (-1.0, -1e-310), (0.0, 1.0), (0.0, -1.0)],
                                        backend="float"), (), 60, 1),
     "hexagon+5e-324": (lambda: Polytope([(1.0, 5e-324), (-1.0, -5e-324), (0.3, 1.0),
@@ -503,23 +514,10 @@ def test_rational_value_is_the_normalized_radius(make, name):
     # On a rational ball the search evaluates every candidate on the ints of
     # the half table, and gets float(v) of the exact evaluation bit for bit.
     p = make()
-    screen = bracket_module._Screen(p)
+    table = bracket_module._HalfTable(p)
     for entries in _probe_matrices(p.dim, random.Random(77)) + _TIED_PAIRS[name]:
-        assert screen.screen(entries) is None
         want = bracket_module._normalized_radius(p, Operator(entries, backend="rational"))[0].value
-        assert screen.exact(entries) == float(want)
-
-
-@pytest.mark.parametrize("make", [lambda: oblique_prism(5, 0.5), lambda: regular_2n_gon(12)],
-                         ids=["oblique_prism(5,1/2)", "regular_2n_gon(12)"])
-def test_float_screen_is_within_its_slack(make):
-    p = make()
-    screen = bracket_module._Screen(p)
-    for entries in _probe_matrices(p.dim, random.Random(77)):
-        screened = screen.screen(entries)
-        assert screened is not None
-        want = bracket_module._normalized_radius(p, bracket_module._operator(p, entries))[0].value
-        assert abs(screened.value - want) <= screened.slack
+        assert table.value(entries) == float(want)
 
 
 def test_search_evaluates_only_the_winner_exactly(hexagon, monkeypatch):
@@ -531,9 +529,14 @@ def test_search_evaluates_only_the_winner_exactly(hexagon, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(bracket_module, "operator_norm", counting)
-    upper_bound(hexagon, search=SearchConfig(budget=100, seed=1))
-    # The identity fallback and the winner; the exact search took 193.
-    assert len(calls) <= 3
+    prism = oblique_prism(5, 0.5)
+    for p, witnesses, seed in ((hexagon, (), 1),
+                               (prism, (prism_witness_operator(5, 0.5),), 3)):
+        calls.clear()
+        upper_bound(p, witnesses=witnesses, search=SearchConfig(budget=100, seed=seed))
+        # The witnesses, the identity fallback and the winner; evaluating
+        # every candidate through the backend takes about one per candidate.
+        assert len(calls) <= len(witnesses) + 2
 
 
 def test_tiny_float_hexagon_bracket():

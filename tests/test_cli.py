@@ -301,6 +301,19 @@ def test_exit_code_1_on_double_description_overflow(capsys, tmp_path, symmetric)
     assert "not a finite number" not in err
 
 
+@pytest.mark.parametrize("command,flag", [("bound", "--witness"), ("radius", "--operator")])
+def test_exit_code_1_on_operator_overflow(capsys, tmp_path, command, flag):
+    # A finite operator whose images overflow: its norm would be inf, and the
+    # unit witness the zero matrix, a false upper bound of 0.
+    ball, op = tmp_path / "square.json", tmp_path / "w.json"
+    ball.write_text(json.dumps({"dim": 2, "scalar": "float",
+                                "vertices": [[2, 0], [-2, 0], [0, 2], [0, -2]]}))
+    op.write_text(json.dumps({"dim": 2, "scalar": "float", "matrix": [[1e308, 0], [0, 1e308]]}))
+    code, out, err = run(capsys, command, "-i", str(ball), flag, str(op))
+    assert (code, out) == (1, "")
+    assert err == "computation failed: operator norm: |f(T v)| is not finite at vertex 0\n"
+
+
 def test_exit_code_2_on_missing_file(capsys):
     code, _, err = run(capsys, "hull", "-i", "/nonexistent/nowhere.json")
     assert code == 2
