@@ -98,16 +98,6 @@ class _SphereFacet:
     floors: dict    # floors[r] = min of |f_r| over facet k
 
 
-def _own_scale(row, scale) -> tuple:
-    """``(ints, lcm)``: an integer table row ``row`` over the common
-    ``scale`` divided by their gcd. The result is the row's own
-    ``linalg.scaled_integer_row``: for each prime, some entry of the
-    ``Fraction`` row carries the full power of it in the row's lcm, and so
-    leaves a scaled entry prime to it."""
-    g = math.gcd(*row, scale)
-    return [x // g for x in row], scale // g
-
-
 def _sphere_facets(p: Polytope, used) -> tuple:
     """The facet table of the sphere, one entry per antipodal facet pair,
     in ascending facet index, tabulated for the facet functionals ``used``.
@@ -118,44 +108,34 @@ def _sphere_facets(p: Polytope, used) -> tuple:
     absolute value, and otherwise it is 0.
 
     The values are dot products of the rows of the ball's evaluation table
-    (:func:`polytope.evaluation_table`). On the exact backend each integer
-    row is first brought back to its own scale (:func:`_own_scale`):
-    f_r = F_r / L_r and w_a = W_a / L_a. With m_k the lcm of the L_a over
-    the members of facet k, the values of f_r there are the ints
-    ``F_r . W_a * (m_k // L_a)`` over the scale ``L_r * m_k``, both divided
-    by their gcd. The facet LPs take these ints as they are, and a floor
-    is one ``Fraction`` per row. Floats sum the same products in the same
-    order as ``linalg.dot``, with scale 1.
+    (:func:`polytope.evaluation_table`), summed in the same order as
+    ``linalg.dot``. On the exact backend f_r(w_a) = F_r . W_a / (L_F L_W),
+    and each row of those ints is divided, with the scale L_F L_W, by their
+    gcd. That leaves the one primitive pair of the row's values, which is
+    ``linalg.scaled_integer_row`` of them: the ints that the facet LPs take
+    as they are. A floor is one ``Fraction`` per row. Floats have scale 1.
     """
     ctx = p.ctx
     zero = 0 if ctx.exact else ctx.coerce(0)
     facets = facet_enumeration(p)
     ev = evaluation_table(p)
     used = sorted(used)
-    if ctx.exact:
-        frows = [_own_scale(ev.facets[r], ev.facet_scale) for r in used]
-        vrows = [_own_scale(w, ev.vertex_scale) for w in ev.vertices]
+    scale = ev.facet_scale * ev.vertex_scale
     table = []
     for k, _ in facet_antipode_pairs(p):
         members = tuple(sorted(facets[k].incident_vertices))
-        if ctx.exact:
-            m = math.lcm(*[vrows[j][1] for j in members])
-            wrows = [[x * (m // wl) for x in wi] for wi, wl in (vrows[j] for j in members)]
-            rows = []
-            for fi, fl in frows:
-                row = [sum(map(mul, fi, w)) for w in wrows]
-                g = math.gcd(*row, fl * m)
-                rows.append(([x // g for x in row], fl * m // g))
-        else:
-            wrows = [ev.vertices[j] for j in members]
-            rows = [([sum(map(mul, ev.facets[r], w)) for w in wrows], 1) for r in used]
-        floors = {}
-        for r, (row, scale) in zip(used, rows):
+        wrows = [ev.vertices[j] for j in members]
+        rows, floors = {}, {}
+        for r in used:
+            row, row_scale = [sum(map(mul, ev.facets[r], w)) for w in wrows], 1
+            if ctx.exact:
+                g = math.gcd(*row, scale)
+                row, row_scale = [x // g for x in row], scale // g
             lo, hi = min(row), max(row)
             floor = lo if ctx.sign(lo) > 0 else -hi if ctx.sign(hi) < 0 else zero
-            floors[r] = Fraction(floor, scale) if ctx.exact else floor
-        table.append(_SphereFacet(index=k, members=members, rows=dict(zip(used, rows)),
-                                  floors=floors))
+            floors[r] = Fraction(floor, row_scale) if ctx.exact else floor
+            rows[r] = (row, row_scale)
+        table.append(_SphereFacet(index=k, members=members, rows=rows, floors=floors))
     return tuple(table)
 
 
@@ -282,11 +262,6 @@ def _normalized_radius(p, op):
     return numerical_radius(p, unit), unit
 
 
-def _operator(p: Polytope, entries) -> Operator:
-    return Operator(entries, backend="rational" if p.ctx.exact else "float",
-                    eps=None if p.ctx.exact else p.ctx.eps)
-
-
 class _HalfTable:
     """Half the ball's evaluation table, built once per search.
 
@@ -387,7 +362,8 @@ def _search_candidates(p, witnesses, cfg: SearchConfig):
             best = (current, entries)
     if best is None:
         return []
-    cert, unit = _normalized_radius(p, _operator(p, best[1]))
+    backend = "rational" if p.ctx.exact else "float"
+    cert, unit = _normalized_radius(p, Operator(best[1], backend=backend))
     return [(cert.value, unit, cert)]
 
 
@@ -398,13 +374,17 @@ def upper_bound(p: Polytope, witnesses: Sequence[Operator] = (),
     outcome of the optional local search.
 
     Returns (value, normalized witness, radius certificate). A provided
-    witness with norm 0 is rejected.
+    witness with norm 0 is rejected, and a ComputationError on witness k
+    is raised again with ``witness k`` in front of its message.
     """
     candidates = []
-    for w in witnesses:
+    for k, w in enumerate(witnesses):
         if w.dim != p.dim:
             raise InputError(f"witness dimension {w.dim} does not match space dimension {p.dim}")
-        result = _normalized_radius(p, w)
+        try:
+            result = _normalized_radius(p, w)
+        except ComputationError as exc:
+            raise ComputationError(f"witness {k}: {exc}") from exc
         if result is None:
             raise InputError("witness operator has norm 0")
         cert, unit = result

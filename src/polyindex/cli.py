@@ -158,7 +158,7 @@ def _parse_point(text: str, p) -> tuple:
 def cmd_radius(args) -> int:
     p, embedded = _load_polytope(args)
     if args.operator:
-        op = operator_from_document(_read_json(args.operator, "operator"), eps=args.eps)
+        op = operator_from_document(_read_json(args.operator, "operator"))
     elif embedded is not None:
         op = embedded
     else:
@@ -196,7 +196,7 @@ def _spanning_facets(p, i) -> tuple:
 
 def cmd_bound(args) -> int:
     p, embedded = _load_polytope(args)
-    witnesses = [operator_from_document(_read_json(path, "witness"), eps=args.eps)
+    witnesses = [operator_from_document(_read_json(path, "witness"))
                  for path in args.witness or []]
     if not witnesses and embedded is not None:
         witnesses = [embedded]
@@ -236,8 +236,8 @@ def cmd_family(args) -> int:
     if kind == "linf_sum":
         if not args.a or not args.b:
             raise InputError("family linf_sum: needs --a FILE and --b FILE polytope documents")
-        pa, _ = polytope_from_document(_read_json(args.a, "--a"), eps=args.eps)
-        pb, _ = polytope_from_document(_read_json(args.b, "--b"), eps=args.eps)
+        pa, _ = polytope_from_document(_read_json(args.a, "--a"))
+        pb, _ = polytope_from_document(_read_json(args.b, "--b"))
         p = linf_sum(pa, pb)
         witness = None
     else:
@@ -402,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="embed the family's sharp witness operator")
     sp.add_argument("--a", help="linf_sum: first summand polytope document")
     sp.add_argument("--b", help="linf_sum: second summand polytope document")
-    sp.add_argument("--eps", type=float, default=None)
     sp.add_argument("--output", "-o", default="-")
     sp.set_defaults(func=cmd_family)
 

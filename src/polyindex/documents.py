@@ -88,7 +88,7 @@ def polytope_from_document(doc, eps: Optional[float] = None) -> Tuple[Polytope, 
     p = Polytope(parsed, backend=kind, eps=eps)
     witness = None
     if "witness" in doc and doc["witness"] is not None:
-        witness = operator_from_document(doc["witness"], eps=eps, name="witness")
+        witness = operator_from_document(doc["witness"], name="witness")
         if witness.dim != dim:
             raise InputError("witness.dim: does not match polytope.dim")
     return p, witness
@@ -102,7 +102,7 @@ def operator_to_document(op: Operator) -> dict:
     }
 
 
-def operator_from_document(doc, eps: Optional[float] = None, name: str = "operator") -> Operator:
+def operator_from_document(doc, name: str = "operator") -> Operator:
     """Parse an operator document; errors name its fields ``<name>.*``."""
     dim, kind = _check_header(doc, name)
     matrix = doc.get("matrix")
@@ -114,4 +114,4 @@ def operator_from_document(doc, eps: Optional[float] = None, name: str = "operat
             raise InputError(f"{name}.matrix[{i}]: expected an array of length {dim}")
         parsed.append([_scalar_from_json(x, kind, f"{name}.matrix[{i}][{j}]")
                        for j, x in enumerate(row)])
-    return Operator(parsed, backend=kind, eps=eps)
+    return Operator(parsed, backend=kind)

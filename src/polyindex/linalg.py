@@ -53,11 +53,6 @@ def matmul(a, b):
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
 
 
-def identity(d: int, ctx: Context):
-    one, zero = ctx.coerce(1), ctx.coerce(0)
-    return tuple(tuple(one if i == j else zero for j in range(d)) for i in range(d))
-
-
 def _pivot_row(rows, col, start, ctx):
     """Index of the pivot row for `col`, or None if the column is (near) zero."""
     if ctx.exact:

@@ -35,9 +35,11 @@ Free variables are split internally as x = u - w with u, w >= 0.
 The simplex starts from the slack basis: every inequality row with
 ``b_i >= 0`` starts with its slack variable basic, so it needs no
 artificial variable. Only equality rows and inequality rows with
-``b_i < 0`` get one, and phase 1 runs only when some row has one. The
-min-max LPs of the lower bound have every row ``<= 0`` except
-``sum lam = 1``, so they carry a single artificial column.
+``b_i < 0`` get one, and phase 1 runs only when some row has one. An
+artificial has no tableau column, since no step reads one; the k-th keeps
+the basis number ``width + k``, past the last column, for Bland's
+tie-breaks. The min-max LPs of the lower bound have every row ``<= 0``
+except ``sum lam = 1``, so they carry a single artificial.
 """
 from __future__ import annotations
 
@@ -170,13 +172,15 @@ def _leaving_row(rows, basis, enter, tol, exact):
     return leave
 
 
-def _simplex(rows, objs, basis, allowed, ctx, max_pivots):
-    """Run Bland-rule simplex on objs[0]; returns 'optimal' or 'unbounded'."""
+def _simplex(rows, objs, basis, ctx, max_pivots):
+    """Run Bland-rule simplex on objs[0]; returns 'optimal' or 'unbounded'.
+
+    Every column but the right-hand side may enter."""
     tol = ctx.eps or 0  # obj[j] < -tol is ctx.sign(obj[j]) < 0, without the call
     for _ in range(max_pivots):
         obj = objs[0]
         enter = None
-        for j in allowed:
+        for j in range(len(obj) - 1):
             if obj[j] < -tol:
                 enter = j
                 break
@@ -195,11 +199,11 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
     Two-phase simplex started from the slack basis: an inequality row with
     a nonnegative right-hand side starts with its own slack variable basic.
     Only equality rows and inequality rows with a negative right-hand side
-    get an artificial variable. Phase 1 minimizes the sum of those
-    artificials and declares infeasibility when it cannot be driven to
-    zero; it is skipped when there are none. Phase 2 minimizes the real
-    objective. Bland's rule is used throughout, so the method terminates
-    on degenerate input.
+    get an artificial variable, basic in its row and without a column of
+    its own. Phase 1 minimizes the sum of those artificials and declares
+    infeasibility when it cannot be driven to zero; it is skipped when
+    there are none. Phase 2 minimizes the real objective. Bland's rule is
+    used throughout, so the method terminates on degenerate input.
 
     On the exact backend an ``int`` coefficient is taken as it is and any
     other is coerced to a ``Fraction``; ``value`` and ``point`` are
@@ -235,7 +239,7 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
             ncols += 1
     n_struct = ncols
     n_slack = len(lp.ineq_lhs)
-    width = n_struct + n_slack  # structural and slack columns, the ones that may enter
+    width = n_struct + n_slack  # the tableau's columns before the RHS
 
     def expand(coeffs):
         row = [zero] * (width + 1)
@@ -262,42 +266,30 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
             art_rows.append(i)
         rows.append(row)
     n_rows = len(rows)
-    # Artificial columns (an identity block on art_rows) just before the RHS.
-    total = width + len(art_rows)
-    for i, row in enumerate(rows):
-        art = [zero] * len(art_rows)
-        if basis[i] >= width:
-            art[basis[i] - width] = one
-        rows[i] = row[:width] + art + row[width:]
 
     objective = tuple(map(take, lp.objective))
-    phase2 = [zero] * (total + 1)
+    phase2 = [zero] * (width + 1)
     for j in range(n):
         c = objective[j]
         phase2[col_of_plus[j]] = c
         if col_of_minus[j] is not None:
             phase2[col_of_minus[j]] = -c
 
-    max_pivots = 40 * (total + 1) * (n_rows + 1) + 1000
-    # Artificial columns never re-enter the basis; restricting the entering
-    # candidates to structural and slack columns is the standard safe choice.
-    allowed = list(range(width))
+    max_pivots = 40 * (width + len(art_rows) + 1) * (n_rows + 1) + 1000
     objs = [phase2]
     if art_rows:
         # Phase-1 objective (sum of artificials), reduced with respect to the
         # starting basis; both objectives stay reduced while pivoting.
-        phase1 = [zero] * (total + 1)
+        phase1 = [zero] * (width + 1)
         for i in art_rows:
             phase1 = [x - y for x, y in zip(phase1, rows[i])]
-        for j in range(width, total):
-            phase1[j] = zero
         objs.insert(0, phase1)
     if ctx.exact:
         # Scaled only now: the phase-1 objective is the sum of the unscaled rows.
         rows = [integer_row(row) for row in rows]
         objs = [integer_row(obj) for obj in objs]
     if art_rows:
-        status = _simplex(rows, objs, basis, allowed, ctx, max_pivots)
+        status = _simplex(rows, objs, basis, ctx, max_pivots)
         if status != OPTIMAL:
             raise ComputationError("phase 1 cannot be unbounded")  # sum of artificials >= 0
         if ctx.sign(-objs[0][-1]) > 0:  # residual infeasibility
@@ -308,7 +300,7 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
         for i in range(n_rows):
             if basis[i] >= width:
                 pivot_col = None
-                for j in allowed:
+                for j in range(width):
                     if not ctx.is_zero(rows[i][j]):
                         pivot_col = j
                         break
@@ -320,7 +312,7 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
             rows = [row for i, row in enumerate(rows) if i not in drop]
             basis = [b for i, b in enumerate(basis) if i not in drop]
 
-    status = _simplex(rows, objs[-1:], basis, allowed, ctx, max_pivots)
+    status = _simplex(rows, objs[-1:], basis, ctx, max_pivots)
     if status == UNBOUNDED:
         return LPSolution(status=UNBOUNDED)
 

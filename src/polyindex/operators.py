@@ -26,15 +26,19 @@ from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import ComputationError, InputError
-from .linalg import identity, inverse, matmul, matvec, scaled_integer_rows, transpose
+from .linalg import inverse, matmul, matvec, scaled_integer_rows, transpose
 from .polytope import Polytope, evaluation_table, facet_enumeration, incidence
-from .scalars import Context, EXACT, Scalar, float_context, infer_exact
+from .scalars import DEFAULT_EPS, Context, EXACT, Scalar, infer_exact
+
+# The context of every float operator. It only coerces entries: the norm and
+# radius compare on the ball's context, so its tolerance is never read.
+_FLOAT = Context(DEFAULT_EPS)
 
 
 class Operator:
     """A linear operator on the space, given by its d x d coordinate matrix."""
 
-    def __init__(self, matrix, backend: Optional[str] = None, eps: Optional[float] = None):
+    def __init__(self, matrix, backend: Optional[str] = None):
         matrix = [tuple(row) for row in matrix]
         d = len(matrix)
         if d == 0 or any(len(row) != d for row in matrix):
@@ -45,7 +49,7 @@ class Operator:
             exact = backend == "rational"
         else:
             raise InputError(f"unknown backend {backend!r}")
-        self.ctx = EXACT if exact else float_context(eps)
+        self.ctx = EXACT if exact else _FLOAT
         self.matrix = tuple(tuple(self.ctx.coerce(x) for x in row) for row in matrix)
         self.dim = d
 
@@ -57,16 +61,15 @@ class Operator:
 
     def scale(self, s) -> "Operator":
         return Operator([[x * s for x in row] for row in self.matrix],
-                        backend="rational" if self.ctx.exact else "float",
-                        eps=None if self.ctx.exact else self.ctx.eps)
+                        backend="rational" if self.ctx.exact else "float")
 
     def __repr__(self):
         return f"Operator(dim={self.dim}, matrix={self.matrix!r})"
 
     @classmethod
     def identity(cls, d: int, exact: bool = True) -> "Operator":
-        ctx = EXACT if exact else float_context()
-        return cls(identity(d, ctx), backend="rational" if exact else "float")
+        return cls([[int(i == j) for j in range(d)] for i in range(d)],
+                   backend="rational" if exact else "float")
 
     @classmethod
     def zero(cls, d: int, exact: bool = True) -> "Operator":
@@ -88,8 +91,7 @@ class Operator:
         except ComputationError as exc:
             raise ComputationError(f"input vectors are linearly dependent: {exc}") from exc
         u_cols = transpose([tuple(map(ctx.coerce, u)) for u in images])
-        return cls(matmul(u_cols, v_inv), backend="rational" if ctx.exact else "float",
-                   eps=None if ctx.exact else ctx.eps)
+        return cls(matmul(u_cols, v_inv), backend="rational" if ctx.exact else "float")
 
 
 @dataclass(frozen=True)

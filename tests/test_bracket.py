@@ -13,7 +13,7 @@ from polyindex import (ComputationError, InputError, LinearProgram, Operator, Po
                        prism_with_pyramids, prism_witness_operator, pyramid_witness_operator,
                        regular_2n_gon, scale_coordinate, solve_lp, upper_bound,
                        vertex_minimax)
-from polyindex.linalg import dot, rank
+from polyindex.linalg import dot, rank, scaled_integer_row
 from polyindex.polytope import evaluation_table, facet_antipode_pairs
 from helpers import (boundary_minimax_2d, random_rational_matrix, random_symmetric_polytope,
                      reference_half_table_value, reference_solve_lp, scaled_random_polytope)
@@ -350,8 +350,7 @@ def test_facet_lps_match_fraction_simplex(monkeypatch, hexagon, bipyramid):
     mixed = (scale_coordinate(bipyramid_square_prism(), 0, Fraction(1, 3)),
              scaled_random_polytope(3))
     for p in mixed:
-        table = evaluation_table(p)
-        own = [bracket_module._own_scale(w, table.vertex_scale)[1] for w in table.vertices]
+        own = [scaled_integer_row(v)[1] for v in p.vertices]
         assert any(len({own[j] for j in f.incident_vertices}) > 1 for f in facet_enumeration(p))
     for p in (hexagon, bipyramid, linf_sum(hexagon, hexagon), cube, cross) + mixed:
         solved.clear()
@@ -370,6 +369,32 @@ def test_facet_lps_match_fraction_simplex(monkeypatch, hexagon, bipyramid):
             assert sol == reference_solve_lp(unscaled), lp
 
 
+@pytest.mark.parametrize("make", [
+    irregular_hexagon, bipyramid_square_prism,
+    lambda: linf_sum(irregular_hexagon(), irregular_hexagon()), _cube4, _cross4,
+    # Facets whose members differ in denominator.
+    lambda: scale_coordinate(bipyramid_square_prism(), 0, Fraction(1, 3)),
+    lambda: scaled_random_polytope(3),
+])
+def test_sphere_facet_rows_are_scaled_integer_rows(make):
+    # Every row of the sphere's facet table is scaled_integer_row of the
+    # Fraction values f_r(w_a) over the facet's members, and its floor is
+    # the least |f_r| there when they share a strict sign, else 0. The facet
+    # LPs take these ints as they are.
+    p = make()
+    facets = facet_enumeration(p)
+    sphere = bracket_module._sphere_facets(p, range(len(facets)))
+    assert [sf.index for sf in sphere] == [k for k, _ in facet_antipode_pairs(p)]
+    for sf in sphere:
+        assert sf.members == tuple(sorted(facets[sf.index].incident_vertices))
+        assert sorted(sf.rows) == list(range(len(facets)))
+        for r, (row, scale) in sf.rows.items():
+            values = [dot(facets[r].coeffs, p.vertices[j]) for j in sf.members]
+            assert (row, scale) == scaled_integer_row(values)
+            sign = min(values) > 0 or max(values) < 0
+            assert sf.floors[r] == (min(map(abs, values)) if sign else 0)
+
+
 def _reference_search(p, witnesses, budget, seed):
     """The search loop with every candidate evaluated by a plain reference:
     on a rational ball an exact Operator, its norm and its normalized
@@ -381,8 +406,7 @@ def _reference_search(p, witnesses, budget, seed):
     backend = "rational" if p.ctx.exact else "float"
 
     def unit_radius(entries):
-        op = Operator([row[:] for row in entries], backend=backend,
-                      eps=None if p.ctx.exact else p.ctx.eps)
+        op = Operator([row[:] for row in entries], backend=backend)
         norm, _ = operator_norm(p, op)
         if p.ctx.is_zero(norm):
             return None

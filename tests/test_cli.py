@@ -304,14 +304,17 @@ def test_exit_code_1_on_double_description_overflow(capsys, tmp_path, symmetric)
 @pytest.mark.parametrize("command,flag", [("bound", "--witness"), ("radius", "--operator")])
 def test_exit_code_1_on_operator_overflow(capsys, tmp_path, command, flag):
     # A finite operator whose images overflow: its norm would be inf, and the
-    # unit witness the zero matrix, a false upper bound of 0.
+    # unit witness the zero matrix, a false upper bound of 0. bound names the
+    # witness that overflowed.
     ball, op = tmp_path / "square.json", tmp_path / "w.json"
     ball.write_text(json.dumps({"dim": 2, "scalar": "float",
                                 "vertices": [[2, 0], [-2, 0], [0, 2], [0, -2]]}))
     op.write_text(json.dumps({"dim": 2, "scalar": "float", "matrix": [[1e308, 0], [0, 1e308]]}))
     code, out, err = run(capsys, command, "-i", str(ball), flag, str(op))
     assert (code, out) == (1, "")
-    assert err == "computation failed: operator norm: |f(T v)| is not finite at vertex 0\n"
+    where = "witness 0: " if command == "bound" else ""
+    assert err == (f"computation failed: {where}operator norm: |f(T v)| is not finite "
+                   "at vertex 0\n")
 
 
 def test_exit_code_2_on_missing_file(capsys):
@@ -422,6 +425,13 @@ def test_json_renderer_matches_indented_dumps(value):
 def test_verify_has_no_eps_option():
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--eps", "1e-3"])
+    assert exc.value.code == 2
+
+
+def test_family_has_no_eps_option():
+    # No family builder reads a tolerance.
+    with pytest.raises(SystemExit) as exc:
+        main(["family", "regular_2n_gon", "--n", "3", "--eps", "1e-3"])
     assert exc.value.code == 2
 
 

@@ -215,6 +215,35 @@ def test_nonnegative_rhs_needs_no_phase_1(monkeypatch):
     assert runs == [2 + 4 + 1]
 
 
+def test_artificial_rows_add_no_column(monkeypatch):
+    # An equality row and an inequality row with b < 0 each start with an
+    # artificial basic, but the tableau keeps no column for either: both
+    # phases see the structural and slack columns and the RHS alone.
+    import polyindex.linprog as linprog_module
+    runs = []
+    real = linprog_module._simplex
+
+    def counting(rows, objs, *args):
+        runs.append({len(row) for row in rows + objs})
+        return real(rows, objs, *args)
+
+    monkeypatch.setattr(linprog_module, "_simplex", counting)
+    # minimize x + 2y + 3z subject to x + y + z >= 1 and x = y
+    lp = LinearProgram(objective=(1, 2, 3), ineq_lhs=[(-1, -1, -1)], ineq_rhs=(-1,),
+                       eq_lhs=[(1, -1, 0)], eq_rhs=(0,), nonneg=(True, True, True))
+    sol = solve_lp(lp)
+    assert sol.is_optimal
+    assert sol.value == Fraction(3, 2)
+    assert sol.point == (Fraction(1, 2), Fraction(1, 2), Fraction(0))
+    assert runs == [{3 + 1 + 1}] * 2  # three structural columns, one slack, the RHS
+    runs.clear()
+    fsol = solve_lp(lp, float_context())
+    assert fsol.is_optimal
+    assert abs(fsol.value - 1.5) < 1e-9
+    assert fsol.basis == sol.basis
+    assert runs == [{3 + 1 + 1}] * 2
+
+
 def test_random_mixed_lps_match_fraction_simplex():
     # The integer tableau makes the Fraction simplex's pivots, so status,
     # value, point and final basis all agree, degenerate programs included.

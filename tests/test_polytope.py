@@ -11,7 +11,6 @@ from polyindex import (InputError, Operator, Polytope, ValidationError,
                        bipyramid_square_prism, facet_enumeration, gauge, incidence,
                        irregular_hexagon, linf_sum, oblique_prism, prism_with_pyramids,
                        regular_2n_gon, scale_coordinate, segment, validate)
-from polyindex.bracket import _own_scale
 from polyindex.linalg import dot, rank, scaled_integer_row, vsub
 from polyindex.polytope import (_PointIndex, _polar_cone, _vertex_flags, evaluation_table,
                                 facet_antipode_pairs)
@@ -414,9 +413,10 @@ def test_evaluation_table_rows(make):
         assert [tuple(Fraction(x, scale) for x in row) for row in rows] == list(want)
         # The least common scale: the lcm of the denominators.
         assert scale == math.lcm(*[x.denominator for row in want for x in row])
-        # The lower bound's facet table takes each row back to its own scale.
-        assert [_own_scale(row, scale) for row in rows] == \
-            [scaled_integer_row(w) for w in want]
+        # Each row and the scale divided by their gcd is the row's own
+        # scaled_integer_row: the one primitive pair of its values.
+        assert [([x // math.gcd(*row, scale) for x in row], scale // math.gcd(*row, scale))
+                for row in rows] == [scaled_integer_row(w) for w in want]
 
 
 def test_facet_antipodes_of_a_tiny_float_hexagon():
