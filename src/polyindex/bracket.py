@@ -148,9 +148,18 @@ def vertex_minimax(p: Polytope, vertex_index: int,
     incident facets are used. The chosen functionals must have trivial
     common kernel, otherwise the minimum would be 0 and useless.
 
-    One LP per antipodal facet pair of the sphere: on the facet
-    conv(w_1..w_k), minimize t subject to x = sum lam_j w_j,
-    sum lam_j = 1, lam >= 0 and -t <= f_r(x) <= t for every r.
+    One LP per antipodal facet pair of the sphere. On the facet
+    conv(w_1..w_k) the min-max is: minimize t subject to x = sum lam_j w_j,
+    sum lam_j = 1, lam >= 0 and -t <= f_r(x) <= t for every r. As x != 0
+    and the f_r have trivial common kernel, t > 0, and mu = lam / t
+    (Charnes and Cooper) turns it into: maximize sum mu_j subject to
+    mu >= 0 and -1 <= f_r(sum mu_j w_j) <= 1, each row times its scale. A
+    feasible mu != 0 gives the point x = sum mu_j w_j / sum mu_j of the
+    facet with max_r |f_r(x)| <= 1 / sum mu_j, and lam / t gives mu back,
+    so t* = 1/s* for the maximum s*, attained at sum mu*_j w_j / s*. The
+    simplex starts at mu = 0, as every right-hand side is positive, and
+    the LP is bounded: a ray would give a point of the facet where every
+    f_r vanishes, which is 0.
 
     A facet's LP value is at least its bound: the largest, over the chosen
     r, of the minimum of |f_r| on the facet (see :func:`_sphere_facets`),
@@ -201,32 +210,28 @@ def _vertex_minimax(p, sphere, vertex_index, subset) -> VertexBound:
         if best is not None and (best[:2] < (bounds[s], sf.index) if ctx.exact
                                  else ctx.lt(best[0], bounds[s])):
             break  # no later facet can beat the best
-        nl = len(sf.members)
-        # variables: lam_1..lam_nl, t; -t <= f_r(x) <= t times the row's scale
-        ineq_lhs = []
+        # variables mu_1..mu_nl >= 0; -scale <= row . mu <= scale for every r
+        ineq_lhs, ineq_rhs = [], []
         for r in chosen:
             row, scale = sf.rows[r]
-            ineq_lhs.append(list(row) + [-scale])
-            ineq_lhs.append([-a for a in row] + [-scale])
-        lp = LinearProgram(objective=(0,) * nl + (1,),
-                           ineq_lhs=ineq_lhs, ineq_rhs=(0,) * len(ineq_lhs),
-                           eq_lhs=[[1] * nl + [0]], eq_rhs=[1],
-                           nonneg=(True,) * (nl + 1))
+            ineq_lhs += [row, [-a for a in row]]
+            ineq_rhs += [scale, scale]
+        lp = LinearProgram(objective=(-1,) * len(sf.members), ineq_lhs=ineq_lhs,
+                           ineq_rhs=ineq_rhs, nonneg=(True,) * len(sf.members))
         try:
             sol = solve_lp(lp, ctx)
         except ComputationError as exc:
             raise ComputationError(f"vertex {vertex_index}, sphere facet {sf.index}: {exc}") from exc
-        if not sol.is_optimal:
-            raise ComputationError(f"vertex {vertex_index}, sphere facet {sf.index}: "
-                                   f"facet LP unexpectedly {sol.status}")
-        if best is None or (sol.value, sf.index) < best[:2]:
-            best = (sol.value, sf.index, sf.members, sol.point[:nl])
+        if not sol.is_optimal or ctx.sign(sol.value) >= 0:
+            raise ComputationError(f"vertex {vertex_index}, sphere facet {sf.index}: facet LP "
+                                   f"is {sol.status}, with value {sol.value} (not negative)")
+        s_max = -sol.value  # s* = max sum mu
+        value = 1 / s_max  # t* = 1/s*
+        if best is None or (value, sf.index) < best[:2]:
+            best = (value, sf.index, sf.members, sol.point, s_max)
 
-    value, facet_k, members, lams = best
-    if ctx.sign(value) <= 0:
-        raise ComputationError(f"vertex {vertex_index}, sphere facet {facet_k}: vertex bound "
-                               "is not positive despite trivial common kernel")
-    x = tuple(sum(lams[a] * p.vertices[j][c] for a, j in enumerate(members))
+    value, facet_k, members, mu, s_max = best
+    x = tuple(sum(mu[a] * p.vertices[j][c] for a, j in enumerate(members)) / s_max
               for c in range(p.dim))
     return VertexBound(vertex_index=vertex_index,
                        antipode_index=p.antipode_index(vertex_index),

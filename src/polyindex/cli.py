@@ -107,8 +107,9 @@ def _load_polytope(args):
     return polytope_from_document(_read_json(args.input, "input"), eps=args.eps)
 
 
-def _config(args, **extra):
-    return {"eps": args.eps, **extra}
+def _config(p, **extra):
+    """The ball's float tolerance (None on a rational ball), then ``extra``."""
+    return {"eps": None if p.ctx.exact else p.ctx.eps, **extra}
 
 
 def cmd_hull(args) -> int:
@@ -122,7 +123,7 @@ def cmd_hull(args) -> int:
         "vertex_to_facets": [list(t) for t in inc.vertex_to_facets],
         "facet_to_vertices": [list(t) for t in inc.facet_to_vertices],
     }
-    _emit(_report("hull", _config(args), results), args.format)
+    _emit(_report("hull", _config(p), results), args.format)
     return 0
 
 
@@ -130,7 +131,7 @@ def cmd_dual(args) -> int:
     p, _ = _load_polytope(args)
     facets = facet_enumeration(p)
     results = {"dim": p.dim, "vertices": [_vector_json(f.coeffs) for f in facets]}
-    _emit(_report("dual", _config(args), results), args.format)
+    _emit(_report("dual", _config(p), results), args.format)
     return 0
 
 
@@ -139,7 +140,7 @@ def cmd_norm(args) -> int:
     point = _parse_point(args.point, p)
     value = gauge(p, point)
     results = {"point": _vector_json(point), "value": scalar_to_json(value)}
-    _emit(_report("norm", _config(args), results), args.format)
+    _emit(_report("norm", _config(p), results), args.format)
     return 0
 
 
@@ -147,12 +148,10 @@ def _parse_point(text: str, p) -> tuple:
     parts = [t.strip() for t in text.split(",")]
     if len(parts) != p.dim:
         raise InputError(f"point: expected {p.dim} comma-separated coordinates, got {len(parts)}")
-    if p.ctx.exact:
-        return tuple(parse_rational(t) for t in parts)
     try:
-        return tuple(float(t) for t in parts)
-    except ValueError as exc:
-        raise InputError(f"point: not a number: {exc}") from exc
+        return tuple(map(p.ctx.coerce, parts))
+    except InputError as exc:
+        raise InputError(f"point: {exc}") from exc
 
 
 def cmd_radius(args) -> int:
@@ -176,7 +175,7 @@ def cmd_radius(args) -> int:
         "profile": [{"vertex": r.vertex_index, "value": scalar_to_json(r.value),
                      "facet": r.facet_index} for r in profile],
     }
-    _emit(_report("radius", _config(args), results), args.format)
+    _emit(_report("radius", _config(p), results), args.format)
     return 0
 
 
@@ -226,7 +225,7 @@ def cmd_bound(args) -> int:
             "facet": bracket.radius_certificate.facet_index,
         },
     }
-    config = _config(args, policy=args.policy, search_budget=args.search, seed=args.seed)
+    config = _config(p, policy=args.policy, search_budget=args.search, seed=args.seed)
     _emit(_report("bound", config, results), args.format)
     return 0
 

@@ -1,8 +1,8 @@
-"""Dense two-phase simplex with Bland's pivot rule.
+"""Dense simplex with Bland's pivot rule, started at the slack basis.
 
 The solver is deliberately small: the only programs it faces are the
-per-facet min-max problems of the lower bound. They have at most a few
-dozen variables, but they are routinely degenerate and — on the rational
+per-facet LPs of the lower bound. They have at most a few dozen
+variables, but they are routinely degenerate and — on the rational
 backend — must be solved bit-exactly. Bland's smallest-index rule
 guarantees termination on degenerate instances.
 
@@ -13,8 +13,8 @@ lrs and Bareiss elimination). Each constraint row is stored as a
 *positive* multiple of the row the Fraction tableau would hold, and its
 scale is its own entry in its basic column. A pivot on (r, c) turns every
 other row into ``row*piv - f*prow`` divided by the gcd of its entries
-(:func:`polyindex.linalg.eliminate`), with ``piv > 0``. The objective rows
-are positive multiples too. So every sign that Bland's rule reads is the
+(:func:`polyindex.linalg.eliminate`), with ``piv > 0``. The objective row
+is a positive multiple too. So every sign that Bland's rule reads is the
 sign of the Fraction entry, and every ratio ``b_i / a_i`` is the same
 number, compared by cross-multiplication. The pivots are therefore those
 of the Fraction simplex, and so are the final basis, the optimal point and
@@ -26,20 +26,14 @@ value and the point are ``Fraction``s all the same.
 Problem form::
 
     minimize    c . x
-    subject to  A x <= b        (inequality rows)
-                E x  = d        (equality rows)
+    subject to  A x <= b        (inequality rows, b >= 0)
                 x_j >= 0        for j with nonneg[j] (others are free)
 
 Free variables are split internally as x = u - w with u, w >= 0.
 
-The simplex starts from the slack basis: every inequality row with
-``b_i >= 0`` starts with its slack variable basic, so it needs no
-artificial variable. Only equality rows and inequality rows with
-``b_i < 0`` get one, and phase 1 runs only when some row has one. An
-artificial has no tableau column, since no step reads one; the k-th keeps
-the basis number ``width + k``, past the last column, for Bland's
-tie-breaks. The min-max LPs of the lower bound have every row ``<= 0``
-except ``sum lam = 1``, so they carry a single artificial.
+As b >= 0, the slack basis (x = 0) is feasible, so there is no phase 1:
+the simplex runs once and the program is optimal or unbounded. Equality
+rows and negative right-hand sides are rejected.
 """
 from __future__ import annotations
 
@@ -52,13 +46,12 @@ from .linalg import dot, eliminate, integer_row
 from .scalars import Context, EXACT, Scalar
 
 OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """minimize objective . x subject to ineq_lhs x <= ineq_rhs, eq_lhs x = eq_rhs."""
+    """minimize objective . x subject to ineq_lhs x <= ineq_rhs; eq_lhs, eq_rhs must be empty."""
 
     objective: tuple
     ineq_lhs: tuple = ()
@@ -80,9 +73,7 @@ class LinearProgram:
             raise InputError("linear program needs at least one variable")
         if len(self.ineq_lhs) != len(self.ineq_rhs):
             raise InputError("inequality rows and right-hand sides differ in count")
-        if len(self.eq_lhs) != len(self.eq_rhs):
-            raise InputError("equality rows and right-hand sides differ in count")
-        for row in self.ineq_lhs + self.eq_lhs:
+        for row in self.ineq_lhs:
             if len(row) != n:
                 raise InputError(f"constraint row has {len(row)} coefficients, expected {n}")
         if self.nonneg is not None and len(self.nonneg) != n:
@@ -95,7 +86,7 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class LPSolution:
-    """status is 'optimal', 'infeasible' or 'unbounded'.
+    """status is 'optimal' or 'unbounded'.
 
     When optimal, ``point`` satisfies every constraint (exactly on the
     rational backend) and ``value == objective . point``. ``basis`` lists
@@ -175,7 +166,8 @@ def _leaving_row(rows, basis, enter, tol, exact):
 def _simplex(rows, objs, basis, ctx, max_pivots):
     """Run Bland-rule simplex on objs[0]; returns 'optimal' or 'unbounded'.
 
-    Every column but the right-hand side may enter."""
+    ``objs`` holds the objective row alone, in a list so that an integer
+    pivot can replace it. Every column but the right-hand side may enter."""
     tol = ctx.eps or 0  # obj[j] < -tol is ctx.sign(obj[j]) < 0, without the call
     for _ in range(max_pivots):
         obj = objs[0]
@@ -196,22 +188,19 @@ def _simplex(rows, objs, basis, ctx, max_pivots):
 def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
     """Solve a linear program on the backend selected by ``ctx``.
 
-    Two-phase simplex started from the slack basis: an inequality row with
-    a nonnegative right-hand side starts with its own slack variable basic.
-    Only equality rows and inequality rows with a negative right-hand side
-    get an artificial variable, basic in its row and without a column of
-    its own. Phase 1 minimizes the sum of those artificials and declares
-    infeasibility when it cannot be driven to zero; it is skipped when
-    there are none. Phase 2 minimizes the real objective. Bland's rule is
-    used throughout, so the method terminates on degenerate input.
+    One simplex run from the slack basis, with Bland's rule, so the method
+    terminates on degenerate input. Every right-hand side must be
+    nonnegative, which makes the slack basis feasible; an equality row or
+    a negative right-hand side raises ``InputError`` naming the row.
 
     On the exact backend an ``int`` coefficient is taken as it is and any
     other is coerced to a ``Fraction``; ``value`` and ``point`` are
-    ``Fraction``s. Scaling an inequality row with a nonnegative right-hand
-    side by a positive factor only scales its slack column, so the pivots,
-    basis, point and value stay the same. On floats every coefficient is
-    coerced to a float.
+    ``Fraction``s. Scaling an inequality row by a positive factor only
+    scales its slack column, so the pivots, basis, point and value stay
+    the same. On floats every coefficient is coerced to a float.
     """
+    if lp.eq_lhs or lp.eq_rhs:
+        raise InputError("equality row 0: solve_lp takes inequality rows only")
     n = lp.n_vars
     nonneg = lp.nonneg or (False,) * n
     if ctx.exact:
@@ -238,8 +227,7 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
             col_of_minus.append(ncols)
             ncols += 1
     n_struct = ncols
-    n_slack = len(lp.ineq_lhs)
-    width = n_struct + n_slack  # the tableau's columns before the RHS
+    width = n_struct + len(lp.ineq_lhs)  # the tableau's columns before the RHS
 
     def expand(coeffs):
         row = [zero] * (width + 1)
@@ -250,70 +238,23 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
                 row[col_of_minus[j]] = -a
         return row
 
-    rows, basis, art_rows = [], [], []
-    for i, (coeffs, rhs) in enumerate(zip(lp.ineq_lhs + lp.eq_lhs, lp.ineq_rhs + lp.eq_rhs)):
+    rows = []
+    for i, (coeffs, rhs) in enumerate(zip(lp.ineq_lhs, lp.ineq_rhs)):
         row = expand(coeffs)
         row[-1] = take(rhs)
-        if i < n_slack:
-            row[n_struct + i] = one
-        negative = row[-1] < 0
-        if negative:
-            row = [-x for x in row]
-        if i < n_slack and not negative:
-            basis.append(n_struct + i)
-        else:
-            basis.append(width + len(art_rows))
-            art_rows.append(i)
+        if row[-1] < 0:
+            raise InputError(f"inequality row {i}: right-hand side {rhs} is negative")
+        row[n_struct + i] = one
         rows.append(row)
-    n_rows = len(rows)
+    basis = list(range(n_struct, width))
 
     objective = tuple(map(take, lp.objective))
-    phase2 = [zero] * (width + 1)
-    for j in range(n):
-        c = objective[j]
-        phase2[col_of_plus[j]] = c
-        if col_of_minus[j] is not None:
-            phase2[col_of_minus[j]] = -c
-
-    max_pivots = 40 * (width + len(art_rows) + 1) * (n_rows + 1) + 1000
-    objs = [phase2]
-    if art_rows:
-        # Phase-1 objective (sum of artificials), reduced with respect to the
-        # starting basis; both objectives stay reduced while pivoting.
-        phase1 = [zero] * (width + 1)
-        for i in art_rows:
-            phase1 = [x - y for x, y in zip(phase1, rows[i])]
-        objs.insert(0, phase1)
+    obj = expand(objective)
     if ctx.exact:
-        # Scaled only now: the phase-1 objective is the sum of the unscaled rows.
         rows = [integer_row(row) for row in rows]
-        objs = [integer_row(obj) for obj in objs]
-    if art_rows:
-        status = _simplex(rows, objs, basis, ctx, max_pivots)
-        if status != OPTIMAL:
-            raise ComputationError("phase 1 cannot be unbounded")  # sum of artificials >= 0
-        if ctx.sign(-objs[0][-1]) > 0:  # residual infeasibility
-            return LPSolution(status=INFEASIBLE)
-
-        # Drive leftover artificial variables out of the basis (degenerate rows).
-        drop = []
-        for i in range(n_rows):
-            if basis[i] >= width:
-                pivot_col = None
-                for j in range(width):
-                    if not ctx.is_zero(rows[i][j]):
-                        pivot_col = j
-                        break
-                if pivot_col is None:
-                    drop.append(i)  # redundant constraint
-                else:
-                    _pivot(rows, objs, basis, i, pivot_col, ctx)
-        if drop:
-            rows = [row for i, row in enumerate(rows) if i not in drop]
-            basis = [b for i, b in enumerate(basis) if i not in drop]
-
-    status = _simplex(rows, objs[-1:], basis, ctx, max_pivots)
-    if status == UNBOUNDED:
+        obj = integer_row(obj)
+    max_pivots = 40 * (width + 1) * (len(rows) + 1) + 1000
+    if _simplex(rows, [obj], basis, ctx, max_pivots) == UNBOUNDED:
         return LPSolution(status=UNBOUNDED)
 
     if ctx.exact:

@@ -143,13 +143,13 @@ def reference_rank(rows):
     return r
 
 
-def _reference_pivot(rows, objs, basis, r, c):
+def _reference_pivot(rows, obj, basis, r, c):
     prow = rows[r]
     piv = prow[c]
     nonzero = [j for j, y in enumerate(prow) if y != 0]
     for j in nonzero:
         prow[j] = prow[j] / piv
-    for row in rows + objs:
+    for row in rows + [obj]:
         f = row[c]
         if f != 0 and row is not prow:
             for j in nonzero:
@@ -157,10 +157,9 @@ def _reference_pivot(rows, objs, basis, r, c):
     basis[r] = c
 
 
-def _reference_simplex(rows, objs, basis, allowed, max_pivots):
+def _reference_simplex(rows, obj, basis, max_pivots):
     for _ in range(max_pivots):
-        obj = objs[0]
-        enter = next((j for j in allowed if obj[j] < 0), None)
+        enter = next((j for j in range(len(obj) - 1) if obj[j] < 0), None)
         if enter is None:
             return "optimal"
         leave = None
@@ -173,16 +172,17 @@ def _reference_simplex(rows, objs, basis, allowed, max_pivots):
                     best, leave = ratio, i
         if leave is None:
             return "unbounded"
-        _reference_pivot(rows, objs, basis, leave, enter)
+        _reference_pivot(rows, obj, basis, leave, enter)
     raise AssertionError("reference simplex exceeded its pivot budget")
 
 
 def reference_solve_lp(lp):
     """The simplex of ``polyindex.linprog`` with every tableau entry a
-    Fraction: the same slack basis, artificial columns, Bland's rule and
-    redundant-row drop, but each pivot divides the pivot row by the pivot.
+    Fraction: the same slack basis and Bland's rule, but each pivot divides
+    the pivot row by the pivot. Takes inequality rows with b >= 0 only.
     Returns an ``LPSolution`` to compare field by field."""
     from polyindex.linprog import LPSolution
+    assert not lp.eq_lhs and all(Fraction(b) >= 0 for b in lp.ineq_rhs), lp
     n = lp.n_vars
     nonneg = lp.nonneg or (False,) * n
     zero, one = Fraction(0), Fraction(1)
@@ -192,63 +192,24 @@ def reference_solve_lp(lp):
         col_of_minus.append(None if nonneg[j] else ncols + 1)
         ncols += 1 if nonneg[j] else 2
     n_struct = ncols
-    n_slack = len(lp.ineq_lhs)
-    width = n_struct + n_slack
-    rows, basis, art_rows = [], [], []
-    for i, (coeffs, rhs) in enumerate(zip(lp.ineq_lhs + lp.eq_lhs, lp.ineq_rhs + lp.eq_rhs)):
+    width = n_struct + len(lp.ineq_lhs)
+
+    def expand(coeffs):
         row = [zero] * (width + 1)
         for j, a in enumerate(coeffs):
             row[col_of_plus[j]] = Fraction(a)
             if col_of_minus[j] is not None:
                 row[col_of_minus[j]] = -Fraction(a)
-        row[-1] = Fraction(rhs)
-        if i < n_slack:
-            row[n_struct + i] = one
-        negative = row[-1] < 0
-        if negative:
-            row = [-x for x in row]
-        if i < n_slack and not negative:
-            basis.append(n_struct + i)
-        else:
-            basis.append(width + len(art_rows))
-            art_rows.append(i)
+        return row
+
+    rows = []
+    for i, (coeffs, rhs) in enumerate(zip(lp.ineq_lhs, lp.ineq_rhs)):
+        row = expand(coeffs)
+        row[n_struct + i], row[-1] = one, Fraction(rhs)
         rows.append(row)
-    n_rows = len(rows)
-    total = width + len(art_rows)
-    for i, row in enumerate(rows):
-        art = [zero] * len(art_rows)
-        if basis[i] >= width:
-            art[basis[i] - width] = one
-        rows[i] = row[:width] + art + row[width:]
-    phase2 = [zero] * (total + 1)
-    for j in range(n):
-        phase2[col_of_plus[j]] = Fraction(lp.objective[j])
-        if col_of_minus[j] is not None:
-            phase2[col_of_minus[j]] = -Fraction(lp.objective[j])
-    max_pivots = 40 * (total + 1) * (n_rows + 1) + 1000
-    allowed = list(range(width))
-    if art_rows:
-        phase1 = [zero] * (total + 1)
-        for i in art_rows:
-            phase1 = [x - y for x, y in zip(phase1, rows[i])]
-        for j in range(width, total):
-            phase1[j] = zero
-        objs = [phase1, phase2]
-        assert _reference_simplex(rows, objs, basis, allowed, max_pivots) == "optimal"
-        if -objs[0][-1] > 0:
-            return LPSolution(status="infeasible")
-        drop = []
-        for i in range(n_rows):
-            if basis[i] >= width:
-                pivot_col = next((j for j in allowed if rows[i][j] != 0), None)
-                if pivot_col is None:
-                    drop.append(i)
-                else:
-                    _reference_pivot(rows, objs, basis, i, pivot_col)
-        rows = [row for i, row in enumerate(rows) if i not in drop]
-        basis = [b for i, b in enumerate(basis) if i not in drop]
-        phase2 = objs[1]
-    if _reference_simplex(rows, [phase2], basis, allowed, max_pivots) == "unbounded":
+    basis = list(range(n_struct, width))
+    max_pivots = 40 * (width + 1) * (len(rows) + 1) + 1000
+    if _reference_simplex(rows, expand(lp.objective), basis, max_pivots) == "unbounded":
         return LPSolution(status="unbounded")
     values = {b: rows[i][-1] for i, b in enumerate(basis)}
     point = []

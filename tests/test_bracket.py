@@ -6,6 +6,7 @@ from itertools import chain, combinations, product
 import pytest
 
 import polyindex.bracket as bracket_module
+import polyindex.linprog as linprog_module
 from polyindex import (ComputationError, InputError, LinearProgram, Operator, Polytope,
                        SearchConfig, bipyramid_square_prism, facet_enumeration, gauge,
                        incidence, index_bracket, irregular_hexagon, linf_sum, lower_bound,
@@ -194,7 +195,8 @@ def _cross4(backend=None):
 
 def _reference_minimax(p, facets, chosen):
     """Every per-pair LP solved, keeping the first strict minimum:
-    (value, sphere facet, minimizer)."""
+    (value, sphere facet, minimizer). Each LP is the min-max with mu = lam/t:
+    maximize sum mu subject to -1 <= f(sum mu_j w_j) <= 1 for every f."""
     funcs = [facets[k].coeffs for k in chosen]
     best = None
     for k, _ in facet_antipode_pairs(p):
@@ -203,16 +205,15 @@ def _reference_minimax(p, facets, chosen):
         ineq_lhs = []
         for f in funcs:
             row = [dot(f, p.vertices[j]) for j in members]
-            ineq_lhs.append(row + [-1])
-            ineq_lhs.append([-a for a in row] + [-1])
-        sol = solve_lp(LinearProgram(objective=(0,) * nl + (1,), ineq_lhs=ineq_lhs,
-                                     ineq_rhs=[0] * len(ineq_lhs), eq_lhs=[[1] * nl + [0]],
-                                     eq_rhs=[1], nonneg=(True,) * (nl + 1)), p.ctx)
+            ineq_lhs.append(row)
+            ineq_lhs.append([-a for a in row])
+        sol = solve_lp(LinearProgram(objective=(-1,) * nl, ineq_lhs=ineq_lhs,
+                                     ineq_rhs=[1] * len(ineq_lhs), nonneg=(True,) * nl), p.ctx)
         assert sol.is_optimal
-        if best is None or sol.value < best[0]:
+        if best is None or -1 / sol.value < best[0]:
             x = tuple(sum(sol.point[a] * p.vertices[j][c] for a, j in enumerate(members))
-                      for c in range(p.dim))
-            best = (sol.value, k, x)
+                      / -sol.value for c in range(p.dim))
+            best = (-1 / sol.value, k, x)
     return best
 
 
@@ -309,7 +310,7 @@ def test_bound_tying_the_best_value_is_solved_at_a_lower_index(square):
 def test_lower_bound_failures_name_vertex_and_facet(hexagon, monkeypatch):
 
     def failing(lp, ctx):
-        raise ComputationError("phase 1 cannot be unbounded")
+        raise ComputationError("simplex exceeded its pivot budget (cycling?)")
 
     monkeypatch.setattr(bracket_module, "solve_lp", failing)
     with pytest.raises(ComputationError) as exc:
@@ -328,8 +329,38 @@ def test_lower_bound_failures_name_vertex_and_facet(hexagon, monkeypatch):
         return max(floors)
 
     first = min((bound(k), k) for k, _ in facet_antipode_pairs(hexagon))[1]
-    assert str(exc.value) == f"vertex 0, sphere facet {first}: phase 1 cannot be unbounded"
+    assert str(exc.value) == (f"vertex 0, sphere facet {first}: "
+                              "simplex exceeded its pivot budget (cycling?)")
     assert isinstance(exc.value.__cause__, ComputationError)
+
+
+@pytest.mark.parametrize("make", [irregular_hexagon, bipyramid_square_prism, _cross4,
+                                  lambda: regular_2n_gon(12), lambda: oblique_prism(5, 0.5)],
+                         ids=["hexagon", "bipyramid", "4-cross-polytope", "24-gon",
+                              "oblique_prism(5,1/2)"])
+def test_facet_lps_start_at_the_slack_basis(make, monkeypatch):
+    # Every facet LP maximizes sum mu over mu >= 0 with no equality row and a
+    # positive right-hand side on every row, so mu = 0 is a feasible start
+    # and the simplex runs once per LP.
+    solved, runs = [], []
+
+    def recording(lp, ctx):
+        solved.append(lp)
+        return solve_lp(lp, ctx)
+
+    def counting(*args):
+        runs.append(args)
+        return real_simplex(*args)
+
+    real_simplex = linprog_module._simplex
+    monkeypatch.setattr(bracket_module, "solve_lp", recording)
+    monkeypatch.setattr(linprog_module, "_simplex", counting)
+    lower_bound(make())
+    assert solved and len(runs) == len(solved)
+    for lp in solved:
+        assert lp.eq_lhs == () and lp.eq_rhs == ()
+        assert lp.ineq_rhs and all(b > 0 for b in lp.ineq_rhs), lp
+        assert lp.objective == (-1,) * lp.n_vars and lp.nonneg == (True,) * lp.n_vars
 
 
 def test_facet_lps_match_fraction_simplex(monkeypatch, hexagon, bipyramid):
@@ -358,14 +389,14 @@ def test_facet_lps_match_fraction_simplex(monkeypatch, hexagon, bipyramid):
         assert solved
         for lp, sol in solved:
             assert sol == reference_solve_lp(lp), lp
-            coeffs = chain(lp.objective, lp.ineq_rhs, lp.eq_rhs, *lp.ineq_lhs, *lp.eq_lhs)
+            coeffs = chain(lp.objective, lp.ineq_rhs, *lp.ineq_lhs)
             assert all(type(x) is int for x in coeffs), lp
-            # Each row -t <= f_r(x) <= t comes times its scale (minus its
-            # last entry); over that scale it is the LP of Fraction values.
+            # Each row -1 <= f_r(sum mu_j w_j) <= 1 comes times its scale (its
+            # right-hand side); over that scale it is the LP of Fraction values.
             unscaled = LinearProgram(
-                objective=lp.objective, ineq_rhs=lp.ineq_rhs, eq_lhs=lp.eq_lhs,
-                eq_rhs=lp.eq_rhs, nonneg=lp.nonneg,
-                ineq_lhs=[[Fraction(x, -row[-1]) for x in row] for row in lp.ineq_lhs])
+                objective=lp.objective, ineq_rhs=[1] * len(lp.ineq_rhs), nonneg=lp.nonneg,
+                ineq_lhs=[[Fraction(x, b) for x in row]
+                          for row, b in zip(lp.ineq_lhs, lp.ineq_rhs)])
             assert sol == reference_solve_lp(unscaled), lp
 
 

@@ -111,7 +111,7 @@ def test_radius_builds_one_profile(capsys, tmp_path, monkeypatch, case):
     # The report as built from one numerical_radius and one radius_profile call.
     norm, norm_vertex = operator_norm(p, op)
     cert = numerical_radius(p, op)
-    want = cli._json(cli._report("radius", {"eps": None}, {
+    want = cli._json(cli._report("radius", {"eps": None if p.ctx.exact else p.ctx.eps}, {
         "operator_norm": scalar_to_json(norm),
         "norm_vertex": norm_vertex,
         "numerical_radius": scalar_to_json(cert.value),
@@ -272,13 +272,13 @@ def test_exit_code_1_names_the_failing_facet_lp(capsys, hexagon_file, monkeypatc
     from polyindex import ComputationError
 
     def failing(lp, ctx):
-        raise ComputationError("phase 1 cannot be unbounded")
+        raise ComputationError("simplex exceeded its pivot budget (cycling?)")
 
     monkeypatch.setattr(polyindex.bracket, "solve_lp", failing)
     code, _, err = run(capsys, "bound", "-i", hexagon_file)
     assert code == 1
     assert "computation failed: vertex 0, sphere facet " in err
-    assert err.rstrip().endswith(": phase 1 cannot be unbounded")
+    assert err.rstrip().endswith(": simplex exceeded its pivot budget (cycling?)")
 
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["points", "symmetric_closure"])
@@ -342,6 +342,38 @@ def test_eps_env_var(capsys, hexagon_file, monkeypatch):
     monkeypatch.setenv("POLYINDEX_EPS", "1e-6")
     report = run_json(capsys, "bound", "-i", hexagon_file)
     assert report["results"]["lower"] == "5/17"  # rational path unaffected
+    assert report["config"]["eps"] is None
+
+
+@pytest.fixture
+def hexagon_float_file(capsys, tmp_path):
+    path = tmp_path / "6-gon.json"
+    assert run(capsys, "family", "regular_2n_gon", "--n", "3", "-o", str(path))[0] == 0
+    return str(path)
+
+
+@pytest.mark.parametrize("env, flag, want", [(None, None, 1e-9), ("1e-3", None, 1e-3),
+                                             ("1e-3", "1e-4", 1e-4)],
+                         ids=["default", "env", "flag"])
+def test_config_reports_the_float_tolerance_used(capsys, monkeypatch, hexagon_float_file,
+                                                  hexagon_file, env, flag, want):
+    if env is not None:
+        monkeypatch.setenv("POLYINDEX_EPS", env)
+    else:
+        monkeypatch.delenv("POLYINDEX_EPS", raising=False)
+    extra = [] if flag is None else ["--eps", flag]
+    for command in ("hull", "dual", "bound"):
+        report = run_json(capsys, command, "-i", hexagon_float_file, *extra)
+        assert report["config"]["eps"] == want, command
+        # A rational ball compares exactly, whatever the tolerance setting.
+        assert run_json(capsys, command, "-i", hexagon_file, *extra)["config"]["eps"] is None
+
+
+@pytest.mark.parametrize("point", ["nan,0", "1e999,0", "0,-inf", "x,0"])
+def test_norm_rejects_a_point_that_is_not_a_finite_float(capsys, hexagon_float_file, point):
+    code, out, err = run(capsys, "norm", "-i", hexagon_float_file, "--point", point)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: point: "), err
 
 
 @pytest.fixture
