@@ -14,12 +14,12 @@ __version__ = "0.1.0"
 from .bracket import (IndexBracket, LowerBoundCertificate, SearchConfig, VertexBound,
                       index_bracket, lower_bound, upper_bound, vertex_minimax)
 from .dual import dual_norm, polar
-from .errors import (ComputationError, InputError, PolyindexError, SingularMatrixError,
-                     ValidationError)
+from .errors import ComputationError, InputError, PolyindexError, ValidationError
 from .families import (bipyramid_square_prism, irregular_hexagon, linf_sum, oblique_prism,
                        polygon_witness_operator, prism_with_pyramids,
                        prism_with_pyramids_witness, prism_witness_operator,
-                       pyramid_witness_operator, regular_2n_gon, scale_coordinate, segment)
+                       pyramid_witness_operator, regular_2n_gon, regular_index,
+                       scale_coordinate, scale_witness, segment)
 from .linprog import LinearProgram, LPSolution, solve_lp
 from .operators import Operator, ProfileRow, RadiusCertificate, numerical_radius, \
     operator_norm, radius_profile
@@ -32,13 +32,13 @@ __all__ = [
     "ComputationError", "Context", "DEFAULT_EPS", "EXACT",
     "FacetFunctional", "Incidence", "IndexBracket", "InputError", "LPSolution",
     "LinearProgram", "LowerBoundCertificate", "Operator", "PolyindexError", "Polytope",
-    "ProfileRow", "RadiusCertificate", "Scalar", "SearchConfig", "SingularMatrixError",
-    "ValidationError", "ValidationReport", "VertexBound", "bipyramid_square_prism",
+    "ProfileRow", "RadiusCertificate", "Scalar", "SearchConfig", "ValidationError",
+    "ValidationReport", "VertexBound", "bipyramid_square_prism",
     "dual_norm", "facet_enumeration", "float_context", "format_rational", "gauge",
     "incidence", "index_bracket", "irregular_hexagon", "linf_sum", "lower_bound",
     "numerical_radius", "oblique_prism", "operator_norm", "parse_rational", "polar",
     "polygon_witness_operator", "prism_with_pyramids", "prism_with_pyramids_witness",
     "prism_witness_operator", "pyramid_witness_operator", "radius_profile",
-    "regular_2n_gon", "scale_coordinate", "segment", "solve_lp", "upper_bound",
-    "validate", "vertex_minimax",
+    "regular_2n_gon", "regular_index", "scale_coordinate", "scale_witness", "segment",
+    "solve_lp", "upper_bound", "validate", "vertex_minimax",
 ]

@@ -13,17 +13,15 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from operator import attrgetter
 
 from . import __version__
 from .bracket import SearchConfig, index_bracket, lower_bound
 from .documents import (operator_from_document, operator_to_document,
                         polytope_from_document, polytope_to_document, scalar_to_json)
-from .errors import InputError, PolyindexError
-from .families import (FAMILIES, bipyramid_square_prism, irregular_hexagon, linf_sum,
-                       oblique_prism, prism_with_pyramids, prism_with_pyramids_witness,
-                       prism_witness_operator, pyramid_witness_operator, scale_coordinate)
+from .errors import ComputationError, InputError, PolyindexError
+from .families import (FAMILIES, HEXAGON_DUAL_VERTEX, HEXAGON_VERTEX_BOUNDS,
+                       irregular_hexagon, linf_sum, scale_coordinate, scale_witness)
 from .linalg import rank
 from .operators import operator_norm, radius_profile
 from .polytope import facet_enumeration, gauge, incidence
@@ -139,6 +137,8 @@ def cmd_norm(args) -> int:
     p, _ = _load_polytope(args)
     point = _parse_point(args.point, p)
     value = gauge(p, point)
+    if not p.ctx.exact and not math.isfinite(value):
+        raise ComputationError("norm: |f(x)| is not finite")
     results = {"point": _vector_json(point), "value": scalar_to_json(value)}
     _emit(_report("norm", _config(p), results), args.format)
     return 0
@@ -232,27 +232,33 @@ def cmd_bound(args) -> int:
 
 def cmd_family(args) -> int:
     kind = args.kind
-    if kind == "linf_sum":
+    if kind != "linf_sum" and kind not in FAMILIES:
+        raise InputError(f"unknown family {kind!r}; choose from "
+                         f"{sorted(FAMILIES) + ['linf_sum']}")
+    family = FAMILIES.get(kind)
+    if family is None:
+        takes = ("a", "b")
+    else:
+        takes = family.params + (("with_witness",) if family.witness else ())
+    for name in ("n", "l", "a", "b", "with_witness"):
+        if getattr(args, name) not in (None, False) and name not in takes:
+            raise InputError(f"family {kind}: takes no --{name.replace('_', '-')}")
+    witness = None
+    if family is None:
         if not args.a or not args.b:
             raise InputError("family linf_sum: needs --a FILE and --b FILE polytope documents")
         pa, _ = polytope_from_document(_read_json(args.a, "--a"))
         pb, _ = polytope_from_document(_read_json(args.b, "--b"))
         p = linf_sum(pa, pb)
-        witness = None
     else:
-        if kind not in FAMILIES:
-            raise InputError(f"unknown family {kind!r}; choose from "
-                             f"{sorted(FAMILIES) + ['linf_sum']}")
-        entry = FAMILIES[kind]
-        if entry["needs_n"] and args.n is None:
+        if "n" in takes and args.n is None:
             raise InputError(f"family {kind}: needs --n")
-        l = parse_rational(args.l) if args.l is not None else Fraction(0)
-        p = entry["builder"](args.n, float(l))
-        witness = None
+        params = {} if args.n is None else {"n": args.n}
+        if args.l is not None:
+            params["l"] = float(parse_rational(args.l))
+        p = family.ball(**params)
         if args.with_witness:
-            if entry["witness"] is None:
-                raise InputError(f"family {kind}: no sharp witness operator is known")
-            witness = entry["witness"](args.n, float(l))
+            witness = family.witness(**params)
     if args.height is not None:
         h = parse_rational(args.height)
         if p.dim < 3:
@@ -260,15 +266,8 @@ def cmd_family(args) -> int:
         axis = p.dim - 1
         p = scale_coordinate(p, axis, h if p.ctx.exact else float(h))
         if witness is not None:
-            # Conjugate the witness by the rescaling so it stays sharp:
-            # row `axis` scales by h, column `axis` by 1/h, in the witness's
-            # own arithmetic.
-            hw = witness.ctx.coerce(h)
-            m = [list(row) for row in witness.matrix]
-            for j in range(len(m)):
-                m[axis][j] *= hw
-                m[j][axis] /= hw
-            witness = type(witness)(m, backend="rational" if witness.ctx.exact else "float")
+            # Conjugated by the rescaling, the witness stays sharp.
+            witness = scale_witness(witness, axis, h)
     text = _json(polytope_to_document(p, witness=witness))
     if args.output and args.output != "-":
         with open(args.output, "w") as fh:
@@ -279,62 +278,52 @@ def cmd_family(args) -> int:
 
 
 def _verify_checks():
-    """The self-contained reproduction suite; yields check dicts."""
+    """The self-contained reproduction suite; yields check dicts. The
+    expected values are those of :data:`polyindex.families.FAMILIES` and the
+    hexagon's worked example beside it."""
     checks = []
 
     def add(case, quantity, expected, computed, ok):
         checks.append({"case": case, "quantity": quantity, "expected": expected,
                        "computed": computed, "pass": bool(ok)})
 
-    # Irregular hexagon: exact per-vertex bounds and the lower bound.
+    # Irregular hexagon: exact per-vertex bounds, the lower bound, a dual vertex.
     hexagon = irregular_hexagon()
     lo, cert = lower_bound(hexagon)
-    expected = [Fraction(5, 17), Fraction(4, 7), Fraction(9, 13)]
-    values = [e.value for e in cert.entries]
-    for i, (want, got) in enumerate(zip(expected, values)):
+    for i, (want, e) in enumerate(zip(HEXAGON_VERTEX_BOUNDS, cert.entries)):
         add("irregular_hexagon", f"vertex_bound[{i}]", scalar_to_json(want),
-            scalar_to_json(got), want == got)
-    add("irregular_hexagon", "lower_bound", "5/17", scalar_to_json(lo),
-        lo == Fraction(5, 17))
-    dual_vertices = {f.coeffs for f in facet_enumeration(hexagon)}
-    target = (Fraction(2, 3), Fraction(1, 3))
-    add("irregular_hexagon", "dual_vertex (2/3, 1/3)", True, target in dual_vertices,
-        target in dual_vertices)
+            scalar_to_json(e.value), want == e.value)
+    want = min(HEXAGON_VERTEX_BOUNDS)
+    add("irregular_hexagon", "lower_bound", scalar_to_json(want), scalar_to_json(lo),
+        lo == want)
+    found = HEXAGON_DUAL_VERTEX in {f.coeffs for f in facet_enumeration(hexagon)}
+    add("irregular_hexagon", "dual_vertex (2/3, 1/3)", True, found, found)
 
-    # Rational bipyramid solid: exact tight bracket at 1/2.
-    bp = bipyramid_square_prism()
-    witness = pyramid_witness_operator()
+    # Rational bipyramid solid: exact tight bracket at its index.
+    family = FAMILIES["bipyramid_square_prism"]
+    bp, witness, want = family.ball(), family.witness(), family.index()
     wnorm, _ = operator_norm(bp, witness)
-    add("bipyramid_square_prism", "witness_norm", "1", scalar_to_json(wnorm),
-        wnorm == Fraction(1))
+    add("bipyramid_square_prism", "witness_norm", "1", scalar_to_json(wnorm), wnorm == 1)
     bracket = index_bracket(bp, witnesses=[witness])
-    add("bipyramid_square_prism", "lower_bound", "1/2", scalar_to_json(bracket.lower),
-        bracket.lower == Fraction(1, 2))
-    add("bipyramid_square_prism", "witness_radius", "1/2",
+    add("bipyramid_square_prism", "lower_bound", scalar_to_json(want),
+        scalar_to_json(bracket.lower), bracket.lower == want)
+    add("bipyramid_square_prism", "witness_radius", scalar_to_json(want),
         scalar_to_json(bracket.radius_certificate.value),
-        bracket.radius_certificate.value == Fraction(1, 2))
+        bracket.radius_certificate.value == want)
     add("bipyramid_square_prism", "status", "tight", bracket.status,
-        bracket.status == "tight" and bracket.upper == Fraction(1, 2))
+        bracket.status == "tight" and bracket.upper == want)
 
-    # Prism families: bracket endpoints hit sin/tan(pi/2n) within 1e-7.
+    # Float prism families: both bracket endpoints within 1e-7 of the index.
     tol = 1e-7
-    for n in (2, 3, 4, 5):
-        want = math.sin(math.pi / (2 * n)) if n % 2 else math.tan(math.pi / (2 * n))
-        for l in (0.0, 0.5):
-            p = oblique_prism(n, l)
-            bracket = index_bracket(p, witnesses=[prism_witness_operator(n, l)])
-            ok = abs(bracket.lower - want) < tol and abs(bracket.upper - want) < tol
-            add(f"oblique_prism(n={n}, l={l})", "bracket", want,
-                [bracket.lower, bracket.upper], ok)
-
-    # Pyramided prisms, n = 3 and 4.
-    for n in (3, 4):
-        want = math.sin(math.pi / (2 * n)) if n % 2 else math.tan(math.pi / (2 * n))
-        p = prism_with_pyramids(n)
-        bracket = index_bracket(p, witnesses=[prism_with_pyramids_witness(n)])
+    members = [("oblique_prism", {"n": n, "l": l}) for n in (2, 3, 4, 5) for l in (0.0, 0.5)]
+    members += [("prism_with_pyramids", {"n": n}) for n in (3, 4)]
+    for kind, params in members:
+        family = FAMILIES[kind]
+        want = family.index(**params)
+        bracket = index_bracket(family.ball(**params), witnesses=[family.witness(**params)])
         ok = abs(bracket.lower - want) < tol and abs(bracket.upper - want) < tol
-        add(f"prism_with_pyramids(n={n})", "bracket", want,
-            [bracket.lower, bracket.upper], ok)
+        case = f"{kind}({', '.join(f'{k}={v}' for k, v in params.items())})"
+        add(case, "bracket", want, [bracket.lower, bracket.upper], ok)
 
     return checks
 

@@ -27,7 +27,3 @@ class ValidationError(InputError):
 
 class ComputationError(PolyindexError):
     """An internal computation failed (should not happen on valid input)."""
-
-
-class SingularMatrixError(ComputationError):
-    """A linear system that was expected to be regular turned out singular."""

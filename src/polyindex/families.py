@@ -4,11 +4,15 @@ Trigonometric coordinates put a family on the float backend; the two
 fully rational solids (the irregular hexagon and the square prism with
 glued pyramids) are exact so that their index computations reproduce the
 known rational values bit-exactly.
+
+:data:`FAMILIES` is the one table of them: the parameters each takes, its
+ball, its sharp witness and its known index, all in closed form.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Callable, NamedTuple, Optional
 
 from .errors import InputError
 from .operators import Operator
@@ -18,6 +22,13 @@ from .polytope import Polytope
 def _check_n(n: int):
     if not isinstance(n, int) or n < 2:
         raise InputError(f"family parameter n must be an integer >= 2, got {n!r}")
+
+
+def regular_index(n: int) -> float:
+    """sin(pi/2n) for odd n, tan(pi/2n) for even n: the index of the regular
+    2n-gon (Martin and Meri) and of the paper's prisms over it."""
+    _check_n(n)
+    return math.sin(math.pi / (2 * n)) if n % 2 else math.tan(math.pi / (2 * n))
 
 
 def regular_2n_gon(n: int) -> Polytope:
@@ -56,13 +67,8 @@ def prism_with_pyramids(n: int) -> Polytope:
 def bipyramid_square_prism() -> Polytope:
     """Exact rational solid: the cube [-1,1]^3 with pyramids glued on the
     z = +/-1 faces, apexes (0, 0, +/-2). 10 vertices, 12 facets."""
-    one = Fraction(1)
-    two = Fraction(2)
-    zero = Fraction(0)
-    verts = [(one, one, one), (-one, one, one), (-one, -one, one), (one, -one, one),
-             (zero, zero, two),
-             (-one, -one, -one), (one, -one, -one), (one, one, -one), (-one, one, -one),
-             (zero, zero, -two)]
+    verts = [(1, 1, 1), (-1, 1, 1), (-1, -1, 1), (1, -1, 1), (0, 0, 2),
+             (-1, -1, -1), (1, -1, -1), (1, 1, -1), (-1, 1, -1), (0, 0, -2)]
     return Polytope(verts, backend="rational")
 
 
@@ -102,31 +108,42 @@ def scale_coordinate(p: Polytope, axis: int, factor) -> Polytope:
     return Polytope(verts, backend=backend, eps=None if p.ctx.exact else p.ctx.eps)
 
 
+def scale_witness(t: Operator, axis: int, factor) -> Operator:
+    """The operator ``t`` conjugated by the rescaling of :func:`scale_coordinate`:
+    row ``axis`` times ``factor`` and column ``axis`` divided by it, in the
+    operator's own arithmetic. A sharp witness of a ball stays sharp for the
+    rescaled ball. ``axis`` and ``factor`` are as :func:`scale_coordinate`
+    accepts them."""
+    factor = t.ctx.coerce(factor)
+    m = [list(row) for row in t.matrix]
+    for j in range(t.dim):
+        m[axis][j] *= factor
+        m[j][axis] /= factor
+    return Operator(m, backend="rational" if t.ctx.exact else "float")
+
+
 def prism_witness_operator(n: int, l: float = 0.0) -> Operator:
-    """Sharp witness for the oblique prism: the unique linear map sending
-    the first three top-ring vertices to
+    """Sharp witness for the oblique prism, in closed form.
 
-        (1+l, 0, 1)                  -> (l s, c, s)
-        (cos(pi/n)+l, sin(pi/n), 1)  -> (-sin(pi/n) c + l s, cos(pi/n) c, s)
-        (cos(2pi/n)+l, sin(2pi/n), 1)-> (-sin(2pi/n) c + l s, cos(2pi/n) c, s)
+    With c = cos(pi/2n) and s = sin(pi/2n), let T0 be the map
+    (x, y, z) -> (-c y, c x, s z): a quarter turn of the base polygon scaled
+    by c, with the height flattened to s. Let S be the shear
+    (x, y, z) -> (x + l z, y, z), which carries the right prism onto the
+    oblique one. The witness is S T0 S^-1, the matrix
 
-    with c = cos(pi/2n), s = sin(pi/2n). In unsheared coordinates it
-    rotates the base polygon a quarter turn and scales it by c while
-    flattening the height to s, so every top vertex lands on the sphere
-    for odd n and the normalized map certifies tan(pi/2n) for even n.
+        [[0, -c,  l s],
+         [c,  0, -c l],
+         [0,  0,  s  ]],
+
+    so the top-ring vertex (cos t + l, sin t, 1) goes to
+    (-c sin t + l s, c cos t, s). Every top vertex lands on the sphere for
+    odd n, and the normalized map certifies tan(pi/2n) for even n.
     """
     _check_n(n)
     l = float(l)
     c = math.cos(math.pi / (2 * n))
     s = math.sin(math.pi / (2 * n))
-    inputs = []
-    images = []
-    for j in range(3):
-        th = j * math.pi / n
-        inputs.append((math.cos(th) + l, math.sin(th), 1.0))
-        images.append((-math.sin(th) * c + l * s, math.cos(th) * c, s))
-    from .scalars import float_context
-    return Operator.from_action(inputs, images, ctx=float_context())
+    return Operator([(0.0, -c, l * s), (c, 0.0, -c * l), (0.0, 0.0, s)], backend="float")
 
 
 def polygon_witness_operator(n: int) -> Operator:
@@ -143,9 +160,7 @@ def pyramid_witness_operator() -> Operator:
     Sends the apex (0,0,2) to (1,0,0) on the sphere and every base vertex
     to (1/2, 0, 0); its numerical radius is exactly 1/2.
     """
-    h = Fraction(1, 2)
-    z = Fraction(0)
-    return Operator([(z, z, h), (z, z, z), (z, z, z)], backend="rational")
+    return Operator([(0, 0, Fraction(1, 2)), (0, 0, 0), (0, 0, 0)], backend="rational")
 
 
 def prism_with_pyramids_witness(n: int) -> Operator:
@@ -163,20 +178,31 @@ def prism_with_pyramids_witness(n: int) -> Operator:
     return prism_witness_operator(n, 0.0)
 
 
+class Family(NamedTuple):
+    """A built-in family. ``ball``, ``witness`` and ``index`` take the
+    parameters named in ``params`` as keywords; ``witness`` and ``index`` are
+    None where no sharp witness or no closed-form index is known."""
+
+    params: tuple
+    ball: Callable[..., Polytope]
+    witness: Optional[Callable[..., Operator]]
+    index: Optional[Callable]
+
+
 FAMILIES = {
-    "regular_2n_gon": {"builder": lambda n, l: regular_2n_gon(n),
-                       "witness": lambda n, l: polygon_witness_operator(n),
-                       "needs_n": True},
-    "oblique_prism": {"builder": lambda n, l: oblique_prism(n, l),
-                      "witness": lambda n, l: prism_witness_operator(n, l),
-                      "needs_n": True},
-    "prism_with_pyramids": {"builder": lambda n, l: prism_with_pyramids(n),
-                            "witness": lambda n, l: prism_with_pyramids_witness(n),
-                            "needs_n": True},
-    "bipyramid_square_prism": {"builder": lambda n, l: bipyramid_square_prism(),
-                               "witness": lambda n, l: pyramid_witness_operator(),
-                               "needs_n": False},
-    "irregular_hexagon": {"builder": lambda n, l: irregular_hexagon(),
-                          "witness": None,
-                          "needs_n": False},
+    "regular_2n_gon": Family(("n",), regular_2n_gon, polygon_witness_operator,
+                             regular_index),
+    "oblique_prism": Family(("n", "l"), oblique_prism, prism_witness_operator,
+                            lambda n, l=0.0: regular_index(n)),
+    "prism_with_pyramids": Family(("n",), prism_with_pyramids, prism_with_pyramids_witness,
+                                  lambda n: 0.5 if n == 2 else regular_index(n)),
+    "bipyramid_square_prism": Family((), bipyramid_square_prism, pyramid_witness_operator,
+                                     lambda: Fraction(1, 2)),
+    "irregular_hexagon": Family((), irregular_hexagon, None, None),
 }
+
+# The irregular hexagon's worked example: the exact bounds of its three vertex
+# orbits, whose minimum 5/17 is its lower bound, and a vertex of its dual ball.
+# Its index needs an exact method the package does not have yet.
+HEXAGON_VERTEX_BOUNDS = (Fraction(5, 17), Fraction(4, 7), Fraction(9, 13))
+HEXAGON_DUAL_VERTEX = (Fraction(2, 3), Fraction(1, 3))

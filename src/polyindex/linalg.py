@@ -1,8 +1,11 @@
-"""Small dense linear algebra over either scalar backend.
+"""Small dense linear algebra over either scalar backend: dot products,
+matrix-vector products, and the rank of a matrix.
 
 Vectors are tuples, matrices tuples of row tuples. Dimensions here are
-tiny (2 to 5), so everything is plain Gaussian elimination with exact
+tiny (2 to 5), so :func:`rank` is plain Gaussian elimination with exact
 pivoting on the rational backend and max-magnitude pivoting on floats.
+There is no linear solve: every built-in witness operator is written down
+in closed form (:mod:`polyindex.families`).
 
 :func:`rank` on the rational backend eliminates fraction-free. Each row is
 first scaled to integers by the lcm of its denominators, which leaves the
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InputError, SingularMatrixError
+from .errors import InputError
 from .scalars import Context
 
 
@@ -44,15 +47,6 @@ def matvec(m, x):
     return tuple(dot(row, x) for row in m)
 
 
-def transpose(m):
-    return tuple(zip(*m))
-
-
-def matmul(a, b):
-    bt = transpose(b)
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
 def _pivot_row(rows, col, start, ctx):
     """Index of the pivot row for `col`, or None if the column is (near) zero."""
     if ctx.exact:
@@ -66,38 +60,6 @@ def _pivot_row(rows, col, start, ctx):
         if mag > best_mag:
             best, best_mag = i, mag
     return best
-
-
-def solve(a, b, ctx: Context):
-    """Solve the square system a @ x = b.
-
-    Raises SingularMatrixError when no pivot can be found for some column.
-    """
-    d = len(a)
-    if any(len(row) != d for row in a) or len(b) != d:
-        raise InputError("solve: matrix must be square and match the right-hand side")
-    rows = [list(map(ctx.coerce, row)) + [ctx.coerce(rhs)] for row, rhs in zip(a, b)]
-    for col in range(d):
-        p = _pivot_row(rows, col, col, ctx)
-        if p is None:
-            raise SingularMatrixError(f"singular system (no pivot in column {col})")
-        rows[col], rows[p] = rows[p], rows[col]
-        piv = rows[col][col]
-        rows[col] = [x / piv for x in rows[col]]
-        for i in range(d):
-            if i != col and rows[i][col] != 0:
-                factor = rows[i][col]
-                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[col])]
-    return tuple(rows[i][d] for i in range(d))
-
-
-def inverse(a, ctx: Context):
-    d = len(a)
-    cols = []
-    for j in range(d):
-        e = tuple(1 if i == j else 0 for i in range(d))
-        cols.append(solve(a, e, ctx))
-    return transpose(cols)
 
 
 def scaled_integer_row(values) -> tuple:

@@ -26,7 +26,7 @@ from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import ComputationError, InputError
-from .linalg import inverse, matmul, matvec, scaled_integer_rows, transpose
+from .linalg import matvec, scaled_integer_rows
 from .polytope import Polytope, evaluation_table, facet_enumeration, incidence
 from .scalars import DEFAULT_EPS, Context, EXACT, Scalar, infer_exact
 
@@ -75,23 +75,6 @@ class Operator:
     def zero(cls, d: int, exact: bool = True) -> "Operator":
         z = 0 if exact else 0.0
         return cls([[z] * d for _ in range(d)], backend="rational" if exact else "float")
-
-    @classmethod
-    def from_action(cls, inputs, images, ctx: Context = EXACT) -> "Operator":
-        """The unique linear map sending each input vector to its image.
-
-        ``inputs`` must be d linearly independent d-vectors; solves
-        M @ inputs[i] = images[i] for the matrix M.
-        """
-        d = len(inputs)
-        if any(len(v) != d for v in inputs) or len(images) != d or any(len(u) != d for u in images):
-            raise InputError("from_action needs d independent d-vectors and d image d-vectors")
-        try:
-            v_inv = inverse(transpose([tuple(map(ctx.coerce, v)) for v in inputs]), ctx)
-        except ComputationError as exc:
-            raise ComputationError(f"input vectors are linearly dependent: {exc}") from exc
-        u_cols = transpose([tuple(map(ctx.coerce, u)) for u in images])
-        return cls(matmul(u_cols, v_inv), backend="rational" if ctx.exact else "float")
 
 
 @dataclass(frozen=True)

@@ -72,13 +72,14 @@ def format_rational(value: Fraction) -> str:
 
 @dataclass(frozen=True)
 class Context:
-    """Comparison context: ``eps == 0`` selects the exact rational backend."""
+    """Comparison context: ``eps == 0`` selects the exact rational backend;
+    any other ``eps`` must be a finite positive float tolerance."""
 
     eps: float = 0.0
 
     def __post_init__(self):
-        if self.eps < 0:
-            raise InputError(f"tolerance must be nonnegative, got {self.eps}")
+        if self.eps != 0:
+            check_tolerance(self.eps, "eps")
 
     @property
     def exact(self) -> bool:

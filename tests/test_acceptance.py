@@ -11,9 +11,9 @@ from fractions import Fraction
 from polyindex import (Operator, Polytope, bipyramid_square_prism, facet_enumeration,
                        index_bracket, irregular_hexagon, linf_sum,
                        lower_bound, numerical_radius, oblique_prism, operator_norm,
-                       polar, prism_with_pyramids, prism_with_pyramids_witness,
-                       prism_witness_operator, pyramid_witness_operator,
-                       scale_coordinate, segment, vertex_minimax)
+                       polar, prism_witness_operator, scale_coordinate, scale_witness,
+                       segment, vertex_minimax)
+from polyindex.families import FAMILIES, HEXAGON_DUAL_VERTEX, HEXAGON_VERTEX_BOUNDS
 from helpers import (boundary_minimax_2d, brute_force_facets, random_rational_matrix,
                      random_symmetric_polytope, vertex_set)
 
@@ -29,10 +29,10 @@ def test_criterion_1_hexagon_exact_reproduction():
     hexagon = irregular_hexagon()
     lo, cert = lower_bound(hexagon)
     values = [e.value for e in cert.entries]
-    ok = values == [Fraction(5, 17), Fraction(4, 7), Fraction(9, 13)]
-    ok = ok and lo == Fraction(5, 17)
+    ok = values == list(HEXAGON_VERTEX_BOUNDS)
+    ok = ok and lo == min(HEXAGON_VERTEX_BOUNDS)
     dual_vertices = vertex_set(polar(hexagon))
-    ok = ok and (Fraction(2, 3), Fraction(1, 3)) in dual_vertices
+    ok = ok and HEXAGON_DUAL_VERTEX in dual_vertices
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     report(1, ok, f"hexagon bounds {values}, lower {lo}, dual functional present", elapsed)
@@ -40,14 +40,14 @@ def test_criterion_1_hexagon_exact_reproduction():
 
 def test_criterion_2_bipyramid_exact_reproduction():
     t0 = time.perf_counter()
-    p = bipyramid_square_prism()
+    family = FAMILIES["bipyramid_square_prism"]
+    p, witness, want = family.ball(), family.witness(), family.index()
     lo, _ = lower_bound(p)
-    witness = pyramid_witness_operator()
     norm, _ = operator_norm(p, witness)
     radius = numerical_radius(p, witness).value
     bracket = index_bracket(p, witnesses=[witness])
-    ok = (lo == Fraction(1, 2) and norm == Fraction(1) and radius == Fraction(1, 2)
-          and bracket.status == "tight" and bracket.lower == bracket.upper == Fraction(1, 2))
+    ok = (want == Fraction(1, 2) and lo == want and norm == Fraction(1) and radius == want
+          and bracket.status == "tight" and bracket.lower == bracket.upper == want)
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 1.0
     report(2, ok, f"lower {lo}, witness norm {norm}, radius {radius}, {bracket.status}",
@@ -58,14 +58,15 @@ def test_criterion_3_prism_families():
     t0 = time.perf_counter()
     tol = 1e-7
     concrete = {2: 1.0, 3: 0.5, 4: math.tan(math.pi / 8), 5: math.sin(math.pi / 10)}
+    family = FAMILIES["oblique_prism"]
     ok = True
     for n in (2, 3, 4, 5):
-        want = math.sin(math.pi / (2 * n)) if n % 2 else math.tan(math.pi / (2 * n))
-        assert abs(want - concrete[n]) < 1e-12
         for l in (0.0, 0.5):
-            p = oblique_prism(n, l)
+            want = family.index(n=n, l=l)
+            assert abs(want - concrete[n]) < 1e-12
+            p = family.ball(n=n, l=l)
             assert p.ctx.eps == 1e-9
-            br = index_bracket(p, witnesses=[prism_witness_operator(n, l)])
+            br = index_bracket(p, witnesses=[family.witness(n=n, l=l)])
             ok = ok and abs(br.lower - want) < tol and abs(br.upper - want) < tol
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 10.0
@@ -75,10 +76,12 @@ def test_criterion_3_prism_families():
 def test_criterion_4_pyramided_prisms():
     t0 = time.perf_counter()
     tol = 1e-7
+    family = FAMILIES["prism_with_pyramids"]
     ok = True
-    for n, want in ((3, 0.5), (4, math.tan(math.pi / 8))):
-        p = prism_with_pyramids(n)
-        br = index_bracket(p, witnesses=[prism_with_pyramids_witness(n)])
+    for n in (3, 4):
+        want = family.index(n=n)
+        p = family.ball(n=n)
+        br = index_bracket(p, witnesses=[family.witness(n=n)])
         ok = ok and abs(br.lower - want) < tol and abs(br.upper - want) < tol
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 10.0
@@ -91,12 +94,8 @@ def test_criterion_5_height_invariance():
     ok = True
     for h in (0.5, 2.0):
         p = scale_coordinate(oblique_prism(3, 0.0), 2, h)
-        w = prism_witness_operator(3, 0.0)
-        m = [list(row) for row in w.matrix]
-        for j in range(3):
-            m[2][j] *= h
-            m[j][2] /= h
-        br = index_bracket(p, witnesses=[Operator(m, backend="float")])
+        w = scale_witness(prism_witness_operator(3, 0.0), 2, h)
+        br = index_bracket(p, witnesses=[w])
         ok = ok and abs(br.lower - base.lower) < 1e-7 and abs(br.upper - base.upper) < 1e-7
     elapsed = time.perf_counter() - t0
     report(5, ok, "bracket unchanged under height rescaling by 1/2 and 2", elapsed)

@@ -246,6 +246,24 @@ def test_family_linf_sum(capsys, tmp_path):
     assert len(doc["vertices"]) == 16
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (("regular_2n_gon", "--n", "2", "--l", "1/2"), "--l"),
+    (("prism_with_pyramids", "--n", "3", "--l", "1/2"), "--l"),
+    (("irregular_hexagon", "--n", "7"), "--n"),
+    (("irregular_hexagon", "--l", "3"), "--l"),
+    (("irregular_hexagon", "--with-witness"), "--with-witness"),
+    (("bipyramid_square_prism", "--a", "{square}"), "--a"),
+    (("oblique_prism", "--n", "3", "--b", "{square}"), "--b"),
+    (("linf_sum", "--with-witness", "--a", "{square}", "--b", "{square}"), "--with-witness"),
+    (("linf_sum", "--n", "3", "--a", "{square}", "--b", "{square}"), "--n"),
+])
+def test_family_rejects_a_flag_its_kind_does_not_take(capsys, square_file, argv, flag):
+    argv = [a.format(square=square_file) for a in argv]
+    code, out, err = run(capsys, "family", *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: family {argv[0]}: takes no {flag}\n"
+
+
 def test_text_format(capsys, hexagon_file):
     code, out, _ = run(capsys, "bound", "-i", hexagon_file, "--format", "text")
     assert code == 0
@@ -382,6 +400,13 @@ def square_file(tmp_path):
     path.write_text(json.dumps({"dim": 2, "scalar": "float",
                                 "vertices": [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]}))
     return str(path)
+
+
+def test_norm_overflow_exits_1(capsys, square_file):
+    # A finite point whose gauge overflows: |1e308 + 1e308| is inf.
+    code, out, err = run(capsys, "norm", "-i", square_file, "--point", "1e308,1e308")
+    assert (code, out) == (1, "")
+    assert err == "computation failed: norm: |f(x)| is not finite\n"
 
 
 @pytest.mark.parametrize("eps", ["0", "nan", "inf", "-1e-9"])

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from polyindex import (InputError, Operator, bipyramid_square_prism,
+from polyindex import (InputError, bipyramid_square_prism,
                        facet_enumeration, gauge, index_bracket,
                        irregular_hexagon, linf_sum, numerical_radius, oblique_prism,
                        operator_norm, polygon_witness_operator, prism_with_pyramids,
                        prism_with_pyramids_witness, prism_witness_operator,
-                       pyramid_witness_operator, regular_2n_gon, scale_coordinate, segment,
-                       validate)
+                       pyramid_witness_operator, regular_2n_gon, scale_coordinate,
+                       scale_witness, segment, validate)
+from polyindex.families import FAMILIES
 from helpers import vertex_set
 
 
@@ -42,7 +43,7 @@ def test_2n_gon_vertices_on_unit_circle():
 
 def test_octagon_bracket_tan_pi_8():
     br = index_bracket(regular_2n_gon(4), witnesses=[polygon_witness_operator(4)])
-    want = math.tan(math.pi / 8)
+    want = FAMILIES["regular_2n_gon"].index(n=4)
     assert close(br.lower, want, 1e-7) and close(br.upper, want, 1e-7)
 
 
@@ -128,7 +129,7 @@ def test_prism_witness_norm_one_and_radius():
             t = prism_witness_operator(n, l)
             norm, _ = operator_norm(p, t)
             assert close(norm, 1.0)
-            assert close(numerical_radius(p, t).value, math.sin(math.pi / (2 * n)))
+            assert close(numerical_radius(p, t).value, FAMILIES["oblique_prism"].index(n=n))
 
 
 def test_prism_witness_general_image_formula():
@@ -141,6 +142,19 @@ def test_prism_witness_general_image_formula():
             v = (math.cos(th) + l, math.sin(th), 1.0)
             want = (-math.sin(th) * c + l * s, math.cos(th) * c, s)
             assert vec_close(t(v), want)
+
+
+@pytest.mark.parametrize("n,l", [(2, 0.0), (3, 0.5), (5, 0.25), (12, 1.0)])
+def test_prism_witness_closed_form_images(n, l):
+    # The closed form misses the images of all 2n top-ring vertices by a
+    # rounding error or two, not by the error of a solved 3x3 system.
+    t = prism_witness_operator(n, l)
+    c, s = math.cos(math.pi / (2 * n)), math.sin(math.pi / (2 * n))
+    for j in range(2 * n):
+        th = j * math.pi / n
+        v = (math.cos(th) + l, math.sin(th), 1.0)
+        want = (-math.sin(th) * c + l * s, math.cos(th) * c, s)
+        assert vec_close(t(v), want, 1e-14)
 
 
 def test_prism_witness_images_land_on_side_facets_odd_n():
@@ -166,7 +180,7 @@ def test_pyramided_prism_witnesses():
     for n in (3, 4):
         p = prism_with_pyramids(n)
         t = prism_with_pyramids_witness(n)
-        want = math.sin(math.pi / (2 * n)) if n % 2 else math.tan(math.pi / (2 * n))
+        want = FAMILIES["prism_with_pyramids"].index(n=n)
         norm, _ = operator_norm(p, t)
         cert = numerical_radius(p, t.scale(1 / norm))
         assert close(cert.value, want)
@@ -177,7 +191,9 @@ def test_pyramided_prism_n2_matches_exact_solid():
     # its bracket must come out at the same exact value 1/2.
     p = prism_with_pyramids(2)
     br = index_bracket(p, witnesses=[prism_with_pyramids_witness(2)])
-    assert close(br.lower, 0.5, 1e-7) and close(br.upper, 0.5, 1e-7)
+    want = FAMILIES["prism_with_pyramids"].index(n=2)
+    assert want == FAMILIES["bipyramid_square_prism"].index() == Fraction(1, 2)
+    assert close(br.lower, want, 1e-7) and close(br.upper, want, 1e-7)
     assert br.status == "tight"
 
 
@@ -209,12 +225,8 @@ def test_height_invariance():
     base = index_bracket(oblique_prism(3, 0.0), witnesses=[prism_witness_operator(3, 0.0)])
     for h in (0.5, 2.0):
         p = scale_coordinate(oblique_prism(3, 0.0), 2, h)
-        w = prism_witness_operator(3, 0.0)
-        m = [list(row) for row in w.matrix]
-        for j in range(3):
-            m[2][j] *= h
-            m[j][2] /= h
-        br = index_bracket(p, witnesses=[Operator(m, backend="float")])
+        w = scale_witness(prism_witness_operator(3, 0.0), 2, h)
+        br = index_bracket(p, witnesses=[w])
         assert close(br.lower, base.lower, 1e-7)
         assert close(br.upper, base.upper, 1e-7)
 
@@ -224,3 +236,24 @@ def test_scale_coordinate_errors(square):
         scale_coordinate(square, 5, 2)
     with pytest.raises(InputError):
         scale_coordinate(square, 0, 0)
+
+
+def test_family_indices_match_the_concrete_values():
+    # Criterion 3's concrete numbers for sin/tan(pi/2n), n = 2..5, except
+    # the n = 2 pyramided prism, which is the bipyramid solid at index 1/2.
+    concrete = {2: 1.0, 3: 0.5, 4: math.tan(math.pi / 8), 5: math.sin(math.pi / 10)}
+    for kind, family in FAMILIES.items():
+        if "n" not in family.params:
+            continue
+        for n in (2, 3, 4, 5):
+            want = 0.5 if (kind, n) == ("prism_with_pyramids", 2) else concrete[n]
+            assert abs(family.index(n=n) - want) < 1e-12, (kind, n)
+    assert FAMILIES["bipyramid_square_prism"].index() == Fraction(1, 2)
+    assert FAMILIES["irregular_hexagon"].index is None
+
+
+def test_scale_witness_keeps_rational_witness_exact():
+    w = scale_witness(pyramid_witness_operator(), 2, Fraction(3))
+    assert w.ctx.exact
+    assert w.matrix[0][2] == Fraction(1, 6)
+    assert scale_witness(w, 2, Fraction(1, 3)).matrix == pyramid_witness_operator().matrix

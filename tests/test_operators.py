@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyindex import (ComputationError, InputError, Operator, Polytope, facet_enumeration,
+from polyindex import (InputError, Operator, Polytope, facet_enumeration,
                        gauge, numerical_radius, oblique_prism, operator_norm,
                        polygon_witness_operator, prism_witness_operator,
                        pyramid_witness_operator, radius_profile, regular_2n_gon)
@@ -130,7 +130,10 @@ def test_isometry_conjugation_on_square(square):
     s = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
     s_inv = ((Fraction(0), Fraction(1)), (Fraction(-1), Fraction(0)))
     rng = random.Random(41)
-    from polyindex.linalg import matmul
+
+    def matmul(a, b):
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
     for _ in range(10):
         m = random_rational_matrix(rng, 2)
         op = Operator(m)
@@ -175,11 +178,6 @@ def test_dimension_mismatch(square):
         operator_norm(square, Operator.identity(3))
     with pytest.raises(InputError):
         Operator.identity(2)((1, 2, 3))
-
-
-def test_from_action_singular():
-    with pytest.raises(ComputationError):
-        Operator.from_action([(1, 0), (2, 0)], [(1, 0), (0, 1)])
 
 
 def test_operator_document_shapes():

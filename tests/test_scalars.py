@@ -86,6 +86,14 @@ def test_negative_tolerance_rejected():
         Context(-1e-9)
 
 
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf, -1e-9])
+def test_context_rejects_a_tolerance_that_is_not_finite_and_positive(eps):
+    # A NaN tolerance would make every value compare as zero.
+    with pytest.raises(InputError, match="^eps: tolerance must be finite and positive"):
+        Context(eps)
+    assert Context(0.0).exact and not Context(1e-12).exact
+
+
 @pytest.mark.parametrize("raw", ["0", "-1e-9", "nan", "inf", "-inf"])
 def test_float_context_rejects_bad_env_tolerance(monkeypatch, raw):
     monkeypatch.setenv("POLYINDEX_EPS", raw)
