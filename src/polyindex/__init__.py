@@ -4,9 +4,14 @@ Given a symmetric polytopal unit ball in V-representation, this package
 computes its facets and vertex-facet incidence, the polar (dual) ball,
 operator norms and numerical radii with attaining certificates, and a
 certified two-sided bracket on the numerical index of the space: the
-lower endpoint from exact per-vertex min-max linear programs over the
-facets, the upper endpoint from witness operators. Rational input is
-processed in exact arbitrary-precision arithmetic.
+lower endpoint from exact per-vertex min-max values, the upper endpoint
+from witness operators. At a vertex v the min-max over the unit sphere of
+the functionals of the facets at v is 1 / max ||u|| over the polytope Q_v
+those functionals cut out, and the norm is convex, so the maximum is at a
+vertex of Q_v; one double description lists Q_v's vertices, as the
+extreme rays of the cone over it (on float balls with the functionals
+scaled by a power of two that follows the ball's size). Rational input
+is processed in exact arbitrary-precision arithmetic.
 """
 
 __version__ = "0.1.0"

@@ -3,11 +3,13 @@
 Lower bound: at every vertex v of the ball, the supporting functionals of
 the facets meeting at v pin down every norm-one operator — any T that
 attains its norm at v satisfies v(T) >= min over the unit sphere of the
-largest |f(x)| among those functionals. That per-vertex minimum is an
-exact linear-programming quantity: the sphere is the union of the facets,
-and on a single facet (a convex set parameterized by its vertices) the
-min-max is one LP. Minimizing over antipodal vertex orbits gives a
-certified lower bound on the numerical index.
+largest |f(x)| among those functionals. Those functionals cut out a
+symmetric polytope Q_v, and the ball's norm is convex, so that minimum is
+1 / max{||u|| : u a vertex of Q_v}: one double description per vertex
+orbit lists Q_v's vertices, and no linear program is solved. Minimizing
+over antipodal vertex orbits gives a certified lower bound on the
+numerical index. A vertex bound rests on Q_v's vertex list, each vertex
+with the functionals tight at it, and on no LP dual.
 
 Upper bound: any norm-one operator T gives n(X) <= v(T). Witness
 operators are supplied by the caller (the family generators construct the
@@ -23,14 +25,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import itemgetter, mul, truediv
 from typing import Mapping, Optional, Sequence
 
 from .errors import ComputationError, InputError
-from .linalg import rank, scaled_integer_rows
-from .linprog import LinearProgram, solve_lp
+from .linalg import scaled_integer_rows
 from .operators import Operator, RadiusCertificate, numerical_radius, operator_norm
-from .polytope import (Polytope, evaluation_table, facet_antipode_pairs, facet_enumeration,
+from .polytope import (Polytope, _double_description, evaluation_table, facet_antipode_pairs,
                        incidence)
 from .scalars import Scalar
 
@@ -81,62 +82,23 @@ class IndexBracket:
     status: str  # "tight" or "gap"
 
 
-@dataclass(frozen=True)
-class _SphereFacet:
-    """One facet of an antipodal facet pair, with the data its LPs need.
+def _bound_rows(p: Polytope) -> tuple:
+    """The facet rows the vertex bounds read: (rows, sphere, scale, s).
 
-    ``rows`` and ``floors`` are keyed by facet index r and hold an entry
-    only for the functionals f_r that some chosen set reads (the ``used``
-    argument of :func:`_sphere_facets`). On the exact backend ``rows[r]``
-    is a row of ints with its positive int scale; on floats it is the row
-    of float values with scale 1.
+    ``rows[r]`` is the row of facet functional f_r and ``scale`` its
+    common scale: on rationals the evaluation table's ints F_r = L_F f_r
+    with scale L_F, on floats s f_r with scale 1. ``sphere`` holds the
+    first facet k of each antipodal pair, in ascending order. ``s`` is 1 on
+    rationals; on floats it is the largest power of two not above the
+    largest vertex coordinate in absolute value (see
+    :func:`vertex_minimax`).
     """
-
-    index: int      # facet index k
-    members: tuple  # sorted indices of the vertices on facet k
-    rows: dict      # rows[r] = (row, scale): f_r(w_a) = row[a] / scale at member w_a
-    floors: dict    # floors[r] = min of |f_r| over facet k
-
-
-def _sphere_facets(p: Polytope, used) -> tuple:
-    """The facet table of the sphere, one entry per antipodal facet pair,
-    in ascending facet index, tabulated for the facet functionals ``used``.
-
-    f_r is affine on a facet, so over the facet it takes exactly the convex
-    combinations of its values at the facet's vertices: when those values
-    share a strict sign, the minimum of |f_r| is the least of them in
-    absolute value, and otherwise it is 0.
-
-    The values are dot products of the rows of the ball's evaluation table
-    (:func:`polytope.evaluation_table`), summed in the same order as
-    ``linalg.dot``. On the exact backend f_r(w_a) = F_r . W_a / (L_F L_W),
-    and each row of those ints is divided, with the scale L_F L_W, by their
-    gcd. That leaves the one primitive pair of the row's values, which is
-    ``linalg.scaled_integer_row`` of them: the ints that the facet LPs take
-    as they are. A floor is one ``Fraction`` per row. Floats have scale 1.
-    """
-    ctx = p.ctx
-    zero = 0 if ctx.exact else ctx.coerce(0)
-    facets = facet_enumeration(p)
     ev = evaluation_table(p)
-    used = sorted(used)
-    scale = ev.facet_scale * ev.vertex_scale
-    table = []
-    for k, _ in facet_antipode_pairs(p):
-        members = tuple(sorted(facets[k].incident_vertices))
-        wrows = [ev.vertices[j] for j in members]
-        rows, floors = {}, {}
-        for r in used:
-            row, row_scale = [sum(map(mul, ev.facets[r], w)) for w in wrows], 1
-            if ctx.exact:
-                g = math.gcd(*row, scale)
-                row, row_scale = [x // g for x in row], scale // g
-            lo, hi = min(row), max(row)
-            floor = lo if ctx.sign(lo) > 0 else -hi if ctx.sign(hi) < 0 else zero
-            floors[r] = Fraction(floor, row_scale) if ctx.exact else floor
-            rows[r] = (row, row_scale)
-        table.append(_SphereFacet(index=k, members=members, rows=rows, floors=floors))
-    return tuple(table)
+    sphere = tuple(k for k, _ in facet_antipode_pairs(p))
+    if p.ctx.exact:
+        return ev.facets, sphere, ev.facet_scale, 1
+    s = math.ldexp(0.5, math.frexp(max(abs(x) for v in p.vertices for x in v))[1])
+    return tuple(tuple(s * x for x in f) for f in ev.facets), sphere, 1, s
 
 
 def vertex_minimax(p: Polytope, vertex_index: int,
@@ -148,46 +110,57 @@ def vertex_minimax(p: Polytope, vertex_index: int,
     incident facets are used. The chosen functionals must have trivial
     common kernel, otherwise the minimum would be 0 and useless.
 
-    One LP per antipodal facet pair of the sphere. On the facet
-    conv(w_1..w_k) the min-max is: minimize t subject to x = sum lam_j w_j,
-    sum lam_j = 1, lam >= 0 and -t <= f_r(x) <= t for every r. As x != 0
-    and the f_r have trivial common kernel, t > 0, and mu = lam / t
-    (Charnes and Cooper) turns it into: maximize sum mu_j subject to
-    mu >= 0 and -1 <= f_r(sum mu_j w_j) <= 1, each row times its scale. A
-    feasible mu != 0 gives the point x = sum mu_j w_j / sum mu_j of the
-    facet with max_r |f_r(x)| <= 1 / sum mu_j, and lam / t gives mu back,
-    so t* = 1/s* for the maximum s*, attained at sum mu*_j w_j / s*. The
-    simplex starts at mu = 0, as every right-hand side is positive, and
-    the LP is bounded: a ray would give a point of the facet where every
-    f_r vanishes, which is 0.
+    With trivial common kernel, phi(x) = max_r |f_r(x)| is a norm, and its
+    unit ball Q_v = {u : |f_r(u)| <= 1 for every r} is a symmetric
+    polytope. phi and the ball's norm are both positively homogeneous, so
+    the minimum of phi over the sphere is the least phi(u) / ||u|| over
+    u != 0, which is 1 / max{||u|| : u in Q_v}. The norm is convex, so
+    that maximum is attained at a vertex of Q_v.
 
-    A facet's LP value is at least its bound: the largest, over the chosen
-    r, of the minimum of |f_r| on the facet (see :func:`_sphere_facets`),
-    which needs no LP. The facets are visited in ascending
-    (bound, facet index) order, and the result is the least
-    (value, facet index) among the LPs solved. On rationals the loop stops
-    at the first facet whose (bound, facet index) exceeds the best
-    (value, facet index) so far: that facet, and every later one, has
-    (value, index) >= (bound, index) > best, so none of them could replace
-    the best. A facet whose bound ties the best value but whose index is
-    higher is skipped with the rest. So a skipped facet is certified by its
-    floor and its index alone, with no LP. On floats the loop stops only
-    once the best value is below the bound by more than eps; a bound that
-    ties the best within eps is still solved, as its LP value may round
-    below the best. Either way the value, the sphere facet and the
-    minimizer are the least (value, facet index) over all facets, which is
-    the first strict minimum in facet index order that solving every LP
-    gives.
+    Q_v's vertices come from one double description
+    (:func:`polytope._double_description`) of the cone
+    C = {(u, t) : -t <= f_r(u) <= t}, with the rows (-f_r, 1) and (f_r, 1)
+    for each chosen r. The lineality of C is the common kernel of the f_r
+    (at t = 0), so a nontrivial kernel is read off it. Once C is pointed,
+    t > 0 on every nonzero (u, t) in C, since t = 0 forces u into the
+    kernel; C is then the cone over {1} x Q_v, and its extreme rays are
+    the (u, t) with u / t a vertex of Q_v. Q_v is symmetric, so the rays
+    come in pairs (u, t), (-u, t), each tight at the other's rows with the
+    two rows of every functional swapped; only the ray whose first tight
+    row is a row (-f_r, 1) is kept.
 
-    The facet table is tabulated only for the facets incident to the
-    vertex; :func:`lower_bound` builds one table for all orbits.
+    ||u|| is the largest |g_k(u)| over the sphere's facet functionals, one
+    g_k per antipodal facet pair (k, k'), so the value is the least
+    (t / |g_k(u)|, k) over the kept rays (u, t) and the facets k: at each
+    ray the first k that attains ||u||, across the rays the first least
+    pair. The minimizer u / g_k(u) has g_k = 1 and norm 1, so it lies on
+    the sphere, on facet k. This is also the least (value, facet index)
+    of the minimum of phi over each facet of the sphere: if x on facet
+    k'' attains the value, then x / phi(x) is a point of Q_v of largest
+    norm with g_k'' = ||.||, so g_k'' reaches that norm at a vertex of Q_v
+    too, and k <= k''.
+
+    On rationals the rows are the evaluation table's ints, (-F_r, L_F) and
+    (F_r, L_F), so every ray is an int vector, and the value and each
+    coordinate of the minimizer are one ``Fraction``. On floats they are
+    (-s f_r, 1) and (s f_r, 1), where s is the largest power of two not
+    above the largest vertex coordinate in absolute value; the vertex of
+    Q_v is then s u / t. The double description compares against an
+    absolute tolerance, so it needs rows near the size of 1: the
+    functionals of a small ball are large, and s f_r is not. Scaling the
+    ball by 2^j multiplies s by 2^j, so wherever its facet functionals come
+    out divided by exactly 2^j, the double description gets the same
+    numbers and the values are the same.
+
+    A :class:`ComputationError` of the double description is raised again
+    with ``vertex i`` in front of its message.
     """
-    sphere = _sphere_facets(p, incidence(p).vertex_to_facets[vertex_index])
-    return _vertex_minimax(p, sphere, vertex_index, subset)
+    return _vertex_minimax(p, _bound_rows(p), vertex_index, subset)
 
 
-def _vertex_minimax(p, sphere, vertex_index, subset) -> VertexBound:
+def _vertex_minimax(p, bound_rows, vertex_index, subset) -> VertexBound:
     ctx = p.ctx
+    rows, sphere, scale, s = bound_rows
     incident = incidence(p).vertex_to_facets[vertex_index]
     if subset is None:
         chosen = tuple(incident)
@@ -198,62 +171,49 @@ def _vertex_minimax(p, sphere, vertex_index, subset) -> VertexBound:
             raise InputError(f"facets {bad} are not incident to vertex {vertex_index}")
         if not chosen:
             raise InputError("functional subset must be nonempty")
-    if rank([evaluation_table(p).facets[k] for k in chosen], ctx) < p.dim:
+    cone = []
+    for r in chosen:
+        cone += [tuple(-a for a in rows[r]) + (scale,), tuple(rows[r]) + (scale,)]
+    try:
+        rays, lineality = _double_description(cone, p.dim + 1, ctx)
+    except ComputationError as exc:
+        raise ComputationError(f"vertex {vertex_index}: {exc}") from exc
+    if lineality:
         raise InputError(
             f"functionals at vertex {vertex_index} have a nontrivial common kernel; "
             "the min-max over the sphere would be 0")
 
-    bounds = [max(sf.floors[r] for r in chosen) for sf in sphere]
+    div = Fraction if ctx.exact else truediv
     best = None
-    for s in sorted(range(len(sphere)), key=bounds.__getitem__):
-        sf = sphere[s]
-        if best is not None and (best[:2] < (bounds[s], sf.index) if ctx.exact
-                                 else ctx.lt(best[0], bounds[s])):
-            break  # no later facet can beat the best
-        # variables mu_1..mu_nl >= 0; -scale <= row . mu <= scale for every r
-        ineq_lhs, ineq_rhs = [], []
-        for r in chosen:
-            row, scale = sf.rows[r]
-            ineq_lhs += [row, [-a for a in row]]
-            ineq_rhs += [scale, scale]
-        lp = LinearProgram(objective=(-1,) * len(sf.members), ineq_lhs=ineq_lhs,
-                           ineq_rhs=ineq_rhs, nonneg=(True,) * len(sf.members))
-        try:
-            sol = solve_lp(lp, ctx)
-        except ComputationError as exc:
-            raise ComputationError(f"vertex {vertex_index}, sphere facet {sf.index}: {exc}") from exc
-        if not sol.is_optimal or ctx.sign(sol.value) >= 0:
-            raise ComputationError(f"vertex {vertex_index}, sphere facet {sf.index}: facet LP "
-                                   f"is {sol.status}, with value {sol.value} (not negative)")
-        s_max = -sol.value  # s* = max sum mu
-        value = 1 / s_max  # t* = 1/s*
-        if best is None or (value, sf.index) < best[:2]:
-            best = (value, sf.index, sf.members, sol.point, s_max)
+    for ray, zs in rays:
+        if min(zs) % 2:
+            continue  # the antipode of a kept ray
+        u, t = ray[:-1], ray[-1]
+        dots = [sum(map(mul, rows[k], u)) for k in sphere]
+        j = max(range(len(dots)), key=lambda j: abs(dots[j]))  # the first largest
+        value = div(t * scale, abs(dots[j]))
+        if best is None or (value, sphere[j]) < best[:2]:
+            best = (value, sphere[j], u, dots[j])
 
-    value, facet_k, members, mu, s_max = best
-    x = tuple(sum(mu[a] * p.vertices[j][c] for a, j in enumerate(members)) / s_max
-              for c in range(p.dim))
+    value, facet_k, u, g = best
     return VertexBound(vertex_index=vertex_index,
                        antipode_index=p.antipode_index(vertex_index),
-                       value=value, functional_indices=chosen,
-                       sphere_facet_index=facet_k, minimizer=x)
+                       value=value, functional_indices=chosen, sphere_facet_index=facet_k,
+                       minimizer=tuple(div(c * scale, g) * s for c in u))
 
 
 def lower_bound(p: Polytope, subsets: Optional[Mapping[int, Sequence[int]]] = None):
     """Certified lower bound on the numerical index: min over vertex orbits
-    of the per-vertex min-max. Antipodal vertices share the same bound and
-    are computed once, and the facet table of the sphere is built once for
-    all orbits, tabulated for the facets incident to some orbit
-    representative.
+    of the per-vertex min-max (:func:`vertex_minimax`). Antipodal vertices
+    share the same bound and are computed once, and the facet rows are
+    built once for all orbits.
 
     ``subsets`` optionally maps vertex indices to explicit functional
     subsets (the same subset, negated, is implied at the antipode).
     """
-    reps = p.orbit_representatives()
-    v2f = incidence(p).vertex_to_facets
-    sphere = _sphere_facets(p, {r for i in reps for r in v2f[i]})
-    entries = tuple(_vertex_minimax(p, sphere, i, None if subsets is None else subsets.get(i))
-                    for i in reps)
+    bound_rows = _bound_rows(p)
+    entries = tuple(_vertex_minimax(p, bound_rows, i, None if subsets is None else subsets.get(i))
+                    for i in p.orbit_representatives())
     cert = LowerBoundCertificate(entries=entries)
     return cert.minimum, cert
 

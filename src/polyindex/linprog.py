@@ -1,7 +1,8 @@
 """Dense simplex with Bland's pivot rule, started at the slack basis.
 
-The solver is deliberately small: the only programs it faces are the
-per-facet LPs of the lower bound. They have at most a few dozen
+The solver is deliberately small: no package code calls it yet, and the
+programs it is kept for, the exact index's LPs over operator entries
+(d² free variables, every right-hand side 1), have at most a few dozen
 variables, but they are routinely degenerate and — on the rational
 backend — must be solved bit-exactly. Bland's smallest-index rule
 guarantees termination on degenerate instances.

@@ -31,8 +31,8 @@ scale per table, f_r = F_r / L_F and v_a = W_a / L_W, so a value f_r(x)
 is an int dot product and a maximum over many of them is an int
 comparison; a ``Fraction`` is built once per answer. On floats it holds
 the coefficient tuples and vertices as they are. The operator norm and
-numerical radius of :mod:`polyindex.operators` and the facet table of the
-lower bound read it; a mixed pair (a float operator on a rational ball, or
+numerical radius of :mod:`polyindex.operators` and the vertex bounds of
+the lower bound read it; a mixed pair (a float operator on a rational ball, or
 the reverse) is evaluated on the raw coefficients in float arithmetic.
 """
 from __future__ import annotations

@@ -167,7 +167,7 @@ def test_criterion_8_oracle_equivalence_2d():
             worst_gap = max(worst_gap, gap)
             ok = ok and gap > -1e-9 and gap < 1e-3
     elapsed = time.perf_counter() - t0
-    report(8, ok, f"facets match subset oracle; sampled-minus-LP gap <= {worst_gap:.2e}",
+    report(8, ok, f"facets match subset oracle; sampled-minus-bound gap <= {worst_gap:.2e}",
            elapsed)
 
 

@@ -1,7 +1,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import combinations, product
 
 import pytest
 
@@ -12,12 +12,11 @@ from polyindex import (ComputationError, InputError, LinearProgram, Operator, Po
                        incidence, index_bracket, irregular_hexagon, linf_sum, lower_bound,
                        numerical_radius, oblique_prism, operator_norm, polygon_witness_operator,
                        prism_with_pyramids, prism_witness_operator, pyramid_witness_operator,
-                       regular_2n_gon, scale_coordinate, solve_lp, upper_bound,
-                       vertex_minimax)
-from polyindex.linalg import dot, rank, scaled_integer_row
-from polyindex.polytope import evaluation_table, facet_antipode_pairs
+                       regular_2n_gon, solve_lp, upper_bound, vertex_minimax)
+from polyindex.linalg import dot, rank
+from polyindex.polytope import facet_antipode_pairs
 from helpers import (boundary_minimax_2d, random_rational_matrix, random_symmetric_polytope,
-                     reference_half_table_value, reference_solve_lp, scaled_random_polytope)
+                     reference_half_table_value)
 
 
 def test_hexagon_vertex_bounds_exact(hexagon):
@@ -195,8 +194,9 @@ def _cross4(backend=None):
 
 def _reference_minimax(p, facets, chosen):
     """Every per-pair LP solved, keeping the first strict minimum:
-    (value, sphere facet, minimizer). Each LP is the min-max with mu = lam/t:
-    maximize sum mu subject to -1 <= f(sum mu_j w_j) <= 1 for every f."""
+    (value, sphere facet). Each LP is the min-max on facet k with
+    mu = lam/t: maximize sum mu subject to -1 <= f(sum mu_j w_j) <= 1 for
+    every f, and the facet's minimum is 1 / max."""
     funcs = [facets[k].coeffs for k in chosen]
     best = None
     for k, _ in facet_antipode_pairs(p):
@@ -211,10 +211,26 @@ def _reference_minimax(p, facets, chosen):
                                      ineq_rhs=[1] * len(ineq_lhs), nonneg=(True,) * nl), p.ctx)
         assert sol.is_optimal
         if best is None or -1 / sol.value < best[0]:
-            x = tuple(sum(sol.point[a] * p.vertices[j][c] for a, j in enumerate(members))
-                      / -sol.value for c in range(p.dim))
-            best = (-1 / sol.value, k, x)
+            best = (-1 / sol.value, k)
     return best
+
+
+def _check_vertex_bound(p, facets, i, chosen):
+    """vertex_minimax against every facet LP: on rationals the same value
+    and sphere facet, on floats the value within 1e-12 relative; the
+    minimizer on the sphere, on its facet, attaining the value."""
+    e = vertex_minimax(p, i, subset=chosen)
+    want_value, want_facet = _reference_minimax(p, facets, e.functional_indices)
+    x = e.minimizer
+    got = (gauge(p, x), dot(facets[e.sphere_facet_index].coeffs, x),
+           max(abs(dot(facets[k].coeffs, x)) for k in e.functional_indices))
+    if p.ctx.exact:
+        assert (e.value, e.sphere_facet_index) == (want_value, want_facet)
+        assert got == (1, 1, e.value)
+    else:
+        assert math.isclose(e.value, want_value, rel_tol=1e-12)
+        for a, b in zip(got, (1, 1, e.value)):
+            assert math.isclose(a, b, rel_tol=1e-12)
 
 
 @pytest.mark.parametrize("make", [irregular_hexagon, bipyramid_square_prism,
@@ -229,201 +245,91 @@ def _reference_minimax(p, facets, chosen):
                               "oblique_prism(5,1/2)", "prism_with_pyramids(4)",
                               "random_d3", "random_d4", "4-cube", "4-cross-polytope"])
 def test_skipped_facet_lps_change_nothing(make):
+    # The vertex enumeration solves no facet LP; solving every one of them
+    # gives the same bound.
     p = make()
     facets = facet_enumeration(p)
     inc = incidence(p)
     reps = p.orbit_representatives()
-    # Every orbit, and one vertex that is not an orbit representative: the
-    # facet table vertex_minimax builds for it holds only its own functionals.
+    # Every orbit, and one vertex that is not an orbit representative.
     for i in reps + (p.antipode_index(reps[0]),):
         incident = inc.vertex_to_facets[i]
         # A different functional order, and a proper subset where one exists.
         subset = next(tuple(reversed(sub)) for sub in combinations(incident, p.dim)
                       if rank([facets[k].coeffs for k in sub], p.ctx) == p.dim)
         for chosen in (None, subset):
-            e = vertex_minimax(p, i, subset=chosen)
-            want = _reference_minimax(p, facets, incident if chosen is None else chosen)
-            assert (e.value, e.sphere_facet_index, e.minimizer) == want
+            _check_vertex_bound(p, facets, i, chosen)
+
+
+def test_vertex_bounds_match_every_facet_lp_on_random_balls():
+    rng = random.Random(1996)
+    for trial in range(102):
+        d = 2 + trial % 3
+        p = random_symmetric_polytope(rng, d, n_pairs=d + 1)
+        facets = facet_enumeration(p)
+        for i in p.orbit_representatives():
+            _check_vertex_bound(p, facets, i, None)
 
 
 def test_lower_bound_work_counts(monkeypatch):
-    results = {"solve_lp": [], "facet_antipode_pairs": []}
-    for name in results:
-        real = getattr(bracket_module, name)
+    pairings, runs = [], []
+    real_pairs, real_simplex = bracket_module.facet_antipode_pairs, linprog_module._simplex
 
-        def recording(*args, _real=real, _name=name):
-            results[_name].append(_real(*args))
-            return results[_name][-1]
-
-        monkeypatch.setattr(bracket_module, name, recording)
-    p = regular_2n_gon(40)
-    br = index_bracket(p, search=SearchConfig(budget=100, seed=1))
-    # The lower bound's facet table and the search's half table both read
-    # the pairing, which is computed once for the ball.
-    pairings = results["facet_antipode_pairs"]
-    assert len(pairings) == 2 and pairings[1] is pairings[0]
-    orbits, pairs = len(br.lower_certificate.entries), len(facet_enumeration(p)) // 2
-    assert (orbits, pairs) == (40, 40)
-    # Facets are visited by their bound, and the loop stops at the first
-    # one that cannot beat the best value so far.
-    assert 0 < len(results["solve_lp"]) <= 2 * orbits
-
-
-@pytest.mark.parametrize("make", [_cube4, _cross4], ids=["4-cube", "4-cross-polytope"])
-def test_tied_floors_cost_no_exact_lp(make, monkeypatch):
-    # Every floor of these balls ties the vertex bound. On rationals the
-    # first facet visited decides each orbit, and every later one is skipped
-    # by its (bound, facet index); floats still solve every eps-tie.
-    calls = []
-
-    def counting(lp, ctx):
-        calls.append(lp)
-        return solve_lp(lp, ctx)
-
-    monkeypatch.setattr(bracket_module, "solve_lp", counting)
-    for backend in ("rational", "float"):
-        p = make(backend)
-        orbits, pairs = len(p.orbit_representatives()), len(facet_antipode_pairs(p))
-        assert orbits * pairs == 32
-        calls.clear()
-        lower_bound(p)
-        assert len(calls) == (orbits if backend == "rational" else 32), backend
-
-
-def test_bound_tying_the_best_value_is_solved_at_a_lower_index(square):
-    # A hand-made table on the square's vertex 0 and its two functionals
-    # f, g. Facet 1 has floor 0 and value 1/2 (f falls 1 -> 0 as g rises
-    # 0 -> 1); facet 0 has floor = value = 1/2 (f = 1/2 throughout). Facet
-    # 1 is solved first; facet 0 ties its value at a lower index, so it
-    # must be solved and win, and a stop on the value alone would miss it.
-    f, g = incidence(square).vertex_to_facets[0]
-    sphere = (bracket_module._SphereFacet(index=0, members=(0, 1),
-                                          rows={f: ([1, 1], 2), g: ([0, 0], 1)},
-                                          floors={f: Fraction(1, 2), g: 0}),
-              bracket_module._SphereFacet(index=1, members=(0, 3),
-                                          rows={f: ([1, 0], 1), g: ([0, 1], 1)},
-                                          floors={f: 0, g: 0}))
-    e = bracket_module._vertex_minimax(square, sphere, 0, None)
-    assert (e.value, e.sphere_facet_index) == (Fraction(1, 2), 0)
-
-
-def test_lower_bound_failures_name_vertex_and_facet(hexagon, monkeypatch):
-
-    def failing(lp, ctx):
-        raise ComputationError("simplex exceeded its pivot budget (cycling?)")
-
-    monkeypatch.setattr(bracket_module, "solve_lp", failing)
-    with pytest.raises(ComputationError) as exc:
-        lower_bound(hexagon)
-    # The first LP attempted is on the sphere facet with the least bound
-    # for vertex 0 (the largest floor of its functionals), ties to the
-    # lowest facet index.
-    facets = facet_enumeration(hexagon)
-    chosen = incidence(hexagon).vertex_to_facets[0]
-
-    def bound(k):
-        floors = []
-        for r in chosen:
-            vals = [dot(facets[r].coeffs, hexagon.vertices[j]) for j in facets[k].incident_vertices]
-            floors.append(min(map(abs, vals)) if min(vals) > 0 or max(vals) < 0 else 0)
-        return max(floors)
-
-    first = min((bound(k), k) for k, _ in facet_antipode_pairs(hexagon))[1]
-    assert str(exc.value) == (f"vertex 0, sphere facet {first}: "
-                              "simplex exceeded its pivot budget (cycling?)")
-    assert isinstance(exc.value.__cause__, ComputationError)
-
-
-@pytest.mark.parametrize("make", [irregular_hexagon, bipyramid_square_prism, _cross4,
-                                  lambda: regular_2n_gon(12), lambda: oblique_prism(5, 0.5)],
-                         ids=["hexagon", "bipyramid", "4-cross-polytope", "24-gon",
-                              "oblique_prism(5,1/2)"])
-def test_facet_lps_start_at_the_slack_basis(make, monkeypatch):
-    # Every facet LP maximizes sum mu over mu >= 0 with no equality row and a
-    # positive right-hand side on every row, so mu = 0 is a feasible start
-    # and the simplex runs once per LP.
-    solved, runs = [], []
-
-    def recording(lp, ctx):
-        solved.append(lp)
-        return solve_lp(lp, ctx)
+    def recording(*args):
+        pairings.append(real_pairs(*args))
+        return pairings[-1]
 
     def counting(*args):
         runs.append(args)
         return real_simplex(*args)
 
-    real_simplex = linprog_module._simplex
-    monkeypatch.setattr(bracket_module, "solve_lp", recording)
+    monkeypatch.setattr(bracket_module, "facet_antipode_pairs", recording)
     monkeypatch.setattr(linprog_module, "_simplex", counting)
-    lower_bound(make())
-    assert solved and len(runs) == len(solved)
-    for lp in solved:
-        assert lp.eq_lhs == () and lp.eq_rhs == ()
-        assert lp.ineq_rhs and all(b > 0 for b in lp.ineq_rhs), lp
-        assert lp.objective == (-1,) * lp.n_vars and lp.nonneg == (True,) * lp.n_vars
+    p = regular_2n_gon(40)
+    br = index_bracket(p, search=SearchConfig(budget=100, seed=1))
+    # The lower bound's facet rows and the search's half table both read
+    # the pairing, which is computed once for the ball.
+    assert len(pairings) == 2 and pairings[1] is pairings[0]
+    assert (len(br.lower_certificate.entries), len(facet_enumeration(p)) // 2) == (40, 40)
+    # Each vertex bound is read off a vertex enumeration: no LP is solved.
+    assert not hasattr(bracket_module, "solve_lp")
+    assert runs == []
 
 
-def test_facet_lps_match_fraction_simplex(monkeypatch, hexagon, bipyramid):
-    # Every facet LP of the lower bound, solved on integer rows, has the
-    # status, value, point and basis of the Fraction simplex. On a rational
-    # ball the LPs reach solve_lp with int coefficients only.
-    solved = []
+def test_lower_bound_failures_name_vertex_and_facet(hexagon, monkeypatch):
+    # A failure inside one vertex's enumeration names the vertex.
 
-    def recording(lp, ctx):
-        sol = solve_lp(lp, ctx)
-        solved.append((lp, sol))
-        return sol
+    def failing(rows, k, ctx):
+        raise ComputationError("double description: a ray overflowed to a non-finite float")
 
-    monkeypatch.setattr(bracket_module, "solve_lp", recording)
-    cube, cross = _cube4(), _cross4()
-    # Facets whose vertices differ in denominator: each member's values are
-    # brought to the facet's common vertex scale by its own factor.
-    mixed = (scale_coordinate(bipyramid_square_prism(), 0, Fraction(1, 3)),
-             scaled_random_polytope(3))
-    for p in mixed:
-        own = [scaled_integer_row(v)[1] for v in p.vertices]
-        assert any(len({own[j] for j in f.incident_vertices}) > 1 for f in facet_enumeration(p))
-    for p in (hexagon, bipyramid, linf_sum(hexagon, hexagon), cube, cross) + mixed:
-        solved.clear()
-        lower_bound(p)
-        assert solved
-        for lp, sol in solved:
-            assert sol == reference_solve_lp(lp), lp
-            coeffs = chain(lp.objective, lp.ineq_rhs, *lp.ineq_lhs)
-            assert all(type(x) is int for x in coeffs), lp
-            # Each row -1 <= f_r(sum mu_j w_j) <= 1 comes times its scale (its
-            # right-hand side); over that scale it is the LP of Fraction values.
-            unscaled = LinearProgram(
-                objective=lp.objective, ineq_rhs=[1] * len(lp.ineq_rhs), nonneg=lp.nonneg,
-                ineq_lhs=[[Fraction(x, b) for x in row]
-                          for row, b in zip(lp.ineq_lhs, lp.ineq_rhs)])
-            assert sol == reference_solve_lp(unscaled), lp
+    monkeypatch.setattr(bracket_module, "_double_description", failing)
+    with pytest.raises(ComputationError) as exc:
+        lower_bound(hexagon)
+    assert str(exc.value) == "vertex 0: double description: a ray overflowed to a non-finite float"
+    assert isinstance(exc.value.__cause__, ComputationError)
 
 
-@pytest.mark.parametrize("make", [
-    irregular_hexagon, bipyramid_square_prism,
-    lambda: linf_sum(irregular_hexagon(), irregular_hexagon()), _cube4, _cross4,
-    # Facets whose members differ in denominator.
-    lambda: scale_coordinate(bipyramid_square_prism(), 0, Fraction(1, 3)),
-    lambda: scaled_random_polytope(3),
-])
-def test_sphere_facet_rows_are_scaled_integer_rows(make):
-    # Every row of the sphere's facet table is scaled_integer_row of the
-    # Fraction values f_r(w_a) over the facet's members, and its floor is
-    # the least |f_r| there when they share a strict sign, else 0. The facet
-    # LPs take these ints as they are.
-    p = make()
-    facets = facet_enumeration(p)
-    sphere = bracket_module._sphere_facets(p, range(len(facets)))
-    assert [sf.index for sf in sphere] == [k for k, _ in facet_antipode_pairs(p)]
-    for sf in sphere:
-        assert sf.members == tuple(sorted(facets[sf.index].incident_vertices))
-        assert sorted(sf.rows) == list(range(len(facets)))
-        for r, (row, scale) in sf.rows.items():
-            values = [dot(facets[r].coeffs, p.vertices[j]) for j in sf.members]
-            assert (row, scale) == scaled_integer_row(values)
-            sign = min(values) > 0 or max(values) < 0
-            assert sf.floors[r] == (min(map(abs, values)) if sign else 0)
+@pytest.mark.parametrize("make", [bipyramid_square_prism, _cube4, _cross4],
+                         ids=["bipyramid", "4-cube", "4-cross-polytope"])
+def test_float_vertex_bounds_are_scale_equivariant(make):
+    # The facet rows are scaled by a power of two that follows the ball, so
+    # a copy scaled by 2^j gives its vertex enumerations the same numbers.
+    # Validation compares against an absolute eps, which at 2^40 has to be
+    # small; these balls' facets scale exactly, so the bounds must too.
+    vertices = [tuple(map(float, v)) for v in make().vertices]
+
+    def bound(j):
+        p = Polytope([[math.ldexp(x, j) for x in v] for v in vertices], backend="float",
+                     eps=1e-15)
+        lo, cert = lower_bound(p)
+        facets = [tuple(math.ldexp(x, j) for x in f.coeffs) for f in facet_enumeration(p)]
+        return facets, lo, [(e.value, e.sphere_facet_index,
+                             tuple(math.ldexp(x, -j) for x in e.minimizer))
+                            for e in cert.entries]
+
+    base = bound(0)
+    for j in (40, -40):
+        assert bound(j) == base, j
 
 
 def _reference_search(p, witnesses, budget, seed):

@@ -286,17 +286,19 @@ def test_exit_code_2_on_malformed_document(capsys, tmp_path):
 
 
 def test_exit_code_1_names_the_failing_facet_lp(capsys, hexagon_file, monkeypatch):
+    # A vertex bound is read off one vertex enumeration; a failure in it
+    # names the vertex.
     import polyindex.bracket
     from polyindex import ComputationError
 
-    def failing(lp, ctx):
-        raise ComputationError("simplex exceeded its pivot budget (cycling?)")
+    def failing(rows, k, ctx):
+        raise ComputationError("double description: a ray overflowed to a non-finite float")
 
-    monkeypatch.setattr(polyindex.bracket, "solve_lp", failing)
+    monkeypatch.setattr(polyindex.bracket, "_double_description", failing)
     code, _, err = run(capsys, "bound", "-i", hexagon_file)
     assert code == 1
-    assert "computation failed: vertex 0, sphere facet " in err
-    assert err.rstrip().endswith(": simplex exceeded its pivot budget (cycling?)")
+    assert err.rstrip().endswith(
+        "computation failed: vertex 0: double description: a ray overflowed to a non-finite float")
 
 
 @pytest.mark.parametrize("symmetric", [False, True], ids=["points", "symmetric_closure"])
