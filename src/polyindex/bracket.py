@@ -15,9 +15,10 @@ Upper bound: any norm-one operator T gives n(X) <= v(T). Witness
 operators are supplied by the caller (the family generators construct the
 sharp ones) and can be supplemented by a seeded derivative-free local
 search over matrix entries; the identity (v = 1) is the fallback. The
-search ranks its candidates on half the ball's evaluation table, exactly
-on rational balls and in floats on float balls, and only its winner is
-evaluated by the backend.
+search ranks its candidates on the values |g_j(T v_a)| over the ball's
+vertex orbits and facet pairs that the operator norm and the numerical
+radius read (:func:`operators._orbit_pair_values`): exactly on rational
+balls, in floats on float balls.
 """
 from __future__ import annotations
 
@@ -29,10 +30,9 @@ from operator import itemgetter, mul, truediv
 from typing import Mapping, Optional, Sequence
 
 from .errors import ComputationError, InputError
-from .linalg import scaled_integer_rows
-from .operators import Operator, RadiusCertificate, numerical_radius, operator_norm
-from .polytope import (Polytope, _double_description, evaluation_table, facet_antipode_pairs,
-                       incidence)
+from .operators import (Operator, RadiusCertificate, _orbit_pair_values, numerical_radius,
+                        operator_norm)
+from .polytope import Polytope, _double_description, evaluation_table, incidence
 from .scalars import Scalar
 
 
@@ -94,11 +94,10 @@ def _bound_rows(p: Polytope) -> tuple:
     :func:`vertex_minimax`).
     """
     ev = evaluation_table(p)
-    sphere = tuple(k for k, _ in facet_antipode_pairs(p))
     if p.ctx.exact:
-        return ev.facets, sphere, ev.facet_scale, 1
+        return ev.facets, ev.pair_facets, ev.facet_scale, 1
     s = math.ldexp(0.5, math.frexp(max(abs(x) for v in p.vertices for x in v))[1])
-    return tuple(tuple(s * x for x in f) for f in ev.facets), sphere, 1, s
+    return tuple(tuple(s * x for x in f) for f in ev.facets), ev.pair_facets, 1, s
 
 
 def vertex_minimax(p: Polytope, vertex_index: int,
@@ -227,50 +226,25 @@ def _normalized_radius(p, op):
     return numerical_radius(p, unit), unit
 
 
-class _HalfTable:
-    """Half the ball's evaluation table, built once per search.
+def _search_value(p, entries) -> Optional[float]:
+    """v(T/||T||) of the matrix ``entries`` as a float, or None when ||T|| is
+    0 or not finite: the largest |g_j(T v_a)| at the incident (orbit, pair)
+    entries of the evaluation table over the largest at all of them.
 
-    ``vertices`` holds one row W_a of :func:`polytope.evaluation_table` per
-    antipodal vertex orbit and ``functionals`` one facet row G_j per
-    antipodal facet pair. The ball is symmetric, so |g(T(-v))| = |g(T v)|
-    = |(-g)(T v)|: the norm of T is the largest |g_j(T v_a)|, and its
-    numerical radius the largest over ``incident``, the pairs (a, j) where
-    v_a or -v_a lies on a facet of pair j. On a rational ball the rows are
-    ints over the table's common scales; on a float ball they are the
-    coordinates.
+    On a rational ball T is taken exactly, so both are ints over one common
+    scale, and ``int / int`` rounds their quotient as ``float`` of a
+    ``Fraction`` does: the value is float(v) of the exact evaluation bit for
+    bit. On a float ball both are floats.
     """
-
-    def __init__(self, p: Polytope):
-        self.ctx = p.ctx
-        inc, table = incidence(p), evaluation_table(p)
-        pairs = facet_antipode_pairs(p)
-        pair_of = {k: j for j, pair in enumerate(pairs) for k in pair}
-        reps = p.orbit_representatives()
-        self.vertices = tuple(table.vertices[i] for i in reps)
-        self.functionals = tuple(table.facets[k] for k, _ in pairs)
-        self.incident = tuple(
-            (a, j) for a, i in enumerate(reps)
-            for j in sorted({pair_of[k] for k in inc.vertex_to_facets[i]
-                             + inc.vertex_to_facets[p.antipode_index(i)]}))
-
-    def value(self, entries) -> Optional[float]:
-        """v(T/||T||) as a float, or None when ||T|| is 0 or not finite.
-
-        On a rational ball T is scaled once to ints, M = L_T T: the radius
-        and the norm are then ints over one common scale, and ``int / int``
-        rounds their quotient as ``float`` of a ``Fraction`` does, so the
-        value is float(v) of the exact evaluation bit for bit. On a float
-        ball the same loop runs on the float rows.
-        """
-        matrix = entries
-        if self.ctx.exact:
-            matrix, _ = scaled_integer_rows([[Fraction(x) for x in row] for row in entries])
-        images = [[sum(map(mul, row, v)) for row in matrix] for v in self.vertices]
-        pairs = [[abs(sum(map(mul, g, tv))) for g in self.functionals] for tv in images]
-        radius, norm = max(pairs[a][j] for a, j in self.incident), max(map(max, pairs))
-        if self.ctx.is_zero(norm) or not norm < math.inf:
-            return None
-        return radius / norm
+    if p.ctx.exact:
+        entries = [[Fraction(x) for x in row] for row in entries]
+    values, _ = _orbit_pair_values(p, entries, p.ctx.exact)
+    incident = evaluation_table(p).incident_pairs
+    radius = max(row[j] for row, pairs in zip(values, incident) for j in pairs)
+    norm = max(map(max, values))
+    if p.ctx.is_zero(norm) or not norm < math.inf:
+        return None
+    return radius / norm
 
 
 def _search_candidates(p, witnesses, cfg: SearchConfig):
@@ -280,18 +254,14 @@ def _search_candidates(p, witnesses, cfg: SearchConfig):
     Deterministic for a fixed seed.
 
     The search accepts a proposal whose value is below the current point's
-    and keeps the start that ends lowest. Every candidate is evaluated once,
-    on half the ball's evaluation table (:meth:`_HalfTable.value`): on a
-    rational ball that value is float(v) of the exact evaluation, on a
-    float ball v over the float half table. The winner alone is
-    re-evaluated through :func:`_normalized_radius`, which gives the
-    returned value, unit witness and certificate, so the reported bound
-    comes from the backend. Its norm is not 0: on the same rows the full
-    norm is at least the half one.
+    and keeps the start that ends lowest. Every candidate is evaluated once
+    (:func:`_search_value`): on a rational ball that value is float(v) of
+    the exact evaluation, on a float ball v itself. The winner alone is
+    evaluated again through :func:`_normalized_radius`, by the same
+    evaluator, for the returned value, unit witness and certificate.
     """
     rng = random.Random(cfg.seed)
     d = p.dim
-    table = _HalfTable(p)
 
     starts = [[list(map(float, row)) for row in w.matrix] for w in witnesses]
     while len(starts) < _STARTS:
@@ -303,7 +273,7 @@ def _search_candidates(p, witnesses, cfg: SearchConfig):
     for entries in starts:
         if budget <= 0:
             break
-        current = table.value(entries)
+        current = _search_value(p, entries)
         budget -= 1
         if current is None:
             continue
@@ -312,7 +282,7 @@ def _search_candidates(p, witnesses, cfg: SearchConfig):
         spent = 1
         while budget > 0 and spent < per_start and step > 1e-9:
             proposal = [[x + step * rng.gauss(0, 1) for x in row] for row in entries]
-            value = table.value(proposal)
+            value = _search_value(p, proposal)
             budget -= 1
             spent += 1
             if value is not None and value < current:

@@ -6,16 +6,21 @@ points of the primal and dual balls, i.e. the incident (vertex, facet)
 pairs. Everything here is exhaustive enumeration — no optimization, so
 the results are exact on the rational backend.
 
-Both read the ball's evaluation table (:func:`polytope.evaluation_table`).
-On a rational ball with a rational operator T, the matrix is scaled once to
-ints, M = L_T T, and each vertex row becomes the int image M W_a. Then
-f_r(T v_a) = F_r . M W_a / (L_F L_T L_W): every comparison is between ints
-over one common positive denominator, and the answer is built as one
-``Fraction``. On floats the same loops run on the coefficient tuples,
-summing the same products in the same order as ``linalg.dot``, so every
-float result is the one a ``dot`` per pair gives. A mixed pair (a float
-operator on a rational ball, or the reverse) uses the facet coefficients
-and vertices as they are, in float arithmetic.
+One evaluator, :func:`_orbit_pair_values`, computes |g_j(T v_a)| for each
+antipodal vertex orbit a and antipodal facet pair j of the ball's
+evaluation table (:func:`polytope.evaluation_table`); the norm, the radius
+and the search of :mod:`polyindex.bracket` take maxima of it. The ball is
+symmetric, |f(T(-v))| = |f(T v)| = |(-f)(T v)|, so on rationals these are
+the full table's maxima, first attained at an orbit representative (the
+smaller index of its pair). A rational T is scaled once to ints,
+M = L_T T, and g_j(T v_a) = G_j . M W_a / (L_F L_T L_W): every comparison
+is between ints over one common denominator, and each answer is one
+``Fraction``. On floats the same loops sum the products in the order of
+``linalg.dot``, so each float result is the one a ``dot`` per
+(representative, pair) gives; a float ball is symmetric only up to
+rounding, and so are these maxima to the full table's. A mixed pair (a
+float operator on a rational ball, or the reverse) uses the facet
+coefficients and vertices as they are, in float arithmetic.
 """
 from __future__ import annotations
 
@@ -97,30 +102,28 @@ class ProfileRow:
     facet_index: Optional[int]
 
 
-def _check_dims(p: Polytope, op: Operator):
-    if op.dim != p.dim:
-        raise InputError(f"dimension mismatch: operator is {op.dim}x{op.dim}, "
+def _orbit_pair_values(p: Polytope, matrix, exact: bool):
+    """``(values, scale)``: ``values[a][j]`` is |g_j(T v_a)| for orbit a and
+    facet pair j of :func:`polytope.evaluation_table`, times ``scale``, or
+    as it is when ``scale`` is None. ``matrix`` is T's matrix, of
+    ``Fraction`` entries when ``exact`` and of floats otherwise."""
+    d = len(matrix)
+    if d != p.dim:
+        raise InputError(f"dimension mismatch: operator is {d}x{d}, "
                          f"space has dimension {p.dim}")
-
-
-def _evaluation(p: Polytope, op: Operator):
-    """``(facet rows, images, scale)``: images[a] is T v_a as a row that the
-    facet rows dot with, and f_r(T v_a) is that dot product divided by
-    ``scale``, or the dot product itself when ``scale`` is None."""
-    _check_dims(p, op)
-    if p.ctx.exact != op.ctx.exact:
+    table = evaluation_table(p)
+    scale = None
+    if p.ctx.exact != exact:
         # A mixed pair: the coefficients and vertices as they are, in floats.
-        rows = [f.coeffs for f in facet_enumeration(p)]
-        matrix, vertices, scale = op.matrix, p.vertices, None
+        rows, vertices = [f.coeffs for f in facet_enumeration(p)], p.vertices
     else:
-        table = evaluation_table(p)
         rows, vertices = table.facets, table.vertices
-        matrix, scale = op.matrix, None
         if p.ctx.exact:
-            matrix, op_scale = scaled_integer_rows(op.matrix)
+            matrix, op_scale = scaled_integer_rows(matrix)
             scale = table.facet_scale * op_scale * table.vertex_scale
-    images = [tuple(sum(map(mul, row, v)) for row in matrix) for v in vertices]
-    return rows, images, scale
+    functionals = [rows[k] for k in table.pair_facets]
+    images = [[sum(map(mul, row, vertices[i])) for row in matrix] for i in table.representatives]
+    return [[abs(sum(map(mul, g, tv))) for g in functionals] for tv in images], scale
 
 
 def _value(x, scale):
@@ -130,35 +133,34 @@ def _value(x, scale):
 def operator_norm(p: Polytope, op: Operator):
     """(norm, attaining vertex index); the norm is max over vertices of gauge(T v).
 
-    Ties go to the lowest vertex index. In floats a |f(T v)| that is not
-    finite (T v or its pairing overflowed) raises ComputationError naming
-    the vertex: the norm would be inf, and T/||T|| the zero operator.
+    The vertex is the first orbit representative attaining the norm. In
+    floats a |f(T v)| that is not finite (T v or its pairing overflowed)
+    raises ComputationError naming the representative: the norm would be
+    inf, and T/||T|| the zero operator.
     """
-    rows, images, scale = _evaluation(p, op)
-    best, best_i = None, None
-    for i, tv in enumerate(images):
-        values = [abs(sum(map(mul, f, tv))) for f in rows]
-        if scale is None and not all(map(math.isfinite, values)):
-            raise ComputationError(f"operator norm: |f(T v)| is not finite at vertex {i}")
-        g = max(values)
-        if best is None or g > best:
-            best, best_i = g, i
-    return _value(best, scale), best_i
+    values, scale = _orbit_pair_values(p, op.matrix, op.ctx.exact)
+    reps = evaluation_table(p).representatives
+    if scale is None:
+        for i, row in zip(reps, values):
+            if not all(map(math.isfinite, row)):
+                raise ComputationError(f"operator norm: |f(T v)| is not finite at vertex {i}")
+    norms = [max(row) for row in values]
+    a = max(range(len(norms)), key=norms.__getitem__)
+    return _value(norms[a], scale), reps[a]
 
 
 def _radius_rows(p: Polytope, op: Operator):
     """Per vertex (index, max incident |f(T v)| unscaled, its facet), ties to
-    the lowest facet index, and the scale of the values."""
-    rows, images, scale = _evaluation(p, op)
-    table = []
-    for i, (tv, facets) in enumerate(zip(images, incidence(p).vertex_to_facets)):
-        best, best_k = None, None
-        for k in facets:
-            val = abs(sum(map(mul, rows[k], tv)))
-            if best is None or val > best:
-                best, best_k = val, k
-        table.append((i, best, best_k))
-    return table, scale
+    the lowest facet index, and the scale of the values: vertex i reads its
+    orbit's values at the pairs of its facets."""
+    values, scale = _orbit_pair_values(p, op.matrix, op.ctx.exact)
+    table = evaluation_table(p)
+    rows = []
+    for i, facets in enumerate(incidence(p).vertex_to_facets):
+        row = values[table.orbit_of[i]]
+        k = max(facets, key=lambda k: row[table.pair_of[k]])
+        rows.append((i, row[table.pair_of[k]], k))
+    return rows, scale
 
 
 def numerical_radius(p: Polytope, op: Operator) -> RadiusCertificate:

@@ -30,10 +30,11 @@ holds every facet row and every vertex row as Python ints with one common
 scale per table, f_r = F_r / L_F and v_a = W_a / L_W, so a value f_r(x)
 is an int dot product and a maximum over many of them is an int
 comparison; a ``Fraction`` is built once per answer. On floats it holds
-the coefficient tuples and vertices as they are. The operator norm and
-numerical radius of :mod:`polyindex.operators` and the vertex bounds of
-the lower bound read it; a mixed pair (a float operator on a rational ball, or
-the reverse) is evaluated on the raw coefficients in float arithmetic.
+the coefficient tuples and vertices as they are. It also indexes the
+ball's symmetry: one representative per antipodal vertex orbit, one facet
+per antipodal facet pair, and which pairs each orbit meets. The operator
+norm, numerical radius and local search of :mod:`polyindex.operators` and
+:mod:`polyindex.bracket`, and the vertex bounds of the lower bound, read it.
 """
 from __future__ import annotations
 
@@ -158,20 +159,32 @@ class Incidence:
 
 @dataclass(frozen=True)
 class EvaluationTable:
-    """The facet functionals and the vertices as rows for dot products.
+    """The facet functionals and the vertices as rows for dot products,
+    indexed by the ball's antipodal symmetry.
 
     On the rational backend ``facets[r]`` is F_r = L_F f_r and
-    ``vertices[a]`` is W_a = L_W v_a, tuples of Python ints, where the
+    ``vertices[i]`` is W_i = L_W v_i, tuples of Python ints, where the
     scales L_F and L_W are the lcm of every denominator among the facet
-    coefficients and among the vertex coordinates: f_r(v_a) is
-    F_r . W_a / (L_F L_W). On floats the rows are the coefficient tuples and
+    coefficients and among the vertex coordinates: f_r(v_i) is
+    F_r . W_i / (L_F L_W). On floats the rows are the coefficient tuples and
     the vertices as they are, and both scales are 1.
+
+    Orbit a is vertex ``representatives[a]``, the smaller index of its
+    antipodal pair, and its antipode; pair j is facet ``pair_facets[j]``,
+    the smaller index, and its antipodal facet. ``orbit_of[i]`` is vertex
+    i's orbit, ``pair_of[k]`` facet k's pair, and ``incident_pairs[a]`` the
+    pairs, ascending, with a facet through the vertices of orbit a.
     """
 
     facets: tuple
     facet_scale: int
     vertices: tuple
     vertex_scale: int
+    representatives: tuple
+    pair_facets: tuple
+    orbit_of: tuple
+    pair_of: tuple
+    incident_pairs: tuple
 
 
 @dataclass(frozen=True)
@@ -473,17 +486,27 @@ def incidence(p: Polytope) -> Incidence:
 
 
 def evaluation_table(p: Polytope) -> EvaluationTable:
-    """The ball's facet and vertex rows (see :class:`EvaluationTable`).
+    """The ball's facet and vertex rows and their symmetry indices (see
+    :class:`EvaluationTable`).
 
     Computed once per ball.
     """
     if p._table is None:
         facets = [f.coeffs for f in facet_enumeration(p)]
         if p.ctx.exact:
-            p._table = EvaluationTable(*scaled_integer_rows(facets),
-                                       *scaled_integer_rows(p.vertices))
+            rows = (*scaled_integer_rows(facets), *scaled_integer_rows(p.vertices))
         else:
-            p._table = EvaluationTable(tuple(facets), 1, p.vertices, 1)
+            rows = (tuple(facets), 1, p.vertices, 1)
+        reps, pairs = p.orbit_representatives(), facet_antipode_pairs(p)
+        orbit_of, pair_of = [None] * len(p.vertices), [None] * len(facets)
+        for a, i in enumerate(reps):
+            orbit_of[i] = orbit_of[p.antipode_index(i)] = a
+        for j, (k, k2) in enumerate(pairs):
+            pair_of[k] = pair_of[k2] = j
+        v2f = incidence(p).vertex_to_facets
+        incident = tuple(tuple(sorted({pair_of[k] for k in v2f[i]})) for i in reps)
+        p._table = EvaluationTable(*rows, reps, tuple(k for k, _ in pairs), tuple(orbit_of),
+                                   tuple(pair_of), incident)
     return p._table
 
 

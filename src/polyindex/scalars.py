@@ -121,9 +121,6 @@ class Context:
     def eq(self, a, b) -> bool:
         return self.sign(a - b) == 0
 
-    def lt(self, a, b) -> bool:
-        return self.sign(a - b) < 0
-
 
 EXACT = Context(0.0)
 

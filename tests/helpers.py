@@ -377,6 +377,30 @@ def reference_strip(points, ctx=None):
     return tuple(extreme), messages
 
 
+def _reference_maxima(p, value):
+    """``(norm, profile, radius)`` of :func:`reference_operator_values` from
+    ``value(i, k)``, the value |f_k(T v_i)| at vertex i and facet k."""
+    from polyindex import facet_enumeration, incidence
+    v2f = incidence(p).vertex_to_facets
+    n_facets = len(facet_enumeration(p))
+    norm, profile = None, []
+    for i in range(len(p.vertices)):
+        values = [value(i, k) for k in range(n_facets)]
+        g = max(values)
+        if norm is None or g > norm[0]:
+            norm = (g, i)
+        best = None
+        for k in v2f[i]:
+            if best is None or values[k] > best[0]:
+                best = (values[k], k)
+        profile.append(best)
+    radius = None
+    for i, (best, k) in enumerate(profile):
+        if radius is None or best > radius[0]:
+            radius = (best, i, k)
+    return norm, tuple(profile), radius
+
+
 def reference_operator_values(p, matrix):
     """Operator norm, radius profile and numerical radius of ``matrix`` on
     the ball ``p`` by brute force: one ``linalg.dot`` per (vertex, facet)
@@ -387,27 +411,35 @@ def reference_operator_values(p, matrix):
     facet attaining it), and ``radius`` is (value, vertex, facet) of the
     first largest profile row.
     """
-    from polyindex import facet_enumeration, incidence
+    from polyindex import facet_enumeration
     from polyindex.linalg import dot, matvec
     facets = [f.coeffs for f in facet_enumeration(p)]
-    v2f = incidence(p).vertex_to_facets
-    norm, profile = None, []
-    for i, v in enumerate(p.vertices):
-        tv = matvec(matrix, v)
-        values = [abs(dot(f, tv)) for f in facets]
-        g = max(values)
-        if norm is None or g > norm[0]:
-            norm = (g, i)
-        best = None
-        for k in v2f[i]:
-            if best is None or values[k] > best[0]:
-                best = (values[k], k)
-        profile.append(best)
-    radius = None
-    for i, (value, k) in enumerate(profile):
-        if radius is None or value > radius[0]:
-            radius = (value, i, k)
-    return norm, tuple(profile), radius
+    images = [matvec(matrix, v) for v in p.vertices]
+    return _reference_maxima(p, lambda i, k: abs(dot(facets[k], images[i])))
+
+
+def reference_orbit_pair_values(p, matrix):
+    """:func:`reference_operator_values` over one vertex per antipodal orbit
+    and one facet per antipodal facet pair: one ``linalg.matvec`` per orbit
+    representative (the smaller index of its pair) and one ``linalg.dot``
+    per (representative, first facet of a pair). Vertex i and facet k read
+    the value of i's representative and k's pair.
+    """
+    from polyindex import facet_enumeration
+    from polyindex.linalg import dot, matvec
+    from polyindex.polytope import facet_antipode_pairs
+    facets = facet_enumeration(p)
+    pairs = facet_antipode_pairs(p)
+    pair_of = {k: j for j, pair in enumerate(pairs) for k in pair}
+    values = {}
+    for i in p.orbit_representatives():
+        tv = matvec(matrix, p.vertices[i])
+        values[i] = [abs(dot(facets[k].coeffs, tv)) for k, _ in pairs]
+
+    def value(i, k):
+        return values[min(i, p.antipode_index(i))][pair_of[k]]
+
+    return _reference_maxima(p, value)
 
 
 def reference_gauge(p, x):
@@ -418,27 +450,10 @@ def reference_gauge(p, x):
 
 
 def reference_half_table_value(p, matrix):
-    """v(T/||T||) of ``matrix`` on the float ball ``p`` over half its
-    evaluation table, one ``linalg.matvec`` and ``linalg.dot`` each: the
-    largest |g(T v)| over the incident pairs divided by the largest over all
-    pairs, with v an orbit representative and g the first facet of each
-    antipodal facet pair. A pair is incident when v or its antipode lies on
-    either facet of the pair. None when the norm is 0 (to eps) or not finite.
-    """
-    from polyindex import facet_enumeration, incidence
-    from polyindex.linalg import dot, matvec
-    from polyindex.polytope import facet_antipode_pairs
-    facets = facet_enumeration(p)
-    v2f = incidence(p).vertex_to_facets
-    radius = norm = 0.0
-    for i in p.orbit_representatives():
-        tv = matvec(matrix, p.vertices[i])
-        on = set(v2f[i]) | set(v2f[p.antipode_index(i)])
-        for pair in facet_antipode_pairs(p):
-            value = abs(dot(facets[pair[0]].coeffs, tv))
-            norm = max(norm, value)
-            if on & set(pair):
-                radius = max(radius, value)
+    """v(T/||T||) of ``matrix`` on the float ball ``p`` from
+    :func:`reference_orbit_pair_values`: the numerical radius over the
+    norm, or None when the norm is 0 (to eps) or not finite."""
+    (norm, _), _, (radius, _, _) = reference_orbit_pair_values(p, matrix)
     if p.ctx.is_zero(norm) or not norm < math.inf:
         return None
     return radius / norm

@@ -7,6 +7,7 @@ import pytest
 
 import polyindex.bracket as bracket_module
 import polyindex.linprog as linprog_module
+import polyindex.polytope as polytope_module
 from polyindex import (ComputationError, InputError, LinearProgram, Operator, Polytope,
                        SearchConfig, bipyramid_square_prism, facet_enumeration, gauge,
                        incidence, index_bracket, irregular_hexagon, linf_sum, lower_bound,
@@ -273,7 +274,7 @@ def test_vertex_bounds_match_every_facet_lp_on_random_balls():
 
 def test_lower_bound_work_counts(monkeypatch):
     pairings, runs = [], []
-    real_pairs, real_simplex = bracket_module.facet_antipode_pairs, linprog_module._simplex
+    real_pairs, real_simplex = polytope_module.facet_antipode_pairs, linprog_module._simplex
 
     def recording(*args):
         pairings.append(real_pairs(*args))
@@ -283,13 +284,14 @@ def test_lower_bound_work_counts(monkeypatch):
         runs.append(args)
         return real_simplex(*args)
 
-    monkeypatch.setattr(bracket_module, "facet_antipode_pairs", recording)
+    monkeypatch.setattr(polytope_module, "facet_antipode_pairs", recording)
     monkeypatch.setattr(linprog_module, "_simplex", counting)
     p = regular_2n_gon(40)
     br = index_bracket(p, search=SearchConfig(budget=100, seed=1))
-    # The lower bound's facet rows and the search's half table both read
-    # the pairing, which is computed once for the ball.
-    assert len(pairings) == 2 and pairings[1] is pairings[0]
+    # The lower bound's facet rows, the operator maxima and the search all
+    # read the pairing off the ball's evaluation table, built once.
+    assert len(pairings) == 1
+    assert not hasattr(bracket_module, "facet_antipode_pairs")
     assert (len(br.lower_certificate.entries), len(facet_enumeration(p)) // 2) == (40, 40)
     # Each vertex bound is read off a vertex enumeration: no LP is solved.
     assert not hasattr(bracket_module, "solve_lp")
@@ -473,12 +475,12 @@ def _probe_matrices(d, rng):
     ids=list(_TIED_PAIRS))
 def test_rational_value_is_the_normalized_radius(make, name):
     # On a rational ball the search evaluates every candidate on the ints of
-    # the half table, and gets float(v) of the exact evaluation bit for bit.
+    # the evaluation table, and gets float(v) of the exact evaluation bit for
+    # bit.
     p = make()
-    table = bracket_module._HalfTable(p)
     for entries in _probe_matrices(p.dim, random.Random(77)) + _TIED_PAIRS[name]:
         want = bracket_module._normalized_radius(p, Operator(entries, backend="rational"))[0].value
-        assert table.value(entries) == float(want)
+        assert bracket_module._search_value(p, entries) == float(want)
 
 
 def test_search_evaluates_only_the_winner_exactly(hexagon, monkeypatch):

@@ -10,7 +10,7 @@ from polyindex import (InputError, Operator, Polytope, facet_enumeration,
                        polygon_witness_operator, prism_witness_operator,
                        pyramid_witness_operator, radius_profile, regular_2n_gon)
 from helpers import (random_rational_matrix, random_symmetric_polytope, reference_gauge,
-                     reference_operator_values)
+                     reference_operator_values, reference_orbit_pair_values)
 
 
 def test_identity_norm_and_radius(hexagon):
@@ -187,9 +187,9 @@ def test_operator_document_shapes():
         Operator([])
 
 
-def _assert_matches_reference(p, op):
+def _assert_matches_reference(p, op, reference=reference_operator_values):
     """Values, their types and every tie-break equal the brute-force ones."""
-    norm, profile, radius = reference_operator_values(p, op.matrix)
+    norm, profile, radius = reference(p, op.matrix)
     got = operator_norm(p, op)
     assert got == norm and type(got[0]) is type(norm[0])
     rows = radius_profile(p, op)
@@ -250,7 +250,15 @@ def test_float_results_equal_dot_products(make):
     ops += [Operator([[rng.uniform(-2, 2) for _ in range(d)] for _ in range(d)])
             for _ in range(4)]
     for op in ops:
-        _assert_matches_reference(p, op)
+        # The float values are those over the orbit representatives and the
+        # facet pairs; a float ball is symmetric up to rounding, so they stay
+        # within rounding of the maxima over every vertex and facet.
+        _assert_matches_reference(p, op, reference=reference_orbit_pair_values)
+        norm, profile, radius = reference_operator_values(p, op.matrix)
+        got = ([operator_norm(p, op)[0], numerical_radius(p, op).value]
+               + [r.value for r in radius_profile(p, op)])
+        want = [norm[0], radius[0]] + [value for value, _ in profile]
+        assert all(math.isclose(a, b, rel_tol=1e-12) for a, b in zip(got, want))
     for _ in range(5):
         _assert_gauge_matches_reference(p, tuple(rng.uniform(-3, 3) for _ in range(d)))
     _assert_gauge_matches_reference(p, (Fraction(1, 3),) + (0.7,) * (d - 1))
