@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 
 from . import __version__
@@ -75,14 +76,23 @@ def _json(value, pad="\n") -> str:
     """``json.dumps(value, indent=2)`` for a document with string keys.
 
     ``json.dumps`` with ``indent`` runs the pure-Python encoder, which leaves
-    a reference cycle per call; here it only sees keys and scalars.
+    a reference cycle per call; here it only sees the leaves that are
+    neither an int nor a str (bools, floats, None). An int or a str is
+    written as ``json.dumps`` writes it: ``int.__repr__`` and the ASCII
+    string encoder.
     """
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return encode_basestring_ascii(value)
     inner = pad + "  "
     if isinstance(value, dict) and value:
-        items = (f"{inner}{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items())
+        items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in value.items()]
         return "{" + ",".join(items) + pad + "}"
     if isinstance(value, (list, tuple)) and value:
-        return "[" + ",".join(inner + _json(v, inner) for v in value) + pad + "]"
+        return "[" + ",".join([inner + _json(v, inner) for v in value]) + pad + "]"
     return json.dumps(value)
 
 

@@ -5,8 +5,11 @@ of a symmetric, full-dimensional polytope with the origin in its interior
 — the unit ball of a polyhedral norm. One incremental double-description
 run per polytope converts the vertex half-space system into the extreme
 rays of its homogenization. :func:`validate` reads extremality of every
-input point off those rays; :func:`facet_enumeration` normalizes them into
-the supporting functionals of the facets, scaled so each facet lies on
+input point off those rays (:func:`_vertex_flags`): on the rational
+backend point i is a vertex exactly when the zero sets of the rays tight
+at it intersect in {i}, so no rank is taken; floats keep a tolerant rank
+per point. :func:`facet_enumeration` normalizes the rays into the
+supporting functionals of the facets, scaled so each facet lies on
 ``{f = 1}``. The facets, their incidence with the vertices and their
 antipodal pairs are computed once per ball and kept on it.
 
@@ -15,11 +18,12 @@ row is scaled to integers, and each ray is kept as the primitive integer
 vector on it (entries with gcd 1). A rational ray has exactly one such
 vector, so these are the rays that ``Fraction`` arithmetic reaches, in the
 same order and with the same zero sets; no ``Fraction`` is built until
-:func:`facet_enumeration` divides by the last coordinate. Exact equality is
-``==``, so duplicate and antipodal vertices are found through a dict on
-that backend (:class:`_PointIndex`); on floats through the points sorted
-by first coordinate, testing only those in a window around the query
-that is wider than any difference the tolerant equality accepts.
+:func:`facet_enumeration` divides by the last coordinate, and it sorts the
+facets on ints. Exact equality is ``==``, so the permissive strip's
+duplicates and the antipodal vertices are found through a dict on that
+backend (:class:`_PointIndex`); on floats through the points sorted by
+first coordinate, testing only those in a window around the query that is
+wider than any difference the tolerant equality accepts.
 
 The Minkowski gauge of the ball (the norm itself) is then the maximum of
 ``|f(x)|`` over the facet functionals.
@@ -49,7 +53,7 @@ from typing import Optional
 
 from .errors import ComputationError, InputError, ValidationError
 from .linalg import dot, integer_row, rank, scaled_integer_rows, vneg, vscale, vsub
-from .scalars import Context, EXACT, Scalar, float_context, infer_exact
+from .scalars import Context, EXACT, Scalar, float_context, format_rational, infer_exact
 
 
 class Polytope:
@@ -127,7 +131,8 @@ class Polytope:
         """Index of the vertex -v for vertex i (requires symmetry)."""
         j = self._antipode_map()[i]
         if j is None:
-            raise ValidationError([f"not symmetric: vertex {self.vertices[i]} has no antipode"])
+            raise ValidationError([f"not symmetric: {_vertex_text(i, self.vertices[i])} "
+                                   "has no antipode"])
         return j
 
     def orbit_representatives(self) -> tuple:
@@ -197,6 +202,13 @@ class ValidationReport:
             raise ValidationError(self.violations)
 
 
+def _vertex_text(i: int, v) -> str:
+    """Vertex i for a message: its index and its coordinates as a document
+    writes them, ``p/q`` for a rational and the repr of a float."""
+    coords = ", ".join(format_rational(x) if isinstance(x, Fraction) else repr(x) for x in v)
+    return f"vertex {i} ({coords})"
+
+
 class _PointIndex:
     """The points added so far, looked up by value.
 
@@ -257,14 +269,37 @@ def _vertex_flags(points, cone, ctx: Context) -> list:
     """For each point, whether it is a vertex of the convex hull of the points.
 
     ``cone`` is :func:`_polar_cone` of the points. Point i is a vertex
-    exactly when its row defines a facet of the cone, i.e. when the rays
-    tight at row i together with the lineality span a hyperplane. On that
-    face t = f . v_i, so the rank can be read off the first d coordinates:
-    the point is a vertex iff they have rank d. A point listed more than
-    once is not a vertex of the list (each copy lies in the hull of the
-    others).
+    exactly when its row defines a facet of the cone and no other point
+    equals it (a point listed more than once is not a vertex of the list:
+    each copy lies in the hull of the others).
+
+    On the rational backend both are read off the zero sets: point i is a
+    vertex exactly when the zero sets of the rays tight at row i intersect
+    in {i} (every index, when no ray is tight there). The intersection
+    holds the rows j whose face contains row i's face, because every face
+    is the lineality plus the rays tight on it. The cone is
+    full-dimensional, (0, 1) being interior, so row i defines a facet
+    exactly when no other row's face strictly contains its own; and two
+    rows on one facet are positive multiples of each other, hence equal,
+    since each ends in t-coefficient 1: the same point twice.
+
+    On floats the zero sets come from eps-comparisons, so they are not
+    exact faces: two points a few eps apart, which the tolerant equality
+    keeps apart, can be tight at the same rays, and the intersection would
+    drop both where the tolerant rank keeps them. So floats keep the rank:
+    row i defines a facet when the rays tight at it and the lineality span
+    a hyperplane. On that face t = f . v_i, so the point is a vertex iff
+    their first d coordinates have rank d; repeats are found with the
+    tolerant equality.
     """
     rays, lineality = cone
+    if ctx.exact:
+        common = [None] * len(points)
+        for _, zs in rays:
+            for i in zs:
+                c = common[i]
+                common[i] = zs if c is None else c & zs
+        return [len(points) == 1 if c is None else len(c) == 1 for c in common]
     d = len(points[0])
     faces = [[l[:d] for l in lineality] for _ in points]
     for r, zs in rays:
@@ -284,23 +319,27 @@ def validate(p: Polytope) -> ValidationReport:
 
     Checks: symmetry of the vertex set, full dimensionality, and
     extremality of every listed vertex, read off the double description
-    of the polar cone (see :func:`_vertex_flags`). That 0 is an interior
-    point needs no check of its own: for a symmetric vertex set, 0 is the
-    average of the vertices with every weight positive, so it lies in the
-    relative interior of their hull, which is the interior once the
-    vertices span R^d. On success the cone is stored on ``p`` for
+    of the polar cone (see :func:`_vertex_flags`: the zero sets of its rays
+    on the rational backend, a tolerant rank per point on floats). Each
+    violation names the vertex by its index and coordinates; a point that
+    is not extreme is named once, at its first index. That 0 is an
+    interior point needs no check of its own: for a symmetric vertex set,
+    0 is the average of the vertices with every weight positive, so it
+    lies in the relative interior of their hull, which is the interior
+    once the vertices span R^d. On success the cone is stored on ``p`` for
     :func:`facet_enumeration`.
     """
     ctx = p.ctx
-    violations = [f"not symmetric: vertex {v} has no antipode"
-                  for v, j in zip(p.vertices, p._antipode_map()) if j is None]
+    violations = [f"not symmetric: {_vertex_text(i, v)} has no antipode"
+                  for i, (v, j) in enumerate(zip(p.vertices, p._antipode_map())) if j is None]
     if rank(p.vertices, ctx) < p.dim:
         violations.append(f"not full-dimensional: vertices span less than {p.dim} dimensions")
     cone = _polar_cone(p.vertices, ctx)
     seen = set()
-    for v, is_vertex in zip(p.vertices, _vertex_flags(p.vertices, cone, ctx)):
+    for i, (v, is_vertex) in enumerate(zip(p.vertices, _vertex_flags(p.vertices, cone, ctx))):
         if not is_vertex and v not in seen:
-            violations.append(f"vertex {v} is not extreme (lies in the hull of the others)")
+            violations.append(f"{_vertex_text(i, v)} is not extreme "
+                              "(lies in the hull of the others)")
             seen.add(v)
     if not violations:
         p._cone = cone
@@ -441,9 +480,13 @@ def facet_enumeration(p: Polytope) -> tuple:
     scaled to last coordinate 1, are exactly the facet functionals. The
     cone is the one :func:`validate` built and stored on ``p``. Both
     f and -f occur because the ball is symmetric. Facets are returned
-    sorted by coefficient vector for deterministic reports. Row i of the
-    cone is the constraint of vertex i, so the zero set of a ray is the set
-    of vertices on its facet. Computed once per ball.
+    sorted by coefficient vector for deterministic reports. On the
+    rational backend the sort runs on ints: with L the lcm of the rays'
+    last coordinates t, a ray sorts by x (L // t) over its first d
+    coordinates x, the coefficients x / t times the common positive scale
+    L, so no ``Fraction`` is compared. Row i of the cone is the constraint
+    of vertex i, so the zero set of a ray is the set of vertices on its
+    facet. Computed once per ball.
 
     Raises:
         ValidationError: when the input violates a unit-ball invariant.
@@ -455,17 +498,26 @@ def facet_enumeration(p: Polytope) -> tuple:
     rays, lineality = p._cone
     if lineality:
         raise ComputationError("cone contains a line; the input polytope cannot be full-dimensional")
-    ctx = p.ctx
     d = p.dim
-    functionals = []
-    for r, zs in rays:
-        t = r[d]
-        if ctx.sign(t) <= 0:
+    for r, _ in rays:
+        if p.ctx.sign(r[d]) <= 0:
             raise ComputationError(f"unexpected recession ray {r} in the polar body")
-        # Fraction(x, t), not x / t: on the exact backend x and t are ints.
-        f = tuple(Fraction(x, t) for x in r[:d]) if ctx.exact else tuple(x / t for x in r[:d])
-        functionals.append(FacetFunctional(coeffs=f, incident_vertices=zs))
-    functionals.sort(key=lambda f: f.coeffs)
+    if p.ctx.exact:
+        # x / t = x (L // t) / L with L the lcm of every t (a list goes to
+        # lcm; see linalg.scaled_integer_row), so the int rows x (L // t)
+        # sort as the Fractions x / t do.
+        scale = math.lcm(*[r[d] for r, _ in rays])
+
+        def key(ray):
+            m = scale // ray[0][d]
+            return tuple([x * m for x in ray[0][:d]])
+
+        rays = sorted(rays, key=key)
+        functionals = [FacetFunctional(tuple(Fraction(x, r[d]) for x in r[:d]), zs)
+                       for r, zs in rays]
+    else:
+        functionals = sorted((FacetFunctional(tuple(x / r[d] for x in r[:d]), zs)
+                              for r, zs in rays), key=lambda f: f.coeffs)
     p._facets = tuple(functionals)
     return p._facets
 

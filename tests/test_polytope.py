@@ -106,7 +106,7 @@ def test_validate_rejects_interior_point(square):
     # the point is reported once.
     report = validate(Polytope(list(square.vertices) + [(1, 1)]))
     assert [v for v in report.violations if "not extreme" in v] == [
-        f"vertex {(Fraction(1), Fraction(1))} is not extreme (lies in the hull of the others)"]
+        "vertex 0 (1, 1) is not extreme (lies in the hull of the others)"]
 
 
 def test_validate_rejects_collinear():
@@ -180,17 +180,22 @@ def test_validation_matches_lp_oracle():
         dim = len(pts[0])
         for backend in ("rational", "float"):
             p = Polytope(pts, backend=backend)
-            expected = [f"not symmetric: vertex {w} has no antipode"
-                        for v, w in zip(pts, p.vertices) if tuple(-x for x in v) not in pts]
+            show = str if backend == "rational" else (lambda x: repr(float(x)))
+
+            def named(i, v):
+                return f"vertex {i} ({', '.join(map(show, v))})"
+
+            expected = [f"not symmetric: {named(i, v)} has no antipode"
+                        for i, v in enumerate(pts) if tuple(-x for x in v) not in pts]
             if np.linalg.matrix_rank(np.array(pts, dtype=float)) < dim:
                 expected.append(f"not full-dimensional: vertices span less than {dim} dimensions")
-            flagged = []
-            for i, (v, w) in enumerate(zip(pts, p.vertices)):
+            flagged = {}  # point -> its first index
+            for i, v in enumerate(pts):
                 others = pts[:i] + pts[i + 1:]
-                if others and _in_hull_of(others, v) and w not in flagged:
-                    flagged.append(w)
-            expected += [f"vertex {w} is not extreme (lies in the hull of the others)"
-                         for w in flagged]
+                if others and _in_hull_of(others, v):
+                    flagged.setdefault(v, i)
+            expected += [f"{named(i, v)} is not extreme (lies in the hull of the others)"
+                         for v, i in flagged.items()]
             assert list(validate(p).violations) == expected, (pts, backend)
 
             kept = list(dict.fromkeys(pts))
@@ -468,7 +473,9 @@ def _assert_cone_matches_reference(points):
 def test_integer_double_description_matches_fraction_reference():
     for p in _rational_balls():
         _assert_cone_matches_reference(p.vertices)
-        assert all(type(c) is Fraction for f in facet_enumeration(p) for c in f.coeffs), p
+        coeffs = [f.coeffs for f in facet_enumeration(p)]
+        assert all(type(c) is Fraction for f in coeffs for c in f), p
+        assert coeffs == sorted(coeffs), p
 
 
 _small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
@@ -498,7 +505,10 @@ def rational_point_sets(draw):
 @settings(max_examples=80, deadline=None)
 @given(rational_point_sets())
 def test_integer_double_description_matches_fraction_reference_on_random_points(pts):
-    _assert_cone_matches_reference(Polytope(pts, backend="rational").vertices)
+    pts = Polytope(pts, backend="rational").vertices
+    _assert_cone_matches_reference(pts)
+    assert (_vertex_flags(pts, _polar_cone(pts, EXACT), EXACT)
+            == reference_vertex_flags(pts, reference_polar_cone(pts)))
 
 
 def _repeated_point_sets(rng):
