@@ -5,11 +5,14 @@ the facets meeting at v pin down every norm-one operator — any T that
 attains its norm at v satisfies v(T) >= min over the unit sphere of the
 largest |f(x)| among those functionals. Those functionals cut out a
 symmetric polytope Q_v, and the ball's norm is convex, so that minimum is
-1 / max{||u|| : u a vertex of Q_v}: one double description per vertex
-orbit lists Q_v's vertices, and no linear program is solved. Minimizing
-over antipodal vertex orbits gives a certified lower bound on the
-numerical index. A vertex bound rests on Q_v's vertex list, each vertex
-with the functionals tight at it, and on no LP dual.
+1 / max{||u|| : u a vertex of Q_v}, and no linear program is solved. At a
+simple vertex, one on exactly d facets, Q_v is a parallelotope whose edges
+run along the ball's own edges at v, so its vertices are written down
+from v and its neighbours; at any other vertex one double description per
+vertex orbit lists them. Minimizing over antipodal vertex orbits gives a
+certified lower bound on the numerical index. A vertex bound rests on
+Q_v's vertex list, each vertex with the functionals tight at it, and on
+no LP dual.
 
 Upper bound: any norm-one operator T gives n(X) <= v(T). Witness
 operators are supplied by the caller (the family generators construct the
@@ -26,7 +29,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul, truediv
+from operator import itemgetter, mul, sub, truediv
 from typing import Mapping, Optional, Sequence
 
 from .errors import ComputationError, InputError
@@ -116,7 +119,7 @@ def vertex_minimax(p: Polytope, vertex_index: int,
     u != 0, which is 1 / max{||u|| : u in Q_v}. The norm is convex, so
     that maximum is attained at a vertex of Q_v.
 
-    Q_v's vertices come from one double description
+    In general Q_v's vertices come from one double description
     (:func:`polytope._double_description`) of the cone
     C = {(u, t) : -t <= f_r(u) <= t}, with the rows (-f_r, 1) and (f_r, 1)
     for each chosen r. The lineality of C is the common kernel of the f_r
@@ -151,10 +154,100 @@ def vertex_minimax(p: Polytope, vertex_index: int,
     out divided by exactly 2^j, the double description gets the same
     numbers and the values are the same.
 
+    At a simple vertex, with the functionals its d incident facets
+    f_1, ..., f_d in incidence order (the default, or that tuple as
+    ``subset``), no double description runs: Q_v is a parallelotope read
+    off the ball's own edges at v (:func:`_parallelotope_rays`). The
+    normals of the f_i form a basis; with b_j its dual basis
+    (f_i(b_j) = 1 if i = j, else 0), Q_v = {sum y_j b_j : |y_j| <= 1}, whose
+    vertices are the sums sum s_j b_j over sign vectors s, and
+    sum b_j = v since every f_i(v) = 1. At a simple vertex any m of its
+    facets meet in a face of dimension d - m (Ziegler, *Lectures on
+    Polytopes*, 1995), so the d - 1 facets other than f_j meet in an edge
+    of the ball from v to exactly one neighbour w_j, the one vertex other
+    than v on all of them. Along that edge only f_j changes, so
+    v - w_j = (1 - f_j(w_j)) b_j, and 1 - f_j(w_j) > 0. The kept rays are
+    those with s_1 = +1 (their first tight row is then (-f_1, 1)), the
+    points v - 2 sum of b_j over the j with s_j = -1. They come in the
+    double description's order for the rows (-f_1, 1), (f_1, 1), ...,
+    (-f_d, 1), (f_d, 1): v first, then for j = 2, ..., d the list so far
+    followed by each of its points minus 2 b_j, so (s_2, ..., s_d) counts
+    in binary, s_2 fastest, + before -, and ties in (value, k) go to the
+    same ray. No b_1 and no w_1 is needed: at d = 1 the one kept ray is v.
+    On rationals v and each 2 b_j are an int vector D over a positive int
+    c, from the evaluation table's rows: D = L_F W_v over c = L_F L_W, and
+    D = 2 L_F (W_v - W_w) over c = L_F L_W - F_j . W_w. With C the lcm of
+    the c's, each ray is (sum of the D (C // c), C); it need not be
+    primitive, since the value and the minimizer are ``Fraction``s. On
+    floats the ray is (v / s - 2 sum b_j / s, 1), computed from v / s and
+    w_j / s, which s, a power of two, scales exactly. A reordered or proper
+    subset, and any vertex on more than d facets, keeps the double
+    description: there the functionals are no basis, and the edges of the
+    ball at v do not list Q_v's vertices. So does a float ball whose
+    tolerant incidence gives some edge no single other end, or some
+    1 - f_j(w_j) that is not a positive finite float.
+
     A :class:`ComputationError` of the double description is raised again
     with ``vertex i`` in front of its message.
     """
     return _vertex_minimax(p, _bound_rows(p), vertex_index, subset)
+
+
+def _parallelotope_rays(p, bound_rows, vertex_index, facets):
+    """Q_v's kept rays (u, t) at the simple vertex ``vertex_index`` with
+    its incident ``facets``, in the double description's order, read off
+    the ball's edges at the vertex (see :func:`vertex_minimax`); None when
+    the facets other than some f_j have no single other vertex in common,
+    or c for its edge is not a positive finite number."""
+    rows, _, scale, s = bound_rows
+    if p.ctx.exact:
+        ev = evaluation_table(p)
+        point, vertex_scale = ev.vertices.__getitem__, ev.vertex_scale
+    else:
+        point, vertex_scale = (lambda a: tuple(x / s for x in p.vertices[a])), 1
+    f2v = incidence(p).facet_to_vertices
+    members = [set(f2v[k]) for k in facets]
+    v = point(vertex_index)
+    terms = [([scale * x for x in v], scale * vertex_scale)]  # (D, c) with D / c = v
+    for j in range(1, len(facets)):
+        ends = set.intersection(*members[:j], *members[j + 1:])
+        ends.discard(vertex_index)
+        if len(ends) != 1:
+            return None
+        w = point(ends.pop())
+        c = scale * vertex_scale - sum(map(mul, rows[facets[j]], w))
+        if not 0 < c < math.inf:
+            return None
+        terms.append(([2 * scale * (x - y) for x, y in zip(v, w)], c))  # D / c = 2 b_j
+    if p.ctx.exact:
+        t = math.lcm(*[c for _, c in terms])
+        basis = [[x * (t // c) for x in e] for e, c in terms]
+    else:
+        t = 1
+        basis = [[x / c for x in e] for e, c in terms]
+    us = basis[:1]
+    for b in basis[1:]:
+        us += [list(map(sub, u, b)) for u in us]
+    return [(u, t) for u in us]
+
+
+def _enumerated_rays(p, bound_rows, vertex_index, chosen):
+    """Q_v's kept rays (u, t) for the ``chosen`` facets, read off one double
+    description (see :func:`vertex_minimax`)."""
+    rows, _, scale, _ = bound_rows
+    cone = []
+    for r in chosen:
+        cone += [tuple(-a for a in rows[r]) + (scale,), tuple(rows[r]) + (scale,)]
+    try:
+        rays, lineality = _double_description(cone, p.dim + 1, p.ctx)
+    except ComputationError as exc:
+        raise ComputationError(f"vertex {vertex_index}: {exc}") from exc
+    if lineality:
+        raise InputError(
+            f"functionals at vertex {vertex_index} have a nontrivial common kernel; "
+            "the min-max over the sphere would be 0")
+    # Of each antipodal pair, the ray whose first tight row is a (-f_r, 1) row.
+    return [(ray[:-1], ray[-1]) for ray, zs in rays if not min(zs) % 2]
 
 
 def _vertex_minimax(p, bound_rows, vertex_index, subset) -> VertexBound:
@@ -162,7 +255,7 @@ def _vertex_minimax(p, bound_rows, vertex_index, subset) -> VertexBound:
     rows, sphere, scale, s = bound_rows
     incident = incidence(p).vertex_to_facets[vertex_index]
     if subset is None:
-        chosen = tuple(incident)
+        chosen = incident
     else:
         chosen = tuple(subset)
         bad = [k for k in chosen if k not in incident]
@@ -170,24 +263,15 @@ def _vertex_minimax(p, bound_rows, vertex_index, subset) -> VertexBound:
             raise InputError(f"facets {bad} are not incident to vertex {vertex_index}")
         if not chosen:
             raise InputError("functional subset must be nonempty")
-    cone = []
-    for r in chosen:
-        cone += [tuple(-a for a in rows[r]) + (scale,), tuple(rows[r]) + (scale,)]
-    try:
-        rays, lineality = _double_description(cone, p.dim + 1, ctx)
-    except ComputationError as exc:
-        raise ComputationError(f"vertex {vertex_index}: {exc}") from exc
-    if lineality:
-        raise InputError(
-            f"functionals at vertex {vertex_index} have a nontrivial common kernel; "
-            "the min-max over the sphere would be 0")
+    rays = None
+    if chosen == incident and len(incident) == p.dim:
+        rays = _parallelotope_rays(p, bound_rows, vertex_index, incident)
+    if rays is None:
+        rays = _enumerated_rays(p, bound_rows, vertex_index, chosen)
 
     div = Fraction if ctx.exact else truediv
     best = None
-    for ray, zs in rays:
-        if min(zs) % 2:
-            continue  # the antipode of a kept ray
-        u, t = ray[:-1], ray[-1]
+    for u, t in rays:
         dots = [sum(map(mul, rows[k], u)) for k in sphere]
         j = max(range(len(dots)), key=lambda j: abs(dots[j]))  # the first largest
         value = div(t * scale, abs(dots[j]))

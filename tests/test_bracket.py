@@ -184,8 +184,12 @@ def test_lower_bound_bounds_every_operator(hexagon, bipyramid):
             assert lo <= numerical_radius(p, op).value / norm
 
 
-def _cube4(backend=None):
-    return Polytope(list(product((-1, 1), repeat=4)), backend=backend)
+def _cube(d):
+    return Polytope(list(product((-1, 1), repeat=d)))
+
+
+def _cube4():
+    return _cube(4)
 
 
 def _cross4(backend=None):
@@ -298,15 +302,104 @@ def test_lower_bound_work_counts(monkeypatch):
     assert runs == []
 
 
-def test_lower_bound_failures_name_vertex_and_facet(hexagon, monkeypatch):
-    # A failure inside one vertex's enumeration names the vertex.
+def _unimodular_image(seed, p):
+    """p under a seeded signed permutation times a unit upper triangular
+    integer matrix (entries in {-1, 0, 1})."""
+    rng = random.Random(seed)
+    d = p.dim
+    upper = [[1 if i == j else rng.randint(-1, 1) if j > i else 0 for j in range(d)]
+             for i in range(d)]
+    order = rng.sample(range(d), d)
+    matrix = [[rng.choice((1, -1)) * x for x in upper[i]] for i in order]
+    return Polytope([tuple(dot(row, v) for row in matrix) for v in p.vertices])
+
+
+def _linf_random_2d(seed):
+    rng = random.Random(seed)
+    return linf_sum(random_symmetric_polytope(rng, 2, 4), random_symmetric_polytope(rng, 2, 3))
+
+
+_SIMPLE_BALLS = {
+    "hexagon": irregular_hexagon,
+    "80-gon": lambda: regular_2n_gon(40),
+    "oblique_prism(5,1/2)": lambda: oblique_prism(5, 0.5),
+    "linf_hexagons": lambda: linf_sum(irregular_hexagon(), irregular_hexagon()),
+    **{f"cube_d{d}": (lambda d=d: _cube(d)) for d in range(2, 6)},
+    **{f"cube_d{d}_image": (lambda d=d: _unimodular_image(d, _cube(d))) for d in range(2, 6)},
+    **{f"linf_random_2d_{seed}": (lambda seed=seed: _linf_random_2d(seed)) for seed in (5, 6)},
+}
+
+
+@pytest.mark.parametrize("make", list(_SIMPLE_BALLS.values()), ids=list(_SIMPLE_BALLS))
+def test_parallelotope_matches_double_description(make, monkeypatch):
+    # At a simple vertex Q_v's rays are written down from the ball's edges:
+    # positive multiples of the double description's kept rays, in its
+    # order, giving the same vertex bound.
+    p = make()
+    bound_rows = bracket_module._bound_rows(p)
+    v2f = incidence(p).vertex_to_facets
+    simple = [i for i, facets in enumerate(v2f) if len(facets) == p.dim]
+    assert simple
+    written = {i: bracket_module._parallelotope_rays(p, bound_rows, i, v2f[i]) for i in simple}
+    closed = {i: vertex_minimax(p, i) for i in simple}
+    monkeypatch.setattr(bracket_module, "_parallelotope_rays", lambda *args: None)
+    for i in simple:
+        kept = bracket_module._enumerated_rays(p, bound_rows, i, v2f[i])
+        assert len(written[i]) == len(kept) == 2 ** (p.dim - 1)
+        for (u, t), (u2, t2) in zip(written[i], kept):
+            if p.ctx.exact:
+                assert t > 0 and t2 > 0
+                assert [x * t2 for x in u] == [y * t for y in u2]
+            else:
+                a, b = [x / t for x in u], [y / t2 for y in u2]
+                size = max(map(abs, b))
+                assert all(abs(x - y) <= 1e-12 * size for x, y in zip(a, b))
+        enumerated = vertex_minimax(p, i)
+        if p.ctx.exact:
+            assert closed[i] == enumerated
+        else:
+            e = closed[i]
+            assert e.functional_indices == enumerated.functional_indices
+            assert math.isclose(e.value, enumerated.value, rel_tol=1e-12)
+            facet = facet_enumeration(p)[e.sphere_facet_index]
+            for got, want in ((gauge(p, e.minimizer), 1), (dot(facet.coeffs, e.minimizer), 1)):
+                assert math.isclose(got, want, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("make, runs", [
+    (irregular_hexagon, 0), (lambda: regular_2n_gon(40), 0), (lambda: oblique_prism(5, 0.5), 0),
+    (_cube4, 0), (lambda: linf_sum(irregular_hexagon(), irregular_hexagon()), 0),
+    (bipyramid_square_prism, 5), (lambda: prism_with_pyramids(4), 9), (_cross4, 4)],
+    ids=["hexagon", "80-gon", "oblique_prism(5,1/2)", "4-cube", "linf_hexagons", "bipyramid",
+         "prism_with_pyramids(4)", "4-cross-polytope"])
+def test_double_descriptions_run_only_at_non_simple_orbits(make, runs, monkeypatch):
+    calls = []
+    real = bracket_module._double_description
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    p = make()
+    facet_enumeration(p)
+    monkeypatch.setattr(bracket_module, "_double_description", counting)
+    lower_bound(p)
+    v2f = incidence(p).vertex_to_facets
+    non_simple = sum(len(v2f[i]) != p.dim for i in p.orbit_representatives())
+    assert len(calls) == non_simple == runs
+    assert not hasattr(bracket_module, "rank")
+
+
+def test_lower_bound_failures_name_vertex_and_facet(bipyramid, monkeypatch):
+    # A failure inside one vertex's enumeration names the vertex. Vertex 0
+    # of the bipyramid lies on 4 facets in d = 3, so it runs one.
 
     def failing(rows, k, ctx):
         raise ComputationError("double description: a ray overflowed to a non-finite float")
 
     monkeypatch.setattr(bracket_module, "_double_description", failing)
     with pytest.raises(ComputationError) as exc:
-        lower_bound(hexagon)
+        lower_bound(bipyramid)
     assert str(exc.value) == "vertex 0: double description: a ray overflowed to a non-finite float"
     assert isinstance(exc.value.__cause__, ComputationError)
 

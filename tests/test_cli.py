@@ -285,17 +285,20 @@ def test_exit_code_2_on_malformed_document(capsys, tmp_path):
     assert "polytope.vertices[0][0]: not a finite number" in err
 
 
-def test_exit_code_1_names_the_failing_facet_lp(capsys, hexagon_file, monkeypatch):
-    # A vertex bound is read off one vertex enumeration; a failure in it
-    # names the vertex.
+def test_exit_code_1_names_the_failing_facet_lp(capsys, tmp_path, monkeypatch):
+    # A vertex bound away from simple vertices is read off one vertex
+    # enumeration; a failure in it names the vertex. Vertex 0 of the
+    # bipyramid lies on 4 facets in d = 3.
     import polyindex.bracket
     from polyindex import ComputationError
 
     def failing(rows, k, ctx):
         raise ComputationError("double description: a ray overflowed to a non-finite float")
 
+    path = tmp_path / "bipyramid.json"
+    path.write_text(json.dumps(polytope_to_document(bipyramid_square_prism())))
     monkeypatch.setattr(polyindex.bracket, "_double_description", failing)
-    code, _, err = run(capsys, "bound", "-i", hexagon_file)
+    code, _, err = run(capsys, "bound", "-i", str(path))
     assert code == 1
     assert err.rstrip().endswith(
         "computation failed: vertex 0: double description: a ray overflowed to a non-finite float")
