@@ -14,14 +14,15 @@ certified lower bound on the numerical index. A vertex bound rests on
 Q_v's vertex list, each vertex with the functionals tight at it, and on
 no LP dual.
 
-Upper bound: any norm-one operator T gives n(X) <= v(T). Witness
+Upper bound: any nonzero operator T gives n(X) <= v(T) / ||T||. Witness
 operators are supplied by the caller (the family generators construct the
 sharp ones) and can be supplemented by a seeded derivative-free local
-search over matrix entries; the identity (v = 1) is the fallback. The
-search ranks its candidates on the values |g_j(T v_a)| over the ball's
-vertex orbits and facet pairs that the operator norm and the numerical
-radius read (:func:`operators._orbit_pair_values`): exactly on rational
-balls, in floats on float balls.
+search over matrix entries; the identity (v = 1) is the fallback. Both
+v(T) and ||T|| are maxima of the values |g_j(T v_a)| over the ball's
+vertex orbits and facet pairs (:func:`operators._orbit_pair_values`), so
+each operator is evaluated once, and the search ranks its candidates on
+the same values: exactly on rational balls, in floats on float balls. The
+identity is written down, with no evaluation: v(I) = ||I|| = 1.
 """
 from __future__ import annotations
 
@@ -33,8 +34,8 @@ from operator import itemgetter, mul, sub, truediv
 from typing import Mapping, Optional, Sequence
 
 from .errors import ComputationError, InputError
-from .operators import (Operator, RadiusCertificate, _orbit_pair_values, numerical_radius,
-                        operator_norm)
+from .operators import (Operator, RadiusCertificate, _orbit_pair_values, _radius_rows,
+                        _table_norm)
 from .polytope import Polytope, _double_description, evaluation_table, incidence
 from .scalars import Scalar
 
@@ -302,12 +303,28 @@ def lower_bound(p: Polytope, subsets: Optional[Mapping[int, Sequence[int]]] = No
 
 
 def _normalized_radius(p, op):
-    """(radius certificate, unit operator) of op/||op||, or None when ||op|| is 0."""
-    norm, _ = operator_norm(p, op)
+    """(radius certificate, unit operator) of op/||op||, or None when ||op|| is 0.
+
+    Both maxima are read off one evaluation of op
+    (:func:`operators._orbit_pair_values`): the norm is its largest entry,
+    and the radius its first largest incident entry, ties to the lowest
+    vertex and then the lowest facet, as :func:`operators.numerical_radius`
+    breaks them. The certificate names that (vertex, facet) with the value
+    v(op) / ||op||. On rationals both are ints over one scale, so the value
+    is their exact quotient, and the pair the one v(op/||op||) names; on
+    floats it is one rounded division. The unit operator is op scaled by
+    1 / ||op||.
+    """
+    values, scale = _orbit_pair_values(p, op.matrix, op.ctx.exact)
+    norm, _ = _table_norm(p, values, scale)
     if p.ctx.is_zero(norm):
         return None
-    unit = op.scale(1 / norm)
-    return numerical_radius(p, unit), unit
+    i, radius, k = max(_radius_rows(p, values), key=itemgetter(1))
+    if scale is None:
+        value = radius / norm
+    else:
+        value, norm = Fraction(radius, norm), Fraction(norm, scale)
+    return RadiusCertificate(value=value, vertex_index=i, facet_index=k), op.scale(1 / norm)
 
 
 def _search_value(p, entries) -> Optional[float]:
@@ -389,8 +406,13 @@ def _search_candidates(p, witnesses, cfg: SearchConfig):
 def upper_bound(p: Polytope, witnesses: Sequence[Operator] = (),
                 search: Optional[SearchConfig] = None):
     """Upper bound on the numerical index: min of v(T/||T||) over the
-    provided witnesses, the identity (implicit fallback, v = 1), and the
-    outcome of the optional local search.
+    provided witnesses, the identity (implicit fallback), and the outcome
+    of the optional local search.
+
+    Each witness is evaluated once (:func:`_normalized_radius`). The
+    identity is written down, not evaluated: ||I|| = 1, and every incident
+    pair has f(v) = 1, so v(I) = 1, attained first at vertex 0 and its
+    first facet; on floats this is the true 1, not a rounded one.
 
     Returns (value, normalized witness, radius certificate). A provided
     witness with norm 0 is rejected, and a ComputationError on witness k
@@ -408,9 +430,10 @@ def upper_bound(p: Polytope, witnesses: Sequence[Operator] = (),
             raise InputError("witness operator has norm 0")
         cert, unit = result
         candidates.append((cert.value, unit, cert))
-    ident = Operator.identity(p.dim, exact=p.ctx.exact)
-    cert, unit = _normalized_radius(p, ident)
-    candidates.append((cert.value, unit, cert))
+    one = p.ctx.coerce(1)
+    candidates.append((one, Operator.identity(p.dim, exact=p.ctx.exact),
+                       RadiusCertificate(value=one, vertex_index=0,
+                                         facet_index=incidence(p).vertex_to_facets[0][0])))
     if search is not None and search.budget > 0:
         candidates.extend(_search_candidates(p, witnesses, search))
 

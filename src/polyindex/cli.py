@@ -24,7 +24,7 @@ from .errors import ComputationError, InputError, PolyindexError
 from .families import (FAMILIES, HEXAGON_DUAL_VERTEX, HEXAGON_VERTEX_BOUNDS,
                        irregular_hexagon, linf_sum, scale_coordinate, scale_witness)
 from .linalg import rank
-from .operators import operator_norm, radius_profile
+from .operators import norm_and_profile, operator_norm
 from .polytope import facet_enumeration, gauge, incidence
 from .scalars import check_tolerance, parse_rational
 
@@ -172,8 +172,7 @@ def cmd_radius(args) -> int:
         op = embedded
     else:
         raise InputError("radius: needs --operator FILE or a polytope document with a witness")
-    norm, norm_vertex = operator_norm(p, op)
-    profile = radius_profile(p, op)
+    norm, norm_vertex, profile = norm_and_profile(p, op)
     # The first maximal row, which is the certificate numerical_radius returns.
     cert = max(profile, key=attrgetter("value"))
     results = {

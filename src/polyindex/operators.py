@@ -8,8 +8,12 @@ the results are exact on the rational backend.
 
 One evaluator, :func:`_orbit_pair_values`, computes |g_j(T v_a)| for each
 antipodal vertex orbit a and antipodal facet pair j of the ball's
-evaluation table (:func:`polytope.evaluation_table`); the norm, the radius
-and the search of :mod:`polyindex.bracket` take maxima of it. The ball is
+evaluation table (:func:`polytope.evaluation_table`). The norm
+(:func:`_table_norm`, every entry) and the radius (:func:`_radius_rows`,
+the incident entries) each read a given table, so one evaluation serves
+both: :func:`norm_and_profile` for the ``radius`` command, and the upper
+bound and search of :mod:`polyindex.bracket`, which read v(T) / ||T||
+off one table per operator. The ball is
 symmetric, |f(T(-v))| = |f(T v)| = |(-f)(T v)|, so on rationals these are
 the full table's maxima, first attained at an orbit representative (the
 smaller index of its pair). A rational T is scaled once to ints,
@@ -130,15 +134,12 @@ def _value(x, scale):
     return x if scale is None else Fraction(x, scale)
 
 
-def operator_norm(p: Polytope, op: Operator):
-    """(norm, attaining vertex index); the norm is max over vertices of gauge(T v).
-
-    The vertex is the first orbit representative attaining the norm. In
-    floats a |f(T v)| that is not finite (T v or its pairing overflowed)
-    raises ComputationError naming the representative: the norm would be
-    inf, and T/||T|| the zero operator.
-    """
-    values, scale = _orbit_pair_values(p, op.matrix, op.ctx.exact)
+def _table_norm(p: Polytope, values, scale):
+    """(largest entry of ``values``, as it is, and the first orbit
+    representative attaining it). On floats (``scale`` None) an entry that
+    is not finite (T v or its pairing overflowed) raises ComputationError
+    naming the representative: the norm would be inf, and T/||T|| the zero
+    operator."""
     reps = evaluation_table(p).representatives
     if scale is None:
         for i, row in zip(reps, values):
@@ -146,21 +147,37 @@ def operator_norm(p: Polytope, op: Operator):
                 raise ComputationError(f"operator norm: |f(T v)| is not finite at vertex {i}")
     norms = [max(row) for row in values]
     a = max(range(len(norms)), key=norms.__getitem__)
-    return _value(norms[a], scale), reps[a]
+    return norms[a], reps[a]
 
 
-def _radius_rows(p: Polytope, op: Operator):
-    """Per vertex (index, max incident |f(T v)| unscaled, its facet), ties to
-    the lowest facet index, and the scale of the values: vertex i reads its
-    orbit's values at the pairs of its facets."""
-    values, scale = _orbit_pair_values(p, op.matrix, op.ctx.exact)
+def _radius_rows(p: Polytope, values) -> list:
+    """Per vertex (index, max incident entry of ``values`` as it is, its
+    facet), ties to the lowest facet index: vertex i reads its orbit's
+    values at the pairs of its facets."""
     table = evaluation_table(p)
     rows = []
     for i, facets in enumerate(incidence(p).vertex_to_facets):
         row = values[table.orbit_of[i]]
         k = max(facets, key=lambda k: row[table.pair_of[k]])
         rows.append((i, row[table.pair_of[k]], k))
-    return rows, scale
+    return rows
+
+
+def _profile(rows, scale) -> tuple:
+    return tuple(ProfileRow(vertex_index=i, value=_value(best, scale), facet_index=k)
+                 for i, best, k in rows)
+
+
+def operator_norm(p: Polytope, op: Operator):
+    """(norm, attaining vertex index); the norm is max over vertices of gauge(T v).
+
+    The vertex is the first orbit representative attaining the norm. In
+    floats a |f(T v)| that is not finite raises ComputationError naming
+    the representative (:func:`_table_norm`).
+    """
+    values, scale = _orbit_pair_values(p, op.matrix, op.ctx.exact)
+    norm, i = _table_norm(p, values, scale)
+    return _value(norm, scale), i
 
 
 def numerical_radius(p: Polytope, op: Operator) -> RadiusCertificate:
@@ -169,14 +186,21 @@ def numerical_radius(p: Polytope, op: Operator) -> RadiusCertificate:
     The first row of :func:`radius_profile` with the largest value, so ties
     are broken by lowest (vertex index, facet index).
     """
-    table, scale = _radius_rows(p, op)
-    i, best, k = max(table, key=itemgetter(1))
+    values, scale = _orbit_pair_values(p, op.matrix, op.ctx.exact)
+    i, best, k = max(_radius_rows(p, values), key=itemgetter(1))
     return RadiusCertificate(value=_value(best, scale), vertex_index=i, facet_index=k)
 
 
 def radius_profile(p: Polytope, op: Operator) -> tuple:
     """Per-vertex table of max incident |f(T v)|, ties to the lowest facet
     index; its overall max is the radius."""
-    table, scale = _radius_rows(p, op)
-    return tuple(ProfileRow(vertex_index=i, value=_value(best, scale), facet_index=k)
-                 for i, best, k in table)
+    values, scale = _orbit_pair_values(p, op.matrix, op.ctx.exact)
+    return _profile(_radius_rows(p, values), scale)
+
+
+def norm_and_profile(p: Polytope, op: Operator):
+    """(norm, attaining vertex index, radius profile) off one evaluation:
+    what :func:`operator_norm` and :func:`radius_profile` return."""
+    values, scale = _orbit_pair_values(p, op.matrix, op.ctx.exact)
+    norm, i = _table_norm(p, values, scale)
+    return _value(norm, scale), i, _profile(_radius_rows(p, values), scale)

@@ -8,7 +8,10 @@ rays of its homogenization. :func:`validate` reads extremality of every
 input point off those rays (:func:`_vertex_flags`): on the rational
 backend point i is a vertex exactly when the zero sets of the rays tight
 at it intersect in {i}, so no rank is taken; floats keep a tolerant rank
-per point. :func:`facet_enumeration` normalizes the rays into the
+per point. On the rational backend a symmetric vertex set is also
+full-dimensional exactly when the cone has no lineality, so no rank is
+taken there either.
+:func:`facet_enumeration` normalizes the rays into the
 supporting functionals of the facets, scaled so each facet lies on
 ``{f = 1}``. The facets, their incidence with the vertices and their
 antipodal pairs are computed once per ball and kept on it.
@@ -320,7 +323,12 @@ def validate(p: Polytope) -> ValidationReport:
     Checks: symmetry of the vertex set, full dimensionality, and
     extremality of every listed vertex, read off the double description
     of the polar cone (see :func:`_vertex_flags`: the zero sets of its rays
-    on the rational backend, a tolerant rank per point on floats). Each
+    on the rational backend, a tolerant rank per point on floats). On the
+    rational backend a symmetric vertex set is full-dimensional exactly
+    when the cone's lineality is empty: (f, t) lies in it when
+    f . v = t for every vertex v, and with -v listed too that means t = 0
+    and f orthogonal to every vertex. A set that is not symmetric, and
+    every float set, keeps the rank of the vertices. Each
     violation names the vertex by its index and coordinates; a point that
     is not extreme is named once, at its first index. That 0 is an
     interior point needs no check of its own: for a symmetric vertex set,
@@ -332,9 +340,9 @@ def validate(p: Polytope) -> ValidationReport:
     ctx = p.ctx
     violations = [f"not symmetric: {_vertex_text(i, v)} has no antipode"
                   for i, (v, j) in enumerate(zip(p.vertices, p._antipode_map())) if j is None]
-    if rank(p.vertices, ctx) < p.dim:
-        violations.append(f"not full-dimensional: vertices span less than {p.dim} dimensions")
     cone = _polar_cone(p.vertices, ctx)
+    if cone[1] if ctx.exact and not violations else rank(p.vertices, ctx) < p.dim:
+        violations.append(f"not full-dimensional: vertices span less than {p.dim} dimensions")
     seen = set()
     for i, (v, is_vertex) in enumerate(zip(p.vertices, _vertex_flags(p.vertices, cone, ctx))):
         if not is_vertex and v not in seen:

@@ -457,3 +457,15 @@ def reference_half_table_value(p, matrix):
     if p.ctx.is_zero(norm) or not norm < math.inf:
         return None
     return radius / norm
+
+
+def reference_normalized_radius(p, op):
+    """(radius certificate, unit operator) of op/||op|| by two evaluations,
+    or None when ||op|| is 0: the norm of op, then the numerical radius of
+    op scaled by 1 / ||op||."""
+    from polyindex import numerical_radius, operator_norm
+    norm, _ = operator_norm(p, op)
+    if p.ctx.is_zero(norm):
+        return None
+    unit = op.scale(1 / norm)
+    return numerical_radius(p, unit), unit

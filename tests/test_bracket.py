@@ -7,17 +7,21 @@ import pytest
 
 import polyindex.bracket as bracket_module
 import polyindex.linprog as linprog_module
+import polyindex.operators as operators_module
 import polyindex.polytope as polytope_module
 from polyindex import (ComputationError, InputError, LinearProgram, Operator, Polytope,
-                       SearchConfig, bipyramid_square_prism, facet_enumeration, gauge,
-                       incidence, index_bracket, irregular_hexagon, linf_sum, lower_bound,
-                       numerical_radius, oblique_prism, operator_norm, polygon_witness_operator,
-                       prism_with_pyramids, prism_witness_operator, pyramid_witness_operator,
-                       regular_2n_gon, solve_lp, upper_bound, vertex_minimax)
+                       RadiusCertificate, SearchConfig, bipyramid_square_prism,
+                       facet_enumeration, gauge, incidence, index_bracket, irregular_hexagon,
+                       linf_sum, lower_bound, numerical_radius, oblique_prism, operator_norm,
+                       polygon_witness_operator, prism_with_pyramids,
+                       prism_with_pyramids_witness, prism_witness_operator,
+                       pyramid_witness_operator, regular_2n_gon, solve_lp, upper_bound,
+                       vertex_minimax)
 from polyindex.linalg import dot, rank
 from polyindex.polytope import facet_antipode_pairs
 from helpers import (boundary_minimax_2d, random_rational_matrix, random_symmetric_polytope,
-                     reference_half_table_value)
+                     reference_half_table_value, reference_normalized_radius,
+                     reference_orbit_pair_values)
 
 
 def test_hexagon_vertex_bounds_exact(hexagon):
@@ -431,8 +435,9 @@ def _reference_search(p, witnesses, budget, seed):
     """The search loop with every candidate evaluated by a plain reference:
     on a rational ball an exact Operator, its norm and its normalized
     radius, compared as floats; on a float ball v over half the table in
-    floats (:func:`helpers.reference_half_table_value`). The winner alone
-    is evaluated by the backend."""
+    floats (:func:`helpers.reference_half_table_value`). The winner T is
+    reported as v(T) / ||T|| from one brute-force evaluation of T
+    (:func:`helpers.reference_orbit_pair_values`), in the ball's arithmetic."""
     rng = random.Random(seed)
     d = p.dim
     backend = "rational" if p.ctx.exact else "float"
@@ -481,8 +486,10 @@ def _reference_search(p, witnesses, budget, seed):
             best = (current, entries)
     if best is None:
         return []
-    cert, unit = unit_radius(best[1])
-    return [(cert.value, unit, cert)]
+    op = Operator(best[1], backend=backend)
+    (norm, _), _, (radius, i, k) = reference_orbit_pair_values(p, op.matrix)
+    value = radius / norm
+    return [(value, op.scale(1 / norm), RadiusCertificate(value, i, k))]
 
 
 def _scaled_hexagon(scale):
@@ -578,21 +585,118 @@ def test_rational_value_is_the_normalized_radius(make, name):
 
 def test_search_evaluates_only_the_winner_exactly(hexagon, monkeypatch):
     calls = []
-    real = bracket_module.operator_norm
+    real = bracket_module._normalized_radius
 
     def counting(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(bracket_module, "operator_norm", counting)
+    monkeypatch.setattr(bracket_module, "_normalized_radius", counting)
     prism = oblique_prism(5, 0.5)
     for p, witnesses, seed in ((hexagon, (), 1),
                                (prism, (prism_witness_operator(5, 0.5),), 3)):
         calls.clear()
         upper_bound(p, witnesses=witnesses, search=SearchConfig(budget=100, seed=seed))
-        # The witnesses, the identity fallback and the winner; evaluating
-        # every candidate through the backend takes about one per candidate.
-        assert len(calls) <= len(witnesses) + 2
+        # The witnesses and the winner; the identity is written down, and
+        # evaluating every candidate through the backend takes about one per
+        # candidate.
+        assert len(calls) == len(witnesses) + 1
+
+
+def _float_copy(p):
+    return Polytope([[float(x) for x in v] for v in p.vertices], backend="float")
+
+
+def _normalized_radius_cases():
+    """(ball, operator) pairs: the fixtures with their witnesses and the
+    identity, rational operators on seeded random balls in d = 2-4, their
+    float copies, and a float operator on a rational ball."""
+    hexagon = irregular_hexagon()
+    cases = [(hexagon, Operator([[Fraction(1, 2), -1], [2, Fraction(3, 4)]])),
+             (hexagon, Operator.identity(2)),
+             (bipyramid_square_prism(), pyramid_witness_operator()),
+             (prism_with_pyramids(4), prism_with_pyramids_witness(4)),
+             (oblique_prism(5, 0.5), prism_witness_operator(5, 0.5)),
+             (oblique_prism(3, 0.0), prism_witness_operator(3, 0.0)),
+             (regular_2n_gon(12), polygon_witness_operator(12)),
+             (regular_2n_gon(7), Operator.identity(2, exact=False)),
+             (hexagon, Operator([[0.3, -1.7], [2.1, 0.25]]))]
+    rng = random.Random(2023)
+    for trial in range(12):
+        d = 2 + trial % 3
+        p = random_symmetric_polytope(rng, d, n_pairs=d + 2)
+        matrix = random_rational_matrix(rng, d)
+        cases.append((p, Operator(matrix)))
+        cases.append((_float_copy(p), Operator([[float(x) for x in row] for row in matrix])))
+    return cases
+
+
+def test_normalized_radius_matches_two_evaluations():
+    for p, op in _normalized_radius_cases():
+        (cert, unit), (want, want_unit) = (bracket_module._normalized_radius(p, op),
+                                           reference_normalized_radius(p, op))
+        if p.ctx.exact and op.ctx.exact:
+            assert cert == want
+            assert type(cert.value) is Fraction
+            assert unit.matrix == want_unit.matrix
+            continue
+        assert math.isclose(cert.value, want.value, rel_tol=4e-15, abs_tol=0)
+        assert unit.matrix == want_unit.matrix
+        # The named pair is the first incident pair attaining v(op), and the
+        # value is v(op) / ||op||, on a brute-force evaluation of op.
+        (norm, _), _, (radius, i, k) = reference_orbit_pair_values(p, op.matrix)
+        assert (cert.vertex_index, cert.facet_index) == (i, k)
+        assert cert.value == radius / norm
+
+
+def test_normalized_radius_of_zero_is_none():
+    for p in (irregular_hexagon(), bipyramid_square_prism(), oblique_prism(5, 0.5)):
+        for exact in (True, False):
+            zero = Operator.zero(p.dim, exact=exact)
+            assert bracket_module._normalized_radius(p, zero) is None
+            assert reference_normalized_radius(p, zero) is None
+
+
+@pytest.mark.parametrize("make, witness", [
+    (irregular_hexagon, lambda: Operator([[Fraction(1, 2), -1], [2, Fraction(3, 4)]])),
+    (bipyramid_square_prism, pyramid_witness_operator),
+    (lambda: oblique_prism(5, 0.5), lambda: prism_witness_operator(5, 0.5)),
+    (lambda: regular_2n_gon(40), lambda: polygon_witness_operator(40))],
+    ids=["hexagon", "bipyramid", "oblique_prism(5,1/2)", "regular_2n_gon(40)"])
+def test_bracket_evaluates_each_witness_once(make, witness, monkeypatch):
+    calls = []
+    real = operators_module._orbit_pair_values
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(operators_module, "_orbit_pair_values", counting)
+    monkeypatch.setattr(bracket_module, "_orbit_pair_values", counting)
+    p, w = make(), witness()
+    index_bracket(p)
+    assert len(calls) == 0  # the identity is written down
+    index_bracket(p, witnesses=[w])
+    assert len(calls) == 1
+
+
+def test_identity_is_written_down():
+    rng = random.Random(4)
+    rational = [irregular_hexagon(), bipyramid_square_prism(), _cube4(), _cross4()]
+    rational += [random_symmetric_polytope(rng, 2 + k % 3, n_pairs=5) for k in range(6)]
+    for p in rational:
+        value, unit, cert = upper_bound(p)
+        assert cert == numerical_radius(p, Operator.identity(p.dim))
+        assert value == Fraction(1) and type(value) is Fraction
+        assert unit.matrix == Operator.identity(p.dim).matrix
+    floats = [oblique_prism(5, 0.5), regular_2n_gon(7), regular_2n_gon(40),
+              prism_with_pyramids(4), _float_copy(irregular_hexagon())]
+    for p in floats:
+        value, unit, cert = upper_bound(p)
+        first = incidence(p).vertex_to_facets[0][0]
+        assert (value, type(value)) == (1.0, float)
+        assert cert == RadiusCertificate(value=1.0, vertex_index=0, facet_index=first)
+        assert unit.matrix == Operator.identity(p.dim, exact=False).matrix
 
 
 def test_tiny_float_hexagon_bracket():

@@ -122,13 +122,14 @@ def test_radius_builds_one_profile(capsys, tmp_path, monkeypatch, case):
     })) + "\n"
 
     calls = []
+    real = operators_module._orbit_pair_values
 
     def counting(*args):
         calls.append(args)
-        return radius_profile(*args)
+        return real(*args)
 
-    monkeypatch.setattr(cli, "radius_profile", counting)
-    monkeypatch.setattr(operators_module, "radius_profile", counting)
+    # One evaluation of the operator gives the norm and the whole profile.
+    monkeypatch.setattr(operators_module, "_orbit_pair_values", counting)
     code, out, err = run(capsys, "radius", "-i", str(tmp_path / "ball.json"),
                          "--operator", str(tmp_path / "op.json"))
     assert code == 0, err

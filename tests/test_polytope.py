@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polyindex.polytope as polytope_module
 from polyindex import (InputError, Operator, Polytope, ValidationError,
                        bipyramid_square_prism, facet_enumeration, gauge, incidence,
                        irregular_hexagon, linf_sum, oblique_prism, prism_with_pyramids,
@@ -121,6 +122,48 @@ def test_validate_rejects_asymmetric():
     p = Polytope([(1, 0), (-1, 0), (0, 1), (0, -2)])
     report = validate(p)
     assert any("antipode" in v for v in report.violations)
+
+
+def test_exact_symmetric_validation_takes_no_rank(monkeypatch):
+    # A symmetric rational set is full-dimensional exactly when its polar
+    # cone has no lineality; sets that are not symmetric, and floats, keep
+    # the rank.
+    hexagon = irregular_hexagon()
+    balls = [Polytope([(1, 1), (-1, 1), (-1, -1), (1, -1)]), hexagon, bipyramid_square_prism(),
+             linf_sum(hexagon, hexagon), scaled_random_polytope(3)]
+    rng = random.Random(11)
+    balls += [random_symmetric_polytope(rng, d, n_pairs=d + 3) for d in (2, 3, 4, 5)]
+    calls = []
+    real = polytope_module.rank
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(polytope_module, "rank", counting)
+    for p in balls:
+        assert validate(Polytope(p.vertices)).ok
+    assert calls == []
+    validate(Polytope([(1, 0), (-1, 0), (0, 1), (0, -2)]))
+    assert len(calls) == 1
+    validate(Polytope([(1.0, 1.0), (-1.0, 1.0), (-1.0, -1.0), (1.0, -1.0)]))
+    assert len(calls) > 1
+
+
+@pytest.mark.parametrize("points, violations", [
+    ([(1, 1, 0), (-1, -1, 0), (1, -1, 0), (-1, 1, 0)],
+     ("not full-dimensional: vertices span less than 3 dimensions",)),
+    ([(1, 0, 0), (-1, 0, 0), (0, 1, 1), (0, -1, -1), (1, 1, 1), (-1, -1, -1), (0, 0, 0)],
+     ("not full-dimensional: vertices span less than 3 dimensions",
+      "vertex 6 (0, 0, 0) is not extreme (lies in the hull of the others)")),
+    ([(1, 2), (-1, -2), (2, 4), (-2, -4)],
+     ("not full-dimensional: vertices span less than 2 dimensions",
+      "vertex 0 (1, 2) is not extreme (lies in the hull of the others)",
+      "vertex 1 (-1, -2) is not extreme (lies in the hull of the others)")),
+    ([(0, 0)], ("not full-dimensional: vertices span less than 2 dimensions",)),
+], ids=["flat-square", "flat-with-origin", "line", "origin"])
+def test_symmetric_flat_rational_set_is_not_full_dimensional(points, violations):
+    assert validate(Polytope(points)).violations == violations
 
 
 def test_facet_enumeration_raises_on_invalid():
