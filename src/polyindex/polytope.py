@@ -16,17 +16,22 @@ supporting functionals of the facets, scaled so each facet lies on
 ``{f = 1}``. The facets, their incidence with the vertices and their
 antipodal pairs are computed once per ball and kept on it.
 
-On the rational backend the double description runs on Python ints: each
-row is scaled to integers, and each ray is kept as the primitive integer
-vector on it (entries with gcd 1). A rational ray has exactly one such
-vector, so these are the rays that ``Fraction`` arithmetic reaches, in the
-same order and with the same zero sets; no ``Fraction`` is built until
-:func:`facet_enumeration` divides by the last coordinate, and it sorts the
-facets on ints. Exact equality is ``==``, so the permissive strip's
-duplicates and the antipodal vertices are found through a dict on that
-backend (:class:`_PointIndex`); on floats through the points sorted by
-first coordinate, testing only those in a window around the query that is
-wider than any difference the tolerant equality accepts.
+On the rational backend the vertex list is scaled to ints once per ball:
+W_i = L_W v_i, with L_W the lcm of every denominator among the coordinates
+(:meth:`Polytope._scaled_vertices`). Validation, the facets and the
+evaluation table all read these rows. The double description runs on
+Python ints, on the rows (-W_i, L_W), and keeps each ray as the primitive
+integer vector on it (entries with gcd 1). A rational ray has exactly one
+such vector, so these are the rays that ``Fraction`` arithmetic reaches,
+in the same order and with the same zero sets; no ``Fraction`` is built
+until :func:`facet_enumeration` divides by the last coordinate, and it
+sorts the facets on ints. Under one common scale equal points have equal
+rows and -v_i has the row -W_i, so the permissive strip's duplicates and
+the antipodal vertices are found through a dict of first indices on the
+int rows; on floats through the points sorted by first coordinate
+(:class:`_PointIndex`), testing only those in a window around the query
+that is wider than any difference the tolerant equality accepts. While a
+double description runs, each zero set is an int bitmask, one bit per row.
 
 The Minkowski gauge of the ball (the norm itself) is then the maximum of
 ``|f(x)|`` over the facet functionals.
@@ -34,9 +39,10 @@ The Minkowski gauge of the ball (the norm itself) is then the maximum of
 The operator maxima evaluate the facet functionals from one table per ball
 (:func:`evaluation_table`), built on first use. On the rational backend it
 holds every facet row and every vertex row as Python ints with one common
-scale per table, f_r = F_r / L_F and v_a = W_a / L_W, so a value f_r(x)
-is an int dot product and a maximum over many of them is an int
-comparison; a ``Fraction`` is built once per answer. On floats it holds
+scale per table, f_r = F_r / L_F and v_a = W_a / L_W (the ball's one
+scaling of its vertices), so a value f_r(x) is an int dot product and a
+maximum over many of them is an int comparison; a ``Fraction`` is built
+once per answer. On floats it holds
 the coefficient tuples and vertices as they are. It also indexes the
 ball's symmetry: one representative per antipodal vertex orbit, one facet
 per antipodal facet pair, and which pairs each orbit meets. The operator
@@ -55,7 +61,7 @@ from operator import mul
 from typing import Optional
 
 from .errors import ComputationError, InputError, ValidationError
-from .linalg import dot, integer_row, rank, scaled_integer_rows, vneg, vscale, vsub
+from .linalg import dot, rank, scaled_integer_rows, vneg, vscale, vsub
 from .scalars import Context, EXACT, Scalar, float_context, format_rational, infer_exact
 
 
@@ -95,21 +101,33 @@ class Polytope:
         self.dim = d
         if permissive:
             self._strip_redundant()
-        self._antipodes = None
+        self._antipodes = self._scaled = None
         self._cone = None  # polar cone (rays, lineality), stored once validation passes
         self._facets = self._incidence = self._facet_pairs = self._table = None
 
     def _strip_redundant(self):
-        ctx = self.ctx
-        seen = _PointIndex((), ctx)
-        for v in self.vertices:
-            if seen.find(v) is not None:
+        ctx, points = self.ctx, self.vertices
+        if ctx.exact:
+            # Under one common scale equal points have equal int rows.
+            rows, scale = scaled_integer_rows(points)
+            first = _first_indices(rows)
+            repeats = [first[w] != i for i, w in enumerate(rows)]
+        else:
+            seen, repeats = _PointIndex((), ctx), []
+            for v in points:
+                repeats.append(seen.find(v) is not None)
+                if not repeats[-1]:
+                    seen.add(v)
+        kept = []
+        for i, (v, repeat) in enumerate(zip(points, repeats)):
+            if repeat:
                 warnings.warn(f"dropping duplicate vertex {v}")
-                continue
-            seen.add(v)
-        kept = seen.points
+            else:
+                kept.append(i)
+        points = [points[i] for i in kept]
+        scaled = ([rows[i] for i in kept], scale) if ctx.exact else None
         extreme = []
-        for v, is_vertex in zip(kept, _vertex_flags(kept, _polar_cone(kept, ctx), ctx)):
+        for v, is_vertex in zip(points, _vertex_flags(points, _polar_cone(points, ctx, scaled), ctx)):
             if not is_vertex:
                 warnings.warn(f"dropping non-extreme input point {v}")
                 continue
@@ -123,11 +141,28 @@ class Polytope:
         kind = "rational" if self.ctx.exact else "float"
         return f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, backend={kind})"
 
+    def _scaled_vertices(self) -> tuple:
+        """``(W, L_W)``: on the rational backend the vertices times L_W, the
+        lcm of every denominator among their coordinates, as int tuples
+        (:func:`~polyindex.linalg.scaled_integer_rows`), so v_i = W_i / L_W.
+        Computed once per ball."""
+        if self._scaled is None:
+            self._scaled = scaled_integer_rows(self.vertices)
+        return self._scaled
+
     def _antipode_map(self) -> tuple:
-        """Per vertex v, the index of the first listed -v, or None if -v is missing."""
+        """Per vertex v, the index of the first listed -v, or None if -v is missing.
+
+        On the rational backend -v_i is exactly the int row -W_i, so one dict
+        of first indices on the rows W answers every lookup."""
         if self._antipodes is None:
-            index = _PointIndex(self.vertices, self.ctx)
-            self._antipodes = tuple(index.find(vneg(v)) for v in self.vertices)
+            if self.ctx.exact:
+                rows = self._scaled_vertices()[0]
+                first = _first_indices(rows)
+                self._antipodes = tuple(first.get(tuple(-x for x in w)) for w in rows)
+            else:
+                index = _PointIndex(self.vertices, self.ctx)
+                self._antipodes = tuple(index.find(vneg(v)) for v in self.vertices)
         return self._antipodes
 
     def antipode_index(self, i: int) -> int:
@@ -212,19 +247,25 @@ def _vertex_text(i: int, v) -> str:
     return f"vertex {i} ({coords})"
 
 
+def _first_indices(rows) -> dict:
+    """Each distinct row, mapped to the index of its first occurrence."""
+    first = {}
+    for i, w in enumerate(rows):
+        first.setdefault(w, i)
+    return first
+
+
 class _PointIndex:
-    """The points added so far, looked up by value.
+    """The float points added so far, looked up by value within eps.
 
-    ``find(x)`` is the index of the first point equal to x, or None. Exact
-    equality is ``==`` and a ``Fraction`` hashes by its value, so on the
-    rational backend one dict of first indices answers.
-
-    Equality within eps is not transitive, so floats cannot hash; they keep
-    ``(first coordinate, index)`` pairs sorted and test, with ``ctx.eq`` on
-    every coordinate, only the points whose first coordinate y0 lies in the
-    window [x0 - 2 eps, x0 + 2 eps] around the query's x0, both ends
-    rounded, returning the lowest matching index (the first match of a
-    scan over every point). The window holds every match: rounding is
+    ``find(x)`` is the index of the first point equal to x, or None.
+    Equality within eps is not transitive, so the points cannot hash (the
+    rational backend hashes int rows instead, :func:`_first_indices`); the
+    index keeps ``(first coordinate, index)`` pairs sorted and tests, with
+    ``ctx.eq`` on every coordinate, only the points whose first coordinate
+    y0 lies in the window [x0 - 2 eps, x0 + 2 eps] around the query's x0,
+    both ends rounded, returning the lowest matching index (the first match
+    of a scan over every point). The window holds every match: rounding is
     monotone and 2 eps is a float (or inf), so y0 below the rounded
     x0 - 2 eps is below x0 - 2 eps itself, and then x0 - y0 rounds to
     2 eps or more, which ``ctx.eq`` rejects; likewise above.
@@ -233,38 +274,36 @@ class _PointIndex:
     def __init__(self, points, ctx: Context):
         self.ctx = ctx
         self.points = []
-        self._first = {}  # exact backend: point -> first index
-        self._keys = []  # float backend: sorted (first coordinate, index)
+        self._keys = []  # sorted (first coordinate, index)
         for v in points:
             self.add(v)
 
     def add(self, v):
-        if self.ctx.exact:
-            self._first.setdefault(v, len(self.points))
-        else:
-            insort(self._keys, (v[0], len(self.points)))
+        insort(self._keys, (v[0], len(self.points)))
         self.points.append(v)
 
     def find(self, x) -> Optional[int]:
-        if self.ctx.exact:
-            return self._first.get(x)
         eq, points, keys = self.ctx.eq, self.points, self._keys
         x0, w = x[0], 2 * self.ctx.eps
         window = keys[bisect_left(keys, (x0 - w,)):bisect_right(keys, (x0 + w, math.inf))]
         return min((j for _, j in window if all(map(eq, x, points[j]))), default=None)
 
 
-def _polar_cone(points, ctx: Context):
+def _polar_cone(points, ctx: Context, scaled=None):
     """Double description of {(f, t) : f . v <= t for every point v}, the
     homogenized polar of the points; returns (rays, lineality).
 
-    On the rational backend each row (-v, 1) is scaled to ints by the lcm
-    of its denominators, a positive factor that leaves the cone as it is.
+    On the rational backend the rows are (-W_i, L) for ``scaled`` = (W, L),
+    the points times one common positive scale L as int rows (by default
+    :func:`~polyindex.linalg.scaled_integer_rows` of the points): row i is
+    L times (-v_i, 1), a positive factor that leaves the cone, its rays
+    (each reduced to its primitive vector) and their zero sets as they are.
     """
-    one = ctx.coerce(1)
-    rows = [vneg(v) + (one,) for v in points]
     if ctx.exact:
-        rows = [tuple(integer_row(row)) for row in rows]
+        rows, scale = scaled or scaled_integer_rows(points)
+        rows = [tuple(-x for x in w) + (scale,) for w in rows]
+    else:
+        rows = [vneg(v) + (1.0,) for v in points]
     return _double_description(rows, len(points[0]) + 1, ctx)
 
 
@@ -340,7 +379,7 @@ def validate(p: Polytope) -> ValidationReport:
     ctx = p.ctx
     violations = [f"not symmetric: {_vertex_text(i, v)} has no antipode"
                   for i, (v, j) in enumerate(zip(p.vertices, p._antipode_map())) if j is None]
-    cone = _polar_cone(p.vertices, ctx)
+    cone = _polar_cone(p.vertices, ctx, p._scaled_vertices() if ctx.exact else None)
     if cone[1] if ctx.exact and not violations else rank(p.vertices, ctx) < p.dim:
         violations.append(f"not full-dimensional: vertices span less than {p.dim} dimensions")
     seen = set()
@@ -384,21 +423,45 @@ def _project(y, l0, a, al0, ctx: Context):
     return vsub(y, vscale(l0, dot(a, y) / al0))
 
 
+def _zero_set(mask: int) -> frozenset:
+    """The indices of the set bits of ``mask``."""
+    members = []
+    while mask:
+        low = mask & -mask
+        members.append(low.bit_length() - 1)
+        mask ^= low
+    return frozenset(members)
+
+
 def _double_description(rows, k: int, ctx: Context):
     """Minimal generator set of the cone {y in R^k : row . y >= 0}.
 
     Returns ``(rays, lineality)``: the extreme rays modulo the lineality
-    space, each paired with its zero set (the indices of the rows it makes
-    tight), and a basis of the lineality space, which is empty exactly
-    when the cone is pointed. Incremental insertion with the combinatorial
-    adjacency test. The sign pass keeps each ``a . r`` (summed as
-    :func:`~polyindex.linalg.dot` sums, so the same ints and float bits)
-    for the combinations. Two adjacent rays of a cone with lineality
-    dimension l are tight together at k - l - 2 independent rows at least
-    (Fukuda and Prodon, "Double description method revisited", 1996), so a
-    pair sharing fewer rows is dropped before the zero-set scan; on exact
-    data that scan rejects every such pair anyway, since the face they
-    share then holds a third extreme ray.
+    space, each paired with its zero set (the frozenset of the indices of
+    the rows it makes tight), and a basis of the lineality space, which is
+    empty exactly when the cone is pointed. Incremental insertion with the
+    combinatorial adjacency test. The sign pass keeps each ``a . r``
+    (summed as :func:`~polyindex.linalg.dot` sums, so the same ints and
+    float bits) for the combinations, and compares it with ``ctx.eps`` as
+    ``ctx.sign`` does.
+
+    While the run lasts a zero set is an int bitmask, row idx being the bit
+    ``1 << idx`` (as cddlib keeps zero sets in bit arrays); the frozensets
+    are built once, for the rays returned. Two adjacent rays of a cone with
+    lineality dimension l are tight together at k - l - 2 independent rows
+    at least (Fukuda and Prodon, "Double description method revisited",
+    1996), so a pair whose common zero set has fewer bits is dropped before
+    the zero-set scan; on exact data that scan rejects every such pair
+    anyway, since the face they share then holds a third extreme ray.
+
+    The scan counts the rays whose zero set contains the pair's common
+    one, and the pair (p, m) is adjacent when at most two do. Rays p and m
+    always do, so this is the test that no ray other than p and m contains
+    it; a ray whose zero set equals p's or m's in contents is another ray
+    and counts. A scan over frozensets that skips p and m by identity
+    gives the same answer, since no two rays of the list share one
+    zero-set object (each is built anew with its ray); equal ints may be
+    one object, so the bitmask scan counts instead.
 
     On the exact backend the rows are int tuples and so is every vector.
     A projection onto a new hyperplane (:func:`_project`) and the
@@ -418,9 +481,11 @@ def _double_description(rows, k: int, ctx: Context):
     lineality = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
     if not ctx.exact:
         lineality = [tuple(map(ctx.coerce, l)) for l in lineality]
-    rays = []  # list of (vector, zeroset)
+    tol = ctx.eps or 0  # the int 0 on the exact backend, as in ctx.sign
+    rays = []  # list of (vector, zero-set bitmask)
 
     for idx, a in enumerate(rows):
+        bit = 1 << idx
         if lineality:
             pivot = None
             for pos, l in enumerate(lineality):
@@ -434,22 +499,22 @@ def _double_description(rows, k: int, ctx: Context):
                 lineality = [_project(l, l0, a, al0, ctx)
                              for pos, l in enumerate(lineality) if pos != pivot]
                 # Project every ray onto the new hyperplane; they all become
-                # tight for this inequality, while l0 is the unique ray off it.
-                rays = [(_normalize_ray(_project(r, l0, a, al0, ctx), ctx), zs | {idx})
+                # tight for this inequality, while l0 is the unique ray off
+                # it, tight at every earlier row.
+                rays = [(_normalize_ray(_project(r, l0, a, al0, ctx), ctx), zs | bit)
                         for r, zs in rays]
-                rays.append((_normalize_ray(l0, ctx), frozenset(range(idx))))
+                rays.append((_normalize_ray(l0, ctx), bit - 1))
                 continue
 
         plus, zero, minus = [], [], []
         for r, zs in rays:
             ar = sum(map(mul, a, r))
-            s = ctx.sign(ar)
-            if s > 0:
+            if ar > tol:
                 plus.append((r, zs, ar))
-            elif s == 0:
-                zero.append((r, zs | {idx}))
-            else:
+            elif ar < -tol:
                 minus.append((r, zs, ar))
+            else:
+                zero.append((r, zs | bit))
         new = [(r, zs) for r, zs, _ in plus] + zero
         if not minus:
             rays = new
@@ -459,25 +524,24 @@ def _double_description(rows, k: int, ctx: Context):
         for (rp, zp, sp) in plus:
             for (rm, zm, sm) in minus:
                 common = zp & zm
-                if len(common) < tight:
+                if common.bit_count() < tight:
                     continue
-                adjacent = True
+                hits = 0
                 for zs in zerosets:
-                    if zs is zp or zs is zm:
-                        continue
-                    if common <= zs:
-                        adjacent = False
-                        break
-                if not adjacent:
+                    if zs & common == common:
+                        hits += 1
+                        if hits > 2:
+                            break
+                if hits > 2:
                     continue
                 combined = tuple(sp * xm - sm * xp for xp, xm in zip(rp, rm))
-                new.append((_normalize_ray(combined, ctx), common | {idx}))
+                new.append((_normalize_ray(combined, ctx), common | bit))
         rays = new
 
     if not ctx.exact and not all(map(math.isfinite, chain(*(r for r, _ in rays), *lineality))):
         raise ComputationError("double description: a ray overflowed to a non-finite "
                                "float; the coordinates span too wide a range")
-    return rays, lineality
+    return [(r, _zero_set(zs)) for r, zs in rays], lineality
 
 
 def facet_enumeration(p: Polytope) -> tuple:
@@ -549,12 +613,15 @@ def evaluation_table(p: Polytope) -> EvaluationTable:
     """The ball's facet and vertex rows and their symmetry indices (see
     :class:`EvaluationTable`).
 
+    On the rational backend the facet rows are scaled to ints here, and the
+    vertex rows (W, L_W) are the ball's one scaling of its vertices
+    (:meth:`Polytope._scaled_vertices`), the rows validation already read.
     Computed once per ball.
     """
     if p._table is None:
         facets = [f.coeffs for f in facet_enumeration(p)]
         if p.ctx.exact:
-            rows = (*scaled_integer_rows(facets), *scaled_integer_rows(p.vertices))
+            rows = (*scaled_integer_rows(facets), *p._scaled_vertices())
         else:
             rows = (tuple(facets), 1, p.vertices, 1)
         reps, pairs = p.orbit_representatives(), facet_antipode_pairs(p)

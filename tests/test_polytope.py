@@ -12,13 +12,14 @@ from polyindex import (InputError, Operator, Polytope, ValidationError,
                        bipyramid_square_prism, facet_enumeration, gauge, incidence,
                        irregular_hexagon, linf_sum, oblique_prism, prism_with_pyramids,
                        regular_2n_gon, scale_coordinate, segment, validate)
-from polyindex.linalg import dot, rank, scaled_integer_row, vsub
-from polyindex.polytope import (_PointIndex, _polar_cone, _vertex_flags, evaluation_table,
-                                facet_antipode_pairs)
+import polyindex.linalg as linalg_module
+from polyindex.linalg import dot, integer_row, rank, scaled_integer_row, vsub
+from polyindex.polytope import (_PointIndex, _double_description, _polar_cone, _vertex_flags,
+                                evaluation_table, facet_antipode_pairs)
 from polyindex.scalars import EXACT, float_context
 from helpers import (brute_force_facets, random_symmetric_polytope, reference_antipode_map,
-                     reference_index_of, reference_polar_cone, reference_strip,
-                     reference_vertex_flags, scaled_random_polytope)
+                     reference_double_description, reference_index_of, reference_polar_cone,
+                     reference_strip, reference_vertex_flags, scaled_random_polytope)
 
 
 def coeff_set(facets):
@@ -467,6 +468,36 @@ def test_evaluation_table_rows(make):
                 for row in rows] == [scaled_integer_row(w) for w in want]
 
 
+@pytest.mark.parametrize("make", [
+    irregular_hexagon, bipyramid_square_prism,
+    lambda: scale_coordinate(irregular_hexagon(), 1, Fraction(3, 7)),
+    lambda: scaled_random_polytope(4),
+])
+def test_rational_vertices_scaled_to_ints_once_per_ball(make, monkeypatch):
+    p = make()
+    scalings, row_calls = [], []
+    real = polytope_module.scaled_integer_rows
+
+    def counting(rows):
+        scalings.append(rows)
+        return real(rows)
+
+    def recording(values):
+        row_calls.append(values)
+        return integer_row(values)
+
+    monkeypatch.setattr(polytope_module, "scaled_integer_rows", counting)
+    monkeypatch.setattr(polytope_module, "integer_row", recording, raising=False)
+    monkeypatch.setattr(linalg_module, "integer_row", recording)
+    assert validate(p).ok
+    facet_enumeration(p)
+    assert [p.antipode_index(i) for i in range(len(p))] == list(reference_antipode_map(p.vertices))
+    table = evaluation_table(p)
+    assert [rows for rows in scalings if rows == p.vertices] == [p.vertices]
+    assert (table.vertices, table.vertex_scale) == real(p.vertices)
+    assert row_calls == []
+
+
 def test_facet_antipodes_of_a_tiny_float_hexagon():
     # Facet coefficients near 1e8 differ from their exact negations by far
     # more than the absolute eps; the vertex sets still pair them.
@@ -501,16 +532,21 @@ def _rational_balls():
                        backend="rational")
 
 
+def _assert_same_lineality(lineality, reference):
+    """Each lineality vector is a positive multiple of the reference's."""
+    assert len(lineality) == len(reference)
+    for l, m in zip(lineality, reference):
+        i = next(i for i, y in enumerate(m) if y != 0)
+        c = Fraction(l[i]) / Fraction(m[i])
+        assert c > 0 and all(Fraction(x) == c * Fraction(y) for x, y in zip(l, m)), (l, m)
+
+
 def _assert_cone_matches_reference(points):
     rays, lineality = _polar_cone(points, EXACT)
     ref_rays, ref_lineality = reference_polar_cone(points)
     assert all(type(x) is int for r, _ in rays for x in r)
     assert [(tuple(map(Fraction, r)), zs) for r, zs in rays] == ref_rays
-    assert len(lineality) == len(ref_lineality)
-    for l, m in zip(lineality, ref_lineality):
-        i = next(i for i, y in enumerate(m) if y != 0)
-        c = Fraction(l[i]) / m[i]
-        assert c > 0 and all(Fraction(x) == c * y for x, y in zip(l, m)), (l, m)
+    _assert_same_lineality(lineality, ref_lineality)
 
 
 def test_integer_double_description_matches_fraction_reference():
@@ -717,3 +753,85 @@ def test_float_double_description_matches_plain_reference():
         assert lineality == ref_lineality, pts
         flat += bool(lineality)
     assert flat >= 10
+
+
+# A 14-point 4-D float set with nudged near-repeats, a few eps apart at eps
+# 1e-9, where zero sets taken within eps are not exact faces.
+_NUDGED_4D = [
+    (3.0000000000000004e-09, -0.7093631379586193, 3.0000000000000004e-09, 1.000000002),
+    (-5e-10, 0.8121323804994113, -5e-10, 0.8722710073702075),
+    (-0.0, 0.8121323814994112, 1.0000000000001e-310, 0.8722710058702074),
+    (5e-10, -0.8121323804994113, 5e-10, -0.8722710073702075),
+    (-1e-310, 0.7093631364586193, 1e-310, -1.0),
+    (-0.0, 1.484721200676164, -1.1965900090577826, 1.3672763856250616),
+    (3.0000000000000004e-09, -0.7093631384586193, 2.5e-09, 1.0000000004999998),
+    (-0.0, 0.8121323814994112, 1.0000000000001e-310, 0.8722710058702074),
+    (1.5000000000000002e-09, -0.7093631369586193, 1.5000000000000002e-09, 1.0000000015),
+    (-0.0, -1e-300, -5e-324, -9.999999999999999e-301),
+    (-0.0, -9.999999999999999e-301, 0.9235693276581105, 5e-324),
+    (2e-09, 1.484721199676164, -1.1965900070577826, 1.3672763861250616),
+    (1e-310, -0.7093631364586193, -1e-310, 1.0),
+    (-0.0, 1.3068271362795536, 1.0, 5e-324),
+]
+
+
+def _float_rows_with_repeats(rng):
+    """Float polar-cone rows (-v, 1) of random point sets in d = 2..4, with
+    exact repeats of some rows; and the nudged 4-D set above."""
+    for trial in range(30):
+        d = 2 + trial % 3
+        pts = [tuple(rng.uniform(-2, 2) for _ in range(d)) for _ in range(rng.randint(d, d + 4))]
+        if trial % 2:
+            pts += [tuple(-x for x in v) for v in pts]
+        pts += [rng.choice(pts) for _ in range(rng.randint(1, 3))]
+        rng.shuffle(pts)
+        yield [tuple(-x for x in v) + (1.0,) for v in pts]
+    yield [tuple(-x for x in v) + (1.0,) for v in _NUDGED_4D]
+
+
+def _rational_rows_with_multiples(rng):
+    """Int rows in k = 3..5 with some rows repeated as positive multiples of
+    themselves, some of them rows of a polar cone (-W_i, L)."""
+    for trial in range(40):
+        k = 3 + trial % 3
+        rows = [tuple(rng.randint(-4, 4) for _ in range(k)) for _ in range(rng.randint(k, k + 5))]
+        if trial % 2:
+            rows = [r[:-1] + (rng.randint(1, 3),) for r in rows]
+        rows += [tuple(x * rng.randint(1, 5) for x in rng.choice(rows))
+                 for _ in range(rng.randint(1, 4))]
+        rng.shuffle(rows)
+        yield rows
+
+
+def test_hit_count_adjacency_matches_reference():
+    # The run counts the rays whose zero set contains a pair's common one;
+    # the reference skips the pair's own two zero sets by identity.
+    eps = 1e-9
+    ctx = float_context(eps)
+    for rows in _float_rows_with_repeats(random.Random(2424)):
+        rays, lineality = _double_description(rows, len(rows[0]), ctx)
+        assert (rays, lineality) == reference_double_description(rows, len(rows[0]), ctx), rows
+        assert len({zs for _, zs in rays}) == len(rays)
+    for pts in _float_lookup_sets(random.Random(1313), eps):
+        if max(abs(x) for v in pts for x in v) < 1e150:
+            assert _polar_cone(pts, ctx) == reference_polar_cone(pts, ctx), pts
+    for rows in _rational_rows_with_multiples(random.Random(2525)):
+        rays, lineality = _double_description(rows, len(rows[0]), EXACT)
+        ref_rays, ref_lineality = reference_double_description(rows, len(rows[0]))
+        assert [(tuple(map(Fraction, r)), zs) for r, zs in rays] == ref_rays, rows
+        assert len({zs for _, zs in rays}) == len(rays)
+        _assert_same_lineality(lineality, ref_lineality)
+
+
+def test_common_scale_polar_cone_matches_per_row_scaling():
+    # Rows (-W_i, L) under one scale for the whole list, against each row
+    # (-v_i, 1) scaled by the lcm of its own denominators.
+    point_sets = [p.vertices for p in _rational_balls()]
+    point_sets += [Polytope(pts, backend="rational").vertices
+                   for pts in _repeated_point_sets(random.Random(909))]
+    for pts in point_sets:
+        per_row = [tuple(integer_row([-x for x in v] + [Fraction(1)])) for v in pts]
+        rays, lineality = _polar_cone(pts, EXACT)
+        ref_rays, ref_lineality = _double_description(per_row, len(pts[0]) + 1, EXACT)
+        assert rays == ref_rays, pts
+        _assert_same_lineality(lineality, ref_lineality)
