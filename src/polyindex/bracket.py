@@ -34,8 +34,8 @@ from operator import itemgetter, mul, sub, truediv
 from typing import Mapping, Optional, Sequence
 
 from .errors import ComputationError, InputError
-from .operators import (Operator, RadiusCertificate, _orbit_pair_values, _radius_rows,
-                        _table_norm)
+from .operators import (Operator, RadiusCertificate, _in_ball_arithmetic, _orbit_pair_values,
+                        _radius_rows, _table_norm)
 from .polytope import Polytope, _double_description, evaluation_table, incidence
 from .scalars import Scalar
 
@@ -312,10 +312,12 @@ def _normalized_radius(p, op):
     breaks them. The certificate names that (vertex, facet) with the value
     v(op) / ||op||. On rationals both are ints over one scale, so the value
     is their exact quotient, and the pair the one v(op/||op||) names; on
-    floats it is one rounded division. The unit operator is op scaled by
-    1 / ||op||.
+    floats it is one rounded division. op is evaluated in the ball's
+    arithmetic (:func:`operators._in_ball_arithmetic`), and the unit
+    operator is that copy scaled by 1 / ||op||: exact on rational balls.
     """
-    values, scale = _orbit_pair_values(p, op.matrix, op.ctx.exact)
+    op = _in_ball_arithmetic(p, op)
+    values, scale = _orbit_pair_values(p, op.matrix)
     norm, _ = _table_norm(p, values, scale)
     if p.ctx.is_zero(norm):
         return None
@@ -332,14 +334,15 @@ def _search_value(p, entries) -> Optional[float]:
     0 or not finite: the largest |g_j(T v_a)| at the incident (orbit, pair)
     entries of the evaluation table over the largest at all of them.
 
-    On a rational ball T is taken exactly, so both are ints over one common
-    scale, and ``int / int`` rounds their quotient as ``float`` of a
-    ``Fraction`` does: the value is float(v) of the exact evaluation bit for
-    bit. On a float ball both are floats.
+    The float ``entries`` are converted here, once per candidate: on a
+    rational ball to ``Fraction``s, so both are ints over one common scale,
+    and ``int / int`` rounds their quotient as ``float`` of a ``Fraction``
+    does: the value is float(v) of the exact evaluation bit for bit. On a
+    float ball both are floats.
     """
     if p.ctx.exact:
         entries = [[Fraction(x) for x in row] for row in entries]
-    values, _ = _orbit_pair_values(p, entries, p.ctx.exact)
+    values, _ = _orbit_pair_values(p, entries)
     incident = evaluation_table(p).incident_pairs
     radius = max(row[j] for row, pairs in zip(values, incident) for j in pairs)
     norm = max(map(max, values))
@@ -398,8 +401,7 @@ def _search_candidates(p, witnesses, cfg: SearchConfig):
             best = (current, entries)
     if best is None:
         return []
-    backend = "rational" if p.ctx.exact else "float"
-    cert, unit = _normalized_radius(p, Operator(best[1], backend=backend))
+    cert, unit = _normalized_radius(p, Operator(best[1]))
     return [(cert.value, unit, cert)]
 
 
@@ -415,17 +417,18 @@ def upper_bound(p: Polytope, witnesses: Sequence[Operator] = (),
     first facet; on floats this is the true 1, not a rounded one.
 
     Returns (value, normalized witness, radius certificate). A provided
-    witness with norm 0 is rejected, and a ComputationError on witness k
-    is raised again with ``witness k`` in front of its message.
+    witness with norm 0 is rejected, and a ComputationError or InputError
+    on witness k is raised again with ``witness k`` in front of its
+    message.
     """
     candidates = []
     for k, w in enumerate(witnesses):
-        if w.dim != p.dim:
-            raise InputError(f"witness dimension {w.dim} does not match space dimension {p.dim}")
         try:
             result = _normalized_radius(p, w)
         except ComputationError as exc:
             raise ComputationError(f"witness {k}: {exc}") from exc
+        except InputError as exc:
+            raise InputError(f"witness {k}: {exc}") from exc
         if result is None:
             raise InputError("witness operator has norm 0")
         cert, unit = result

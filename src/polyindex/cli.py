@@ -8,6 +8,7 @@ aligned text rendering. Exit codes: 0 success, 1 computational failure,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -41,29 +42,20 @@ def _read_json(path: str, what: str):
 
 
 def _render_text(value, indent=0, out=None):
+    """Text-format lines of a dict or list; nested ones go indented below
+    their key or ``-``."""
     pad = "  " * indent
     lines = out if out is not None else []
-    if isinstance(value, dict):
-        for k, v in value.items():
-            if isinstance(v, (dict, list)) and v and not _is_flat_list(v):
-                lines.append(f"{pad}{k}:")
-                _render_text(v, indent + 1, lines)
-            else:
-                lines.append(f"{pad}{k}: {_flat(v)}")
-    elif isinstance(value, list):
-        for item in value:
-            if isinstance(item, (dict, list)) and item and not _is_flat_list(item):
-                lines.append(f"{pad}-")
-                _render_text(item, indent + 1, lines)
-            else:
-                lines.append(f"{pad}- {_flat(item)}")
-    else:
-        lines.append(f"{pad}{_flat(value)}")
+    items = ([(f"{k}:", v) for k, v in value.items()] if isinstance(value, dict)
+             else [("-", v) for v in value])
+    for label, v in items:
+        if (isinstance(v, dict) and v
+                or isinstance(v, list) and any(isinstance(x, (dict, list)) for x in v)):
+            lines.append(f"{pad}{label}")
+            _render_text(v, indent + 1, lines)
+        else:
+            lines.append(f"{pad}{label} {_flat(v)}")
     return lines
-
-
-def _is_flat_list(v):
-    return isinstance(v, list) and all(not isinstance(x, (dict, list)) for x in v)
 
 
 def _flat(v):
@@ -109,6 +101,17 @@ def _report(command: str, config: dict, results: dict) -> dict:
 
 def _vector_json(vec):
     return [scalar_to_json(x) for x in vec]
+
+
+@contextlib.contextmanager
+def _named(what: str):
+    """Raise an InputError, or a float overflow, inside again as an
+    InputError with ``what`` in front of its message."""
+    try:
+        yield
+    except (InputError, OverflowError) as exc:
+        why = exc if isinstance(exc, InputError) else "beyond the float range"
+        raise InputError(f"{what}: {why}") from exc
 
 
 def _load_polytope(args):
@@ -158,10 +161,8 @@ def _parse_point(text: str, p) -> tuple:
     parts = [t.strip() for t in text.split(",")]
     if len(parts) != p.dim:
         raise InputError(f"point: expected {p.dim} comma-separated coordinates, got {len(parts)}")
-    try:
+    with _named("point"):
         return tuple(map(p.ctx.coerce, parts))
-    except InputError as exc:
-        raise InputError(f"point: {exc}") from exc
 
 
 def cmd_radius(args) -> int:
@@ -264,16 +265,18 @@ def cmd_family(args) -> int:
             raise InputError(f"family {kind}: needs --n")
         params = {} if args.n is None else {"n": args.n}
         if args.l is not None:
-            params["l"] = float(parse_rational(args.l))
+            with _named("--l"):
+                params["l"] = float(parse_rational(args.l))
         p = family.ball(**params)
         if args.with_witness:
             witness = family.witness(**params)
     if args.height is not None:
-        h = parse_rational(args.height)
         if p.dim < 3:
             raise InputError("--height: only meaningful for prism families")
         axis = p.dim - 1
-        p = scale_coordinate(p, axis, h if p.ctx.exact else float(h))
+        with _named("--height"):
+            h = parse_rational(args.height)
+            p = scale_coordinate(p, axis, h if p.ctx.exact else float(h))
         if witness is not None:
             # Conjugated by the rescaling, the witness stays sharp.
             witness = scale_witness(witness, axis, h)

@@ -51,6 +51,17 @@ def _scalar_from_json(value, kind: str, where: str):
     return x
 
 
+def _rows(rows, dim: int, kind: str, where: str) -> list:
+    """The scalars of ``rows``, ``dim`` per row; errors name ``where[i][j]``."""
+    parsed = []
+    for i, row in enumerate(rows):
+        if not isinstance(row, list) or len(row) != dim:
+            raise InputError(f"{where}[{i}]: expected an array of length {dim}")
+        parsed.append([_scalar_from_json(x, kind, f"{where}[{i}][{j}]")
+                       for j, x in enumerate(row)])
+    return parsed
+
+
 def _check_header(doc, what: str) -> Tuple[int, str]:
     if not isinstance(doc, dict):
         raise InputError(f"{what}: expected a JSON object, got {type(doc).__name__}")
@@ -79,13 +90,7 @@ def polytope_from_document(doc, eps: Optional[float] = None) -> Tuple[Polytope, 
     verts = doc.get("vertices")
     if not isinstance(verts, list) or not verts:
         raise InputError("polytope.vertices: expected a nonempty array")
-    parsed = []
-    for i, row in enumerate(verts):
-        if not isinstance(row, list) or len(row) != dim:
-            raise InputError(f"polytope.vertices[{i}]: expected an array of length {dim}")
-        parsed.append([_scalar_from_json(x, kind, f"polytope.vertices[{i}][{j}]")
-                       for j, x in enumerate(row)])
-    p = Polytope(parsed, backend=kind, eps=eps)
+    p = Polytope(_rows(verts, dim, kind, "polytope.vertices"), backend=kind, eps=eps)
     witness = None
     if "witness" in doc and doc["witness"] is not None:
         witness = operator_from_document(doc["witness"], name="witness")
@@ -108,10 +113,4 @@ def operator_from_document(doc, name: str = "operator") -> Operator:
     matrix = doc.get("matrix")
     if not isinstance(matrix, list) or len(matrix) != dim:
         raise InputError(f"{name}.matrix: expected an array of {dim} rows")
-    parsed = []
-    for i, row in enumerate(matrix):
-        if not isinstance(row, list) or len(row) != dim:
-            raise InputError(f"{name}.matrix[{i}]: expected an array of length {dim}")
-        parsed.append([_scalar_from_json(x, kind, f"{name}.matrix[{i}][{j}]")
-                       for j, x in enumerate(row)])
-    return Operator(parsed, backend=kind)
+    return Operator(_rows(matrix, dim, kind, f"{name}.matrix"), backend=kind)

@@ -22,22 +22,22 @@ is between ints over one common denominator, and each answer is one
 ``Fraction``. On floats the same loops sum the products in the order of
 ``linalg.dot``, so each float result is the one a ``dot`` per
 (representative, pair) gives; a float ball is symmetric only up to
-rounding, and so are these maxima to the full table's. A mixed pair (a
-float operator on a rational ball, or the reverse) uses the facet
-coefficients and vertices as they are, in float arithmetic.
+rounding, and so are these maxima to the full table's. Each entry point
+takes T in the ball's arithmetic (:func:`_in_ball_arithmetic`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import ComputationError, InputError
 from .linalg import matvec, scaled_integer_rows
-from .polytope import Polytope, evaluation_table, facet_enumeration, incidence
-from .scalars import DEFAULT_EPS, Context, EXACT, Scalar, infer_exact
+from .polytope import Polytope, evaluation_table, incidence
+from .scalars import DEFAULT_EPS, Context, EXACT, Scalar, _exact_backend
 
 # The context of every float operator. It only coerces entries: the norm and
 # radius compare on the ball's context, so its tolerance is never read.
@@ -52,13 +52,7 @@ class Operator:
         d = len(matrix)
         if d == 0 or any(len(row) != d for row in matrix):
             raise InputError("operator matrix must be square and nonempty")
-        if backend is None:
-            exact = infer_exact(matrix)
-        elif backend in ("rational", "float"):
-            exact = backend == "rational"
-        else:
-            raise InputError(f"unknown backend {backend!r}")
-        self.ctx = EXACT if exact else _FLOAT
+        self.ctx = EXACT if _exact_backend(backend, matrix) else _FLOAT
         self.matrix = tuple(tuple(self.ctx.coerce(x) for x in row) for row in matrix)
         self.dim = d
 
@@ -82,8 +76,7 @@ class Operator:
 
     @classmethod
     def zero(cls, d: int, exact: bool = True) -> "Operator":
-        z = 0 if exact else 0.0
-        return cls([[z] * d for _ in range(d)], backend="rational" if exact else "float")
+        return cls([[0] * d for _ in range(d)], backend="rational" if exact else "float")
 
 
 @dataclass(frozen=True)
@@ -106,27 +99,37 @@ class ProfileRow:
     facet_index: Optional[int]
 
 
-def _orbit_pair_values(p: Polytope, matrix, exact: bool):
+def _in_ball_arithmetic(p: Polytope, op: Operator) -> Operator:
+    """op with its entries in the ball's arithmetic (``p.ctx.coerce``): on a
+    rational ball a float entry is the ``Fraction`` of its binary value, on
+    a float ball a rational entry is rounded to a float. An entry beyond the
+    float range, or a dimension other than the ball's, raises InputError."""
+    if op.dim != p.dim:
+        raise InputError(f"dimension mismatch: operator is {op.dim}x{op.dim}, "
+                         f"space has dimension {p.dim}")
+    if op.ctx.exact == p.ctx.exact:
+        return op
+    for i, j in product(range(op.dim), repeat=2):
+        try:
+            p.ctx.coerce(op.matrix[i][j])
+        except InputError:
+            raise InputError(f"operator: matrix[{i}][{j}] is beyond the float range") from None
+    return Operator(op.matrix, backend="rational" if p.ctx.exact else "float")
+
+
+def _orbit_pair_values(p: Polytope, matrix):
     """``(values, scale)``: ``values[a][j]`` is |g_j(T v_a)| for orbit a and
     facet pair j of :func:`polytope.evaluation_table`, times ``scale``, or
-    as it is when ``scale`` is None. ``matrix`` is T's matrix, of
-    ``Fraction`` entries when ``exact`` and of floats otherwise."""
-    d = len(matrix)
-    if d != p.dim:
-        raise InputError(f"dimension mismatch: operator is {d}x{d}, "
-                         f"space has dimension {p.dim}")
+    as it is when ``scale`` is None. ``matrix`` is T's matrix in the ball's
+    arithmetic and dimension (:func:`_in_ball_arithmetic`)."""
     table = evaluation_table(p)
     scale = None
-    if p.ctx.exact != exact:
-        # A mixed pair: the coefficients and vertices as they are, in floats.
-        rows, vertices = [f.coeffs for f in facet_enumeration(p)], p.vertices
-    else:
-        rows, vertices = table.facets, table.vertices
-        if p.ctx.exact:
-            matrix, op_scale = scaled_integer_rows(matrix)
-            scale = table.facet_scale * op_scale * table.vertex_scale
-    functionals = [rows[k] for k in table.pair_facets]
-    images = [[sum(map(mul, row, vertices[i])) for row in matrix] for i in table.representatives]
+    if p.ctx.exact:
+        matrix, op_scale = scaled_integer_rows(matrix)
+        scale = table.facet_scale * op_scale * table.vertex_scale
+    functionals = [table.facets[k] for k in table.pair_facets]
+    images = [[sum(map(mul, row, table.vertices[i])) for row in matrix]
+              for i in table.representatives]
     return [[abs(sum(map(mul, g, tv))) for g in functionals] for tv in images], scale
 
 
@@ -175,7 +178,7 @@ def operator_norm(p: Polytope, op: Operator):
     floats a |f(T v)| that is not finite raises ComputationError naming
     the representative (:func:`_table_norm`).
     """
-    values, scale = _orbit_pair_values(p, op.matrix, op.ctx.exact)
+    values, scale = _orbit_pair_values(p, _in_ball_arithmetic(p, op).matrix)
     norm, i = _table_norm(p, values, scale)
     return _value(norm, scale), i
 
@@ -186,7 +189,7 @@ def numerical_radius(p: Polytope, op: Operator) -> RadiusCertificate:
     The first row of :func:`radius_profile` with the largest value, so ties
     are broken by lowest (vertex index, facet index).
     """
-    values, scale = _orbit_pair_values(p, op.matrix, op.ctx.exact)
+    values, scale = _orbit_pair_values(p, _in_ball_arithmetic(p, op).matrix)
     i, best, k = max(_radius_rows(p, values), key=itemgetter(1))
     return RadiusCertificate(value=_value(best, scale), vertex_index=i, facet_index=k)
 
@@ -194,13 +197,13 @@ def numerical_radius(p: Polytope, op: Operator) -> RadiusCertificate:
 def radius_profile(p: Polytope, op: Operator) -> tuple:
     """Per-vertex table of max incident |f(T v)|, ties to the lowest facet
     index; its overall max is the radius."""
-    values, scale = _orbit_pair_values(p, op.matrix, op.ctx.exact)
+    values, scale = _orbit_pair_values(p, _in_ball_arithmetic(p, op).matrix)
     return _profile(_radius_rows(p, values), scale)
 
 
 def norm_and_profile(p: Polytope, op: Operator):
     """(norm, attaining vertex index, radius profile) off one evaluation:
     what :func:`operator_norm` and :func:`radius_profile` return."""
-    values, scale = _orbit_pair_values(p, op.matrix, op.ctx.exact)
+    values, scale = _orbit_pair_values(p, _in_ball_arithmetic(p, op).matrix)
     norm, i = _table_norm(p, values, scale)
     return _value(norm, scale), i, _profile(_radius_rows(p, values), scale)

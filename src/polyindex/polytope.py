@@ -62,7 +62,7 @@ from typing import Optional
 
 from .errors import ComputationError, InputError, ValidationError
 from .linalg import dot, rank, scaled_integer_rows, vneg, vscale, vsub
-from .scalars import Context, EXACT, Scalar, float_context, format_rational, infer_exact
+from .scalars import Context, EXACT, Scalar, _exact_backend, float_context, format_rational
 
 
 class Polytope:
@@ -90,13 +90,7 @@ class Polytope:
             raise InputError("vertices must have at least one coordinate")
         if any(len(v) != d for v in vertices):
             raise InputError("all vertices must have the same dimension")
-        if backend is None:
-            exact = infer_exact(vertices)
-        elif backend in ("rational", "float"):
-            exact = backend == "rational"
-        else:
-            raise InputError(f"unknown backend {backend!r} (expected 'rational' or 'float')")
-        self.ctx = EXACT if exact else float_context(eps)
+        self.ctx = EXACT if _exact_backend(backend, vertices) else float_context(eps)
         self.vertices = tuple(tuple(self.ctx.coerce(x) for x in v) for v in vertices)
         self.dim = d
         if permissive:

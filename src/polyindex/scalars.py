@@ -138,3 +138,13 @@ def infer_exact(values: Iterable) -> bool:
         elif isinstance(v, float):
             return False
     return True
+
+
+def _exact_backend(backend, values) -> bool:
+    """Whether ``backend`` ("rational" or "float") is exact; None infers it
+    from ``values`` (:func:`infer_exact`)."""
+    if backend is None:
+        return infer_exact(values)
+    if backend not in ("rational", "float"):
+        raise InputError(f"unknown backend {backend!r} (expected 'rational' or 'float')")
+    return backend == "rational"

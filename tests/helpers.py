@@ -459,6 +459,13 @@ def reference_half_table_value(p, matrix):
     return radius / norm
 
 
+def exact_copy(op):
+    """The rational operator whose entries are the exact values of op's:
+    the ``Fraction`` of each float's binary value."""
+    from polyindex import Operator
+    return Operator([[Fraction(x) for x in row] for row in op.matrix])
+
+
 def reference_normalized_radius(p, op):
     """(radius certificate, unit operator) of op/||op|| by two evaluations,
     or None when ||op|| is 0: the norm of op, then the numerical radius of

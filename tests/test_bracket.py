@@ -19,9 +19,9 @@ from polyindex import (ComputationError, InputError, LinearProgram, Operator, Po
                        vertex_minimax)
 from polyindex.linalg import dot, rank
 from polyindex.polytope import facet_antipode_pairs
-from helpers import (boundary_minimax_2d, random_rational_matrix, random_symmetric_polytope,
-                     reference_half_table_value, reference_normalized_radius,
-                     reference_orbit_pair_values)
+from helpers import (boundary_minimax_2d, exact_copy, random_rational_matrix,
+                     random_symmetric_polytope, reference_half_table_value,
+                     reference_normalized_radius, reference_orbit_pair_values)
 
 
 def test_hexagon_vertex_bounds_exact(hexagon):
@@ -633,13 +633,16 @@ def _normalized_radius_cases():
 
 def test_normalized_radius_matches_two_evaluations():
     for p, op in _normalized_radius_cases():
-        (cert, unit), (want, want_unit) = (bracket_module._normalized_radius(p, op),
-                                           reference_normalized_radius(p, op))
-        if p.ctx.exact and op.ctx.exact:
+        cert, unit = bracket_module._normalized_radius(p, op)
+        if p.ctx.exact:
+            # A float operator is evaluated exactly, as its exact copy.
+            want, want_unit = reference_normalized_radius(p, exact_copy(op))
             assert cert == want
             assert type(cert.value) is Fraction
             assert unit.matrix == want_unit.matrix
+            assert all(type(x) is Fraction for row in unit.matrix for x in row)
             continue
+        want, want_unit = reference_normalized_radius(p, op)
         assert math.isclose(cert.value, want.value, rel_tol=4e-15, abs_tol=0)
         assert unit.matrix == want_unit.matrix
         # The named pair is the first incident pair attaining v(op), and the
@@ -647,6 +650,24 @@ def test_normalized_radius_matches_two_evaluations():
         (norm, _), _, (radius, i, k) = reference_orbit_pair_values(p, op.matrix)
         assert (cert.vertex_index, cert.facet_index) == (i, k)
         assert cert.value == radius / norm
+
+
+@pytest.mark.parametrize("make", [bipyramid_square_prism, irregular_hexagon],
+                         ids=["bipyramid", "hexagon"])
+def test_float_witness_on_rational_ball_is_exact(make):
+    # The upper bound, its certificate and the unit witness are those of the
+    # witness's exact copy, so the witness re-evaluates to norm exactly 1.
+    p = make()
+    rng = random.Random(25)
+    for _ in range(40):
+        w = Operator([[rng.uniform(-2, 2) for _ in range(p.dim)] for _ in range(p.dim)])
+        value, unit, cert = upper_bound(p, witnesses=[w])
+        want, want_unit = reference_normalized_radius(p, exact_copy(w))
+        assert value == want.value and type(value) is Fraction
+        assert cert == want
+        assert unit.ctx.exact and unit.matrix == want_unit.matrix
+        assert operator_norm(p, unit)[0] == 1
+        assert numerical_radius(p, unit).value == value
 
 
 def test_normalized_radius_of_zero_is_none():

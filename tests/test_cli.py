@@ -341,6 +341,41 @@ def test_exit_code_1_on_operator_overflow(capsys, tmp_path, command, flag):
                    "at vertex 0\n")
 
 
+@pytest.mark.parametrize("command,flag,where", [("bound", "--witness", "witness 0: "),
+                                                ("radius", "--operator", "")])
+def test_exit_code_2_on_operator_entry_beyond_float_range(capsys, tmp_path, command, flag,
+                                                          where):
+    # On a float ball the operator is evaluated in floats, where 10^400 has
+    # no value; the error names the operator and the entry, not its digits.
+    ball, op = tmp_path / "6-gon.json", tmp_path / "w.json"
+    assert run(capsys, "family", "regular_2n_gon", "--n", "3", "-o", str(ball))[0] == 0
+    op.write_text(json.dumps({"dim": 2, "scalar": "rational",
+                              "matrix": [[1, 0], [0, "1e400"]]}))
+    code, out, err = run(capsys, command, "-i", str(ball), flag, str(op))
+    assert (code, out) == (2, "")
+    assert err == f"error: {where}operator: matrix[1][1] is beyond the float range\n"
+
+
+def test_huge_float_witness_on_rational_ball_exits_0(capsys, tmp_path, hexagon_file):
+    # In floats its images overflow; exactly, it is 1e308 times a witness of
+    # v / ||.|| = 4/5, and the unit witness is exact.
+    op = tmp_path / "w.json"
+    op.write_text(json.dumps({"dim": 2, "scalar": "float",
+                              "matrix": [[1e308, 1e308], [1e308, -1e308]]}))
+    results = run_json(capsys, "bound", "-i", hexagon_file, "--witness", str(op))["results"]
+    assert (results["lower"], results["upper"], results["status"]) == ("5/17", "4/5", "gap")
+    assert results["witness"] == {"dim": 2, "scalar": "rational",
+                                  "matrix": [["2/5", "2/5"], ["2/5", "-2/5"]]}
+
+
+@pytest.mark.parametrize("flag,value", [("--l", "1e999"), ("--height", "1e999"),
+                                        ("--height", "1e-999")])
+def test_family_parameter_beyond_float_range_exits_2(capsys, flag, value):
+    code, out, err = run(capsys, "family", "oblique_prism", "--n", "3", flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag}: "), err
+
+
 def test_exit_code_2_on_missing_file(capsys):
     code, _, err = run(capsys, "hull", "-i", "/nonexistent/nowhere.json")
     assert code == 2

@@ -201,6 +201,10 @@ def _assert_matches_reference(p, op, reference=reference_operator_values):
     assert type(cert.value) is type(radius[0])
 
 
+def _reference_of_exact_values(p, matrix):
+    return reference_operator_values(p, [[Fraction(x) for x in row] for row in matrix])
+
+
 def _assert_gauge_matches_reference(p, x):
     got, want = gauge(p, x), reference_gauge(p, x)
     assert got == want and type(got) is type(want)
@@ -225,8 +229,10 @@ def test_operators_match_brute_force_on_random_balls(seed, dim):
     ]
     for m in matrices:
         _assert_matches_reference(p, Operator(m))
-        # A float operator on a rational ball keeps the float arithmetic.
-        _assert_matches_reference(p, Operator([[float(x) for x in row] for row in m]))
+        # A float operator on a rational ball is evaluated exactly, on the
+        # Fractions of its binary entries.
+        _assert_matches_reference(p, Operator([[float(x) for x in row] for row in m]),
+                                  reference=_reference_of_exact_values)
     points = [tuple(u), tuple(rng.randint(-3, 3) for _ in range(dim)), p.vertices[0],
               (0,) * dim, (float(u[0]),) + tuple(u[1:])]
     for x in points:
@@ -266,13 +272,15 @@ def test_float_results_equal_dot_products(make):
 
 def test_mixed_backend_values_pinned(hexagon):
     # `polyindex radius --operator` can pair a rational ball with a float
-    # operator; these are the values of float arithmetic on the rational
-    # coefficients.
+    # operator; it is evaluated in the ball's exact arithmetic, on the
+    # Fractions of its binary entries (0.3 is not 3/10).
     op = Operator([[0.3, -1.25], [0.5, 2.0]])
+    want = Fraction(314351253990460621, 90071992547409920)
     norm, vertex = operator_norm(hexagon, op)
-    assert (norm, vertex) == (3.4899999999999998, 1) and type(norm) is float
+    assert (norm, vertex) == (want, 1) and type(norm) is Fraction
     cert = numerical_radius(hexagon, op)
-    assert (cert.value, cert.vertex_index, cert.facet_index) == (3.4899999999999998, 1, 2)
+    assert (cert.value, cert.vertex_index, cert.facet_index) == (want, 1, 2)
+    assert type(cert.value) is Fraction
     op = Operator([[Fraction(1, 3), Fraction(-5, 4)], [Fraction(1, 2), 2]])
     assert operator_norm(hexagon, op) == (Fraction(209, 60), 1)
     cert = numerical_radius(hexagon, op)
