@@ -30,10 +30,12 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import itemgetter, mul, sub, truediv
 from typing import Mapping, Optional, Sequence
 
 from .errors import ComputationError, InputError
+from .linalg import column_dots
 from .operators import (Operator, RadiusCertificate, _in_ball_arithmetic, _orbit_pair_values,
                         _radius_rows, _table_norm)
 from .polytope import Polytope, _double_description, evaluation_table, incidence
@@ -87,21 +89,24 @@ class IndexBracket:
 
 
 def _bound_rows(p: Polytope) -> tuple:
-    """The facet rows the vertex bounds read: (rows, sphere, scale, s).
+    """The facet rows the vertex bounds read: (rows, sphere, scale, s, columns).
 
     ``rows[r]`` is the row of facet functional f_r and ``scale`` its
     common scale: on rationals the evaluation table's ints F_r = L_F f_r
     with scale L_F, on floats s f_r with scale 1. ``sphere`` holds the
-    first facet k of each antipodal pair, in ascending order. ``s`` is 1 on
-    rationals; on floats it is the largest power of two not above the
-    largest vertex coordinate in absolute value (see
-    :func:`vertex_minimax`).
+    first facet k of each antipodal pair, in ascending order, and
+    ``columns`` their rows' columns. ``s`` is 1 on rationals; on floats it is
+    the largest power of two not above the largest vertex coordinate in
+    absolute value (see :func:`vertex_minimax`).
     """
     ev = evaluation_table(p)
     if p.ctx.exact:
-        return ev.facets, ev.pair_facets, ev.facet_scale, 1
-    s = math.ldexp(0.5, math.frexp(max(abs(x) for v in p.vertices for x in v))[1])
-    return tuple(tuple(s * x for x in f) for f in ev.facets), ev.pair_facets, 1, s
+        rows, scale, s = ev.facets, ev.facet_scale, 1
+    else:
+        s = math.ldexp(0.5, math.frexp(max(abs(x) for v in p.vertices for x in v))[1])
+        rows, scale = tuple(tuple(s * x for x in f) for f in ev.facets), 1
+    columns = tuple(zip(*[rows[k] for k in ev.pair_facets]))
+    return rows, ev.pair_facets, scale, s, columns
 
 
 def vertex_minimax(p: Polytope, vertex_index: int,
@@ -136,7 +141,9 @@ def vertex_minimax(p: Polytope, vertex_index: int,
     g_k per antipodal facet pair (k, k'), so the value is the least
     (t / |g_k(u)|, k) over the kept rays (u, t) and the facets k: at each
     ray the first k that attains ||u||, across the rays the first least
-    pair. The minimizer u / g_k(u) has g_k = 1 and norm 1, so it lies on
+    pair. A ray's g_k(u) are one :func:`linalg.column_dots` over the
+    columns of the sphere's facet rows, built once per :func:`lower_bound`
+    call. The minimizer u / g_k(u) has g_k = 1 and norm 1, so it lies on
     the sphere, on facet k. This is also the least (value, facet index)
     of the minimum of phi over each facet of the sphere: if x on facet
     k'' attains the value, then x / phi(x) is a point of Q_v of largest
@@ -144,8 +151,10 @@ def vertex_minimax(p: Polytope, vertex_index: int,
     too, and k <= k''.
 
     On rationals the rows are the evaluation table's ints, (-F_r, L_F) and
-    (F_r, L_F), so every ray is an int vector, and the value and each
-    coordinate of the minimizer are one ``Fraction``. On floats they are
+    (F_r, L_F), so every ray is an int vector; rays are compared by
+    cross-multiplying positive ints, and the value and each coordinate of
+    the minimizer are one ``Fraction``, built once, for the least ray. On
+    floats they are
     (-s f_r, 1) and (s f_r, 1), where s is the largest power of two not
     above the largest vertex coordinate in absolute value; the vertex of
     Q_v is then s u / t. The double description compares against an
@@ -200,7 +209,7 @@ def _parallelotope_rays(p, bound_rows, vertex_index, facets):
     the ball's edges at the vertex (see :func:`vertex_minimax`); None when
     the facets other than some f_j have no single other vertex in common,
     or c for its edge is not a positive finite number."""
-    rows, _, scale, s = bound_rows
+    rows, _, scale, s, _ = bound_rows
     if p.ctx.exact:
         ev = evaluation_table(p)
         point, vertex_scale = ev.vertices.__getitem__, ev.vertex_scale
@@ -235,7 +244,7 @@ def _parallelotope_rays(p, bound_rows, vertex_index, facets):
 def _enumerated_rays(p, bound_rows, vertex_index, chosen):
     """Q_v's kept rays (u, t) for the ``chosen`` facets, read off one double
     description (see :func:`vertex_minimax`)."""
-    rows, _, scale, _ = bound_rows
+    rows, _, scale, _, _ = bound_rows
     cone = []
     for r in chosen:
         cone += [tuple(-a for a in rows[r]) + (scale,), tuple(rows[r]) + (scale,)]
@@ -252,8 +261,8 @@ def _enumerated_rays(p, bound_rows, vertex_index, chosen):
 
 
 def _vertex_minimax(p, bound_rows, vertex_index, subset) -> VertexBound:
-    ctx = p.ctx
-    rows, sphere, scale, s = bound_rows
+    exact = p.ctx.exact
+    _, sphere, scale, s, columns = bound_rows
     incident = incidence(p).vertex_to_facets[vertex_index]
     if subset is None:
         chosen = incident
@@ -270,19 +279,24 @@ def _vertex_minimax(p, bound_rows, vertex_index, subset) -> VertexBound:
     if rays is None:
         rays = _enumerated_rays(p, bound_rows, vertex_index, chosen)
 
-    div = Fraction if ctx.exact else truediv
-    best = None
+    div = Fraction if exact else truediv
+    best = None  # (t, m, j, u, g_j(u)) of the least ray so far; its value is t * scale / m
     for u, t in rays:
-        dots = [sum(map(mul, rows[k], u)) for k in sphere]
-        j = max(range(len(dots)), key=lambda j: abs(dots[j]))  # the first largest
-        value = div(t * scale, abs(dots[j]))
-        if best is None or (value, sphere[j]) < best[:2]:
-            best = (value, sphere[j], u, dots[j])
+        dots = list(column_dots(columns, map(repeat, u)))
+        sizes = list(map(abs, dots))
+        m = max(sizes)
+        j = sizes.index(m)  # the first largest; sphere is ascending, so j orders as k
+        # (t * scale / m, j) against the best's; on rationals t, m and scale
+        # are positive ints, so no Fraction is needed.
+        if best is None or ((t * best[1], j) < (best[0] * m, best[2]) if exact else
+                            (t * scale / m, j) < (best[0] * scale / best[1], best[2])):
+            best = (t, m, j, u, dots[j])
 
-    value, facet_k, u, g = best
+    t, m, j, u, g = best
     return VertexBound(vertex_index=vertex_index,
                        antipode_index=p.antipode_index(vertex_index),
-                       value=value, functional_indices=chosen, sphere_facet_index=facet_k,
+                       value=div(t * scale, m), functional_indices=chosen,
+                       sphere_facet_index=sphere[j],
                        minimizer=tuple(div(c * scale, g) * s for c in u))
 
 
@@ -334,18 +348,15 @@ def _search_value(p, entries) -> Optional[float]:
     0 or not finite: the largest |g_j(T v_a)| at the incident (orbit, pair)
     entries of the evaluation table over the largest at all of them.
 
-    The float ``entries`` are converted here, once per candidate: on a
-    rational ball to ``Fraction``s, so both are ints over one common scale,
-    and ``int / int`` rounds their quotient as ``float`` of a ``Fraction``
-    does: the value is float(v) of the exact evaluation bit for bit. On a
-    float ball both are floats.
+    On a rational ball the float ``entries`` are scaled straight to ints
+    (:func:`linalg.scaled_integer_row`), at their exact values, so both
+    maxima are ints over one common scale, and ``int / int`` rounds their
+    quotient as ``float`` of a ``Fraction`` does: the value is float(v) of
+    the exact evaluation bit for bit. On a float ball both are floats.
     """
-    if p.ctx.exact:
-        entries = [[Fraction(x) for x in row] for row in entries]
     values, _ = _orbit_pair_values(p, entries)
-    incident = evaluation_table(p).incident_pairs
-    radius = max(row[j] for row, pairs in zip(values, incident) for j in pairs)
-    norm = max(map(max, values))
+    radius = max(map(values.__getitem__, evaluation_table(p).incident_entries))
+    norm = max(values)
     if p.ctx.is_zero(norm) or not norm < math.inf:
         return None
     return radius / norm
@@ -367,7 +378,12 @@ def _search_candidates(p, witnesses, cfg: SearchConfig):
     rng = random.Random(cfg.seed)
     d = p.dim
 
-    starts = [[list(map(float, row)) for row in w.matrix] for w in witnesses]
+    starts = []
+    for w in witnesses:
+        try:
+            starts.append([list(map(float, row)) for row in w.matrix])
+        except OverflowError:
+            continue  # no float start; upper_bound evaluates the witness exactly
     while len(starts) < _STARTS:
         starts.append([[rng.uniform(-1, 1) for _ in range(d)] for _ in range(d)])
 

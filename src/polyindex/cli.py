@@ -68,16 +68,18 @@ def _json(value, pad="\n") -> str:
     """``json.dumps(value, indent=2)`` for a document with string keys.
 
     ``json.dumps`` with ``indent`` runs the pure-Python encoder, which leaves
-    a reference cycle per call; here it only sees the leaves that are
-    neither an int nor a str (bools, floats, None). An int or a str is
-    written as ``json.dumps`` writes it: ``int.__repr__`` and the ASCII
-    string encoder.
+    a reference cycle per call; here it only sees bools, None and the
+    floats that are not finite. An int, a str or a finite float is written
+    as ``json.dumps`` writes it: ``int.__repr__``, the ASCII string encoder
+    and ``float.__repr__``.
     """
     kind = type(value)
     if kind is int:
         return int.__repr__(value)
     if kind is str:
         return encode_basestring_ascii(value)
+    if kind is float and math.isfinite(value):
+        return float.__repr__(value)
     inner = pad + "  "
     if isinstance(value, dict) and value:
         items = [f"{inner}{encode_basestring_ascii(k)}: {_json(v, inner)}"
@@ -162,7 +164,8 @@ def _parse_point(text: str, p) -> tuple:
     if len(parts) != p.dim:
         raise InputError(f"point: expected {p.dim} comma-separated coordinates, got {len(parts)}")
     with _named("point"):
-        return tuple(map(p.ctx.coerce, parts))
+        coords = [parse_rational(t) for t in parts]
+        return tuple(coords if p.ctx.exact else map(float, coords))
 
 
 def cmd_radius(args) -> int:

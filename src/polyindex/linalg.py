@@ -1,9 +1,13 @@
 """Small dense linear algebra over either scalar backend: dot products,
 matrix-vector products, and the rank of a matrix.
 
-Vectors are tuples, matrices tuples of row tuples. Dimensions here are
-tiny (2 to 5), so :func:`rank` is plain Gaussian elimination with exact
-pivoting on the rational backend and max-magnitude pivoting on floats.
+Vectors are tuples, matrices tuples of row tuples. :func:`dot` adds its
+products left to right, one rounding per float addition on every Python
+version (``sum`` compensates float sums from 3.12 on), and
+:func:`column_dots` makes many such dot products in ``map`` passes.
+Dimensions here are tiny (2 to 5), so :func:`rank` is plain Gaussian
+elimination with exact pivoting on the rational backend and max-magnitude
+pivoting on floats.
 There is no linear solve: every built-in witness operator is written down
 in closed form (:mod:`polyindex.families`).
 
@@ -20,6 +24,9 @@ eliminating, and the entries stay small. The simplex of
 from __future__ import annotations
 
 import math
+from functools import reduce
+from itertools import repeat
+from operator import add, mul
 
 from .errors import InputError
 from .scalars import Context
@@ -28,7 +35,20 @@ from .scalars import Context
 def dot(a, b):
     if len(a) != len(b):
         raise InputError(f"dimension mismatch: {len(a)} vs {len(b)}")
-    return sum(x * y for x, y in zip(a, b))
+    return reduce(add, map(mul, a, b), 0)
+
+
+def column_dots(left, right):
+    """Iterator over the dot products of matching rows of two matrices given
+    by their columns (iterables, such as ``repeat(x)`` for a constant; the
+    shortest ends it): one ``map`` pass per product column and per
+    addition, the products and sums of :func:`dot` in its order. Only the
+    sign of a zero sum can differ, as :func:`dot` starts from 0."""
+    terms = map(map, repeat(mul), left, right)
+    total = next(terms)
+    for term in terms:
+        total = map(add, total, term)
+    return total
 
 
 def vsub(a, b):
@@ -63,20 +83,24 @@ def _pivot_row(rows, col, start, ctx):
 
 
 def scaled_integer_row(values) -> tuple:
-    """``(ints, scale)``: the Fractions ``values`` times ``scale``, the lcm of
-    their denominators, as a row of ints; ``values[i] == ints[i] / scale``."""
+    """``(ints, scale)``: ``values`` times ``scale``, the lcm of their
+    denominators, as a row of ints; ``values[i] == ints[i] / scale``.
+
+    Values are read through ``as_integer_ratio()``: ints, Fractions and
+    finite floats may mix, and a float gives the ints and scale of its
+    ``Fraction``, without building one."""
     # Lists, not generators, go to lcm and gcd here and in eliminate: CPython
     # parks the argument tuple of a generator call in a free list of its
     # resized length, and those free lists grow with every call.
-    dens = [x.denominator for x in values]
-    scale = math.lcm(*dens)
-    return [x.numerator * (scale // d) for x, d in zip(values, dens)], scale
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = math.lcm(*[d for _, d in ratios])
+    return [n * (scale // d) for n, d in ratios], scale
 
 
 def scaled_integer_rows(rows) -> tuple:
-    """``(int rows, scale)``: every row of the rectangular Fraction matrix
-    ``rows`` times one common scale, the lcm of all their denominators, as a
-    tuple of int tuples."""
+    """``(int rows, scale)``: every row of the rectangular matrix ``rows``
+    (values as :func:`scaled_integer_row` takes them) times one common
+    scale, the lcm of all their denominators, as a tuple of int tuples."""
     flat, scale = scaled_integer_row([x for row in rows for x in row])
     d = len(rows[0])
     return tuple(tuple(flat[i:i + d]) for i in range(0, len(flat), d)), scale

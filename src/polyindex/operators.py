@@ -8,34 +8,39 @@ the results are exact on the rational backend.
 
 One evaluator, :func:`_orbit_pair_values`, computes |g_j(T v_a)| for each
 antipodal vertex orbit a and antipodal facet pair j of the ball's
-evaluation table (:func:`polytope.evaluation_table`). The norm
-(:func:`_table_norm`, every entry) and the radius (:func:`_radius_rows`,
-the incident entries) each read a given table, so one evaluation serves
-both: :func:`norm_and_profile` for the ``radius`` command, and the upper
-bound and search of :mod:`polyindex.bracket`, which read v(T) / ||T||
-off one table per operator. The ball is
-symmetric, |f(T(-v))| = |f(T v)| = |(-f)(T v)|, so on rationals these are
-the full table's maxima, first attained at an orbit representative (the
-smaller index of its pair). A rational T is scaled once to ints,
-M = L_T T, and g_j(T v_a) = G_j . M W_a / (L_F L_T L_W): every comparison
-is between ints over one common denominator, and each answer is one
-``Fraction``. On floats the same loops sum the products in the order of
-``linalg.dot``, so each float result is the one a ``dot`` per
-(representative, pair) gives; a float ball is symmetric only up to
-rounding, and so are these maxima to the full table's. Each entry point
-takes T in the ball's arithmetic (:func:`_in_ball_arithmetic`).
+evaluation table (:func:`polytope.evaluation_table`), as one flat list
+with entry a * J + j for J pairs. The norm (:func:`_table_norm`, every
+entry) and the radius (:func:`_radius_rows`, the incident entries) each
+read a given table, so one evaluation serves both:
+:func:`norm_and_profile` for the ``radius`` command, and the upper bound
+and search of :mod:`polyindex.bracket`, which read v(T) / ||T|| off one
+table per operator. The ball is symmetric,
+|f(T(-v))| = |f(T v)| = |(-f)(T v)|, so on rationals these are the full
+table's maxima, first attained at an orbit representative (the smaller
+index of its pair). A rational T is scaled once to ints, M = L_T T, and
+g_j(T v_a) = G_j . M W_a / (L_F L_T L_W): every comparison is between
+ints over one common denominator, and each answer is one ``Fraction``.
+
+The table is filled column by column (:func:`linalg.column_dots`): a few
+``map`` passes over the table's vertex and pair columns, with no Python
+loop per entry. Each entry gets the products and sums of one
+``linalg.dot`` per image coordinate and per pairing, in its order, so the
+ints are those of a ``dot`` per (representative, pair), and so are the
+floats, bit for bit, after the final ``abs``. A float ball is symmetric
+only up to rounding, and so are these maxima to the full table's. Each
+entry point takes T in the ball's arithmetic (:func:`_in_ball_arithmetic`).
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from operator import itemgetter, mul
+from itertools import product, repeat
+from operator import itemgetter
 from typing import Optional
 
 from .errors import ComputationError, InputError
-from .linalg import matvec, scaled_integer_rows
+from .linalg import column_dots, matvec, scaled_integer_rows
 from .polytope import Polytope, evaluation_table, incidence
 from .scalars import DEFAULT_EPS, Context, EXACT, Scalar, _exact_backend
 
@@ -118,19 +123,24 @@ def _in_ball_arithmetic(p: Polytope, op: Operator) -> Operator:
 
 
 def _orbit_pair_values(p: Polytope, matrix):
-    """``(values, scale)``: ``values[a][j]`` is |g_j(T v_a)| for orbit a and
-    facet pair j of :func:`polytope.evaluation_table`, times ``scale``, or
-    as it is when ``scale`` is None. ``matrix`` is T's matrix in the ball's
-    arithmetic and dimension (:func:`_in_ball_arithmetic`)."""
+    """``(values, scale)``: the flat list whose entry a * J + j is
+    |g_j(T v_a)| for orbit a and facet pair j of
+    :func:`polytope.evaluation_table` (J pairs), times ``scale``, or as it
+    is when ``scale`` is None. ``matrix`` is T's matrix in the ball's
+    arithmetic and dimension (:func:`_in_ball_arithmetic`); on a rational
+    ball its entries may also be floats, taken at their exact values
+    (:func:`linalg.scaled_integer_row`). Each coordinate of the images
+    T v_a is one :func:`linalg.column_dots` over the table's vertex
+    columns, spread to the flat layout, and the pairings are one over the
+    pair columns."""
     table = evaluation_table(p)
     scale = None
     if p.ctx.exact:
         matrix, op_scale = scaled_integer_rows(matrix)
         scale = table.facet_scale * op_scale * table.vertex_scale
-    functionals = [table.facets[k] for k in table.pair_facets]
-    images = [[sum(map(mul, row, table.vertices[i])) for row in matrix]
-              for i in table.representatives]
-    return [[abs(sum(map(mul, g, tv))) for g in functionals] for tv in images], scale
+    images = [table.spread(list(column_dots(map(repeat, row), table.vertex_columns)))
+              for row in matrix]
+    return list(map(abs, column_dots(table.pair_columns, images))), scale
 
 
 def _value(x, scale):
@@ -138,31 +148,34 @@ def _value(x, scale):
 
 
 def _table_norm(p: Polytope, values, scale):
-    """(largest entry of ``values``, as it is, and the first orbit
-    representative attaining it). On floats (``scale`` None) an entry that
-    is not finite (T v or its pairing overflowed) raises ComputationError
-    naming the representative: the norm would be inf, and T/||T|| the zero
-    operator."""
-    reps = evaluation_table(p).representatives
+    """(largest entry of ``values``, as it is, and the orbit representative
+    of its first entry). On floats (``scale`` None) an entry that is not
+    finite (T v or its pairing overflowed) raises ComputationError naming
+    the representative of the first such entry: the norm would be inf, and
+    T/||T|| the zero operator."""
+    table = evaluation_table(p)
+    n_pairs = len(table.pair_facets)
     if scale is None:
-        for i, row in zip(reps, values):
-            if not all(map(math.isfinite, row)):
-                raise ComputationError(f"operator norm: |f(T v)| is not finite at vertex {i}")
-    norms = [max(row) for row in values]
-    a = max(range(len(norms)), key=norms.__getitem__)
-    return norms[a], reps[a]
+        finite = list(map(math.isfinite, values))
+        if not all(finite):
+            i = table.representatives[finite.index(False) // n_pairs]
+            raise ComputationError(f"operator norm: |f(T v)| is not finite at vertex {i}")
+    norm = max(values)
+    return norm, table.representatives[values.index(norm) // n_pairs]
 
 
 def _radius_rows(p: Polytope, values) -> list:
     """Per vertex (index, max incident entry of ``values`` as it is, its
     facet), ties to the lowest facet index: vertex i reads its orbit's
-    values at the pairs of its facets."""
+    entries at the pairs of its facets."""
     table = evaluation_table(p)
+    n_pairs, pair_of = len(table.pair_facets), table.pair_of
     rows = []
     for i, facets in enumerate(incidence(p).vertex_to_facets):
-        row = values[table.orbit_of[i]]
-        k = max(facets, key=lambda k: row[table.pair_of[k]])
-        rows.append((i, row[table.pair_of[k]], k))
+        base = table.orbit_of[i] * n_pairs
+        incident = [values[base + pair_of[k]] for k in facets]
+        best = max(incident)
+        rows.append((i, best, facets[incident.index(best)]))
     return rows
 
 

@@ -45,7 +45,8 @@ maximum over many of them is an int comparison; a ``Fraction`` is built
 once per answer. On floats it holds
 the coefficient tuples and vertices as they are. It also indexes the
 ball's symmetry: one representative per antipodal vertex orbit, one facet
-per antipodal facet pair, and which pairs each orbit meets. The operator
+per antipodal facet pair, and which pairs each orbit meets, in the
+columns an operator's flat table of values is computed from. The operator
 norm, numerical radius and local search of :mod:`polyindex.operators` and
 :mod:`polyindex.bracket`, and the vertex bounds of the lower bound, read it.
 """
@@ -57,7 +58,7 @@ from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import mul
+from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import ComputationError, InputError, ValidationError
@@ -209,8 +210,16 @@ class EvaluationTable:
     Orbit a is vertex ``representatives[a]``, the smaller index of its
     antipodal pair, and its antipode; pair j is facet ``pair_facets[j]``,
     the smaller index, and its antipodal facet. ``orbit_of[i]`` is vertex
-    i's orbit, ``pair_of[k]`` facet k's pair, and ``incident_pairs[a]`` the
-    pairs, ascending, with a facet through the vertices of orbit a.
+    i's orbit and ``pair_of[k]`` facet k's pair.
+
+    With A orbits and J pairs, an operator's values |g_j(T v_a)| form one
+    flat list, entry a * J + j (:func:`operators._orbit_pair_values`).
+    ``vertex_columns[c]`` holds coordinate c of the representatives' rows,
+    and ``pair_columns[c]`` coefficient c of the pairs' first facet rows,
+    repeated A times, so its entry a * J + j is pair j's. ``spread`` takes
+    A values, one per orbit, to the A * J with entry a * J + j value a.
+    ``incident_entries`` are the entries a * J + j, ascending, where pair j
+    has a facet through the vertices of orbit a.
     """
 
     facets: tuple
@@ -221,7 +230,10 @@ class EvaluationTable:
     pair_facets: tuple
     orbit_of: tuple
     pair_of: tuple
-    incident_pairs: tuple
+    vertex_columns: tuple
+    pair_columns: tuple
+    spread: object
+    incident_entries: tuple
 
 
 @dataclass(frozen=True)
@@ -625,9 +637,18 @@ def evaluation_table(p: Polytope) -> EvaluationTable:
         for j, (k, k2) in enumerate(pairs):
             pair_of[k] = pair_of[k2] = j
         v2f = incidence(p).vertex_to_facets
-        incident = tuple(tuple(sorted({pair_of[k] for k in v2f[i]})) for i in reps)
+        n_pairs = len(pairs)
+        incident = tuple(a * n_pairs + j for a, i in enumerate(reps)
+                         for j in sorted({pair_of[k] for k in v2f[i]}))
+        vertex_rows, facet_rows = [rows[2][i] for i in reps], [rows[0][k] for k, _ in pairs]
+        orbits = [a for a in range(len(reps)) for _ in range(n_pairs)]
+        # itemgetter of one index returns the item, not a 1-tuple; with one
+        # orbit and one pair there is nothing to spread.
+        spread = itemgetter(*orbits) if len(orbits) > 1 else tuple
         p._table = EvaluationTable(*rows, reps, tuple(k for k, _ in pairs), tuple(orbit_of),
-                                   tuple(pair_of), incident)
+                                   tuple(pair_of), tuple(zip(*vertex_rows)),
+                                   tuple(column * len(reps) for column in zip(*facet_rows)),
+                                   spread, incident)
     return p._table
 
 

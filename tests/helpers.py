@@ -442,6 +442,20 @@ def reference_orbit_pair_values(p, matrix):
     return _reference_maxima(p, value)
 
 
+def reference_flat_values(p, matrix):
+    """The values :func:`reference_orbit_pair_values` reads, as one flat
+    list: entry a * J + j is ``abs(dot(g_j, matvec(matrix, v_a)))`` for
+    orbit representative a and the first facet g_j of facet pair j, with
+    ``matrix`` as given (Fractions on a rational ball)."""
+    from polyindex import facet_enumeration
+    from polyindex.linalg import dot, matvec
+    from polyindex.polytope import facet_antipode_pairs
+    facets = facet_enumeration(p)
+    pairs = facet_antipode_pairs(p)
+    return [abs(dot(facets[k].coeffs, matvec(matrix, p.vertices[i])))
+            for i in p.orbit_representatives() for k, _ in pairs]
+
+
 def reference_gauge(p, x):
     """max |f(x)| over the facet functionals, one ``linalg.dot`` each."""
     from polyindex import facet_enumeration

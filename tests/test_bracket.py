@@ -280,6 +280,55 @@ def test_vertex_bounds_match_every_facet_lp_on_random_balls():
             _check_vertex_bound(p, facets, i, None)
 
 
+def _first_least_ray(p, i, chosen):
+    """((value, sphere facet, minimizer), ties) at vertex i over the
+    ``chosen`` facets, from Q_v's kept rays (u, t) in their order: the first
+    ray with the least (t / |g_k(u)|, k), k its first largest sphere facet,
+    one ``Fraction`` and one ``linalg.dot`` per ray and facet; ``ties`` is
+    how many rays share that least pair."""
+    facets = facet_enumeration(p)
+    sphere = [k for k, _ in facet_antipode_pairs(p)]
+    bound_rows = bracket_module._bound_rows(p)
+    rays = None
+    if chosen == incidence(p).vertex_to_facets[i] and len(chosen) == p.dim:
+        rays = bracket_module._parallelotope_rays(p, bound_rows, i, chosen)
+    if rays is None:
+        rays = bracket_module._enumerated_rays(p, bound_rows, i, chosen)
+    keyed = []
+    for u, t in rays:
+        dots = [dot(facets[k].coeffs, u) for k in sphere]
+        j = max(range(len(dots)), key=lambda j: abs(dots[j]))
+        keyed.append(((Fraction(t) / abs(dots[j]), sphere[j]), tuple(c / dots[j] for c in u)))
+    least = min(key for key, _ in keyed)
+    minimizer = next(x for key, x in keyed if key == least)
+    return least + (minimizer,), sum(key == least for key, _ in keyed)
+
+
+def test_exact_vertex_bound_keeps_the_first_ray_on_a_tie(square):
+    # At (1, 1) both kept rays of Q_v, v and v - 2 b_2, have norm 1, first
+    # attained on facet 0 (x = -1): the minimizer comes from the first ray,
+    # (-1, -1), not (-1, 1). Reordering the functionals runs the double
+    # description, with a tie of its own.
+    incident = incidence(square).vertex_to_facets[0]
+    for chosen in (incident, incident[::-1]):
+        want, ties = _first_least_ray(square, 0, chosen)
+        assert ties == 2
+        e = vertex_minimax(square, 0, subset=chosen)
+        assert (e.value, e.sphere_facet_index, e.minimizer) == want
+    assert vertex_minimax(square, 0).minimizer == (-1, -1)
+    rng = random.Random(26)
+    balls = [irregular_hexagon(), bipyramid_square_prism(), _cube4(), _cross4()]
+    balls += [random_symmetric_polytope(rng, 2 + k % 3, n_pairs=4 + k % 3) for k in range(12)]
+    for p in balls:
+        v2f = incidence(p).vertex_to_facets
+        for i in p.orbit_representatives():
+            for chosen in (v2f[i], v2f[i][::-1]):
+                e = vertex_minimax(p, i, subset=chosen)
+                want, _ = _first_least_ray(p, i, chosen)
+                assert (e.value, e.sphere_facet_index, e.minimizer) == want
+                assert type(e.value) is Fraction
+
+
 def test_lower_bound_work_counts(monkeypatch):
     pairings, runs = [], []
     real_pairs, real_simplex = polytope_module.facet_antipode_pairs, linprog_module._simplex

@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import random
 import subprocess
@@ -368,6 +369,22 @@ def test_huge_float_witness_on_rational_ball_exits_0(capsys, tmp_path, hexagon_f
                                   "matrix": [["2/5", "2/5"], ["2/5", "-2/5"]]}
 
 
+def test_search_skips_a_witness_start_beyond_the_float_range(capsys, tmp_path, hexagon_file):
+    # float(10^400) overflows, so the witness gives the search no start; the
+    # bound still evaluates it exactly (upper 1, as without the search), and
+    # the search runs from the same random starts as with no witness.
+    op = tmp_path / "w.json"
+    op.write_text(json.dumps({"dim": 2, "scalar": "rational",
+                              "matrix": [["1e400", "0"], ["0", "1"]]}))
+    plain = run_json(capsys, "bound", "-i", hexagon_file, "--witness", str(op))["results"]
+    assert Fraction(plain["upper"]) == 1
+    searched = run_json(capsys, "bound", "--search", "10", "-i", hexagon_file,
+                        "--witness", str(op))["results"]
+    alone = run_json(capsys, "bound", "--search", "10", "-i", hexagon_file)["results"]
+    assert searched["upper"] == alone["upper"]
+    assert Fraction(searched["upper"]) <= Fraction(plain["upper"])
+
+
 @pytest.mark.parametrize("flag,value", [("--l", "1e999"), ("--height", "1e999"),
                                         ("--height", "1e-999")])
 def test_family_parameter_beyond_float_range_exits_2(capsys, flag, value):
@@ -433,6 +450,25 @@ def test_norm_rejects_a_point_that_is_not_a_finite_float(capsys, hexagon_float_f
     code, out, err = run(capsys, "norm", "-i", hexagon_float_file, "--point", point)
     assert (code, out) == (2, "")
     assert err.startswith("error: point: "), err
+
+
+def test_norm_takes_a_rational_point_on_a_float_ball(capsys, hexagon_float_file):
+    # The point is parsed as rationals, then rounded to the ball's floats.
+    half = run_json(capsys, "norm", "-i", hexagon_float_file, "--point", "1/2,0")
+    assert half == run_json(capsys, "norm", "-i", hexagon_float_file, "--point", "0.5,0")
+    assert half["results"]["point"] == [0.5, 0.0]
+
+
+_LEAVES = (st.none() | st.booleans() | st.integers() | st.text()
+           | st.floats(allow_nan=True, allow_infinity=True)
+           | st.sampled_from([-0.0, 5e-324, 1e308, math.nan, math.inf, -math.inf]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                        | st.dictionaries(st.text(), inner, max_size=4), max_leaves=20))
+def test_json_writes_what_json_dumps_writes(doc):
+    assert cli._json(doc) == json.dumps(doc, indent=2)
 
 
 @pytest.fixture

@@ -1,16 +1,18 @@
 import math
 import random
+import struct
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import polyindex.operators as operators_module
 from polyindex import (InputError, Operator, Polytope, facet_enumeration,
                        gauge, numerical_radius, oblique_prism, operator_norm,
                        polygon_witness_operator, prism_witness_operator,
                        pyramid_witness_operator, radius_profile, regular_2n_gon)
-from helpers import (random_rational_matrix, random_symmetric_polytope, reference_gauge,
-                     reference_operator_values, reference_orbit_pair_values)
+from helpers import (random_rational_matrix, random_symmetric_polytope, reference_flat_values,
+                     reference_gauge, reference_operator_values, reference_orbit_pair_values)
 
 
 def test_identity_norm_and_radius(hexagon):
@@ -201,6 +203,56 @@ def _assert_matches_reference(p, op, reference=reference_operator_values):
     assert type(cert.value) is type(radius[0])
 
 
+def _float_bits(values):
+    return [struct.pack("<d", x) for x in values]
+
+
+def _assert_flat_table_is_dots(p, matrix):
+    """The flat table of ``matrix`` (in the ball's arithmetic, or floats on a
+    rational ball) holds, at entry a * J + j, the value of one ``linalg.dot``
+    per image coordinate and per pairing: the same ints over the table's
+    scale on a rational ball, the same float bits on a float ball."""
+    values, scale = operators_module._orbit_pair_values(p, matrix)
+    if scale is None:
+        assert _float_bits(values) == _float_bits(reference_flat_values(p, matrix))
+    else:
+        want = reference_flat_values(p, [[Fraction(x) for x in row] for row in matrix])
+        assert all(type(x) is int for x in values)
+        assert values == [x * scale for x in want]
+
+
+_SPECIAL = (-0.0, 0.0, 5e-324, -5e-324, 1e-310, -2.5e-320, 1.0, -0.75)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.integers(2, 4))
+def test_flat_table_is_one_dot_per_entry_on_random_balls(seed, dim):
+    rng = random.Random(seed)
+    ball = random_symmetric_polytope(rng, dim, rng.randint(dim, dim + 2))
+    scales = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in range(dim)]
+    rational = Polytope([[x * s for x, s in zip(v, scales)] for v in ball.vertices])
+    float_scales = [rng.choice((1.0, 0.1, 3.7)) for _ in range(dim)]
+    floating = Polytope([[float(x) * s for x, s in zip(v, float_scales)]
+                         for v in ball.vertices], backend="float")
+    matrices = [
+        [[rng.uniform(-2, 2) for _ in range(dim)] for _ in range(dim)],
+        [[rng.choice(_SPECIAL) for _ in range(dim)] for _ in range(dim)],  # -0.0, subnormals
+        [[-0.0] * dim for _ in range(dim)],
+    ]
+    for m in matrices:
+        _assert_flat_table_is_dots(floating, m)
+        _assert_flat_table_is_dots(rational, m)  # at the floats' exact values
+    _assert_flat_table_is_dots(rational, random_rational_matrix(rng, dim))
+
+
+def test_flat_table_of_a_segment():
+    # One orbit and one pair: a table of one entry, with nothing to spread.
+    for p, m in ((Polytope([(Fraction(2, 3),), (Fraction(-2, 3),)]), [[Fraction(-5, 7)]]),
+                 (Polytope([(2.5,), (-2.5,)]), [[-0.0]]), (Polytope([(2.5,), (-2.5,)]), [[0.3]])):
+        _assert_flat_table_is_dots(p, m)
+        assert len(operators_module._orbit_pair_values(p, m)[0]) == 1
+
+
 def _reference_of_exact_values(p, matrix):
     return reference_operator_values(p, [[Fraction(x) for x in row] for row in matrix])
 
@@ -256,6 +308,7 @@ def test_float_results_equal_dot_products(make):
     ops += [Operator([[rng.uniform(-2, 2) for _ in range(d)] for _ in range(d)])
             for _ in range(4)]
     for op in ops:
+        _assert_flat_table_is_dots(p, operators_module._in_ball_arithmetic(p, op).matrix)
         # The float values are those over the orbit representatives and the
         # facet pairs; a float ball is symmetric up to rounding, so they stay
         # within rounding of the maxima over every vertex and facet.

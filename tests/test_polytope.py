@@ -13,7 +13,8 @@ from polyindex import (InputError, Operator, Polytope, ValidationError,
                        irregular_hexagon, linf_sum, oblique_prism, prism_with_pyramids,
                        regular_2n_gon, scale_coordinate, segment, validate)
 import polyindex.linalg as linalg_module
-from polyindex.linalg import dot, integer_row, rank, scaled_integer_row, vsub
+from polyindex.linalg import (column_dots, dot, integer_row, rank, scaled_integer_row,
+                              scaled_integer_rows, vsub)
 from polyindex.polytope import (_PointIndex, _double_description, _polar_cone, _vertex_flags,
                                 evaluation_table, facet_antipode_pairs)
 from polyindex.scalars import EXACT, float_context
@@ -466,6 +467,28 @@ def test_evaluation_table_rows(make):
         # scaled_integer_row: the one primitive pair of its values.
         assert [([x // math.gcd(*row, scale) for x in row], scale // math.gcd(*row, scale))
                 for row in rows] == [scaled_integer_row(w) for w in want]
+
+
+@pytest.mark.parametrize("values", [
+    [5e-324], [-0.0], [1e308], [-5e-324, 1e308],
+    [0.1, -0.0, 3, Fraction(1, 3), 5e-324, 1e308, -2.5],
+], ids=["subnormal", "-0.0", "1e308", "extremes", "mixed"])
+def test_scaled_integer_row_reads_floats_at_their_exact_values(values):
+    # The same ints and scale as the Fractions of the floats' binary values.
+    want = scaled_integer_row([Fraction(x) for x in values])
+    got = scaled_integer_row(values)
+    assert got == want and all(type(x) is int for x in got[0])
+    assert scaled_integer_rows([values, values[::-1]]) == \
+        scaled_integer_rows([[Fraction(x) for x in row] for row in (values, values[::-1])])
+
+
+def test_dot_adds_left_to_right():
+    # 1e16 + 1 rounds to 1e16, so a plain left-to-right sum is 0.0; a
+    # compensated sum (the float sum() of Python 3.12 on) would give 1.0.
+    a, b = (1e16, 1.0, -1e16), (1.0, 1.0, 1.0)
+    assert dot(a, b) == 0.0
+    assert list(column_dots([(x,) for x in a], [(y,) for y in b])) == [0.0]
+    assert list(column_dots([(1, 2), (3, 4)], [(5, 6), (7, 8)])) == [26, 44]
 
 
 @pytest.mark.parametrize("make", [
