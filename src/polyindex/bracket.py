@@ -297,7 +297,8 @@ def _vertex_minimax(p, bound_rows, vertex_index, subset) -> VertexBound:
                        antipode_index=p.antipode_index(vertex_index),
                        value=div(t * scale, m), functional_indices=chosen,
                        sphere_facet_index=sphere[j],
-                       minimizer=tuple(div(c * scale, g) * s for c in u))
+                       minimizer=tuple(div(c * scale, g) for c in u) if exact else
+                       tuple(c * scale / g * s for c in u))
 
 
 def lower_bound(p: Polytope, subsets: Optional[Mapping[int, Sequence[int]]] = None):

@@ -26,7 +26,7 @@ from .families import (FAMILIES, HEXAGON_DUAL_VERTEX, HEXAGON_VERTEX_BOUNDS,
                        irregular_hexagon, linf_sum, scale_coordinate, scale_witness)
 from .linalg import rank
 from .operators import norm_and_profile, operator_norm
-from .polytope import facet_enumeration, gauge, incidence
+from .polytope import evaluation_table, facet_enumeration, gauge, incidence
 from .scalars import check_tolerance, parse_rational
 
 def _read_json(path: str, what: str):
@@ -105,6 +105,15 @@ def _vector_json(vec):
     return [scalar_to_json(x) for x in vec]
 
 
+def _facet_json(f):
+    """f's coefficients as :func:`_vector_json` writes them. A rational
+    facet's come from its ray (x, t), each x_i / t reduced with one gcd."""
+    if f.ray is None:
+        return _vector_json(f.coeffs)
+    *x, t = f.ray
+    return [c // g if g == t else f"{c // g}/{t // g}" for c in x for g in (math.gcd(c, t),)]
+
+
 @contextlib.contextmanager
 def _named(what: str):
     """Raise an InputError, or a float overflow, inside again as an
@@ -132,7 +141,7 @@ def cmd_hull(args) -> int:
     results = {
         "dim": p.dim,
         "facet_count": len(facets),
-        "facets": [_vector_json(f.coeffs) for f in facets],
+        "facets": [_facet_json(f) for f in facets],
         "vertex_to_facets": [list(t) for t in inc.vertex_to_facets],
         "facet_to_vertices": [list(t) for t in inc.facet_to_vertices],
     }
@@ -143,7 +152,7 @@ def cmd_hull(args) -> int:
 def cmd_dual(args) -> int:
     p, _ = _load_polytope(args)
     facets = facet_enumeration(p)
-    results = {"dim": p.dim, "vertices": [_vector_json(f.coeffs) for f in facets]}
+    results = {"dim": p.dim, "vertices": [_facet_json(f) for f in facets]}
     _emit(_report("dual", _config(p), results), args.format)
     return 0
 
@@ -195,11 +204,12 @@ def cmd_radius(args) -> int:
 def _spanning_facets(p, i) -> tuple:
     """The first facets incident to vertex i, in order, whose normals raise
     the rank, up to ``p.dim`` of them. The incident normals at a vertex span
-    the space, so the normals chosen are a basis."""
-    facets = facet_enumeration(p)
+    the space, so the normals chosen are a basis. The ranks are taken on
+    the evaluation table's facet rows, positive multiples of the normals."""
+    rows = evaluation_table(p).facets
     chosen = []
     for k in incidence(p).vertex_to_facets[i]:
-        if rank([facets[r].coeffs for r in chosen + [k]], p.ctx) > len(chosen):
+        if rank([rows[r] for r in chosen + [k]], p.ctx) > len(chosen):
             chosen.append(k)
             if len(chosen) == p.dim:
                 break

@@ -27,38 +27,41 @@ def scalar_to_json(x: Scalar):
     return float(x)
 
 
-def _scalar_from_json(value, kind: str, where: str):
+def _scalar_from_json(value, kind: str):
     if kind == RATIONAL:
-        if isinstance(value, bool) or isinstance(value, float):
-            raise InputError(f"{where}: rational documents take integers or 'p/q' strings, "
-                             f"got {value!r}")
+        if isinstance(value, (bool, float)):
+            raise InputError(f"rational documents take integers or 'p/q' strings, got {value!r}")
         if isinstance(value, int):
-            return Fraction(value)
+            return value
         if isinstance(value, str):
-            try:
-                return parse_rational(value)
-            except InputError as exc:
-                raise InputError(f"{where}: {exc}") from exc
-        raise InputError(f"{where}: expected integer or rational string, got {type(value).__name__}")
+            return parse_rational(value)
+        raise InputError(f"expected integer or rational string, got {type(value).__name__}")
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InputError(f"{where}: float documents take numbers, got {value!r}")
+        raise InputError(f"float documents take numbers, got {value!r}")
     try:
         x = float(value)
     except OverflowError:  # an integer beyond the float range
         x = math.inf
     if not math.isfinite(x):
-        raise InputError(f"{where}: not a finite number")
+        raise InputError("not a finite number")
     return x
 
 
 def _rows(rows, dim: int, kind: str, where: str) -> list:
-    """The scalars of ``rows``, ``dim`` per row; errors name ``where[i][j]``."""
+    """The scalars of ``rows``, ``dim`` per row; errors name ``where[i][j]``,
+    built only then. A rational document's ints stay ints: :class:`Polytope`
+    and :class:`Operator` read them as they are."""
     parsed = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise InputError(f"{where}[{i}]: expected an array of length {dim}")
-        parsed.append([_scalar_from_json(x, kind, f"{where}[{i}][{j}]")
-                       for j, x in enumerate(row)])
+        values = []
+        try:
+            for j, x in enumerate(row):
+                values.append(_scalar_from_json(x, kind))
+        except InputError as exc:
+            raise InputError(f"{where}[{i}][{j}]: {exc}") from exc
+        parsed.append(values)
     return parsed
 
 

@@ -55,10 +55,6 @@ def vsub(a, b):
     return tuple(x - y for x, y in zip(a, b))
 
 
-def vscale(a, s):
-    return tuple(x * s for x in a)
-
-
 def vneg(a):
     return tuple(-x for x in a)
 

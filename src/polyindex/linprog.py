@@ -104,18 +104,9 @@ class LPSolution:
         return self.status == OPTIMAL
 
 
-def _pivot(rows, objs, basis, r, c, ctx):
-    """Pivot on entry (r, c), in place."""
-    if ctx.exact:
-        _pivot_integer(rows, objs, r, c)
-    else:
-        _pivot_float(rows, objs, r, c)
-    basis[r] = c
-
-
 def _pivot_float(rows, objs, r, c):
-    """Only the columns where the pivot row is nonzero can change, so the
-    update visits just those."""
+    """Pivot on entry (r, c) of float rows, in place. Only the columns where
+    the pivot row is nonzero can change, so the update visits just those."""
     prow = rows[r]
     piv = prow[c]
     nonzero = [j for j, y in enumerate(prow) if y != 0]
@@ -129,9 +120,10 @@ def _pivot_float(rows, objs, r, c):
 
 
 def _pivot_integer(rows, objs, r, c):
-    """Fraction-free pivot on integer rows. The pivot row is negated when its
-    entry is negative, so that every row stays a positive multiple of its
-    Fraction counterpart and the new scale of row r is its entry at c."""
+    """Fraction-free pivot on entry (r, c) of integer rows, in place. The
+    pivot row is negated when its entry is negative, so that every row stays
+    a positive multiple of its Fraction counterpart and the new scale of row
+    r is its entry at c."""
     prow = rows[r]
     if prow[c] < 0:
         prow = rows[r] = [-x for x in prow]
@@ -172,17 +164,14 @@ def _simplex(rows, objs, basis, ctx, max_pivots):
     tol = ctx.eps or 0  # obj[j] < -tol is ctx.sign(obj[j]) < 0, without the call
     for _ in range(max_pivots):
         obj = objs[0]
-        enter = None
-        for j in range(len(obj) - 1):
-            if obj[j] < -tol:
-                enter = j
-                break
+        enter = next((j for j in range(len(obj) - 1) if obj[j] < -tol), None)
         if enter is None:
             return OPTIMAL
         leave = _leaving_row(rows, basis, enter, tol, ctx.exact)
         if leave is None:
             return UNBOUNDED
-        _pivot(rows, objs, basis, leave, enter, ctx)
+        (_pivot_integer if ctx.exact else _pivot_float)(rows, objs, leave, enter)
+        basis[leave] = enter
     raise ComputationError("simplex exceeded its pivot budget (cycling?)")
 
 
@@ -216,18 +205,11 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
         take = ctx.coerce
 
     # Structural columns: x_j (and its negative part when the variable is free).
-    col_of_plus = []
-    col_of_minus = []
-    ncols = 0
+    col_of_plus, col_of_minus, n_struct = [], [], 0
     for j in range(n):
-        col_of_plus.append(ncols)
-        ncols += 1
-        if nonneg[j]:
-            col_of_minus.append(None)
-        else:
-            col_of_minus.append(ncols)
-            ncols += 1
-    n_struct = ncols
+        col_of_plus.append(n_struct)
+        col_of_minus.append(None if nonneg[j] else n_struct + 1)
+        n_struct += 1 if nonneg[j] else 2
     width = n_struct + len(lp.ineq_lhs)  # the tableau's columns before the RHS
 
     def expand(coeffs):
@@ -263,12 +245,8 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
     else:
         values = {b: row[-1] for row, b in zip(rows, basis)}
     nonbasic = ctx.coerce(0)  # the value of a column that is not basic
-    point = []
-    for j in range(n):
-        x = values.get(col_of_plus[j], nonbasic)
-        if col_of_minus[j] is not None:
-            x = x - values.get(col_of_minus[j], nonbasic)
-        point.append(x)
-    point = tuple(point)
+    point = tuple(values.get(plus, nonbasic) if minus is None else
+                  values.get(plus, nonbasic) - values.get(minus, nonbasic)
+                  for plus, minus in zip(col_of_plus, col_of_minus))
     value = dot(objective, point)
     return LPSolution(status=OPTIMAL, value=value, point=point, basis=tuple(sorted(basis)))

@@ -16,16 +16,17 @@ supporting functionals of the facets, scaled so each facet lies on
 ``{f = 1}``. The facets, their incidence with the vertices and their
 antipodal pairs are computed once per ball and kept on it.
 
-On the rational backend the vertex list is scaled to ints once per ball:
-W_i = L_W v_i, with L_W the lcm of every denominator among the coordinates
-(:meth:`Polytope._scaled_vertices`). Validation, the facets and the
-evaluation table all read these rows. The double description runs on
-Python ints, on the rows (-W_i, L_W), and keeps each ray as the primitive
-integer vector on it (entries with gcd 1). A rational ray has exactly one
-such vector, so these are the rays that ``Fraction`` arithmetic reaches,
-in the same order and with the same zero sets; no ``Fraction`` is built
-until :func:`facet_enumeration` divides by the last coordinate, and it
-sorts the facets on ints. Under one common scale equal points have equal
+On the rational backend a ball keeps its vertices as int rows over one
+positive scale, as lrs does: W_i = L_W v_i, L_W the lcm of every
+denominator among the coordinates, scaled when the ball is built.
+Validation, the facets and the evaluation table read these rows. The
+double description runs on Python ints, on the rows (-W_i, L_W), and
+keeps each ray as the primitive integer vector on it (entries with gcd
+1). A rational ray has exactly one such vector, so these are the rays
+that ``Fraction`` arithmetic reaches, in the same order and with the same
+zero sets. :func:`facet_enumeration` sorts the facets on ints and keeps
+each one's ray (x, t). The ``Fraction``s of a vertex or a facet are built
+on first access only. Under one common scale equal points have equal
 rows and -v_i has the row -W_i, so the permissive strip's duplicates and
 the antipodal vertices are found through a dict of first indices on the
 int rows; on floats through the points sorted by first coordinate
@@ -39,11 +40,11 @@ The Minkowski gauge of the ball (the norm itself) is then the maximum of
 The operator maxima evaluate the facet functionals from one table per ball
 (:func:`evaluation_table`), built on first use. On the rational backend it
 holds every facet row and every vertex row as Python ints with one common
-scale per table, f_r = F_r / L_F and v_a = W_a / L_W (the ball's one
-scaling of its vertices), so a value f_r(x) is an int dot product and a
-maximum over many of them is an int comparison; a ``Fraction`` is built
-once per answer. On floats it holds
-the coefficient tuples and vertices as they are. It also indexes the
+scale per table, f_r = F_r / L_F and v_a = W_a / L_W (the facets' sort
+keys and the ball's one scaling of its vertices), so a value f_r(x) is an
+int dot product and a maximum over many of them is an int comparison; a
+``Fraction`` is built once per answer. On floats it holds the coefficient
+tuples and vertices as they are. It also indexes the
 ball's symmetry: one representative per antipodal vertex orbit, one facet
 per antipodal facet pair, and which pairs each orbit meets, in the
 columns an operator's flat table of values is computed from. The operator
@@ -62,12 +63,17 @@ from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import ComputationError, InputError, ValidationError
-from .linalg import dot, rank, scaled_integer_rows, vneg, vscale, vsub
+from .linalg import dot, rank, scaled_integer_rows, vneg
 from .scalars import Context, EXACT, Scalar, _exact_backend, float_context, format_rational
 
 
 class Polytope:
     """V-representation of a symmetric polytopal unit ball.
+
+    On the rational backend the ball is built as ``_scaled`` = (W, L_W),
+    read off each coordinate's ``as_integer_ratio()`` (ints and Fractions
+    as they are, anything else after ``ctx.coerce``); the read-only
+    ``vertices`` builds the Fractions W_i / L_W on first access.
 
     Args:
         vertices: full vertex list, each a length-d sequence of scalars.
@@ -78,7 +84,7 @@ class Polytope:
             exact); defaults to the global configuration.
         permissive: when True, duplicate and non-extreme input points are
             stripped with a warning instead of being left in place for
-            validation to reject.
+            validation to reject; the scaling is then that of the points kept.
     """
 
     def __init__(self, vertices, backend: Optional[str] = None, eps: Optional[float] = None,
@@ -91,59 +97,33 @@ class Polytope:
             raise InputError("vertices must have at least one coordinate")
         if any(len(v) != d for v in vertices):
             raise InputError("all vertices must have the same dimension")
-        self.ctx = EXACT if _exact_backend(backend, vertices) else float_context(eps)
-        self.vertices = tuple(tuple(self.ctx.coerce(x) for x in v) for v in vertices)
-        self.dim = d
+        self.ctx = ctx = EXACT if _exact_backend(backend, vertices) else float_context(eps)
+        rows = [tuple(x if ctx.exact and isinstance(x, (int, Fraction)) else ctx.coerce(x)
+                      for x in v) for v in vertices]
         if permissive:
-            self._strip_redundant()
-        self._antipodes = self._scaled = None
+            rows = [rows[i] for i in _kept_points(rows, ctx)]
+        self._scaled = scaled_integer_rows(rows) if ctx.exact else None
+        self._vertices = None if ctx.exact else tuple(rows)
+        self.dim = d
+        self._antipodes = None
         self._cone = None  # polar cone (rays, lineality), stored once validation passes
-        self._facets = self._incidence = self._facet_pairs = self._table = None
+        self._facets = self._facet_rows = self._incidence = self._facet_pairs = self._table = None
 
-    def _strip_redundant(self):
-        ctx, points = self.ctx, self.vertices
-        if ctx.exact:
-            # Under one common scale equal points have equal int rows.
-            rows, scale = scaled_integer_rows(points)
-            first = _first_indices(rows)
-            repeats = [first[w] != i for i, w in enumerate(rows)]
-        else:
-            seen, repeats = _PointIndex((), ctx), []
-            for v in points:
-                repeats.append(seen.find(v) is not None)
-                if not repeats[-1]:
-                    seen.add(v)
-        kept = []
-        for i, (v, repeat) in enumerate(zip(points, repeats)):
-            if repeat:
-                warnings.warn(f"dropping duplicate vertex {v}")
-            else:
-                kept.append(i)
-        points = [points[i] for i in kept]
-        scaled = ([rows[i] for i in kept], scale) if ctx.exact else None
-        extreme = []
-        for v, is_vertex in zip(points, _vertex_flags(points, _polar_cone(points, ctx, scaled), ctx)):
-            if not is_vertex:
-                warnings.warn(f"dropping non-extreme input point {v}")
-                continue
-            extreme.append(v)
-        self.vertices = tuple(extreme)
+    @property
+    def vertices(self) -> tuple:
+        """The vertex list, one tuple of scalars per vertex. On the rational
+        backend the ``Fraction``s W_i / L_W, built on first access."""
+        if self._vertices is None:
+            rows, scale = self._scaled
+            self._vertices = tuple(tuple(Fraction(x, scale) for x in w) for w in rows)
+        return self._vertices
 
     def __len__(self):
-        return len(self.vertices)
+        return len(self._vertices if self._scaled is None else self._scaled[0])
 
     def __repr__(self):
         kind = "rational" if self.ctx.exact else "float"
-        return f"Polytope(dim={self.dim}, vertices={len(self.vertices)}, backend={kind})"
-
-    def _scaled_vertices(self) -> tuple:
-        """``(W, L_W)``: on the rational backend the vertices times L_W, the
-        lcm of every denominator among their coordinates, as int tuples
-        (:func:`~polyindex.linalg.scaled_integer_rows`), so v_i = W_i / L_W.
-        Computed once per ball."""
-        if self._scaled is None:
-            self._scaled = scaled_integer_rows(self.vertices)
-        return self._scaled
+        return f"Polytope(dim={self.dim}, vertices={len(self)}, backend={kind})"
 
     def _antipode_map(self) -> tuple:
         """Per vertex v, the index of the first listed -v, or None if -v is missing.
@@ -152,7 +132,7 @@ class Polytope:
         of first indices on the rows W answers every lookup."""
         if self._antipodes is None:
             if self.ctx.exact:
-                rows = self._scaled_vertices()[0]
+                rows = self._scaled[0]
                 first = _first_indices(rows)
                 self._antipodes = tuple(first.get(tuple(-x for x in w)) for w in rows)
             else:
@@ -170,7 +150,7 @@ class Polytope:
 
     def orbit_representatives(self) -> tuple:
         """One vertex index per antipodal pair, the smaller index of each."""
-        return tuple(i for i in range(len(self.vertices)) if i < self.antipode_index(i))
+        return tuple(i for i in range(len(self)) if i < self.antipode_index(i))
 
 
 @dataclass(frozen=True)
@@ -178,10 +158,28 @@ class FacetFunctional:
     """Supporting functional of a facet, normalized so the facet lies on {f = 1}.
 
     ``incident_vertices`` collects the indices of the vertices v with f(v) = 1.
+    A rational facet (:meth:`of_ray`) keeps ``ray``, the primitive int ray
+    (x_1, ..., x_d, t) of the double description, t > 0, and builds
+    ``coeffs``, the Fractions x_i / t, on first access. On floats ``ray``
+    is None.
     """
 
     coeffs: tuple
     incident_vertices: frozenset
+    ray = None
+
+    @classmethod
+    def of_ray(cls, ray, incident_vertices) -> "FacetFunctional":
+        f = object.__new__(cls)
+        f.__dict__.update(ray=ray, incident_vertices=incident_vertices)
+        return f
+
+    def __getattr__(self, name):  # an attribute not set: a rational facet's coeffs
+        if name != "coeffs" or self.ray is None:
+            raise AttributeError(name)
+        *x, t = self.ray
+        self.__dict__["coeffs"] = tuple([Fraction(c, t) for c in x])
+        return self.coeffs
 
     def __call__(self, x) -> Scalar:
         return dot(self.coeffs, x)
@@ -204,8 +202,11 @@ class EvaluationTable:
     ``vertices[i]`` is W_i = L_W v_i, tuples of Python ints, where the
     scales L_F and L_W are the lcm of every denominator among the facet
     coefficients and among the vertex coordinates: f_r(v_i) is
-    F_r . W_i / (L_F L_W). On floats the rows are the coefficient tuples and
-    the vertices as they are, and both scales are 1.
+    F_r . W_i / (L_F L_W). F_r is x (L_F // t) for the facet's ray (x, t),
+    its sort key (:func:`facet_enumeration`): a primitive ray's reduced
+    denominators t / gcd(x_i, t) have lcm t, so L_F is the lcm of the t's.
+    On floats the rows are the coefficient tuples and the vertices as they
+    are, and both scales are 1.
 
     Orbit a is vertex ``representatives[a]``, the smaller index of its
     antipodal pair, and its antipode; pair j is facet ``pair_facets[j]``,
@@ -295,22 +296,54 @@ class _PointIndex:
         return min((j for _, j in window if all(map(eq, x, points[j]))), default=None)
 
 
-def _polar_cone(points, ctx: Context, scaled=None):
+def _kept_points(rows, ctx: Context) -> list:
+    """The indices of the points a permissive ball keeps: the first copy of
+    each point that is extreme. Warns for each point dropped."""
+    points, scale = scaled_integer_rows(rows) if ctx.exact else (rows, None)
+    if ctx.exact:
+        # Under one common scale equal points have equal int rows.
+        first = _first_indices(points)
+        repeats = [first[w] != i for i, w in enumerate(points)]
+    else:
+        seen, repeats = _PointIndex((), ctx), []
+        for v in points:
+            repeats.append(seen.find(v) is not None)
+            if not repeats[-1]:
+                seen.add(v)
+    kept = []
+    for i, repeat in enumerate(repeats):
+        if repeat:
+            warnings.warn(f"dropping duplicate vertex {tuple(map(ctx.coerce, rows[i]))}")
+        else:
+            kept.append(i)
+    points = [points[i] for i in kept]
+    extreme = []
+    for i, is_vertex in zip(kept, _vertex_flags(points, _polar_cone(points, ctx, scale), ctx)):
+        if not is_vertex:
+            warnings.warn(f"dropping non-extreme input point {tuple(map(ctx.coerce, rows[i]))}")
+            continue
+        extreme.append(i)
+    return extreme
+
+
+def _polar_cone(points, ctx: Context, scale=None):
     """Double description of {(f, t) : f . v <= t for every point v}, the
     homogenized polar of the points; returns (rays, lineality).
 
-    On the rational backend the rows are (-W_i, L) for ``scaled`` = (W, L),
-    the points times one common positive scale L as int rows (by default
-    :func:`~polyindex.linalg.scaled_integer_rows` of the points): row i is
-    L times (-v_i, 1), a positive factor that leaves the cone, its rays
-    (each reduced to its primitive vector) and their zero sets as they are.
+    On the rational backend the rows are (-W_i, L): with ``scale`` given the
+    points are already int rows W over that common positive scale L, and
+    otherwise W and L are :func:`~polyindex.linalg.scaled_integer_rows` of
+    the points. Row i is L times (-v_i, 1), a positive factor that leaves
+    the cone, its rays (each reduced to its primitive vector) and their zero
+    sets as they are.
     """
     if ctx.exact:
-        rows, scale = scaled or scaled_integer_rows(points)
-        rows = [tuple(-x for x in w) + (scale,) for w in rows]
+        if scale is None:
+            points, scale = scaled_integer_rows(points)
+        rows = [tuple(-x for x in w) + (scale,) for w in points]
     else:
         rows = [vneg(v) + (1.0,) for v in points]
-    return _double_description(rows, len(points[0]) + 1, ctx)
+    return _double_description(rows, len(rows[0]), ctx)
 
 
 def _vertex_flags(points, cone, ctx: Context) -> list:
@@ -383,17 +416,18 @@ def validate(p: Polytope) -> ValidationReport:
     :func:`facet_enumeration`.
     """
     ctx = p.ctx
-    violations = [f"not symmetric: {_vertex_text(i, v)} has no antipode"
-                  for i, (v, j) in enumerate(zip(p.vertices, p._antipode_map())) if j is None]
-    cone = _polar_cone(p.vertices, ctx, p._scaled_vertices() if ctx.exact else None)
-    if cone[1] if ctx.exact and not violations else rank(p.vertices, ctx) < p.dim:
+    points, scale = p._scaled or (p.vertices, None)
+    violations = [f"not symmetric: {_vertex_text(i, p.vertices[i])} has no antipode"
+                  for i, j in enumerate(p._antipode_map()) if j is None]
+    cone = _polar_cone(points, ctx, scale)
+    if cone[1] if ctx.exact and not violations else rank(points, ctx) < p.dim:
         violations.append(f"not full-dimensional: vertices span less than {p.dim} dimensions")
     seen = set()
-    for i, (v, is_vertex) in enumerate(zip(p.vertices, _vertex_flags(p.vertices, cone, ctx))):
-        if not is_vertex and v not in seen:
-            violations.append(f"{_vertex_text(i, v)} is not extreme "
+    for i, (w, is_vertex) in enumerate(zip(points, _vertex_flags(points, cone, ctx))):
+        if not is_vertex and w not in seen:
+            violations.append(f"{_vertex_text(i, p.vertices[i])} is not extreme "
                               "(lies in the hull of the others)")
-            seen.add(v)
+            seen.add(w)
     if not violations:
         p._cone = cone
     return ValidationReport(ok=not violations, violations=tuple(violations))
@@ -423,10 +457,11 @@ def _project(y, l0, a, al0, ctx: Context):
     The exact backend returns the projection times al0, so int vectors
     stay ints and the result is a positive multiple of the rational one.
     """
+    s = sum(map(mul, a, y))
     if ctx.exact:
-        s = dot(a, y)
         return tuple(x * al0 - z * s for x, z in zip(y, l0))
-    return vsub(y, vscale(l0, dot(a, y) / al0))
+    s /= al0
+    return tuple(x - z * s for x, z in zip(y, l0))
 
 
 def _zero_set(mask: int) -> frozenset:
@@ -446,10 +481,12 @@ def _double_description(rows, k: int, ctx: Context):
     space, each paired with its zero set (the frozenset of the indices of
     the rows it makes tight), and a basis of the lineality space, which is
     empty exactly when the cone is pointed. Incremental insertion with the
-    combinatorial adjacency test. The sign pass keeps each ``a . r``
-    (summed as :func:`~polyindex.linalg.dot` sums, so the same ints and
-    float bits) for the combinations, and compares it with ``ctx.eps`` as
-    ``ctx.sign`` does.
+    combinatorial adjacency test. The sign pass keeps each ``a . r`` for
+    the combinations, and compares it with ``ctx.eps`` as ``ctx.sign``
+    does. Every dot product of the run, there, in the lineality phase and
+    in :func:`_project`, is one ``sum(map(mul, ...))``: one summation order,
+    which on Python 3.12 and later compensates float sums
+    (:func:`~polyindex.linalg.dot` adds left to right instead).
 
     While the run lasts a zero set is an int bitmask, row idx being the bit
     ``1 << idx`` (as cddlib keeps zero sets in bit arrays); the frozensets
@@ -495,13 +532,13 @@ def _double_description(rows, k: int, ctx: Context):
         if lineality:
             pivot = None
             for pos, l in enumerate(lineality):
-                s = ctx.sign(dot(a, l))
+                s = ctx.sign(sum(map(mul, a, l)))
                 if s != 0:
                     pivot = pos
                     l0 = l if s > 0 else vneg(l)
                     break
             if pivot is not None:
-                al0 = dot(a, l0)
+                al0 = sum(map(mul, a, l0))
                 lineality = [_project(l, l0, a, al0, ctx)
                              for pos, l in enumerate(lineality) if pos != pivot]
                 # Project every ray onto the new hyperplane; they all become
@@ -562,9 +599,11 @@ def facet_enumeration(p: Polytope) -> tuple:
     rational backend the sort runs on ints: with L the lcm of the rays'
     last coordinates t, a ray sorts by x (L // t) over its first d
     coordinates x, the coefficients x / t times the common positive scale
-    L, so no ``Fraction`` is compared. Row i of the cone is the constraint
-    of vertex i, so the zero set of a ray is the set of vertices on its
-    facet. Computed once per ball.
+    L, so no ``Fraction`` is compared. These keys over L are the
+    evaluation table's facet rows, and each facet keeps its ray, so no
+    ``Fraction`` is built here (see :class:`FacetFunctional`). Row i of
+    the cone is the constraint of vertex i, so the zero set of a ray is the
+    set of vertices on its facet. Computed once per ball.
 
     Raises:
         ValidationError: when the input violates a unit-ball invariant.
@@ -590,9 +629,9 @@ def facet_enumeration(p: Polytope) -> tuple:
             m = scale // ray[0][d]
             return tuple([x * m for x in ray[0][:d]])
 
-        rays = sorted(rays, key=key)
-        functionals = [FacetFunctional(tuple(Fraction(x, r[d]) for x in r[:d]), zs)
-                       for r, zs in rays]
+        keyed = sorted(zip(map(key, rays), rays), key=itemgetter(0))
+        p._facet_rows = tuple(row for row, _ in keyed), scale
+        functionals = [FacetFunctional.of_ray(r, zs) for _, (r, zs) in keyed]
     else:
         functionals = sorted((FacetFunctional(tuple(x / r[d] for x in r[:d]), zs)
                               for r, zs in rays), key=lambda f: f.coeffs)
@@ -607,7 +646,7 @@ def incidence(p: Polytope) -> Incidence:
     """
     if p._incidence is None:
         f2v = tuple(tuple(sorted(f.incident_vertices)) for f in facet_enumeration(p))
-        v2f = [[] for _ in p.vertices]
+        v2f = [[] for _ in range(len(p))]
         for k, members in enumerate(f2v):
             for i in members:
                 v2f[i].append(k)
@@ -619,19 +658,20 @@ def evaluation_table(p: Polytope) -> EvaluationTable:
     """The ball's facet and vertex rows and their symmetry indices (see
     :class:`EvaluationTable`).
 
-    On the rational backend the facet rows are scaled to ints here, and the
-    vertex rows (W, L_W) are the ball's one scaling of its vertices
-    (:meth:`Polytope._scaled_vertices`), the rows validation already read.
+    On the rational backend the facet rows are the sort keys of
+    :func:`facet_enumeration` over their scale, and the vertex rows
+    (W, L_W) are the ball's one scaling of its vertices, the rows
+    validation already read.
     Computed once per ball.
     """
     if p._table is None:
-        facets = [f.coeffs for f in facet_enumeration(p)]
+        facets = facet_enumeration(p)
         if p.ctx.exact:
-            rows = (*scaled_integer_rows(facets), *p._scaled_vertices())
+            rows = (*p._facet_rows, *p._scaled)
         else:
-            rows = (tuple(facets), 1, p.vertices, 1)
+            rows = (tuple(f.coeffs for f in facets), 1, p.vertices, 1)
         reps, pairs = p.orbit_representatives(), facet_antipode_pairs(p)
-        orbit_of, pair_of = [None] * len(p.vertices), [None] * len(facets)
+        orbit_of, pair_of = [None] * len(p), [None] * len(facets)
         for a, i in enumerate(reps):
             orbit_of[i] = orbit_of[p.antipode_index(i)] = a
         for j, (k, k2) in enumerate(pairs):

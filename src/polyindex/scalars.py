@@ -131,13 +131,8 @@ def float_context(eps: float | None = None) -> Context:
 
 def infer_exact(values: Iterable) -> bool:
     """True when no float occurs among the (possibly nested) values."""
-    for v in values:
-        if isinstance(v, (list, tuple)):
-            if not infer_exact(v):
-                return False
-        elif isinstance(v, float):
-            return False
-    return True
+    return all(infer_exact(v) if isinstance(v, (list, tuple)) else not isinstance(v, float)
+               for v in values)
 
 
 def _exact_backend(backend, values) -> bool:

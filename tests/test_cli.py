@@ -1,4 +1,6 @@
+import contextlib
 import gc
+import io
 import json
 import math
 import os
@@ -7,6 +9,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,9 +20,12 @@ from polyindex import (Operator, bipyramid_square_prism, cli, facet_enumeration,
                        numerical_radius, oblique_prism, operator_norm, prism_witness_operator,
                        pyramid_witness_operator, radius_profile)
 from polyindex.cli import main
-from polyindex.documents import operator_to_document, polytope_to_document, scalar_to_json
+from polyindex.documents import (operator_to_document, polytope_from_document,
+                                 polytope_to_document, scalar_to_json)
 from polyindex.families import irregular_hexagon
-from polyindex.linalg import rank
+from polyindex.linalg import rank, scaled_integer_rows
+from polyindex.polytope import evaluation_table
+from polyindex.scalars import EXACT
 from helpers import random_symmetric_polytope
 
 
@@ -597,3 +603,56 @@ def test_closed_pipe_exits_1_without_traceback(tmp_path):
         os.close(write_end)
     assert proc.returncode == 1
     assert proc.stderr == b""
+
+
+def _main_on(text, *argv):
+    """stdout of a successful ``polyindex *argv -i -`` reading ``text``."""
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+        assert main([*argv, "-i", "-"]) == 0
+    return out.getvalue()
+
+
+@st.composite
+def rational_documents(draw):
+    """A rational ball document: the extreme points of random integer
+    points and their antipodes, each coordinate scaled by a nonzero
+    rational, so entries are negative or not, integral or not. Entries are
+    "p/q" strings, unreduced ones too; an integral entry may be an int."""
+    d = draw(st.integers(2, 4))
+    ball = random_symmetric_polytope(random.Random(draw(st.integers(0, 2 ** 32))), d,
+                                     draw(st.integers(d, d + 3)))
+    scales = draw(st.lists(st.fractions(-7, 7, max_denominator=9).filter(bool),
+                           min_size=d, max_size=d))
+    k = draw(st.integers(1, 3))
+
+    def entry(x):
+        if x.denominator == 1 and draw(st.booleans()):
+            return int(x)
+        return f"{x.numerator * k}/{x.denominator * k}"
+
+    return {"dim": d, "scalar": "rational",
+            "vertices": [[entry(x * s) for x, s in zip(v, scales)] for v in ball.vertices]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(rational_documents())
+def test_rational_reports_match_their_fractions(doc):
+    p, _ = polytope_from_document(doc)
+    assert p.vertices == tuple(tuple(map(EXACT.coerce, row)) for row in doc["vertices"])
+    facets = facet_enumeration(p)
+    for f in facets:
+        *x, t = f.ray
+        assert t > 0 and math.gcd(*f.ray) == 1
+        assert f.coeffs == tuple(Fraction(c, t) for c in x)
+    table = evaluation_table(p)
+    assert (table.facets, table.facet_scale) == scaled_integer_rows([f.coeffs for f in facets])
+    want = [[scalar_to_json(c) for c in f.coeffs] for f in facets]
+    text = json.dumps(doc)
+    for command, key in (("hull", "facets"), ("dual", "vertices")):
+        got = json.loads(_main_on(text, command))["results"][key]
+        assert got == want and [list(map(type, row)) for row in got] == \
+            [list(map(type, row)) for row in want]
+        lines = _main_on(text, command, "--format", "text").splitlines()
+        at = lines.index(f"  {key}:") + 1
+        assert lines[at:at + len(want)] == [f"    - [{', '.join(map(str, row))}]" for row in want]

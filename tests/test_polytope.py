@@ -497,7 +497,7 @@ def test_dot_adds_left_to_right():
     lambda: scaled_random_polytope(4),
 ])
 def test_rational_vertices_scaled_to_ints_once_per_ball(make, monkeypatch):
-    p = make()
+    vertices = make().vertices
     scalings, row_calls = [], []
     real = polytope_module.scaled_integer_rows
 
@@ -512,13 +512,36 @@ def test_rational_vertices_scaled_to_ints_once_per_ball(make, monkeypatch):
     monkeypatch.setattr(polytope_module, "scaled_integer_rows", counting)
     monkeypatch.setattr(polytope_module, "integer_row", recording, raising=False)
     monkeypatch.setattr(linalg_module, "integer_row", recording)
+    # The ball scales its vertex list when it is built, and nothing after.
+    p = Polytope(vertices)
     assert validate(p).ok
     facet_enumeration(p)
     assert [p.antipode_index(i) for i in range(len(p))] == list(reference_antipode_map(p.vertices))
     table = evaluation_table(p)
-    assert [rows for rows in scalings if rows == p.vertices] == [p.vertices]
+    assert [list(map(tuple, rows)) for rows in scalings] == [list(vertices)]
     assert (table.vertices, table.vertex_scale) == real(p.vertices)
     assert row_calls == []
+
+
+def test_rational_facets_and_table_build_no_fraction(monkeypatch):
+    # Facet rows, sort keys and report text all come from the int rays; a
+    # facet's Fractions are built only when its coeffs are read.
+    balls = [irregular_hexagon(), bipyramid_square_prism(), scaled_random_polytope(3),
+             linf_sum(irregular_hexagon(), segment())]
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(polytope_module, "Fraction", Counting)
+    balls.append(Polytope([(2, 1, 0), (-2, -1, 0), (0, 3, 1), (0, -3, -1), (1, 0, 5), (-1, 0, -5)]))
+    for p in balls:
+        facet_enumeration(p)
+        evaluation_table(p)
+    assert built == []
+    assert balls[0].vertices[1] == (Fraction(1, 2), Fraction(2)) and built
 
 
 def test_facet_antipodes_of_a_tiny_float_hexagon():
