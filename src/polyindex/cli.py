@@ -64,6 +64,9 @@ def _flat(v):
     return str(v)
 
 
+_SCALAR_JSON = {int: int.__repr__, str: encode_basestring_ascii}  # by exact type: no bool
+
+
 def _json(value, pad="\n") -> str:
     """``json.dumps(value, indent=2)`` for a document with string keys.
 
@@ -71,13 +74,12 @@ def _json(value, pad="\n") -> str:
     a reference cycle per call; here it only sees bools, None and the
     floats that are not finite. An int, a str or a finite float is written
     as ``json.dumps`` writes it: ``int.__repr__``, the ASCII string encoder
-    and ``float.__repr__``.
+    and ``float.__repr__``. A list whose items are all ints and strs, each
+    looked up by its exact type, is written in one join.
     """
     kind = type(value)
-    if kind is int:
-        return int.__repr__(value)
-    if kind is str:
-        return encode_basestring_ascii(value)
+    if kind in _SCALAR_JSON:
+        return _SCALAR_JSON[kind](value)
     if kind is float and math.isfinite(value):
         return float.__repr__(value)
     inner = pad + "  "
@@ -86,7 +88,11 @@ def _json(value, pad="\n") -> str:
                  for k, v in value.items()]
         return "{" + ",".join(items) + pad + "}"
     if isinstance(value, (list, tuple)) and value:
-        return "[" + ",".join([inner + _json(v, inner) for v in value]) + pad + "]"
+        try:
+            items = [_SCALAR_JSON[type(v)](v) for v in value]
+        except KeyError:  # an item that is not an int or a str
+            items = [_json(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
     return json.dumps(value)
 
 

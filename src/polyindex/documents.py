@@ -50,11 +50,18 @@ def _scalar_from_json(value, kind: str):
 def _rows(rows, dim: int, kind: str, where: str) -> list:
     """The scalars of ``rows``, ``dim`` per row; errors name ``where[i][j]``,
     built only then. A rational document's ints stay ints: :class:`Polytope`
-    and :class:`Operator` read them as they are."""
+    and :class:`Operator` read them as they are, and a row of ints only
+    (``type(x) is int``, so a bool still raises) is passed on as it is."""
     parsed = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise InputError(f"{where}[{i}]: expected an array of length {dim}")
+        for x in row:
+            if type(x) is not int or kind != RATIONAL:
+                break
+        else:
+            parsed.append(row)
+            continue
         values = []
         try:
             for j, x in enumerate(row):

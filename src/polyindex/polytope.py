@@ -58,8 +58,8 @@ import warnings
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from operator import itemgetter, mul
+from itertools import chain, repeat
+from operator import floordiv, itemgetter, mul, truediv
 from typing import Optional
 
 from .errors import ComputationError, InputError, ValidationError
@@ -442,13 +442,11 @@ def _normalize_ray(ray, ctx: Context):
     vector divided by the gcd of its entries, on floats divided by its
     largest magnitude. A zero vector is returned as it is."""
     if ctx.exact:
-        # A tuple, never a generator, goes to gcd (see linalg.integer_row).
+        # A sequence, never a generator, goes to gcd (see linalg.integer_row).
         g = math.gcd(*ray)
-        return tuple(x // g for x in ray) if g > 1 else ray
-    m = max(abs(x) for x in ray)
-    if m == 0:
-        return ray
-    return tuple(x / m for x in ray)
+        return tuple(map(floordiv, ray, repeat(g))) if g > 1 else tuple(ray)
+    m = max(map(abs, ray))
+    return tuple(map(truediv, ray, repeat(m))) if m else tuple(ray)
 
 
 def _project(y, l0, a, al0, ctx: Context):
@@ -459,9 +457,9 @@ def _project(y, l0, a, al0, ctx: Context):
     """
     s = sum(map(mul, a, y))
     if ctx.exact:
-        return tuple(x * al0 - z * s for x, z in zip(y, l0))
+        return tuple([x * al0 - z * s for x, z in zip(y, l0)])
     s /= al0
-    return tuple(x - z * s for x, z in zip(y, l0))
+    return tuple([x - z * s for x, z in zip(y, l0)])
 
 
 def _zero_set(mask: int) -> frozenset:
@@ -481,12 +479,13 @@ def _double_description(rows, k: int, ctx: Context):
     space, each paired with its zero set (the frozenset of the indices of
     the rows it makes tight), and a basis of the lineality space, which is
     empty exactly when the cone is pointed. Incremental insertion with the
-    combinatorial adjacency test. The sign pass keeps each ``a . r`` for
-    the combinations, and compares it with ``ctx.eps`` as ``ctx.sign``
-    does. Every dot product of the run, there, in the lineality phase and
-    in :func:`_project`, is one ``sum(map(mul, ...))``: one summation order,
-    which on Python 3.12 and later compensates float sums
-    (:func:`~polyindex.linalg.dot` adds left to right instead).
+    combinatorial adjacency test. The sign pass classifies each ray once,
+    keeping its ``a . r`` for the combinations, and compares it with
+    ``ctx.eps`` as ``ctx.sign`` does. Every dot product of the run, there,
+    in the lineality phase and in :func:`_project`, is one
+    ``sum(map(mul, ...))``: one summation order, which on Python 3.12 and
+    later compensates float sums (:func:`~polyindex.linalg.dot` adds left
+    to right instead).
 
     While the run lasts a zero set is an int bitmask, row idx being the bit
     ``1 << idx`` (as cddlib keeps zero sets in bit arrays); the frozensets
@@ -496,6 +495,15 @@ def _double_description(rows, k: int, ctx: Context):
     1996), so a pair whose common zero set has fewer bits is dropped before
     the zero-set scan; on exact data that scan rejects every such pair
     anyway, since the face they share then holds a third extreme ray.
+
+    On the exact backend a pair that passes, where p (or m) is simple,
+    tight at exactly k - l - 1 rows, is adjacent with no scan. Those rows
+    are independent, and the common zero set is not all of them (m would
+    lie on p's ray), so it is k - l - 2 independent rows. The face they cut
+    out has exactly them as its equality set, which lies in zp & zm; so it
+    is 2-dimensional, and p and m are its only extreme rays. Floats keep
+    the scan: tolerant zero sets are not exact faces (see
+    :func:`_vertex_flags`).
 
     The scan counts the rays whose zero set contains the pair's common
     one, and the pair (p, m) is adjacent when at most two do. Rays p and m
@@ -550,35 +558,35 @@ def _double_description(rows, k: int, ctx: Context):
                 continue
 
         plus, zero, minus = [], [], []
-        for r, zs in rays:
-            ar = sum(map(mul, a, r))
+        for ray in rays:
+            ar = sum(map(mul, a, ray[0]))
             if ar > tol:
-                plus.append((r, zs, ar))
+                plus.append((ray, ar))
             elif ar < -tol:
-                minus.append((r, zs, ar))
+                minus.append((ray, ar))
             else:
-                zero.append((r, zs | bit))
-        new = [(r, zs) for r, zs, _ in plus] + zero
-        if not minus:
-            rays = new
-            continue
-        zerosets = [zs for _, zs in rays]
-        tight = k - len(lineality) - 2
-        for (rp, zp, sp) in plus:
-            for (rm, zm, sm) in minus:
-                common = zp & zm
-                if common.bit_count() < tight:
-                    continue
-                hits = 0
-                for zs in zerosets:
-                    if zs & common == common:
-                        hits += 1
+                zero.append((ray[0], ray[1] | bit))
+        new = [ray for ray, _ in plus] + zero
+        if minus:
+            zerosets = [zs for _, zs in rays]
+            tight = k - len(lineality) - 2
+            simple = tight + 1 if ctx.exact else -1  # a simple ray's zero-set size
+            for (rp, zp), sp in plus:
+                for (rm, zm), sm in minus:
+                    common = zp & zm
+                    if common.bit_count() < tight:
+                        continue
+                    if simple not in (zp.bit_count(), zm.bit_count()):
+                        hits = 0
+                        for zs in zerosets:
+                            if zs & common == common:
+                                hits += 1
+                                if hits > 2:
+                                    break
                         if hits > 2:
-                            break
-                if hits > 2:
-                    continue
-                combined = tuple(sp * xm - sm * xp for xp, xm in zip(rp, rm))
-                new.append((_normalize_ray(combined, ctx), common | bit))
+                            continue
+                    new.append((_normalize_ray([sp * xm - sm * xp for xp, xm in zip(rp, rm)], ctx),
+                                common | bit))
         rays = new
 
     if not ctx.exact and not all(map(math.isfinite, chain(*(r for r, _ in rays), *lineality))):

@@ -12,7 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import polyindex
 import polyindex.operators as operators_module
@@ -473,6 +473,9 @@ _LEAVES = (st.none() | st.booleans() | st.integers() | st.text()
 @settings(max_examples=200, deadline=None)
 @given(doc=st.recursive(_LEAVES, lambda inner: st.lists(inner, max_size=4)
                         | st.dictionaries(st.text(), inner, max_size=4), max_leaves=20))
+@example(doc=[True, 1])
+@example(doc=[1, "1/2"])
+@example(doc={"vertices": (1, "1/2", (False, None, math.inf, -0.0))})
 def test_json_writes_what_json_dumps_writes(doc):
     assert cli._json(doc) == json.dumps(doc, indent=2)
 

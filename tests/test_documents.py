@@ -77,6 +77,16 @@ def test_rational_document_rejects_floats():
         polytope_from_document(doc)
 
 
+def test_rational_document_rejects_a_bool_among_ints():
+    doc = {"dim": 2, "scalar": "rational", "vertices": [[1, 0], [0, True], [-1, 0], [0, -1]]}
+    with pytest.raises(InputError, match=r"^polytope\.vertices\[1\]\[1\]: rational documents "
+                                         r"take integers or 'p/q' strings, got True$"):
+        polytope_from_document(doc)
+    doc = {"dim": 2, "scalar": "rational", "matrix": [[1, 0], [False, 1]]}
+    with pytest.raises(InputError, match=r"^operator\.matrix\[1\]\[0\]: .* got False$"):
+        operator_from_document(doc)
+
+
 def test_witness_dimension_checked(hexagon):
     doc = polytope_to_document(hexagon, witness=pyramid_witness_operator())
     with pytest.raises(InputError, match="witness"):

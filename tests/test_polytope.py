@@ -636,6 +636,35 @@ def test_integer_double_description_matches_fraction_reference_on_random_points(
             == reference_vertex_flags(pts, reference_polar_cone(pts)))
 
 
+def _sphere_ball(rng, d, r2, pairs):
+    """Random antipodal pairs of integer points on |x|^2 = r2, redrawn until
+    they span R^d: the balls of perfbench's hull workload."""
+    m = math.isqrt(r2)
+    candidates = [v for v in itertools.product(range(-m, m + 1), repeat=d)
+                  if sum(x * x for x in v) == r2 and v > tuple(-x for x in v)]
+    while True:
+        chosen = rng.sample(candidates, pairs)
+        if rank([tuple(map(Fraction, v)) for v in chosen], EXACT) == d:
+            return [w for v in chosen for w in (v, tuple(-x for x in v))]
+
+
+# Pairs of rays that pass the bit-count prefilter, neither of them simple,
+# that are not adjacent: the run must scan them, or it adds rays that are
+# not extreme.
+_NON_SIMPLE_3D = [(2, -1, 0), (1, -1, 0), (-2, 1, 2), (0, 2, 1), (2, -1, -2), (-2, -2, -1)]
+
+
+def test_integer_double_description_matches_fraction_reference_on_degenerate_cones():
+    # The 5-D cross-polytope's polar cone has simple rays only, so the
+    # simple-ray rule decides every pair; the others also run the scan.
+    cell_24 = [v for v in itertools.product((-1, 0, 1), repeat=4) if sum(map(abs, v)) == 2]
+    cross_5 = [tuple(s * (i == j) for i in range(5)) for j in range(5) for s in (1, -1)]
+    balls = [_sphere_ball(random.Random(seed), 5, 4, 8) for seed in (1, 2)]
+    non_simple = _NON_SIMPLE_3D + [tuple(-x for x in v) for v in _NON_SIMPLE_3D]
+    for pts in [cell_24, cross_5, *balls, non_simple]:
+        _assert_cone_matches_reference(pts)
+
+
 def _repeated_point_sets(rng):
     """Random symmetric rational point sets with some points repeated two
     and three times, and sometimes one antipode removed."""
