@@ -27,7 +27,7 @@ from .families import (FAMILIES, HEXAGON_DUAL_VERTEX, HEXAGON_VERTEX_BOUNDS,
 from .linalg import rank
 from .operators import norm_and_profile, operator_norm
 from .polytope import evaluation_table, facet_enumeration, gauge, incidence
-from .scalars import check_tolerance, parse_rational
+from .scalars import check_tolerance, finite_floats, parse_rational
 
 def _read_json(path: str, what: str):
     try:
@@ -75,7 +75,9 @@ def _json(value, pad="\n") -> str:
     floats that are not finite. An int, a str or a finite float is written
     as ``json.dumps`` writes it: ``int.__repr__``, the ASCII string encoder
     and ``float.__repr__``. A list whose items are all ints and strs, each
-    looked up by its exact type, is written in one join.
+    looked up by its exact type, is written in one join; so is a list of
+    finite floats (:func:`~polyindex.scalars.finite_floats`), tried only
+    where that fails.
     """
     kind = type(value)
     if kind in _SCALAR_JSON:
@@ -91,7 +93,10 @@ def _json(value, pad="\n") -> str:
         try:
             items = [_SCALAR_JSON[type(v)](v) for v in value]
         except KeyError:  # an item that is not an int or a str
-            items = [_json(v, inner) for v in value]
+            if finite_floats(value):
+                items = list(map(float.__repr__, value))
+            else:
+                items = [_json(v, inner) for v in value]
         return "[" + inner + ("," + inner).join(items) + pad + "]"
     return json.dumps(value)
 

@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 from .errors import InputError
 from .operators import Operator
 from .polytope import Polytope
-from .scalars import Scalar, format_rational, parse_rational
+from .scalars import Scalar, finite_floats, format_rational, parse_rational
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -51,15 +51,21 @@ def _rows(rows, dim: int, kind: str, where: str) -> list:
     """The scalars of ``rows``, ``dim`` per row; errors name ``where[i][j]``,
     built only then. A rational document's ints stay ints: :class:`Polytope`
     and :class:`Operator` read them as they are, and a row of ints only
-    (``type(x) is int``, so a bool still raises) is passed on as it is."""
+    (``type(x) is int``, so a bool still raises) is passed on as it is. A
+    float document's row of finite floats only (:func:`finite_floats`) is
+    passed on as it is too."""
     parsed = []
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise InputError(f"{where}[{i}]: expected an array of length {dim}")
-        for x in row:
-            if type(x) is not int or kind != RATIONAL:
-                break
-        else:
+        if kind == RATIONAL:
+            for x in row:
+                if type(x) is not int:
+                    break
+            else:
+                parsed.append(row)
+                continue
+        elif finite_floats(row):
             parsed.append(row)
             continue
         values = []

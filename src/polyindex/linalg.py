@@ -7,7 +7,10 @@ version (``sum`` compensates float sums from 3.12 on), and
 :func:`column_dots` makes many such dot products in ``map`` passes.
 Dimensions here are tiny (2 to 5), so :func:`rank` is plain Gaussian
 elimination with exact pivoting on the rational backend and max-magnitude
-pivoting on floats.
+pivoting on floats. It eliminates only the rows below each pivot, the rows
+a later pivot search reads, and nothing after the last possible pivot. On
+floats it takes a row of finite floats as it is; any other row is read
+through ``ctx.coerce``.
 There is no linear solve: every built-in witness operator is written down
 in closed form (:mod:`polyindex.families`).
 
@@ -29,7 +32,7 @@ from itertools import repeat
 from operator import add, mul
 
 from .errors import InputError
-from .scalars import Context
+from .scalars import Context, finite_floats
 
 
 def dot(a, b):
@@ -126,33 +129,42 @@ def eliminate(row, prow, piv, col) -> list:
 
 
 def rank(rows, ctx: Context) -> int:
-    """Rank of a (not necessarily square) matrix given as an iterable of rows."""
+    """Rank of a (not necessarily square) matrix given as an iterable of rows.
+
+    Forward elimination: a pivot eliminates the rows below it only, the
+    only rows a later pivot search reads, and the last pivot (in the last
+    column or the last row) eliminates nothing. The pivots are those of
+    Gauss-Jordan elimination, and on floats so is every value a pivot
+    search compares: Gauss-Jordan changes the rows above the pivot only.
+    """
     if ctx.exact:
         work = [list(row) if all(type(x) is int for x in row)
                 else integer_row([ctx.coerce(x) for x in row]) for row in rows]
     else:
-        work = [list(map(ctx.coerce, row)) for row in rows]
+        work = [list(row) if finite_floats(row) else list(map(ctx.coerce, row))
+                for row in rows]
     if not work:
         return 0
-    ncols = len(work[0])
+    n, last = len(work), len(work[0]) - 1
     r = 0
-    for col in range(ncols):
+    for col in range(last + 1):
         p = _pivot_row(work, col, r, ctx)
         if p is None:
             continue
         work[r], work[p] = work[p], work[r]
-        piv = work[r][col]
-        if ctx.exact:
-            for i in range(r + 1, len(work)):
-                if work[i][col] != 0:
-                    work[i] = eliminate(work[i], work[r], piv, col)
-        else:
-            work[r] = [x / piv for x in work[r]]
-            for i in range(len(work)):
-                if i != r and work[i][col] != 0:
-                    factor = work[i][col]
-                    work[i] = [x - factor * y for x, y in zip(work[i], work[r])]
         r += 1
-        if r == len(work):
+        if r == n or col == last:
             break
+        prow = work[r - 1]
+        piv = prow[col]
+        if ctx.exact:
+            for i in range(r, n):
+                if work[i][col] != 0:
+                    work[i] = eliminate(work[i], prow, piv, col)
+        else:
+            prow = [x / piv for x in prow]
+            for i in range(r, n):
+                factor = work[i][col]
+                if factor != 0:
+                    work[i] = [x - factor * y for x, y in zip(work[i], prow)]
     return r

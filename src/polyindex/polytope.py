@@ -31,7 +31,9 @@ rows and -v_i has the row -W_i, so the permissive strip's duplicates and
 the antipodal vertices are found through a dict of first indices on the
 int rows; on floats through the points sorted by first coordinate
 (:class:`_PointIndex`), testing only those in a window around the query
-that is wider than any difference the tolerant equality accepts. While a
+that is wider than any difference the tolerant equality accepts. A float
+ball builds one such index, for its antipodes, and validation's repeat
+check reads it too; it takes a row of finite floats as it is. While a
 double description runs, each zero set is an int bitmask, one bit per row.
 
 The Minkowski gauge of the ball (the norm itself) is then the maximum of
@@ -64,7 +66,8 @@ from typing import Optional
 
 from .errors import ComputationError, InputError, ValidationError
 from .linalg import dot, rank, scaled_integer_rows, vneg
-from .scalars import Context, EXACT, Scalar, _exact_backend, float_context, format_rational
+from .scalars import (Context, EXACT, Scalar, _exact_backend, finite_floats, float_context,
+                      format_rational)
 
 
 class Polytope:
@@ -98,14 +101,17 @@ class Polytope:
         if any(len(v) != d for v in vertices):
             raise InputError("all vertices must have the same dimension")
         self.ctx = ctx = EXACT if _exact_backend(backend, vertices) else float_context(eps)
-        rows = [tuple(x if ctx.exact and isinstance(x, (int, Fraction)) else ctx.coerce(x)
-                      for x in v) for v in vertices]
+        if ctx.exact:
+            rows = [tuple(x if isinstance(x, (int, Fraction)) else ctx.coerce(x) for x in v)
+                    for v in vertices]
+        else:
+            rows = [v if finite_floats(v) else tuple(map(ctx.coerce, v)) for v in vertices]
         if permissive:
             rows = [rows[i] for i in _kept_points(rows, ctx)]
         self._scaled = scaled_integer_rows(rows) if ctx.exact else None
         self._vertices = None if ctx.exact else tuple(rows)
         self.dim = d
-        self._antipodes = None
+        self._antipodes = self._index = self._representatives = None
         self._cone = None  # polar cone (rays, lineality), stored once validation passes
         self._facets = self._facet_rows = self._incidence = self._facet_pairs = self._table = None
 
@@ -129,14 +135,16 @@ class Polytope:
         """Per vertex v, the index of the first listed -v, or None if -v is missing.
 
         On the rational backend -v_i is exactly the int row -W_i, so one dict
-        of first indices on the rows W answers every lookup."""
+        of first indices on the rows W answers every lookup. On floats the
+        lookups go to the ball's one :class:`_PointIndex` of its vertices,
+        kept as ``_index`` for the repeat check of :func:`validate`."""
         if self._antipodes is None:
             if self.ctx.exact:
                 rows = self._scaled[0]
                 first = _first_indices(rows)
                 self._antipodes = tuple(first.get(tuple(-x for x in w)) for w in rows)
             else:
-                index = _PointIndex(self.vertices, self.ctx)
+                self._index = index = _PointIndex(self.vertices, self.ctx)
                 self._antipodes = tuple(index.find(vneg(v)) for v in self.vertices)
         return self._antipodes
 
@@ -149,8 +157,12 @@ class Polytope:
         return j
 
     def orbit_representatives(self) -> tuple:
-        """One vertex index per antipodal pair, the smaller index of each."""
-        return tuple(i for i in range(len(self)) if i < self.antipode_index(i))
+        """One vertex index per antipodal pair, the smaller index of each.
+        Computed once per ball."""
+        if self._representatives is None:
+            self._representatives = tuple(i for i in range(len(self))
+                                          if i < self.antipode_index(i))
+        return self._representatives
 
 
 @dataclass(frozen=True)
@@ -160,8 +172,8 @@ class FacetFunctional:
     ``incident_vertices`` collects the indices of the vertices v with f(v) = 1.
     A rational facet (:meth:`of_ray`) keeps ``ray``, the primitive int ray
     (x_1, ..., x_d, t) of the double description, t > 0, and builds
-    ``coeffs``, the Fractions x_i / t, on first access. On floats ``ray``
-    is None.
+    ``coeffs``, the Fractions x_i / t, on first access. A float facet
+    (:meth:`of_coeffs`) keeps its ``coeffs``, and ``ray`` is None.
     """
 
     coeffs: tuple
@@ -172,6 +184,13 @@ class FacetFunctional:
     def of_ray(cls, ray, incident_vertices) -> "FacetFunctional":
         f = object.__new__(cls)
         f.__dict__.update(ray=ray, incident_vertices=incident_vertices)
+        return f
+
+    @classmethod
+    def of_coeffs(cls, coeffs, incident_vertices) -> "FacetFunctional":
+        """A float facet, built as :meth:`of_ray` builds a rational one."""
+        f = object.__new__(cls)
+        f.__dict__.update(coeffs=coeffs, incident_vertices=incident_vertices)
         return f
 
     def __getattr__(self, name):  # an attribute not set: a rational facet's coeffs
@@ -265,21 +284,29 @@ def _first_indices(rows) -> dict:
 class _PointIndex:
     """The float points added so far, looked up by value within eps.
 
+    A float ball builds one index of its vertices, in
+    :meth:`Polytope._antipode_map`, and the repeat check of
+    :func:`_vertex_flags` reads the same one; the permissive strip hands on
+    its index of the points it keeps.
+
     ``find(x)`` is the index of the first point equal to x, or None.
     Equality within eps is not transitive, so the points cannot hash (the
     rational backend hashes int rows instead, :func:`_first_indices`); the
-    index keeps ``(first coordinate, index)`` pairs sorted and tests, with
-    ``ctx.eq`` on every coordinate, only the points whose first coordinate
-    y0 lies in the window [x0 - 2 eps, x0 + 2 eps] around the query's x0,
-    both ends rounded, returning the lowest matching index (the first match
-    of a scan over every point). The window holds every match: rounding is
-    monotone and 2 eps is a float (or inf), so y0 below the rounded
-    x0 - 2 eps is below x0 - 2 eps itself, and then x0 - y0 rounds to
-    2 eps or more, which ``ctx.eq`` rejects; likewise above.
+    index keeps ``(first coordinate, index)`` pairs sorted and tests only
+    the points whose first coordinate y0 lies in the window
+    [x0 - 2 eps, x0 + 2 eps] around the query's x0, both ends rounded,
+    returning the lowest matching index (the first match of a scan over
+    every point). Each coordinate is compared as ``ctx.eq`` compares it,
+    with the test written inline: ``-eps <= a - b <= eps``. The points are
+    finite, so a - b is never nan, the one value on which the two differ.
+    The window holds every match: rounding is monotone and 2 eps is a float
+    (or inf), so y0 below the rounded x0 - 2 eps is below x0 - 2 eps
+    itself, and then x0 - y0 rounds to 2 eps or more, which ``ctx.eq``
+    rejects; likewise above.
     """
 
     def __init__(self, points, ctx: Context):
-        self.ctx = ctx
+        self.eps = ctx.eps
         self.points = []
         self._keys = []  # sorted (first coordinate, index)
         for v in points:
@@ -290,26 +317,35 @@ class _PointIndex:
         self.points.append(v)
 
     def find(self, x) -> Optional[int]:
-        eq, points, keys = self.ctx.eq, self.points, self._keys
-        x0, w = x[0], 2 * self.ctx.eps
+        eps, points, keys = self.eps, self.points, self._keys
+        x0, w = x[0], 2 * eps
         window = keys[bisect_left(keys, (x0 - w,)):bisect_right(keys, (x0 + w, math.inf))]
-        return min((j for _, j in window if all(map(eq, x, points[j]))), default=None)
+        found = None
+        for _, j in window:
+            if found is None or j < found:
+                for a, b in zip(x, points[j]):
+                    if not -eps <= a - b <= eps:
+                        break
+                else:
+                    found = j
+        return found
 
 
 def _kept_points(rows, ctx: Context) -> list:
     """The indices of the points a permissive ball keeps: the first copy of
     each point that is extreme. Warns for each point dropped."""
     points, scale = scaled_integer_rows(rows) if ctx.exact else (rows, None)
+    index = None
     if ctx.exact:
         # Under one common scale equal points have equal int rows.
         first = _first_indices(points)
         repeats = [first[w] != i for i, w in enumerate(points)]
     else:
-        seen, repeats = _PointIndex((), ctx), []
+        index, repeats = _PointIndex((), ctx), []
         for v in points:
-            repeats.append(seen.find(v) is not None)
+            repeats.append(index.find(v) is not None)
             if not repeats[-1]:
-                seen.add(v)
+                index.add(v)
     kept = []
     for i, repeat in enumerate(repeats):
         if repeat:
@@ -317,8 +353,10 @@ def _kept_points(rows, ctx: Context) -> list:
         else:
             kept.append(i)
     points = [points[i] for i in kept]
+    cone = _polar_cone(points, ctx, scale)
     extreme = []
-    for i, is_vertex in zip(kept, _vertex_flags(points, _polar_cone(points, ctx, scale), ctx)):
+    # On floats the index holds exactly the points kept, in order.
+    for i, is_vertex in zip(kept, _vertex_flags(points, cone, ctx, index)):
         if not is_vertex:
             warnings.warn(f"dropping non-extreme input point {tuple(map(ctx.coerce, rows[i]))}")
             continue
@@ -346,7 +384,7 @@ def _polar_cone(points, ctx: Context, scale=None):
     return _double_description(rows, len(rows[0]), ctx)
 
 
-def _vertex_flags(points, cone, ctx: Context) -> list:
+def _vertex_flags(points, cone, ctx: Context, index=None) -> list:
     """For each point, whether it is a vertex of the convex hull of the points.
 
     ``cone`` is :func:`_polar_cone` of the points. Point i is a vertex
@@ -371,7 +409,8 @@ def _vertex_flags(points, cone, ctx: Context) -> list:
     row i defines a facet when the rays tight at it and the lineality span
     a hyperplane. On that face t = f . v_i, so the point is a vertex iff
     their first d coordinates have rank d; repeats are found with the
-    tolerant equality.
+    tolerant equality, through ``index``, a :class:`_PointIndex` of the
+    points (a new one when None).
     """
     rays, lineality = cone
     if ctx.exact:
@@ -387,7 +426,8 @@ def _vertex_flags(points, cone, ctx: Context) -> list:
         for i in zs:
             faces[i].append(r[:d])
     flags = [rank(face, ctx) == d for face in faces]
-    index = _PointIndex(points, ctx)
+    if index is None:
+        index = _PointIndex(points, ctx)
     for i, v in enumerate(points):
         j = index.find(v)
         if j != i:
@@ -423,7 +463,7 @@ def validate(p: Polytope) -> ValidationReport:
     if cone[1] if ctx.exact and not violations else rank(points, ctx) < p.dim:
         violations.append(f"not full-dimensional: vertices span less than {p.dim} dimensions")
     seen = set()
-    for i, (w, is_vertex) in enumerate(zip(points, _vertex_flags(points, cone, ctx))):
+    for i, (w, is_vertex) in enumerate(zip(points, _vertex_flags(points, cone, ctx, p._index))):
         if not is_vertex and w not in seen:
             violations.append(f"{_vertex_text(i, p.vertices[i])} is not extreme "
                               "(lies in the hull of the others)")
@@ -641,8 +681,9 @@ def facet_enumeration(p: Polytope) -> tuple:
         p._facet_rows = tuple(row for row, _ in keyed), scale
         functionals = [FacetFunctional.of_ray(r, zs) for _, (r, zs) in keyed]
     else:
-        functionals = sorted((FacetFunctional(tuple(x / r[d] for x in r[:d]), zs)
-                              for r, zs in rays), key=lambda f: f.coeffs)
+        keyed = sorted([(tuple([x / r[d] for x in r[:d]]), zs) for r, zs in rays],
+                       key=itemgetter(0))
+        functionals = [FacetFunctional.of_coeffs(c, zs) for c, zs in keyed]
     p._facets = tuple(functionals)
     return p._facets
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Union
@@ -48,19 +49,42 @@ def check_tolerance(eps: float, name: str) -> float:
     return eps
 
 
+# An integer or "p/q" literal in ASCII digits, read with int() on each part.
+_INTEGER_RATIO = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse "p/q", an integer, or a decimal literal into an exact Fraction.
 
     "5/17" -> Fraction(5, 17); "-1" -> Fraction(-1); "0.5" -> Fraction(1, 2).
+    An ASCII ``[+-]?digits(/digits)?`` literal is read as ``Fraction(p, q)``
+    of its two ints; any other text goes to ``Fraction(text)``, which
+    accepts the same literals and gives the same value.
     """
     if not isinstance(text, str):
         raise InputError(f"expected a rational literal string, got {type(text).__name__}")
+    literal = text.strip()
     try:
-        return Fraction(text.strip())
+        if _INTEGER_RATIO.fullmatch(literal):
+            num, _, den = literal.partition("/")
+            return Fraction(int(num), int(den or 1))
+        return Fraction(literal)
     except ZeroDivisionError as exc:
         raise InputError(f"rational literal has zero denominator: {text!r}") from exc
     except ValueError as exc:
         raise InputError(f"malformed rational literal: {text!r}") from exc
+
+
+def finite_floats(values) -> bool:
+    """Whether every value of the sequence is a finite float, of type
+    ``float`` itself (no bool, int or float subclass). One ``sum`` tests
+    finiteness: it is finite unless an entry is not or the sum overflows,
+    and on overflow finite floats are answered False too, which only sends
+    them down the general path of the caller."""
+    for x in values:
+        if type(x) is not float:
+            return False
+    return math.isfinite(sum(values))
 
 
 def format_rational(value: Fraction) -> str:
@@ -73,17 +97,20 @@ def format_rational(value: Fraction) -> str:
 @dataclass(frozen=True)
 class Context:
     """Comparison context: ``eps == 0`` selects the exact rational backend;
-    any other ``eps`` must be a finite positive float tolerance."""
+    any other ``eps`` must be a finite positive float tolerance.
+
+    ``exact`` (``eps == 0``) is a plain attribute, set once when the
+    context is built: the hot loops read it per row. It is not a field, so
+    equality, hashing, ``repr`` and ``dataclasses.replace`` see ``eps``
+    only, and like ``eps`` it cannot be assigned.
+    """
 
     eps: float = 0.0
 
     def __post_init__(self):
         if self.eps != 0:
             check_tolerance(self.eps, "eps")
-
-    @property
-    def exact(self) -> bool:
-        return self.eps == 0
+        object.__setattr__(self, "exact", self.eps == 0)
 
     def coerce(self, value) -> Scalar:
         """Convert a number (or rational literal string) to this backend's type."""

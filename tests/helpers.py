@@ -143,6 +143,42 @@ def reference_rank(rows):
     return r
 
 
+def reference_parse_rational(text):
+    """A rational literal read by ``Fraction`` alone, as its whole text;
+    ``("value", Fraction)`` or ``("error", message)`` with the message
+    ``parse_rational`` gives."""
+    try:
+        return "value", Fraction(text.strip())
+    except ZeroDivisionError:
+        return "error", f"rational literal has zero denominator: {text!r}"
+    except ValueError:
+        return "error", f"malformed rational literal: {text!r}"
+
+
+def reference_float_rank(rows, eps):
+    """Rank by Gauss-Jordan elimination on floats: in each column the pivot
+    is the first row of largest magnitude above ``eps``; it is divided by
+    its pivot entry, and every other row with a nonzero entry in the
+    column is eliminated."""
+    work = [[float(x) for x in row] for row in rows]
+    r = 0
+    for col in range(len(work[0]) if work else 0):
+        p, mag = None, eps
+        for i in range(r, len(work)):
+            if abs(work[i][col]) > mag:
+                p, mag = i, abs(work[i][col])
+        if p is None:
+            continue
+        work[r], work[p] = work[p], work[r]
+        work[r] = [x / work[r][col] for x in work[r]]
+        for i in range(len(work)):
+            if i != r and work[i][col] != 0:
+                f = work[i][col]
+                work[i] = [x - f * y for x, y in zip(work[i], work[r])]
+        r += 1
+    return r
+
+
 def _reference_pivot(rows, obj, basis, r, c):
     prow = rows[r]
     piv = prow[c]
@@ -336,9 +372,9 @@ def reference_vertex_flags(points, cone, ctx=None):
     """Whether each point is a vertex of the list, from a cone of
     :func:`reference_polar_cone`: the rays tight at the point and the
     lineality have rank d in their first d coordinates, and the point is
-    listed once (found by a scan). With a float ``ctx`` the rank is the
-    library's float rank and repeats are found with ``ctx.eq``."""
-    from polyindex.linalg import rank
+    listed once (found by a scan). With a float ``ctx`` the rank is
+    :func:`reference_float_rank` with its tolerance and repeats are found
+    with ``ctx.eq``."""
     rays, lineality = cone
     d = len(points[0])
     faces = [[l[:d] for l in lineality] for _ in points]
@@ -348,7 +384,7 @@ def reference_vertex_flags(points, cone, ctx=None):
     if ctx is None:
         flags, eq = [reference_rank(face) == d for face in faces], operator.eq
     else:
-        flags, eq = [rank(face, ctx) == d for face in faces], ctx.eq
+        flags, eq = [reference_float_rank(face, ctx.eps) == d for face in faces], ctx.eq
     for i, v in enumerate(points):
         j = reference_index_of(points, v, eq)
         if j != i:

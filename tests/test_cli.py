@@ -476,6 +476,10 @@ _LEAVES = (st.none() | st.booleans() | st.integers() | st.text()
 @example(doc=[True, 1])
 @example(doc=[1, "1/2"])
 @example(doc={"vertices": (1, "1/2", (False, None, math.inf, -0.0))})
+@example(doc=[-0.0, 5e-324, 1e308, -1e308, 0.1])
+@example(doc={"minimizer": [0.5, math.nan, -0.25]})
+@example(doc=[[1.0, math.inf], [-math.inf, 2.0], [0.5, 1]])
+@example(doc=[1.0, True, 0.0])
 def test_json_writes_what_json_dumps_writes(doc):
     assert cli._json(doc) == json.dumps(doc, indent=2)
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -129,3 +130,32 @@ def test_embedded_witness_errors_name_the_witness(hexagon, witness, field):
     with pytest.raises(InputError) as exc:
         polytope_from_document(doc)
     assert str(exc.value).startswith(field)
+
+
+@pytest.mark.parametrize("entry, want", [
+    ("true", "polytope.vertices[2][1]: float documents take numbers, got True"),
+    ("false", "polytope.vertices[2][1]: float documents take numbers, got False"),
+    ("Infinity", "polytope.vertices[2][1]: not a finite number"),
+    ("-Infinity", "polytope.vertices[2][1]: not a finite number"),
+    ("NaN", "polytope.vertices[2][1]: not a finite number"),
+    ("1e999", "polytope.vertices[2][1]: not a finite number"),
+])
+def test_float_document_row_with_a_bad_entry_names_it(entry, want):
+    # json.loads reads Infinity and NaN as floats; a row of floats is passed
+    # on as it is only when every one of them is finite.
+    text = '{"dim": 2, "scalar": "float", "vertices": [[1.0, 0.0], [0.0, 1.0], [-1.0, %s], [0.0, -1.0]]}'
+    with pytest.raises(InputError) as exc:
+        polytope_from_document(json.loads(text % entry))
+    assert str(exc.value) == want
+    with pytest.raises(InputError) as exc:
+        operator_from_document(json.loads('{"dim": 2, "scalar": "float", "matrix": '
+                                          '[[1.0, 0.0], [-1.0, %s]]}' % entry))
+    assert str(exc.value) == want.replace("polytope.vertices[2]", "operator.matrix[1]")
+
+
+def test_float_document_row_with_an_int_reads_it_as_a_float():
+    doc = json.loads('{"dim": 2, "scalar": "float", "vertices": [[1.0, 0], [0.0, 1.0], '
+                     '[-1, 0.0], [0.0, -1.0]]}')
+    p, _ = polytope_from_document(doc)
+    assert p.vertices == ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
+    assert all(type(x) is float for v in p.vertices for x in v)

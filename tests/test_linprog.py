@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
+import numpy
 import pytest
-from hypothesis import given, settings, strategies as st
-from helpers import reference_rank, reference_solve_lp
+from hypothesis import example, given, settings, strategies as st
+from helpers import reference_float_rank, reference_rank, reference_solve_lp
 
 import polyindex.linprog as linprog_module
 from polyindex import InputError, LinearProgram, solve_lp
@@ -294,3 +296,74 @@ def _rank_matrices(draw):
 @given(_rank_matrices())
 def test_exact_rank_matches_fraction_elimination(rows):
     assert rank(rows, EXACT) == reference_rank(rows)
+
+
+_RANK_TOLERANCES = (1e-9, 1e-3, 1e-300)
+
+
+def _ulps_from(x, k):
+    """x moved k ulps up (k > 0) or down (k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.inf if k > 0 else 0.0)
+    return x
+
+
+@st.composite
+def _float_rank_matrices(draw):
+    """``(eps, rows)``: a square or tall float matrix, made rank-deficient
+    on purpose (zero rows, repeated rows, float combinations of earlier
+    rows) and with entries within a few ulps of +-eps, where the pivot test
+    ``|x| > eps`` flips."""
+    eps = draw(st.sampled_from(_RANK_TOLERANCES))
+    near_eps = st.builds(lambda k, s: s * _ulps_from(eps, k), st.integers(-3, 3),
+                         st.sampled_from((1.0, -1.0)))
+    entries = st.one_of(st.just(0.0), st.integers(-3, 3).map(float), near_eps,
+                        st.floats(-10, 10, allow_nan=False, allow_infinity=False))
+    ncols = draw(st.integers(1, 5))
+    rows = []
+    for _ in range(draw(st.integers(ncols, ncols + 4))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "combine"]) if rows
+                    else st.just("fresh"))
+        if kind == "fresh":
+            rows.append(draw(st.lists(entries, min_size=ncols, max_size=ncols)))
+        elif kind == "zero":
+            rows.append([0.0] * ncols)
+        elif kind == "repeat":
+            rows.append(list(draw(st.sampled_from(rows))))
+        else:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(entries), draw(entries)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+    return eps, draw(st.permutations(rows))
+
+
+def _as_int(x):
+    return int(x) if x.is_integer() else x
+
+
+@settings(max_examples=300, deadline=None)
+@given(_float_rank_matrices(), st.data())
+@example((1e-9, [[1e-9]]), None)
+@example((1e-9, [[math.nextafter(1e-9, 1.0)]]), None)
+@example((1e-300, [[1e-300, 1.0], [2.0, 2e-300]]), None)
+def test_float_rank_matches_gauss_jordan(case, data):
+    eps, rows = case
+    ctx = float_context(eps)
+    want = reference_float_rank(rows, eps)
+    assert rank(rows, ctx) == want
+    assert rank([tuple(row) for row in rows], ctx) == want
+    if data is None:
+        return
+    # Entries that are not floats are coerced to the same floats: ints of
+    # the integral entries, the Fractions and numpy.float64s of any.
+    kinds = st.sampled_from((float, _as_int, Fraction, numpy.float64))
+    mixed = [[data.draw(kinds)(x) for x in row] for row in rows]
+    assert rank(mixed, ctx) == want
+    # A non-finite entry is still rejected, whatever its row holds.
+    i = data.draw(st.integers(0, len(rows) - 1))
+    j = data.draw(st.integers(0, len(rows[0]) - 1))
+    bad = [list(row) for row in rows]
+    bad[i][j] = data.draw(st.sampled_from((math.inf, -math.inf, math.nan, numpy.float64("inf"),
+                                           numpy.float64("nan"))))
+    with pytest.raises(InputError, match="^not a finite number"):
+        rank(bad, ctx)

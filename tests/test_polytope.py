@@ -17,7 +17,7 @@ from polyindex.linalg import (column_dots, dot, integer_row, rank, scaled_intege
                               scaled_integer_rows, vsub)
 from polyindex.polytope import (_PointIndex, _double_description, _polar_cone, _vertex_flags,
                                 evaluation_table, facet_antipode_pairs)
-from polyindex.scalars import EXACT, float_context
+from polyindex.scalars import EXACT, Context, float_context
 from helpers import (brute_force_facets, random_symmetric_polytope, reference_antipode_map,
                      reference_double_description, reference_index_of, reference_polar_cone,
                      reference_strip, reference_vertex_flags, scaled_random_polytope)
@@ -521,6 +521,47 @@ def test_rational_vertices_scaled_to_ints_once_per_ball(make, monkeypatch):
     assert [list(map(tuple, rows)) for rows in scalings] == [list(vertices)]
     assert (table.vertices, table.vertex_scale) == real(p.vertices)
     assert row_calls == []
+
+
+@pytest.mark.parametrize("make", [
+    lambda: regular_2n_gon(12), lambda: oblique_prism(5, 0.25), lambda: prism_with_pyramids(3),
+    lambda: Polytope(bipyramid_square_prism().vertices, backend="float"),
+])
+def test_float_ball_builds_one_point_index_and_ranks_without_coerce(make, monkeypatch):
+    vertices = make().vertices
+    indexes, coerced, ranks, in_rank = [], [], [], [False]
+    real_coerce = Context.coerce
+
+    class CountingIndex(_PointIndex):
+        def __init__(self, points, ctx):
+            indexes.append(tuple(points))
+            super().__init__(points, ctx)
+
+    def coerce(self, value):
+        if in_rank[0]:
+            coerced.append(value)
+        return real_coerce(self, value)
+
+    def ranking(rows, ctx):
+        ranks.append(rows)
+        in_rank[0] = True
+        try:
+            return rank(rows, ctx)
+        finally:
+            in_rank[0] = False
+
+    monkeypatch.setattr(polytope_module, "_PointIndex", CountingIndex)
+    monkeypatch.setattr(Context, "coerce", coerce)
+    monkeypatch.setattr(polytope_module, "rank", ranking)
+    p = Polytope(vertices, backend="float")
+    assert validate(p).ok
+    facet_enumeration(p)
+    evaluation_table(p)
+    # One index, of the vertices, for the antipodes and the repeat check.
+    assert indexes == [p.vertices]
+    # A rank per vertex face and one of the vertices, none coercing a row.
+    assert len(ranks) == len(p) + 1 and coerced == []
+    assert p.orbit_representatives() is p.orbit_representatives()
 
 
 def test_rational_facets_and_table_build_no_fraction(monkeypatch):

@@ -1,8 +1,11 @@
+import dataclasses
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from helpers import reference_parse_rational
 
 from polyindex import InputError, format_rational, parse_rational
 from polyindex.scalars import Context, EXACT, check_tolerance, float_context, infer_exact
@@ -123,3 +126,66 @@ def test_infer_exact():
     assert infer_exact([(1, Fraction(1, 2)), (3, 4)])
     assert not infer_exact([(1, 0.5)])
     assert not infer_exact([[(1,), (2.0,)]])
+
+
+def test_context_keeps_value_semantics_with_exact_an_attribute():
+    a, b = Context(1e-9), Context(1e-9)
+    assert a == b and hash(a) == hash(b) and a != Context(1e-6) and a != EXACT
+    assert Context(0.0) == EXACT and hash(Context(0.0)) == hash(EXACT)
+    assert repr(a) == "Context(eps=1e-09)" and repr(EXACT) == "Context(eps=0.0)"
+    assert [f.name for f in dataclasses.fields(Context)] == ["eps"]
+    wider = dataclasses.replace(a, eps=1e-6)
+    assert wider == Context(1e-6) and not wider.exact
+    assert dataclasses.replace(a, eps=0.0).exact
+    assert not dataclasses.replace(EXACT, eps=1e-3).exact
+    for ctx in (EXACT, a):
+        back = pickle.loads(pickle.dumps(ctx))
+        assert back == ctx and hash(back) == hash(ctx) and back.exact == ctx.exact
+    for ctx in (EXACT, a):
+        for name, value in (("exact", not ctx.exact), ("eps", 0.5)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(ctx, name, value)
+    assert EXACT.exact and EXACT.eps == 0.0 and not a.exact and a.eps == 1e-9
+
+
+_WHITESPACE = st.sampled_from(["", " ", "\t", " \n", "\u2003"])
+_DIGIT_RUNS = st.one_of(
+    st.text(alphabet="0123456789", min_size=1, max_size=8),
+    st.sampled_from(["0", "00", "000", "1" * 30]),
+    # Underscores, non-ASCII digits (Arabic-Indic three, fullwidth five,
+    # superscript two), decimals and exponents.
+    st.text(alphabet="0123456789_\u0663\uff15\u00b2.eE+-", min_size=0, max_size=8),
+    st.sampled_from(["1_000", "1__0", "_1", "1.5", ".5", "5.", "1e3", "1E-2", "2e+400",
+                     "1.5e-3", "\u0663", "\uff15", "\u00b2", "inf", "nan"]),
+)
+
+
+@st.composite
+def _rational_literals(draw):
+    sign = draw(st.sampled_from(["", "+", "-", "--", "+-"]))
+    text = sign + draw(_DIGIT_RUNS)
+    slash = draw(st.sampled_from(["", "/", "/", " /", "/ ", " / ", "//"]))
+    if slash:
+        text += slash + draw(st.sampled_from(["", "+", "-"])) + draw(_DIGIT_RUNS)
+    return draw(_WHITESPACE) + text + draw(_WHITESPACE)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_rational_literals(), st.text(max_size=10)))
+@example("5/0")
+@example(" -0/0 ")
+@example("-12/-5")
+@example("1 / 2")
+@example("1_0/3")
+@example("\u0663/4")
+@example("+7")
+@example("0012/0008")
+def test_parse_rational_matches_fraction_on_its_text(text):
+    kind, want = reference_parse_rational(text)
+    if kind == "value":
+        got = parse_rational(text)
+        assert type(got) is Fraction and got == want
+    else:
+        with pytest.raises(InputError) as exc:
+            parse_rational(text)
+        assert str(exc.value) == want
