@@ -38,7 +38,8 @@ from .errors import ComputationError, InputError
 from .linalg import column_dots
 from .operators import (Operator, RadiusCertificate, _in_ball_arithmetic, _orbit_pair_values,
                         _radius_rows, _table_norm)
-from .polytope import Polytope, _double_description, evaluation_table, incidence
+from .polytope import (Polytope, _double_description, evaluation_table, facet_enumeration,
+                       incidence)
 from .scalars import Scalar
 
 
@@ -210,21 +211,18 @@ def _parallelotope_rays(p, bound_rows, vertex_index, facets):
     the facets other than some f_j have no single other vertex in common,
     or c for its edge is not a positive finite number."""
     rows, _, scale, s, _ = bound_rows
-    if p.ctx.exact:
-        ev = evaluation_table(p)
-        point, vertex_scale = ev.vertices.__getitem__, ev.vertex_scale
-    else:
-        point, vertex_scale = (lambda a: tuple(x / s for x in p.vertices[a])), 1
-    f2v = incidence(p).facet_to_vertices
-    members = [set(f2v[k]) for k in facets]
+    ev = evaluation_table(p)
+    vertices, vertex_scale = ev.vertices, ev.vertex_scale
+    point = vertices.__getitem__ if p.ctx.exact else lambda a: tuple(x / s for x in vertices[a])
+    all_facets = facet_enumeration(p)
+    members = [all_facets[k].incident_vertices for k in facets]
     v = point(vertex_index)
     terms = [([scale * x for x in v], scale * vertex_scale)]  # (D, c) with D / c = v
     for j in range(1, len(facets)):
-        ends = set.intersection(*members[:j], *members[j + 1:])
-        ends.discard(vertex_index)
+        ends = frozenset.intersection(*members[:j], *members[j + 1:]) - {vertex_index}
         if len(ends) != 1:
             return None
-        w = point(ends.pop())
+        w = point(*ends)
         c = scale * vertex_scale - sum(map(mul, rows[facets[j]], w))
         if not 0 < c < math.inf:
             return None

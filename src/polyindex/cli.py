@@ -23,22 +23,29 @@ from .documents import (operator_from_document, operator_to_document,
                         polytope_from_document, polytope_to_document, scalar_to_json)
 from .errors import ComputationError, InputError, PolyindexError
 from .families import (FAMILIES, HEXAGON_DUAL_VERTEX, HEXAGON_VERTEX_BOUNDS,
-                       irregular_hexagon, linf_sum, scale_coordinate, scale_witness)
+                       irregular_hexagon, scale_coordinate, scale_witness)
 from .linalg import rank
 from .operators import norm_and_profile, operator_norm
 from .polytope import evaluation_table, facet_enumeration, gauge, incidence
 from .scalars import check_tolerance, finite_floats, parse_rational
 
-def _read_json(path: str, what: str):
+def _json_file(path: str):
+    """The JSON value in the file at ``path``, or on stdin for "-"."""
     try:
         if path == "-":
             return json.load(sys.stdin)
         with open(path) as fh:
             return json.load(fh)
     except OSError as exc:
-        raise InputError(f"{what}: cannot read {path}: {exc}") from exc
+        raise InputError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"{what}: {path} is not valid JSON: {exc}") from exc
+        raise InputError(f"{path} is not valid JSON: {exc}") from exc
+
+
+def _read_json(path: str, what: str):
+    """:func:`_json_file`, its errors named ``what``."""
+    with _named(what):
+        return _json_file(path)
 
 
 def _render_text(value, indent=0, out=None):
@@ -141,8 +148,9 @@ def _load_polytope(args):
 
 
 def _config(p, **extra):
-    """The ball's float tolerance (None on a rational ball), then ``extra``."""
-    return {"eps": None if p.ctx.exact else p.ctx.eps, **extra}
+    """The ball's float tolerance (None on a rational ball, whose eps is 0),
+    then ``extra``."""
+    return {"eps": p.ctx.eps or None, **extra}
 
 
 def cmd_hull(args) -> int:
@@ -235,6 +243,7 @@ def cmd_bound(args) -> int:
         witnesses = [embedded]
     subsets = None
     if args.policy == "subset":
+        facet_enumeration(p)  # validates the ball: its orbits are read next
         subsets = {i: _spanning_facets(p, i) for i in p.orbit_representatives()}
     if args.search < 0:
         raise InputError(f"--search: budget must be nonnegative, got {args.search}")
@@ -264,36 +273,41 @@ def cmd_bound(args) -> int:
     return 0
 
 
+def _ball_flag(path: str):
+    """The ball of the polytope document at ``path``."""
+    return polytope_from_document(_json_file(path))[0]
+
+
+# Each family parameter's flag: how its text is read (--n as argparse
+# parsed it), and whether a family that takes it needs it.
+_PARAM_FLAGS = {
+    "n": (int, True),
+    "l": (lambda text: float(parse_rational(text)), False),
+    "a": (_ball_flag, True),
+    "b": (_ball_flag, True),
+}
+
+
 def cmd_family(args) -> int:
     kind = args.kind
-    if kind != "linf_sum" and kind not in FAMILIES:
-        raise InputError(f"unknown family {kind!r}; choose from "
-                         f"{sorted(FAMILIES) + ['linf_sum']}")
-    family = FAMILIES.get(kind)
-    if family is None:
-        takes = ("a", "b")
-    else:
-        takes = family.params + (("with_witness",) if family.witness else ())
-    for name in ("n", "l", "a", "b", "with_witness"):
+    if kind not in FAMILIES:
+        raise InputError(f"unknown family {kind!r}; choose from {sorted(FAMILIES)}")
+    family = FAMILIES[kind]
+    takes = family.params + (("with_witness",) if family.witness else ())
+    for name in (*_PARAM_FLAGS, "with_witness"):
         if getattr(args, name) not in (None, False) and name not in takes:
             raise InputError(f"family {kind}: takes no --{name.replace('_', '-')}")
-    witness = None
-    if family is None:
-        if not args.a or not args.b:
-            raise InputError("family linf_sum: needs --a FILE and --b FILE polytope documents")
-        pa, _ = polytope_from_document(_read_json(args.a, "--a"))
-        pb, _ = polytope_from_document(_read_json(args.b, "--b"))
-        p = linf_sum(pa, pb)
-    else:
-        if "n" in takes and args.n is None:
-            raise InputError(f"family {kind}: needs --n")
-        params = {} if args.n is None else {"n": args.n}
-        if args.l is not None:
-            with _named("--l"):
-                params["l"] = float(parse_rational(args.l))
-        p = family.ball(**params)
-        if args.with_witness:
-            witness = family.witness(**params)
+    given = {name: getattr(args, name) for name in family.params}
+    for name, text in given.items():
+        if text is None and _PARAM_FLAGS[name][1]:
+            raise InputError(f"family {kind}: needs --{name}")
+    params = {}
+    for name, text in given.items():
+        if text is not None:
+            with _named(f"--{name}"):
+                params[name] = _PARAM_FLAGS[name][0](text)
+    p = family.ball(**params)
+    witness = family.witness(**params) if args.with_witness else None
     if args.height is not None:
         if p.dim < 3:
             raise InputError("--height: only meaningful for prism families")
@@ -418,14 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("family", help="generate a built-in family member document")
-    sp.add_argument("kind", help=f"one of {sorted(FAMILIES) + ['linf_sum']}")
+    sp.add_argument("kind", help=f"one of {sorted(FAMILIES)}")
     sp.add_argument("--n", type=int, help="half the base vertex count")
     sp.add_argument("--l", help="shear parameter (rational or decimal)")
     sp.add_argument("--height", help="rescale the last coordinate by this factor")
     sp.add_argument("--with-witness", action="store_true",
                     help="embed the family's sharp witness operator")
-    sp.add_argument("--a", help="linf_sum: first summand polytope document")
-    sp.add_argument("--b", help="linf_sum: second summand polytope document")
+    sp.add_argument("--a", help="first summand: a polytope document path")
+    sp.add_argument("--b", help="second summand: a polytope document path")
     sp.add_argument("--output", "-o", default="-")
     sp.set_defaults(func=cmd_family)
 

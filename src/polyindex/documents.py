@@ -93,7 +93,7 @@ def _check_header(doc, what: str) -> Tuple[int, str]:
 def polytope_to_document(p: Polytope, witness: Optional[Operator] = None) -> dict:
     doc = {
         "dim": p.dim,
-        "scalar": RATIONAL if p.ctx.exact else FLOAT,
+        "scalar": p.ctx.backend,
         "vertices": [[scalar_to_json(x) for x in v] for v in p.vertices],
     }
     if witness is not None:
@@ -118,7 +118,7 @@ def polytope_from_document(doc, eps: Optional[float] = None) -> Tuple[Polytope, 
 def operator_to_document(op: Operator) -> dict:
     return {
         "dim": op.dim,
-        "scalar": RATIONAL if op.ctx.exact else FLOAT,
+        "scalar": op.ctx.backend,
         "matrix": [[scalar_to_json(x) for x in row] for row in op.matrix],
     }
 

@@ -22,9 +22,8 @@ def polar(p: Polytope) -> Polytope:
     with the vertices of ``p`` (bipolar identity), which the property
     tests verify by running the enumeration in both directions.
     """
-    eps = None if p.ctx.exact else p.ctx.eps
-    backend = "rational" if p.ctx.exact else "float"
-    return Polytope([f.coeffs for f in facet_enumeration(p)], backend=backend, eps=eps)
+    return Polytope([f.coeffs for f in facet_enumeration(p)], backend=p.ctx.backend,
+                    eps=p.ctx.eps)
 
 
 def dual_norm(p: Polytope, f) -> Scalar:

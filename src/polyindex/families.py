@@ -85,13 +85,13 @@ def segment() -> Polytope:
     return Polytope([(1,), (-1,)], backend="rational")
 
 
-def linf_sum(p: Polytope, q: Polytope) -> Polytope:
+def linf_sum(a: Polytope, b: Polytope) -> Polytope:
     """Unit ball of the maximum-norm direct sum: the product of the two
     balls, so the vertex set is every concatenated pair of vertices."""
-    exact = p.ctx.exact and q.ctx.exact
+    exact = a.ctx.exact and b.ctx.exact
     backend = "rational" if exact else "float"
-    eps = None if exact else max(p.ctx.eps, q.ctx.eps) or None
-    verts = [tuple(v) + tuple(w) for v in p.vertices for w in q.vertices]
+    eps = None if exact else max(a.ctx.eps, b.ctx.eps) or None
+    verts = [tuple(v) + tuple(w) for v in a.vertices for w in b.vertices]
     return Polytope(verts, backend=backend, eps=eps)
 
 
@@ -104,8 +104,7 @@ def scale_coordinate(p: Polytope, axis: int, factor) -> Polytope:
         raise InputError("scale factor must be nonzero")
     verts = [tuple(x * factor if c == axis else x for c, x in enumerate(v))
              for v in p.vertices]
-    backend = "rational" if p.ctx.exact else "float"
-    return Polytope(verts, backend=backend, eps=None if p.ctx.exact else p.ctx.eps)
+    return Polytope(verts, backend=p.ctx.backend, eps=p.ctx.eps)
 
 
 def scale_witness(t: Operator, axis: int, factor) -> Operator:
@@ -119,7 +118,7 @@ def scale_witness(t: Operator, axis: int, factor) -> Operator:
     for j in range(t.dim):
         m[axis][j] *= factor
         m[j][axis] /= factor
-    return Operator(m, backend="rational" if t.ctx.exact else "float")
+    return Operator(m, backend=t.ctx.backend)
 
 
 def prism_witness_operator(n: int, l: float = 0.0) -> Operator:
@@ -199,6 +198,7 @@ FAMILIES = {
     "bipyramid_square_prism": Family((), bipyramid_square_prism, pyramid_witness_operator,
                                      lambda: Fraction(1, 2)),
     "irregular_hexagon": Family((), irregular_hexagon, None, None),
+    "linf_sum": Family(("a", "b"), linf_sum, None, None),
 }
 
 # The irregular hexagon's worked example: the exact bounds of its three vertex

@@ -21,8 +21,7 @@ number, compared by cross-multiplication. The pivots are therefore those
 of the Fraction simplex, and so are the final basis, the optimal point and
 its value, which are read off as ``Fraction(row[-1], row[basis[i]])``.
 An int coefficient goes into the tableau as it is, and a row holding only
-ints is not scaled; the lower bound hands over its LPs on ints alone. The
-value and the point are ``Fraction``s all the same.
+ints is not scaled. The value and the point are ``Fraction``s all the same.
 
 Problem form::
 
@@ -121,12 +120,10 @@ def _pivot_float(rows, objs, r, c):
 
 def _pivot_integer(rows, objs, r, c):
     """Fraction-free pivot on entry (r, c) of integer rows, in place. The
-    pivot row is negated when its entry is negative, so that every row stays
-    a positive multiple of its Fraction counterpart and the new scale of row
-    r is its entry at c."""
+    entry is positive (:func:`_leaving_row`), so every row stays a positive
+    multiple of its Fraction counterpart, and the new scale of row r is its
+    entry at c."""
     prow = rows[r]
-    if prow[c] < 0:
-        prow = rows[r] = [-x for x in prow]
     piv = prow[c]
     for table in (rows, objs):
         for i, row in enumerate(table):

@@ -68,8 +68,7 @@ class Operator:
         return matvec(self.matrix, x)
 
     def scale(self, s) -> "Operator":
-        return Operator([[x * s for x in row] for row in self.matrix],
-                        backend="rational" if self.ctx.exact else "float")
+        return Operator([[x * s for x in row] for row in self.matrix], backend=self.ctx.backend)
 
     def __repr__(self):
         return f"Operator(dim={self.dim}, matrix={self.matrix!r})"
@@ -119,7 +118,7 @@ def _in_ball_arithmetic(p: Polytope, op: Operator) -> Operator:
             p.ctx.coerce(op.matrix[i][j])
         except InputError:
             raise InputError(f"operator: matrix[{i}][{j}] is beyond the float range") from None
-    return Operator(op.matrix, backend="rational" if p.ctx.exact else "float")
+    return Operator(op.matrix, backend=p.ctx.backend)
 
 
 def _orbit_pair_values(p: Polytope, matrix):

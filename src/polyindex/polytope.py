@@ -16,10 +16,12 @@ supporting functionals of the facets, scaled so each facet lies on
 ``{f = 1}``. The facets, their incidence with the vertices and their
 antipodal pairs are computed once per ball and kept on it.
 
-On the rational backend a ball keeps its vertices as int rows over one
-positive scale, as lrs does: W_i = L_W v_i, L_W the lcm of every
-denominator among the coordinates, scaled when the ball is built.
-Validation, the facets and the evaluation table read these rows. The
+A ball keeps its vertices as rows over one positive scale, as lrs does:
+W_i = L_W v_i. On the rational backend the rows are ints and L_W the lcm
+of every denominator among the coordinates, scaled when the ball is
+built; a float ball keeps its rows as they are, over a scale of 1, and so
+do its facet rows. Validation, the facets and the evaluation table read
+these rows, the same way on both backends. The
 double description runs on Python ints, on the rows (-W_i, L_W), and
 keeps each ray as the primitive integer vector on it (entries with gcd
 1). A rational ray has exactly one such vector, so these are the rays
@@ -46,7 +48,7 @@ scale per table, f_r = F_r / L_F and v_a = W_a / L_W (the facets' sort
 keys and the ball's one scaling of its vertices), so a value f_r(x) is an
 int dot product and a maximum over many of them is an int comparison; a
 ``Fraction`` is built once per answer. On floats it holds the coefficient
-tuples and vertices as they are. It also indexes the
+tuples and vertices as they are, over a scale of 1. It also indexes the
 ball's symmetry: one representative per antipodal vertex orbit, one facet
 per antipodal facet pair, and which pairs each orbit meets, in the
 columns an operator's flat table of values is computed from. The operator
@@ -73,10 +75,12 @@ from .scalars import (Context, EXACT, Scalar, _exact_backend, finite_floats, flo
 class Polytope:
     """V-representation of a symmetric polytopal unit ball.
 
-    On the rational backend the ball is built as ``_scaled`` = (W, L_W),
+    The ball is built as ``_scaled`` = (W, L_W), the vertices as rows over
+    one scale (:func:`_over_one_scale`). On the rational backend they are
     read off each coordinate's ``as_integer_ratio()`` (ints and Fractions
-    as they are, anything else after ``ctx.coerce``); the read-only
-    ``vertices`` builds the Fractions W_i / L_W on first access.
+    as they are, anything else after ``ctx.coerce``), and the read-only
+    ``vertices`` builds the Fractions W_i / L_W on first access; a float
+    ball's rows are its vertices, over 1.
 
     Args:
         vertices: full vertex list, each a length-d sequence of scalars.
@@ -108,8 +112,8 @@ class Polytope:
             rows = [v if finite_floats(v) else tuple(map(ctx.coerce, v)) for v in vertices]
         if permissive:
             rows = [rows[i] for i in _kept_points(rows, ctx)]
-        self._scaled = scaled_integer_rows(rows) if ctx.exact else None
-        self._vertices = None if ctx.exact else tuple(rows)
+        self._scaled = _over_one_scale(rows, ctx)
+        self._vertices = None if ctx.exact else self._scaled[0]
         self.dim = d
         self._antipodes = self._index = self._representatives = None
         self._cone = None  # polar cone (rays, lineality), stored once validation passes
@@ -125,11 +129,10 @@ class Polytope:
         return self._vertices
 
     def __len__(self):
-        return len(self._vertices if self._scaled is None else self._scaled[0])
+        return len(self._scaled[0])
 
     def __repr__(self):
-        kind = "rational" if self.ctx.exact else "float"
-        return f"Polytope(dim={self.dim}, vertices={len(self)}, backend={kind})"
+        return f"Polytope(dim={self.dim}, vertices={len(self)}, backend={self.ctx.backend})"
 
     def _antipode_map(self) -> tuple:
         """Per vertex v, the index of the first listed -v, or None if -v is missing.
@@ -139,13 +142,13 @@ class Polytope:
         lookups go to the ball's one :class:`_PointIndex` of its vertices,
         kept as ``_index`` for the repeat check of :func:`validate`."""
         if self._antipodes is None:
+            rows = self._scaled[0]
             if self.ctx.exact:
-                rows = self._scaled[0]
                 first = _first_indices(rows)
                 self._antipodes = tuple(first.get(tuple(-x for x in w)) for w in rows)
             else:
-                self._index = index = _PointIndex(self.vertices, self.ctx)
-                self._antipodes = tuple(index.find(vneg(v)) for v in self.vertices)
+                self._index = index = _PointIndex(rows, self.ctx)
+                self._antipodes = tuple(index.find(vneg(v)) for v in rows)
         return self._antipodes
 
     def antipode_index(self, i: int) -> int:
@@ -273,6 +276,14 @@ def _vertex_text(i: int, v) -> str:
     return f"vertex {i} ({coords})"
 
 
+def _over_one_scale(rows, ctx: Context) -> tuple:
+    """``(W, L)``: the points as rows W over one common positive scale L,
+    v_i = W_i / L. On the rational backend the int rows of
+    :func:`~polyindex.linalg.scaled_integer_rows`, on floats the rows as
+    they are over 1."""
+    return scaled_integer_rows(rows) if ctx.exact else (tuple(rows), 1)
+
+
 def _first_indices(rows) -> dict:
     """Each distinct row, mapped to the index of its first occurrence."""
     first = {}
@@ -334,7 +345,7 @@ class _PointIndex:
 def _kept_points(rows, ctx: Context) -> list:
     """The indices of the points a permissive ball keeps: the first copy of
     each point that is extreme. Warns for each point dropped."""
-    points, scale = scaled_integer_rows(rows) if ctx.exact else (rows, None)
+    points, scale = _over_one_scale(rows, ctx)
     index = None
     if ctx.exact:
         # Under one common scale equal points have equal int rows.
@@ -368,19 +379,15 @@ def _polar_cone(points, ctx: Context, scale=None):
     """Double description of {(f, t) : f . v <= t for every point v}, the
     homogenized polar of the points; returns (rays, lineality).
 
-    On the rational backend the rows are (-W_i, L): with ``scale`` given the
-    points are already int rows W over that common positive scale L, and
-    otherwise W and L are :func:`~polyindex.linalg.scaled_integer_rows` of
-    the points. Row i is L times (-v_i, 1), a positive factor that leaves
-    the cone, its rays (each reduced to its primitive vector) and their zero
-    sets as they are.
+    The rows are (-W_i, L): with ``scale`` given the points are already the
+    rows W over that common positive scale L, and otherwise W and L are
+    :func:`_over_one_scale` of the points. Row i is L times (-v_i, 1), a
+    positive factor that leaves the cone, its rays (on the rational backend
+    each reduced to its primitive vector) and their zero sets as they are.
     """
-    if ctx.exact:
-        if scale is None:
-            points, scale = scaled_integer_rows(points)
-        rows = [tuple(-x for x in w) + (scale,) for w in points]
-    else:
-        rows = [vneg(v) + (1.0,) for v in points]
+    if scale is None:
+        points, scale = _over_one_scale(points, ctx)
+    rows = [tuple(-x for x in w) + (scale,) for w in points]
     return _double_description(rows, len(rows[0]), ctx)
 
 
@@ -456,7 +463,7 @@ def validate(p: Polytope) -> ValidationReport:
     :func:`facet_enumeration`.
     """
     ctx = p.ctx
-    points, scale = p._scaled or (p.vertices, None)
+    points, scale = p._scaled
     violations = [f"not symmetric: {_vertex_text(i, p.vertices[i])} has no antipode"
                   for i, j in enumerate(p._antipode_map()) if j is None]
     cone = _polar_cone(points, ctx, scale)
@@ -647,9 +654,10 @@ def facet_enumeration(p: Polytope) -> tuple:
     rational backend the sort runs on ints: with L the lcm of the rays'
     last coordinates t, a ray sorts by x (L // t) over its first d
     coordinates x, the coefficients x / t times the common positive scale
-    L, so no ``Fraction`` is compared. These keys over L are the
-    evaluation table's facet rows, and each facet keeps its ray, so no
-    ``Fraction`` is built here (see :class:`FacetFunctional`). Row i of
+    L, so no ``Fraction`` is compared, and each facet keeps its ray, so no
+    ``Fraction`` is built here (see :class:`FacetFunctional`). A float ball
+    sorts on the coefficients themselves, over a scale of 1. The sort keys
+    over their scale are the evaluation table's facet rows. Row i of
     the cone is the constraint of vertex i, so the zero set of a ray is the
     set of vertices on its facet. Computed once per ball.
 
@@ -672,19 +680,13 @@ def facet_enumeration(p: Polytope) -> tuple:
         # lcm; see linalg.scaled_integer_row), so the int rows x (L // t)
         # sort as the Fractions x / t do.
         scale = math.lcm(*[r[d] for r, _ in rays])
-
-        def key(ray):
-            m = scale // ray[0][d]
-            return tuple([x * m for x in ray[0][:d]])
-
-        keyed = sorted(zip(map(key, rays), rays), key=itemgetter(0))
-        p._facet_rows = tuple(row for row, _ in keyed), scale
-        functionals = [FacetFunctional.of_ray(r, zs) for _, (r, zs) in keyed]
+        keys = [tuple([x * m for x in r[:d]]) for r, _ in rays for m in (scale // r[d],)]
     else:
-        keyed = sorted([(tuple([x / r[d] for x in r[:d]]), zs) for r, zs in rays],
-                       key=itemgetter(0))
-        functionals = [FacetFunctional.of_coeffs(c, zs) for c, zs in keyed]
-    p._facets = tuple(functionals)
+        scale, keys = 1, [tuple([x / r[d] for x in r[:d]]) for r, _ in rays]
+    keyed = sorted(zip(keys, rays), key=itemgetter(0))
+    p._facet_rows = tuple(row for row, _ in keyed), scale
+    p._facets = tuple(FacetFunctional.of_ray(r, zs) if p.ctx.exact else
+                      FacetFunctional.of_coeffs(row, zs) for row, (r, zs) in keyed)
     return p._facets
 
 
@@ -707,22 +709,18 @@ def evaluation_table(p: Polytope) -> EvaluationTable:
     """The ball's facet and vertex rows and their symmetry indices (see
     :class:`EvaluationTable`).
 
-    On the rational backend the facet rows are the sort keys of
-    :func:`facet_enumeration` over their scale, and the vertex rows
-    (W, L_W) are the ball's one scaling of its vertices, the rows
-    validation already read.
-    Computed once per ball.
+    The facet rows are the sort keys of :func:`facet_enumeration` over
+    their scale, and the vertex rows (W, L_W) are the ball's one scaling of
+    its vertices, the rows validation already read; on floats both scales
+    are 1. Computed once per ball.
     """
     if p._table is None:
-        facets = facet_enumeration(p)
-        if p.ctx.exact:
-            rows = (*p._facet_rows, *p._scaled)
-        else:
-            rows = (tuple(f.coeffs for f in facets), 1, p.vertices, 1)
-        reps, pairs = p.orbit_representatives(), facet_antipode_pairs(p)
-        orbit_of, pair_of = [None] * len(p), [None] * len(facets)
+        pairs = facet_antipode_pairs(p)  # validates the ball first
+        reps, antipodes = p.orbit_representatives(), p._antipode_map()
+        rows = (*p._facet_rows, *p._scaled)
+        orbit_of, pair_of = [None] * len(p), [None] * len(rows[0])
         for a, i in enumerate(reps):
-            orbit_of[i] = orbit_of[p.antipode_index(i)] = a
+            orbit_of[i] = orbit_of[antipodes[i]] = a
         for j, (k, k2) in enumerate(pairs):
             pair_of[k] = pair_of[k2] = j
         v2f = incidence(p).vertex_to_facets
@@ -761,11 +759,11 @@ def facet_antipode_pairs(p: Polytope) -> tuple:
     partner is found by its vertex set, with no comparison of coordinates.
     """
     if p._facet_pairs is None:
-        facets = facet_enumeration(p)
+        facets, antipode = facet_enumeration(p), p._antipode_map().__getitem__
         index = {f.incident_vertices: k for k, f in enumerate(facets)}
         pairs = []
         for k, f in enumerate(facets):
-            partner = index.get(frozenset(map(p.antipode_index, f.incident_vertices)))
+            partner = index.get(frozenset(map(antipode, f.incident_vertices)))
             if partner is None:
                 raise ComputationError(f"facet {f.coeffs} has no antipodal facet; "
                                        "ball not symmetric?")

@@ -112,6 +112,13 @@ class Context:
             check_tolerance(self.eps, "eps")
         object.__setattr__(self, "exact", self.eps == 0)
 
+    @property
+    def backend(self) -> str:
+        """The backend's name, as :class:`~polyindex.polytope.Polytope`,
+        :class:`~polyindex.operators.Operator` and the documents take it:
+        "rational" when exact, else "float"."""
+        return "rational" if self.exact else "float"
+
     def coerce(self, value) -> Scalar:
         """Convert a number (or rational literal string) to this backend's type."""
         if self.exact:

@@ -18,7 +18,7 @@ from polyindex import (ComputationError, InputError, LinearProgram, Operator, Po
                        pyramid_witness_operator, regular_2n_gon, solve_lp, upper_bound,
                        vertex_minimax)
 from polyindex.linalg import dot, rank
-from polyindex.polytope import facet_antipode_pairs
+from polyindex.polytope import evaluation_table, facet_antipode_pairs
 from helpers import (boundary_minimax_2d, exact_copy, random_rational_matrix,
                      random_symmetric_polytope, reference_half_table_value,
                      reference_normalized_radius, reference_orbit_pair_values)
@@ -417,6 +417,42 @@ def test_parallelotope_matches_double_description(make, monkeypatch):
             facet = facet_enumeration(p)[e.sphere_facet_index]
             for got, want in ((gauge(p, e.minimizer), 1), (dot(facet.coeffs, e.minimizer), 1)):
                 assert math.isclose(got, want, rel_tol=1e-12)
+
+
+def _square_on(backend):
+    return Polytope([(1, 1), (-1, 1), (-1, -1), (1, -1)], backend=backend)
+
+
+def _no_single_end(on_f1, on_f2, i, n):
+    # One more vertex on f_1: the facets other than f_2 meet in two ends.
+    return on_f1 | {min(set(range(n)) - on_f1)}
+
+
+def _end_on_the_other_facet(on_f1, on_f2, i, n):
+    # f_1's other vertex moved to one on f_2 too: 1 - f_2(w) is 0.
+    return frozenset({i, min(on_f2 - {i})})
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+@pytest.mark.parametrize("vertex_set", [_no_single_end, _end_on_the_other_facet],
+                         ids=["no_single_end", "end_on_the_other_facet"])
+def test_parallelotope_fallback_gives_the_double_description_bound(backend, vertex_set,
+                                                                   monkeypatch):
+    # When a simple vertex's edges do not give Q_v, the bound is the double
+    # description's. The incidence the double description reads is built
+    # first, so only the facet's vertex set that the edges read is changed.
+    with monkeypatch.context() as m:
+        m.setattr(bracket_module, "_parallelotope_rays", lambda *args: None)
+        want = vertex_minimax(_square_on(backend), 0)
+    p = _square_on(backend)
+    evaluation_table(p)
+    facets = incidence(p).vertex_to_facets[0]
+    assert len(facets) == p.dim
+    f1, f2 = (facet_enumeration(p)[k] for k in facets)
+    object.__setattr__(f1, "incident_vertices",
+                       vertex_set(f1.incident_vertices, f2.incident_vertices, 0, len(p)))
+    assert bracket_module._parallelotope_rays(p, bracket_module._bound_rows(p), 0, facets) is None
+    assert vertex_minimax(p, 0) == want
 
 
 @pytest.mark.parametrize("make, runs", [

@@ -272,6 +272,42 @@ def test_family_rejects_a_flag_its_kind_does_not_take(capsys, square_file, argv,
     assert err == f"error: family {argv[0]}: takes no {flag}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("regular_2n_gon",), "family regular_2n_gon: needs --n"),
+    (("oblique_prism", "--l", "1/2"), "family oblique_prism: needs --n"),
+    (("linf_sum", "--a", "{square}"), "family linf_sum: needs --b"),
+    (("linf_sum", "--b", "{square}"), "family linf_sum: needs --a"),
+    (("regular_2n_gon", "--n", "3", "--height", "2"),
+     "--height: only meaningful for prism families"),
+    (("dodecahedron",), "unknown family 'dodecahedron'; choose from ['bipyramid_square_prism', "
+                        "'irregular_hexagon', 'linf_sum', 'oblique_prism', "
+                        "'prism_with_pyramids', 'regular_2n_gon']"),
+    (("linf_sum", "--a", "{square}", "--b", "{missing}"), "--b: cannot read {missing}: "),
+    (("linf_sum", "--a", "{flat}", "--b", "{square}"), "--a: polytope.dim: expected a "
+                                                       "positive integer, got 0"),
+])
+def test_family_errors_name_the_flag(capsys, tmp_path, square_file, argv, message):
+    flat = tmp_path / "flat.json"
+    flat.write_text(json.dumps({"dim": 0, "scalar": "float", "vertices": [[]]}))
+    names = {"square": square_file, "missing": str(tmp_path / "missing.json"), "flat": str(flat)}
+    code, out, err = run(capsys, "family", *[a.format(**names) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message.format(**names)}")
+
+
+def test_bound_policies_report_the_same_violations(capsys, tmp_path):
+    # The subset policy reads the vertex orbits only after validation.
+    path = tmp_path / "asym.json"
+    path.write_text(json.dumps({"dim": 2, "scalar": "rational",
+                                "vertices": [[1, 0], [0, 1], [-1, 0], ["1/2", "1/3"]]}))
+    errors = {policy: run(capsys, "bound", "--policy", policy, "-i", str(path))
+              for policy in ("all", "subset")}
+    assert errors["all"] == errors["subset"] == (2, "", (
+        "error: not symmetric: vertex 1 (0, 1) has no antipode; not symmetric: vertex 3 "
+        "(1/2, 1/3) has no antipode; vertex 3 (1/2, 1/3) is not extreme (lies in the hull "
+        "of the others)\n"))
+
+
 def test_text_format(capsys, hexagon_file):
     code, out, _ = run(capsys, "bound", "-i", hexagon_file, "--format", "text")
     assert code == 0
@@ -293,7 +329,8 @@ def test_exit_code_2_on_malformed_document(capsys, tmp_path):
     assert "polytope.vertices[0][0]: not a finite number" in err
 
 
-def test_exit_code_1_names_the_failing_facet_lp(capsys, tmp_path, monkeypatch):
+def test_exit_code_1_names_the_vertex_of_a_failing_double_description(capsys, tmp_path,
+                                                                       monkeypatch):
     # A vertex bound away from simple vertices is read off one vertex
     # enumeration; a failure in it names the vertex. Vertex 0 of the
     # bipyramid lies on 4 facets in d = 3.

@@ -10,7 +10,7 @@ from polyindex import (InputError, bipyramid_square_prism,
                        prism_with_pyramids_witness, prism_witness_operator,
                        pyramid_witness_operator, regular_2n_gon, scale_coordinate,
                        scale_witness, segment, validate)
-from polyindex.families import FAMILIES
+from polyindex.families import FAMILIES, Family
 from helpers import vertex_set
 
 
@@ -250,6 +250,11 @@ def test_family_indices_match_the_concrete_values():
             assert abs(family.index(n=n) - want) < 1e-12, (kind, n)
     assert FAMILIES["bipyramid_square_prism"].index() == Fraction(1, 2)
     assert FAMILIES["irregular_hexagon"].index is None
+
+
+def test_linf_sum_is_a_row_of_the_family_table():
+    # Two balls as parameters, no sharp witness and no closed-form index.
+    assert FAMILIES["linf_sum"] == Family(("a", "b"), linf_sum, None, None)
 
 
 def test_scale_witness_keeps_rational_witness_exact():

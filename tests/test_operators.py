@@ -15,6 +15,39 @@ from helpers import (random_rational_matrix, random_symmetric_polytope, referenc
                      reference_gauge, reference_operator_values, reference_orbit_pair_values)
 
 
+@pytest.mark.parametrize("op, backend", [
+    (Operator([[1, 0], [0, 1]]), "rational"),
+    (Operator([[1.0, 0], [0, 1]]), "float"),
+    (Operator([[1, 0], [0, 1]], backend="float"), "float"),
+    (Operator.identity(2), "rational"),
+    (Operator.identity(2, exact=False), "float"),
+    (Operator.zero(2, exact=False), "float"),
+    (pyramid_witness_operator(), "rational"),
+    (prism_witness_operator(3), "float"),
+], ids=["ints", "floats", "ints_as_floats", "identity", "float_identity", "float_zero",
+        "pyramid_witness", "prism_witness"])
+def test_operator_context_names_its_backend(op, backend, bipyramid):
+    # An operator built in another's arithmetic keeps that backend.
+    assert op.ctx.backend == backend
+    assert op.scale(2).ctx.backend == backend
+    balls = {2: (regular_2n_gon(2), Polytope([(1, 0), (0, 1), (-1, 0), (0, -1)])),
+             3: (oblique_prism(2), bipyramid)}
+    for ball in balls[op.dim]:
+        same = operators_module._in_ball_arithmetic(ball, op)
+        assert same.ctx.backend == ball.ctx.backend
+        assert same is op if backend == ball.ctx.backend else same.matrix == op.matrix
+
+
+def test_operator_repr_and_unknown_backend():
+    assert repr(Operator([[1, "1/2"], [0, 2]])) == (
+        "Operator(dim=2, matrix=((Fraction(1, 1), Fraction(1, 2)), (Fraction(0, 1), "
+        "Fraction(2, 1))))")
+    assert repr(Operator([[0.5]])) == "Operator(dim=1, matrix=((0.5,),))"
+    with pytest.raises(InputError, match=r"^unknown backend 'decimal' \(expected 'rational' "
+                                         r"or 'float'\)$"):
+        Operator([[1]], backend="decimal")
+
+
 def test_identity_norm_and_radius(hexagon):
     ident = Operator.identity(2)
     norm, _ = operator_norm(hexagon, ident)

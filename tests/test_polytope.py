@@ -3,6 +3,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from operator import truediv
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,6 +53,48 @@ def test_facets_match_oracle_on_exact_prism():
              (1, 0, -1), (0, 1, -1), (-1, 0, -1), (0, -1, -1)]
     p = Polytope(verts)
     assert coeff_set(facet_enumeration(p)) == brute_force_facets(verts)
+
+
+def test_repr_names_the_backend():
+    assert repr(Polytope([(1,), (-1,)])) == "Polytope(dim=1, vertices=2, backend=rational)"
+    assert repr(regular_2n_gon(3)) == "Polytope(dim=2, vertices=6, backend=float)"
+
+
+def test_unknown_backend_rejected():
+    with pytest.raises(InputError, match=r"^unknown backend 'quadratic' \(expected 'rational' "
+                                         r"or 'float'\)$"):
+        Polytope([(1,), (-1,)], backend="quadratic")
+
+
+@pytest.mark.parametrize("make", [irregular_hexagon, lambda: oblique_prism(3, 0.5)],
+                         ids=["hexagon", "oblique_prism(3,1/2)"])
+def test_facet_functional_call_is_its_dot_product(make):
+    p = make()
+    x = p.vertices[1]
+    for f in facet_enumeration(p):
+        assert f(x) == dot(f.coeffs, x)
+        assert p.ctx.eq(f(x), 1) == (1 in f.incident_vertices)
+
+
+@pytest.mark.parametrize("make", [irregular_hexagon, lambda: regular_2n_gon(5),
+                                  lambda: oblique_prism(3, 0.5)],
+                         ids=["hexagon", "10-gon", "oblique_prism(3,1/2)"])
+def test_both_backends_keep_rows_over_one_scale(make):
+    # A ball's vertex rows and facet rows over their scales are its vertices
+    # and facet coefficients: ints over L_W and L_F on rationals, the rows
+    # themselves over 1 on floats; the evaluation table reads them as they are.
+    p = make()
+    facets = facet_enumeration(p)
+    (w, vertex_scale), (rows, facet_scale) = p._scaled, p._facet_rows
+    if not p.ctx.exact:
+        assert (vertex_scale, facet_scale) == (1, 1)
+        assert w is p.vertices and rows == tuple(f.coeffs for f in facets)
+    over = Fraction if p.ctx.exact else truediv
+    assert [tuple(over(x, vertex_scale) for x in v) for v in w] == list(p.vertices)
+    assert [tuple(over(x, facet_scale) for x in r) for r in rows] == [f.coeffs for f in facets]
+    table = evaluation_table(p)
+    assert (table.facets, table.facet_scale, table.vertices, table.vertex_scale) == \
+        (rows, facet_scale, w, vertex_scale)
 
 
 def test_square_incidence(square):

@@ -114,6 +114,13 @@ def test_bad_tolerance_names_its_source(eps):
     assert check_tolerance(1e-12, "--eps") == 1e-12
 
 
+def test_context_names_its_backend():
+    assert EXACT.backend == "rational"
+    assert float_context(1e-6).backend == "float"
+    with pytest.raises(AttributeError):
+        EXACT.backend = "float"
+
+
 def test_coerce():
     assert EXACT.coerce("2/3") == Fraction(2, 3)
     assert EXACT.coerce(7) == Fraction(7)
