@@ -29,9 +29,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
-from operator import itemgetter, mul, sub, truediv
+from operator import itemgetter, mul, sub
 from typing import Mapping, Optional, Sequence
 
 from .errors import ComputationError, InputError
@@ -154,8 +153,8 @@ def vertex_minimax(p: Polytope, vertex_index: int,
     On rationals the rows are the evaluation table's ints, (-F_r, L_F) and
     (F_r, L_F), so every ray is an int vector; rays are compared by
     cross-multiplying positive ints, and the value and each coordinate of
-    the minimizer are one ``Fraction``, built once, for the least ray. On
-    floats they are
+    the minimizer are one ``ctx.quotient``, a ``Fraction``, taken for the
+    least ray only. On floats they are
     (-s f_r, 1) and (s f_r, 1), where s is the largest power of two not
     above the largest vertex coordinate in absolute value; the vertex of
     Q_v is then s u / t. The double description compares against an
@@ -209,11 +208,14 @@ def _parallelotope_rays(p, bound_rows, vertex_index, facets):
     its incident ``facets``, in the double description's order, read off
     the ball's edges at the vertex (see :func:`vertex_minimax`); None when
     the facets other than some f_j have no single other vertex in common,
-    or c for its edge is not a positive finite number."""
+    or c for its edge is not a positive finite number. On rationals the
+    terms D / c go over the lcm of the c's as int rows, with no
+    ``Fraction`` built; floats divide."""
     rows, _, scale, s, _ = bound_rows
     ev = evaluation_table(p)
     vertices, vertex_scale = ev.vertices, ev.vertex_scale
-    point = vertices.__getitem__ if p.ctx.exact else lambda a: tuple(x / s for x in vertices[a])
+    # Vertex a over s; s is 1 on rationals, whose rows stay ints.
+    point = vertices.__getitem__ if s == 1 else lambda a: tuple(x / s for x in vertices[a])
     all_facets = facet_enumeration(p)
     members = [all_facets[k].incident_vertices for k in facets]
     v = point(vertex_index)
@@ -277,7 +279,6 @@ def _vertex_minimax(p, bound_rows, vertex_index, subset) -> VertexBound:
     if rays is None:
         rays = _enumerated_rays(p, bound_rows, vertex_index, chosen)
 
-    div = Fraction if exact else truediv
     best = None  # (t, m, j, u, g_j(u)) of the least ray so far; its value is t * scale / m
     for u, t in rays:
         dots = list(column_dots(columns, map(repeat, u)))
@@ -291,12 +292,13 @@ def _vertex_minimax(p, bound_rows, vertex_index, subset) -> VertexBound:
             best = (t, m, j, u, dots[j])
 
     t, m, j, u, g = best
+    minimizer = tuple(p.ctx.quotient(c * scale, g) for c in u)
+    if s != 1:  # a float ball's rows were scaled by s
+        minimizer = tuple(x * s for x in minimizer)
     return VertexBound(vertex_index=vertex_index,
                        antipode_index=p.antipode_index(vertex_index),
-                       value=div(t * scale, m), functional_indices=chosen,
-                       sphere_facet_index=sphere[j],
-                       minimizer=tuple(div(c * scale, g) for c in u) if exact else
-                       tuple(c * scale / g * s for c in u))
+                       value=p.ctx.quotient(t * scale, m), functional_indices=chosen,
+                       sphere_facet_index=sphere[j], minimizer=minimizer)
 
 
 def lower_bound(p: Polytope, subsets: Optional[Mapping[int, Sequence[int]]] = None):
@@ -331,14 +333,11 @@ def _normalized_radius(p, op):
     """
     op = _in_ball_arithmetic(p, op)
     values, scale = _orbit_pair_values(p, op.matrix)
-    norm, _ = _table_norm(p, values, scale)
+    norm, _ = _table_norm(p, values)
     if p.ctx.is_zero(norm):
         return None
     i, radius, k = max(_radius_rows(p, values), key=itemgetter(1))
-    if scale is None:
-        value = radius / norm
-    else:
-        value, norm = Fraction(radius, norm), Fraction(norm, scale)
+    value, norm = p.ctx.quotient(radius, norm), p.ctx.quotient(norm, scale)
     return RadiusCertificate(value=value, vertex_index=i, facet_index=k), op.scale(1 / norm)
 
 
@@ -348,7 +347,7 @@ def _search_value(p, entries) -> Optional[float]:
     entries of the evaluation table over the largest at all of them.
 
     On a rational ball the float ``entries`` are scaled straight to ints
-    (:func:`linalg.scaled_integer_row`), at their exact values, so both
+    (:func:`scalars.scaled_integer_row`), at their exact values, so both
     maxima are ints over one common scale, and ``int / int`` rounds their
     quotient as ``float`` of a ``Fraction`` does: the value is float(v) of
     the exact evaluation bit for bit. On a float ball both are floats.
@@ -445,7 +444,7 @@ def upper_bound(p: Polytope, witnesses: Sequence[Operator] = (),
         except InputError as exc:
             raise InputError(f"witness {k}: {exc}") from exc
         if result is None:
-            raise InputError("witness operator has norm 0")
+            raise InputError(f"witness {k}: operator has norm 0")
         cert, unit = result
         candidates.append((cert.value, unit, cert))
     one = p.ctx.coerce(1)

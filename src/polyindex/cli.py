@@ -180,7 +180,7 @@ def cmd_norm(args) -> int:
     p, _ = _load_polytope(args)
     point = _parse_point(args.point, p)
     value = gauge(p, point)
-    if not p.ctx.exact and not math.isfinite(value):
+    if not p.ctx.finite([value]):
         raise ComputationError("norm: |f(x)| is not finite")
     results = {"point": _vector_json(point), "value": scalar_to_json(value)}
     _emit(_report("norm", _config(p), results), args.format)
@@ -193,6 +193,7 @@ def _parse_point(text: str, p) -> tuple:
         raise InputError(f"point: expected {p.dim} comma-separated coordinates, got {len(parts)}")
     with _named("point"):
         coords = [parse_rational(t) for t in parts]
+        # float() overflows on a literal beyond the float range; _named says so.
         return tuple(coords if p.ctx.exact else map(float, coords))
 
 
@@ -314,6 +315,7 @@ def cmd_family(args) -> int:
         axis = p.dim - 1
         with _named("--height"):
             h = parse_rational(args.height)
+            # float(), as _parse_point converts a coordinate.
             p = scale_coordinate(p, axis, h if p.ctx.exact else float(h))
         if witness is not None:
             # Conjugated by the rescaling, the witness stays sharp.

@@ -15,14 +15,19 @@ There is no linear solve: every built-in witness operator is written down
 in closed form (:mod:`polyindex.families`).
 
 :func:`rank` on the rational backend eliminates fraction-free. Each row is
-first scaled to integers by the lcm of its denominators, which leaves the
-rank alone; a row of ints, such as a double-description ray of
+first scaled to integers by the lcm of its denominators
+(:func:`~polyindex.scalars.integer_row`; the int-row helpers live with
+the rest of the backend arithmetic in :mod:`polyindex.scalars`), which
+leaves the rank alone; a row of ints, such as a double-description ray of
 :mod:`polyindex.polytope`, is taken as it is. An elimination step replaces
 a row by ``row*piv - f*prow``, where ``piv`` is the pivot and ``f`` the
 row's entry in the pivot column, and then divides it by the gcd of its
 entries (:func:`eliminate`). So no ``Fraction`` is built while
 eliminating, and the entries stay small. The simplex of
-:mod:`polyindex.linprog` pivots with the same two helpers.
+:mod:`polyindex.linprog` pivots with the same two helpers. The pivot
+search and the elimination step fork on the backend: they are different
+algorithms, exact pivoting and fraction-free steps against max-magnitude
+pivoting and float division.
 """
 from __future__ import annotations
 
@@ -32,7 +37,7 @@ from itertools import repeat
 from operator import add, mul
 
 from .errors import InputError
-from .scalars import Context, finite_floats
+from .scalars import Context, finite_floats, integer_row
 
 
 def dot(a, b):
@@ -79,40 +84,6 @@ def _pivot_row(rows, col, start, ctx):
         if mag > best_mag:
             best, best_mag = i, mag
     return best
-
-
-def scaled_integer_row(values) -> tuple:
-    """``(ints, scale)``: ``values`` times ``scale``, the lcm of their
-    denominators, as a row of ints; ``values[i] == ints[i] / scale``.
-
-    Values are read through ``as_integer_ratio()``: ints, Fractions and
-    finite floats may mix, and a float gives the ints and scale of its
-    ``Fraction``, without building one."""
-    # Lists, not generators, go to lcm and gcd here and in eliminate: CPython
-    # parks the argument tuple of a generator call in a free list of its
-    # resized length, and those free lists grow with every call.
-    ratios = [x.as_integer_ratio() for x in values]
-    scale = math.lcm(*[d for _, d in ratios])
-    return [n * (scale // d) for n, d in ratios], scale
-
-
-def scaled_integer_rows(rows) -> tuple:
-    """``(int rows, scale)``: every row of the rectangular matrix ``rows``
-    (values as :func:`scaled_integer_row` takes them) times one common
-    scale, the lcm of all their denominators, as a tuple of int tuples."""
-    flat, scale = scaled_integer_row([x for row in rows for x in row])
-    d = len(rows[0])
-    return tuple(tuple(flat[i:i + d]) for i in range(0, len(flat), d)), scale
-
-
-def integer_row(values) -> list:
-    """The Fractions ``values`` times the lcm of their denominators: a row of
-    ints that is a positive multiple of the given row. An int counts as a
-    Fraction of denominator 1, and a row of ints comes back as it is."""
-    for x in values:
-        if type(x) is not int:
-            return scaled_integer_row(values)[0]
-    return list(values)
 
 
 def eliminate(row, prow, piv, col) -> list:

@@ -19,7 +19,7 @@ is a positive multiple too. So every sign that Bland's rule reads is the
 sign of the Fraction entry, and every ratio ``b_i / a_i`` is the same
 number, compared by cross-multiplication. The pivots are therefore those
 of the Fraction simplex, and so are the final basis, the optimal point and
-its value, which are read off as ``Fraction(row[-1], row[basis[i]])``.
+its value, which are read off as ``ctx.quotient(row[-1], row[basis[i]])``.
 An int coefficient goes into the tableau as it is, and a row holding only
 ints is not scaled. The value and the point are ``Fraction``s all the same.
 
@@ -38,12 +38,11 @@ rows and negative right-hand sides are rejected.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .errors import ComputationError, InputError
-from .linalg import dot, eliminate, integer_row
-from .scalars import Context, EXACT, Scalar
+from .linalg import dot, eliminate
+from .scalars import Context, EXACT, Scalar, integer_row
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -237,10 +236,9 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
     if _simplex(rows, [obj], basis, ctx, max_pivots) == UNBOUNDED:
         return LPSolution(status=UNBOUNDED)
 
-    if ctx.exact:
-        values = {b: Fraction(row[-1], row[b]) for row, b in zip(rows, basis)}
-    else:
-        values = {b: row[-1] for row, b in zip(rows, basis)}
+    # While a float tableau stays finite, a row's entry in its basic column
+    # is exactly 1.0, so its quotient is its right-hand side, bit for bit.
+    values = {b: ctx.quotient(row[-1], row[b]) for row, b in zip(rows, basis)}
     nonbasic = ctx.coerce(0)  # the value of a column that is not basic
     point = tuple(values.get(plus, nonbasic) if minus is None else
                   values.get(plus, nonbasic) - values.get(minus, nonbasic)

@@ -17,9 +17,12 @@ and search of :mod:`polyindex.bracket`, which read v(T) / ||T|| off one
 table per operator. The ball is symmetric,
 |f(T(-v))| = |f(T v)| = |(-f)(T v)|, so on rationals these are the full
 table's maxima, first attained at an orbit representative (the smaller
-index of its pair). A rational T is scaled once to ints, M = L_T T, and
-g_j(T v_a) = G_j . M W_a / (L_F L_T L_W): every comparison is between
-ints over one common denominator, and each answer is one ``Fraction``.
+index of its pair). T is put over one scale by the ball's context
+(``ctx.over_one_scale``): a rational T is scaled once to ints,
+M = L_T T, and g_j(T v_a) = G_j . M W_a / (L_F L_T L_W), so every
+comparison is between ints over one common denominator, and each answer
+is one ``Fraction`` (``ctx.quotient``). On floats every scale is 1, and
+the quotient is the float itself, bit for bit.
 
 The table is filled column by column (:func:`linalg.column_dots`): a few
 ``map`` passes over the table's vertex and pair columns, with no Python
@@ -34,13 +37,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product, repeat
 from operator import itemgetter
 from typing import Optional
 
 from .errors import ComputationError, InputError
-from .linalg import column_dots, matvec, scaled_integer_rows
+from .linalg import column_dots, matvec
 from .polytope import Polytope, evaluation_table, incidence
 from .scalars import DEFAULT_EPS, Context, EXACT, Scalar, _exact_backend
 
@@ -107,7 +109,9 @@ def _in_ball_arithmetic(p: Polytope, op: Operator) -> Operator:
     """op with its entries in the ball's arithmetic (``p.ctx.coerce``): on a
     rational ball a float entry is the ``Fraction`` of its binary value, on
     a float ball a rational entry is rounded to a float. An entry beyond the
-    float range, or a dimension other than the ball's, raises InputError."""
+    float range, or a dimension other than the ball's, raises InputError.
+    An operator already in the ball's arithmetic is returned as it is, with
+    no entry coerced again."""
     if op.dim != p.dim:
         raise InputError(f"dimension mismatch: operator is {op.dim}x{op.dim}, "
                          f"space has dimension {p.dim}")
@@ -124,41 +128,34 @@ def _in_ball_arithmetic(p: Polytope, op: Operator) -> Operator:
 def _orbit_pair_values(p: Polytope, matrix):
     """``(values, scale)``: the flat list whose entry a * J + j is
     |g_j(T v_a)| for orbit a and facet pair j of
-    :func:`polytope.evaluation_table` (J pairs), times ``scale``, or as it
-    is when ``scale`` is None. ``matrix`` is T's matrix in the ball's
-    arithmetic and dimension (:func:`_in_ball_arithmetic`); on a rational
-    ball its entries may also be floats, taken at their exact values
-    (:func:`linalg.scaled_integer_row`). Each coordinate of the images
+    :func:`polytope.evaluation_table` (J pairs), times ``scale``, which is
+    1 on floats. ``matrix`` is T's matrix in the ball's arithmetic and
+    dimension (:func:`_in_ball_arithmetic`); on a rational ball its entries
+    may also be floats, taken at their exact values
+    (:func:`scalars.scaled_integer_row`). Each coordinate of the images
     T v_a is one :func:`linalg.column_dots` over the table's vertex
     columns, spread to the flat layout, and the pairings are one over the
     pair columns."""
     table = evaluation_table(p)
-    scale = None
-    if p.ctx.exact:
-        matrix, op_scale = scaled_integer_rows(matrix)
-        scale = table.facet_scale * op_scale * table.vertex_scale
+    matrix, op_scale = p.ctx.over_one_scale(matrix)
+    scale = table.facet_scale * op_scale * table.vertex_scale
     images = [table.spread(list(column_dots(map(repeat, row), table.vertex_columns)))
               for row in matrix]
     return list(map(abs, column_dots(table.pair_columns, images))), scale
 
 
-def _value(x, scale):
-    return x if scale is None else Fraction(x, scale)
-
-
-def _table_norm(p: Polytope, values, scale):
+def _table_norm(p: Polytope, values):
     """(largest entry of ``values``, as it is, and the orbit representative
-    of its first entry). On floats (``scale`` None) an entry that is not
-    finite (T v or its pairing overflowed) raises ComputationError naming
-    the representative of the first such entry: the norm would be inf, and
-    T/||T|| the zero operator."""
+    of its first entry). On floats an entry that is not finite (T v or its
+    pairing overflowed) raises ComputationError naming the representative
+    of the first such entry: the norm would be inf, and T/||T|| the zero
+    operator."""
     table = evaluation_table(p)
     n_pairs = len(table.pair_facets)
-    if scale is None:
-        finite = list(map(math.isfinite, values))
-        if not all(finite):
-            i = table.representatives[finite.index(False) // n_pairs]
-            raise ComputationError(f"operator norm: |f(T v)| is not finite at vertex {i}")
+    if not p.ctx.finite(values):
+        first = list(map(math.isfinite, values)).index(False)
+        i = table.representatives[first // n_pairs]
+        raise ComputationError(f"operator norm: |f(T v)| is not finite at vertex {i}")
     norm = max(values)
     return norm, table.representatives[values.index(norm) // n_pairs]
 
@@ -178,8 +175,8 @@ def _radius_rows(p: Polytope, values) -> list:
     return rows
 
 
-def _profile(rows, scale) -> tuple:
-    return tuple(ProfileRow(vertex_index=i, value=_value(best, scale), facet_index=k)
+def _profile(p: Polytope, rows, scale) -> tuple:
+    return tuple(ProfileRow(vertex_index=i, value=p.ctx.quotient(best, scale), facet_index=k)
                  for i, best, k in rows)
 
 
@@ -191,8 +188,8 @@ def operator_norm(p: Polytope, op: Operator):
     the representative (:func:`_table_norm`).
     """
     values, scale = _orbit_pair_values(p, _in_ball_arithmetic(p, op).matrix)
-    norm, i = _table_norm(p, values, scale)
-    return _value(norm, scale), i
+    norm, i = _table_norm(p, values)
+    return p.ctx.quotient(norm, scale), i
 
 
 def numerical_radius(p: Polytope, op: Operator) -> RadiusCertificate:
@@ -203,19 +200,19 @@ def numerical_radius(p: Polytope, op: Operator) -> RadiusCertificate:
     """
     values, scale = _orbit_pair_values(p, _in_ball_arithmetic(p, op).matrix)
     i, best, k = max(_radius_rows(p, values), key=itemgetter(1))
-    return RadiusCertificate(value=_value(best, scale), vertex_index=i, facet_index=k)
+    return RadiusCertificate(value=p.ctx.quotient(best, scale), vertex_index=i, facet_index=k)
 
 
 def radius_profile(p: Polytope, op: Operator) -> tuple:
     """Per-vertex table of max incident |f(T v)|, ties to the lowest facet
     index; its overall max is the radius."""
     values, scale = _orbit_pair_values(p, _in_ball_arithmetic(p, op).matrix)
-    return _profile(_radius_rows(p, values), scale)
+    return _profile(p, _radius_rows(p, values), scale)
 
 
 def norm_and_profile(p: Polytope, op: Operator):
     """(norm, attaining vertex index, radius profile) off one evaluation:
     what :func:`operator_norm` and :func:`radius_profile` return."""
     values, scale = _orbit_pair_values(p, _in_ball_arithmetic(p, op).matrix)
-    norm, i = _table_norm(p, values, scale)
-    return _value(norm, scale), i, _profile(_radius_rows(p, values), scale)
+    norm, i = _table_norm(p, values)
+    return p.ctx.quotient(norm, scale), i, _profile(p, _radius_rows(p, values), scale)

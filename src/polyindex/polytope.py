@@ -28,15 +28,23 @@ keeps each ray as the primitive integer vector on it (entries with gcd
 that ``Fraction`` arithmetic reaches, in the same order and with the same
 zero sets. :func:`facet_enumeration` sorts the facets on ints and keeps
 each one's ray (x, t). The ``Fraction``s of a vertex or a facet are built
-on first access only. Under one common scale equal points have equal
-rows and -v_i has the row -W_i, so the permissive strip's duplicates and
-the antipodal vertices are found through a dict of first indices on the
-int rows; on floats through the points sorted by first coordinate
-(:class:`_PointIndex`), testing only those in a window around the query
-that is wider than any difference the tolerant equality accepts. A float
-ball builds one such index, for its antipodes, and validation's repeat
-check reads it too; it takes a row of finite floats as it is. While a
-double description runs, each zero set is an int bitmask, one bit per row.
+on first access only. The arithmetic itself is the context's
+(:class:`~polyindex.scalars.Context`): ``over_one_scale`` scales the
+rows, ``primitive`` normalizes a ray, ``quotient`` gives a vertex its
+values and ``finite`` checks a float run for overflow; what stays forked
+here is algorithm, each fork with its reason.
+
+The permissive strip's duplicates and the antipodal vertices are looked up
+in one point index per ball (:func:`_point_index`), with ``add`` and
+``find`` on both backends. Under one common scale equal points have equal
+rows and -v_i has the row -W_i, so on the rational backend a dict of
+first indices on the int rows answers each lookup; on floats the points
+are sorted by first coordinate (:class:`_PointIndex`), testing only those
+in a window around the query that is wider than any difference the
+tolerant equality accepts. A ball builds one such index, for its
+antipodes, and validation's float repeat check reads it too; it takes a
+row of finite floats as it is. While a double description runs, each zero
+set is an int bitmask, one bit per row.
 
 The Minkowski gauge of the ball (the norm itself) is then the maximum of
 ``|f(x)|`` over the facet functionals.
@@ -62,12 +70,12 @@ import warnings
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import floordiv, itemgetter, mul, truediv
+from itertools import chain
+from operator import itemgetter, mul
 from typing import Optional
 
 from .errors import ComputationError, InputError, ValidationError
-from .linalg import dot, rank, scaled_integer_rows, vneg
+from .linalg import dot, rank, vneg
 from .scalars import (Context, EXACT, Scalar, _exact_backend, finite_floats, float_context,
                       format_rational)
 
@@ -76,7 +84,7 @@ class Polytope:
     """V-representation of a symmetric polytopal unit ball.
 
     The ball is built as ``_scaled`` = (W, L_W), the vertices as rows over
-    one scale (:func:`_over_one_scale`). On the rational backend they are
+    one scale (``ctx.over_one_scale``). On the rational backend they are
     read off each coordinate's ``as_integer_ratio()`` (ints and Fractions
     as they are, anything else after ``ctx.coerce``), and the read-only
     ``vertices`` builds the Fractions W_i / L_W on first access; a float
@@ -112,7 +120,8 @@ class Polytope:
             rows = [v if finite_floats(v) else tuple(map(ctx.coerce, v)) for v in vertices]
         if permissive:
             rows = [rows[i] for i in _kept_points(rows, ctx)]
-        self._scaled = _over_one_scale(rows, ctx)
+        self._scaled = ctx.over_one_scale(rows)
+        # A float ball's rows, over 1, are its vertices: no copy.
         self._vertices = None if ctx.exact else self._scaled[0]
         self.dim = d
         self._antipodes = self._index = self._representatives = None
@@ -125,7 +134,7 @@ class Polytope:
         backend the ``Fraction``s W_i / L_W, built on first access."""
         if self._vertices is None:
             rows, scale = self._scaled
-            self._vertices = tuple(tuple(Fraction(x, scale) for x in w) for w in rows)
+            self._vertices = tuple(tuple(self.ctx.quotient(x, scale) for x in w) for w in rows)
         return self._vertices
 
     def __len__(self):
@@ -137,18 +146,13 @@ class Polytope:
     def _antipode_map(self) -> tuple:
         """Per vertex v, the index of the first listed -v, or None if -v is missing.
 
-        On the rational backend -v_i is exactly the int row -W_i, so one dict
-        of first indices on the rows W answers every lookup. On floats the
-        lookups go to the ball's one :class:`_PointIndex` of its vertices,
-        kept as ``_index`` for the repeat check of :func:`validate`."""
+        The row of -v_i is -W_i, so the lookups go to the ball's one point
+        index of its rows (:func:`_point_index`), kept as ``_index`` for the
+        repeat check of :func:`validate`."""
         if self._antipodes is None:
             rows = self._scaled[0]
-            if self.ctx.exact:
-                first = _first_indices(rows)
-                self._antipodes = tuple(first.get(tuple(-x for x in w)) for w in rows)
-            else:
-                self._index = index = _PointIndex(rows, self.ctx)
-                self._antipodes = tuple(index.find(vneg(v)) for v in rows)
+            self._index = index = _point_index(rows, self.ctx)
+            self._antipodes = tuple(index.find(vneg(w)) for w in rows)
         return self._antipodes
 
     def antipode_index(self, i: int) -> int:
@@ -200,7 +204,7 @@ class FacetFunctional:
         if name != "coeffs" or self.ray is None:
             raise AttributeError(name)
         *x, t = self.ray
-        self.__dict__["coeffs"] = tuple([Fraction(c, t) for c in x])
+        self.__dict__["coeffs"] = tuple([EXACT.quotient(c, t) for c in x])
         return self.coeffs
 
     def __call__(self, x) -> Scalar:
@@ -276,20 +280,29 @@ def _vertex_text(i: int, v) -> str:
     return f"vertex {i} ({coords})"
 
 
-def _over_one_scale(rows, ctx: Context) -> tuple:
-    """``(W, L)``: the points as rows W over one common positive scale L,
-    v_i = W_i / L. On the rational backend the int rows of
-    :func:`~polyindex.linalg.scaled_integer_rows`, on floats the rows as
-    they are over 1."""
-    return scaled_integer_rows(rows) if ctx.exact else (tuple(rows), 1)
+def _point_index(points, ctx: Context):
+    """An index of the points, rows over one common scale, with ``add(v)``
+    and ``find(x)``, the index of the first point added equal to x, or None.
+    On floats a :class:`_PointIndex`. On the rational backend equal points
+    have equal int rows, so a :class:`_RowIndex` hashes them: one dict
+    lookup where the float window tests every point with an equal first
+    coordinate."""
+    return _RowIndex(points) if ctx.exact else _PointIndex(points, ctx)
 
 
-def _first_indices(rows) -> dict:
-    """Each distinct row, mapped to the index of its first occurrence."""
-    first = {}
-    for i, w in enumerate(rows):
-        first.setdefault(w, i)
-    return first
+class _RowIndex(dict):
+    """Each distinct int row added, mapped to the index of its first copy."""
+
+    def __init__(self, points):
+        for i, w in enumerate(points):
+            self.setdefault(w, i)
+        self.size = len(points)
+
+    def add(self, w):
+        self.setdefault(w, self.size)
+        self.size += 1
+
+    find = dict.get
 
 
 class _PointIndex:
@@ -302,7 +315,7 @@ class _PointIndex:
 
     ``find(x)`` is the index of the first point equal to x, or None.
     Equality within eps is not transitive, so the points cannot hash (the
-    rational backend hashes int rows instead, :func:`_first_indices`); the
+    rational backend hashes int rows instead, :class:`_RowIndex`); the
     index keeps ``(first coordinate, index)`` pairs sorted and tests only
     the points whose first coordinate y0 lies in the window
     [x0 - 2 eps, x0 + 2 eps] around the query's x0, both ends rounded,
@@ -344,32 +357,23 @@ class _PointIndex:
 
 def _kept_points(rows, ctx: Context) -> list:
     """The indices of the points a permissive ball keeps: the first copy of
-    each point that is extreme. Warns for each point dropped."""
-    points, scale = _over_one_scale(rows, ctx)
-    index = None
-    if ctx.exact:
-        # Under one common scale equal points have equal int rows.
-        first = _first_indices(points)
-        repeats = [first[w] != i for i, w in enumerate(points)]
-    else:
-        index, repeats = _PointIndex((), ctx), []
-        for v in points:
-            repeats.append(index.find(v) is not None)
-            if not repeats[-1]:
-                index.add(v)
-    kept = []
-    for i, repeat in enumerate(repeats):
-        if repeat:
-            warnings.warn(f"dropping duplicate vertex {tuple(map(ctx.coerce, rows[i]))}")
-        else:
+    each point that is extreme. Warns for each point dropped, naming it as
+    validation does (:func:`_vertex_text`)."""
+    points, scale = ctx.over_one_scale(rows)
+    index, kept = _point_index((), ctx), []
+    for i, w in enumerate(points):
+        if index.find(w) is None:
+            index.add(w)
             kept.append(i)
+        else:
+            warnings.warn(f"dropping duplicate {_vertex_text(i, rows[i])}")
     points = [points[i] for i in kept]
     cone = _polar_cone(points, ctx, scale)
     extreme = []
-    # On floats the index holds exactly the points kept, in order.
+    # The index holds exactly the points kept, in order.
     for i, is_vertex in zip(kept, _vertex_flags(points, cone, ctx, index)):
         if not is_vertex:
-            warnings.warn(f"dropping non-extreme input point {tuple(map(ctx.coerce, rows[i]))}")
+            warnings.warn(f"dropping non-extreme {_vertex_text(i, rows[i])}")
             continue
         extreme.append(i)
     return extreme
@@ -381,12 +385,12 @@ def _polar_cone(points, ctx: Context, scale=None):
 
     The rows are (-W_i, L): with ``scale`` given the points are already the
     rows W over that common positive scale L, and otherwise W and L are
-    :func:`_over_one_scale` of the points. Row i is L times (-v_i, 1), a
+    ``ctx.over_one_scale`` of the points. Row i is L times (-v_i, 1), a
     positive factor that leaves the cone, its rays (on the rational backend
     each reduced to its primitive vector) and their zero sets as they are.
     """
     if scale is None:
-        points, scale = _over_one_scale(points, ctx)
+        points, scale = ctx.over_one_scale(points)
     rows = [tuple(-x for x in w) + (scale,) for w in points]
     return _double_description(rows, len(rows[0]), ctx)
 
@@ -484,18 +488,6 @@ def validate(p: Polytope) -> ValidationReport:
 # Double description: extreme rays of {y : row . y >= 0 for all rows}.
 # ---------------------------------------------------------------------------
 
-def _normalize_ray(ray, ctx: Context):
-    """The ray scaled by a positive factor: on the exact backend an int
-    vector divided by the gcd of its entries, on floats divided by its
-    largest magnitude. A zero vector is returned as it is."""
-    if ctx.exact:
-        # A sequence, never a generator, goes to gcd (see linalg.integer_row).
-        g = math.gcd(*ray)
-        return tuple(map(floordiv, ray, repeat(g))) if g > 1 else tuple(ray)
-    m = max(map(abs, ray))
-    return tuple(map(truediv, ray, repeat(m))) if m else tuple(ray)
-
-
 def _project(y, l0, a, al0, ctx: Context):
     """y moved along l0 onto the hyperplane {a . y = 0}, where al0 = a . l0 > 0.
 
@@ -565,7 +557,7 @@ def _double_description(rows, k: int, ctx: Context):
     A projection onto a new hyperplane (:func:`_project`) and the
     combination ``sp*rm - sm*rp`` of two adjacent rays each give a positive
     multiple of the vector that ``Fraction`` arithmetic gives, and
-    :func:`_normalize_ray` divides a ray by the gcd of its entries. The
+    ``ctx.primitive`` divides a ray by the gcd of its entries. The
     primitive integer vector on a rational ray is unique, so every ray is
     the one the ``Fraction`` run normalizes to, with the same signs against
     every row, hence the same order and the same zero sets. A lineality
@@ -576,9 +568,11 @@ def _double_description(rows, k: int, ctx: Context):
     checked, once, over its final rays and lineality: a non-finite entry
     raises :class:`ComputationError`, since the input itself is finite.
     """
-    lineality = [tuple(1 if i == j else 0 for i in range(k)) for j in range(k)]
-    if not ctx.exact:
-        lineality = [tuple(map(ctx.coerce, l)) for l in lineality]
+    # (0, 1) is primitive, so it comes back as ints on the exact backend and
+    # as floats on floats: the entries of the unit vectors.
+    zero, one = ctx.primitive((0, 1))
+    lineality = [tuple([one if i == j else zero for i in range(k)]) for j in range(k)]
+    primitive = ctx.primitive
     tol = ctx.eps or 0  # the int 0 on the exact backend, as in ctx.sign
     rays = []  # list of (vector, zero-set bitmask)
 
@@ -599,9 +593,8 @@ def _double_description(rows, k: int, ctx: Context):
                 # Project every ray onto the new hyperplane; they all become
                 # tight for this inequality, while l0 is the unique ray off
                 # it, tight at every earlier row.
-                rays = [(_normalize_ray(_project(r, l0, a, al0, ctx), ctx), zs | bit)
-                        for r, zs in rays]
-                rays.append((_normalize_ray(l0, ctx), bit - 1))
+                rays = [(primitive(_project(r, l0, a, al0, ctx)), zs | bit) for r, zs in rays]
+                rays.append((primitive(l0), bit - 1))
                 continue
 
         plus, zero, minus = [], [], []
@@ -632,11 +625,11 @@ def _double_description(rows, k: int, ctx: Context):
                                     break
                         if hits > 2:
                             continue
-                    new.append((_normalize_ray([sp * xm - sm * xp for xp, xm in zip(rp, rm)], ctx),
+                    new.append((primitive([sp * xm - sm * xp for xp, xm in zip(rp, rm)]),
                                 common | bit))
         rays = new
 
-    if not ctx.exact and not all(map(math.isfinite, chain(*(r for r, _ in rays), *lineality))):
+    if not ctx.finite(chain.from_iterable(chain(map(itemgetter(0), rays), lineality))):
         raise ComputationError("double description: a ray overflowed to a non-finite "
                                "float; the coordinates span too wide a range")
     return [(r, _zero_set(zs)) for r, zs in rays], lineality
@@ -675,18 +668,22 @@ def facet_enumeration(p: Polytope) -> tuple:
     for r, _ in rays:
         if p.ctx.sign(r[d]) <= 0:
             raise ComputationError(f"unexpected recession ray {r} in the polar body")
+    # Each ray's (sort key, facet): a rational facet keeps its ray, a float
+    # facet its coefficients, the key.
     if p.ctx.exact:
         # x / t = x (L // t) / L with L the lcm of every t (a list goes to
-        # lcm; see linalg.scaled_integer_row), so the int rows x (L // t)
+        # lcm; see scalars.scaled_integer_row), so the int rows x (L // t)
         # sort as the Fractions x / t do.
         scale = math.lcm(*[r[d] for r, _ in rays])
-        keys = [tuple([x * m for x in r[:d]]) for r, _ in rays for m in (scale // r[d],)]
+        keyed = [(tuple([x * m for x in r[:d]]), FacetFunctional.of_ray(r, zs))
+                 for r, zs in rays for m in (scale // r[d],)]
     else:
-        scale, keys = 1, [tuple([x / r[d] for x in r[:d]]) for r, _ in rays]
-    keyed = sorted(zip(keys, rays), key=itemgetter(0))
+        scale = 1
+        keyed = [(row, FacetFunctional.of_coeffs(row, zs))
+                 for r, zs in rays for row in (tuple([x / r[d] for x in r[:d]]),)]
+    keyed.sort(key=itemgetter(0))
     p._facet_rows = tuple(row for row, _ in keyed), scale
-    p._facets = tuple(FacetFunctional.of_ray(r, zs) if p.ctx.exact else
-                      FacetFunctional.of_coeffs(row, zs) for row, (r, zs) in keyed)
+    p._facets = tuple(f for _, f in keyed)
     return p._facets
 
 

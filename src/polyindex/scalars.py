@@ -8,7 +8,15 @@ All geometry in this package is generic over two kinds of scalar:
 
 A :class:`Context` bundles the backend choice with the tolerance and
 provides all comparisons, so that the same algorithms run bit-exactly on
-rationals and tolerantly on floats.
+rationals and tolerantly on floats. It also carries each backend's ring
+arithmetic, which the other modules call with no branch of their own:
+rows over one common scale (:meth:`Context.over_one_scale`, int rows on
+the exact backend, as lrs keeps them), a ray's primitive multiple
+(:meth:`Context.primitive`), the quotient a report shows
+(:meth:`Context.quotient`), a finiteness test (:meth:`Context.finite`) and
+the sign (:meth:`Context.sign`). The int-row helpers the exact backend
+scales with (:func:`scaled_integer_row`, :func:`scaled_integer_rows`,
+:func:`integer_row`) live here too.
 """
 from __future__ import annotations
 
@@ -17,6 +25,8 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from operator import floordiv, truediv
 from typing import Iterable, Union
 
 from .errors import InputError
@@ -87,6 +97,40 @@ def finite_floats(values) -> bool:
     return math.isfinite(sum(values))
 
 
+def scaled_integer_row(values) -> tuple:
+    """``(ints, scale)``: ``values`` times ``scale``, the lcm of their
+    denominators, as a row of ints; ``values[i] == ints[i] / scale``.
+
+    Values are read through ``as_integer_ratio()``: ints, Fractions and
+    finite floats may mix, and a float gives the ints and scale of its
+    ``Fraction``, without building one."""
+    # Lists, not generators, go to lcm and gcd here and in linalg.eliminate:
+    # CPython parks the argument tuple of a generator call in a free list of
+    # its resized length, and those free lists grow with every call.
+    ratios = [x.as_integer_ratio() for x in values]
+    scale = math.lcm(*[d for _, d in ratios])
+    return [n * (scale // d) for n, d in ratios], scale
+
+
+def scaled_integer_rows(rows) -> tuple:
+    """``(int rows, scale)``: every row of the rectangular matrix ``rows``
+    (values as :func:`scaled_integer_row` takes them) times one common
+    scale, the lcm of all their denominators, as a tuple of int tuples."""
+    flat, scale = scaled_integer_row([x for row in rows for x in row])
+    d = len(rows[0])
+    return tuple(tuple(flat[i:i + d]) for i in range(0, len(flat), d)), scale
+
+
+def integer_row(values) -> list:
+    """The Fractions ``values`` times the lcm of their denominators: a row of
+    ints that is a positive multiple of the given row. An int counts as a
+    Fraction of denominator 1, and a row of ints comes back as it is."""
+    for x in values:
+        if type(x) is not int:
+            return scaled_integer_row(values)[0]
+    return list(values)
+
+
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "p/q" (or "p" for integers), losslessly."""
     if value.denominator == 1:
@@ -148,6 +192,34 @@ class Context:
         if value < -tol:
             return -1
         return 0
+
+    def over_one_scale(self, rows) -> tuple:
+        """``(W, L)``: the rows of values as rows W over one common positive
+        scale L, value (i, j) being W_ij / L. On the exact backend the int
+        rows of :func:`scaled_integer_rows`, L the lcm of every denominator;
+        on floats the rows as they are, over 1."""
+        return scaled_integer_rows(rows) if self.exact else (tuple(rows), 1)
+
+    def primitive(self, v) -> tuple:
+        """v times a positive factor: on the exact backend an int vector
+        divided by the gcd of its entries, on floats divided by its largest
+        magnitude. A zero vector is returned as it is."""
+        if self.exact:
+            # A sequence, never a generator, goes to gcd (see scaled_integer_row).
+            g = math.gcd(*v)
+            return tuple(map(floordiv, v, repeat(g))) if g > 1 else tuple(v)
+        m = max(map(abs, v))
+        return tuple(map(truediv, v, repeat(m))) if m else tuple(v)
+
+    def quotient(self, x, scale) -> Scalar:
+        """The value x / scale, for a report: the ``Fraction`` on the exact
+        backend, the float division on floats, which at a scale of 1 is x
+        itself, bit for bit."""
+        return Fraction(x, scale) if self.exact else x / scale
+
+    def finite(self, values) -> bool:
+        """Whether every value is finite: always on the exact backend."""
+        return self.exact or all(map(math.isfinite, values))
 
     def is_zero(self, value) -> bool:
         return self.sign(value) == 0

@@ -397,19 +397,24 @@ def reference_strip(points, ctx=None):
     gives, with repeats found by a scan: ``(kept points, messages)``. With a
     float ``ctx``, what the float backend keeps with that tolerance."""
     eq = operator.eq if ctx is None else ctx.eq
-    messages, kept = [], []
-    for v in points:
+
+    def named(i):  # as validation names point i: str of a Fraction, repr of a float
+        return f"vertex {i} ({', '.join(map(str if ctx is None else repr, points[i]))})"
+
+    messages, kept, first = [], [], []
+    for i, v in enumerate(points):
         if reference_index_of(kept, v, eq) is not None:
-            messages.append(f"dropping duplicate vertex {v}")
+            messages.append(f"dropping duplicate {named(i)}")
         else:
             kept.append(v)
+            first.append(i)
     extreme = []
     cone = reference_polar_cone(kept, ctx)
-    for v, is_vertex in zip(kept, reference_vertex_flags(kept, cone, ctx)):
+    for i, v, is_vertex in zip(first, kept, reference_vertex_flags(kept, cone, ctx)):
         if is_vertex:
             extreme.append(v)
         else:
-            messages.append(f"dropping non-extreme input point {v}")
+            messages.append(f"dropping non-extreme {named(i)}")
     return tuple(extreme), messages
 
 

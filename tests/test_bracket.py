@@ -127,6 +127,11 @@ def test_upper_bound_rejects_zero_witness(hexagon):
         upper_bound(hexagon, witnesses=[Operator.zero(2)])
 
 
+def test_zero_witness_is_named_by_its_index(hexagon):
+    with pytest.raises(InputError, match=r"^witness 1: operator has norm 0$"):
+        upper_bound(hexagon, witnesses=[Operator.identity(2), Operator.zero(2)])
+
+
 def test_upper_bound_normalizes_witness(bipyramid):
     # A scaled witness yields the same bound: the search space is T/||T||.
     w = pyramid_witness_operator()

@@ -23,9 +23,9 @@ from polyindex.cli import main
 from polyindex.documents import (operator_to_document, polytope_from_document,
                                  polytope_to_document, scalar_to_json)
 from polyindex.families import irregular_hexagon
-from polyindex.linalg import rank, scaled_integer_rows
+from polyindex.linalg import rank
 from polyindex.polytope import evaluation_table
-from polyindex.scalars import EXACT
+from polyindex.scalars import EXACT, scaled_integer_rows
 from helpers import random_symmetric_polytope
 
 
@@ -398,6 +398,15 @@ def test_exit_code_2_on_operator_entry_beyond_float_range(capsys, tmp_path, comm
     code, out, err = run(capsys, command, "-i", str(ball), flag, str(op))
     assert (code, out) == (2, "")
     assert err == f"error: {where}operator: matrix[1][1] is beyond the float range\n"
+
+
+def test_exit_code_2_names_the_zero_witness(capsys, tmp_path, hexagon_file):
+    identity, zero = tmp_path / "id.json", tmp_path / "zero.json"
+    identity.write_text(json.dumps(operator_to_document(Operator.identity(2))))
+    zero.write_text(json.dumps(operator_to_document(Operator.zero(2))))
+    code, out, err = run(capsys, "bound", "-i", hexagon_file, "--witness", str(identity),
+                         "--witness", str(zero))
+    assert (code, out, err) == (2, "", "error: witness 1: operator has norm 0\n")
 
 
 def test_huge_float_witness_on_rational_ball_exits_0(capsys, tmp_path, hexagon_file):

@@ -246,7 +246,7 @@ def _assert_flat_table_is_dots(p, matrix):
     per image coordinate and per pairing: the same ints over the table's
     scale on a rational ball, the same float bits on a float ball."""
     values, scale = operators_module._orbit_pair_values(p, matrix)
-    if scale is None:
+    if not p.ctx.exact:
         assert _float_bits(values) == _float_bits(reference_flat_values(p, matrix))
     else:
         want = reference_flat_values(p, [[Fraction(x) for x in row] for row in matrix])

@@ -14,11 +14,12 @@ from polyindex import (InputError, Operator, Polytope, ValidationError,
                        irregular_hexagon, linf_sum, oblique_prism, prism_with_pyramids,
                        regular_2n_gon, scale_coordinate, segment, validate)
 import polyindex.linalg as linalg_module
-from polyindex.linalg import (column_dots, dot, integer_row, rank, scaled_integer_row,
-                              scaled_integer_rows, vsub)
+import polyindex.scalars as scalars_module
+from polyindex.linalg import column_dots, dot, rank, vsub
 from polyindex.polytope import (_PointIndex, _double_description, _polar_cone, _vertex_flags,
                                 evaluation_table, facet_antipode_pairs)
-from polyindex.scalars import EXACT, Context, float_context
+from polyindex.scalars import (EXACT, Context, float_context, integer_row, scaled_integer_row,
+                               scaled_integer_rows)
 from helpers import (brute_force_facets, random_symmetric_polytope, reference_antipode_map,
                      reference_double_description, reference_index_of, reference_polar_cone,
                      reference_strip, reference_vertex_flags, scaled_random_polytope)
@@ -542,7 +543,7 @@ def test_dot_adds_left_to_right():
 def test_rational_vertices_scaled_to_ints_once_per_ball(make, monkeypatch):
     vertices = make().vertices
     scalings, row_calls = [], []
-    real = polytope_module.scaled_integer_rows
+    real = scalars_module.scaled_integer_rows
 
     def counting(rows):
         scalings.append(rows)
@@ -552,8 +553,8 @@ def test_rational_vertices_scaled_to_ints_once_per_ball(make, monkeypatch):
         row_calls.append(values)
         return integer_row(values)
 
-    monkeypatch.setattr(polytope_module, "scaled_integer_rows", counting)
-    monkeypatch.setattr(polytope_module, "integer_row", recording, raising=False)
+    monkeypatch.setattr(scalars_module, "scaled_integer_rows", counting)
+    monkeypatch.setattr(scalars_module, "integer_row", recording)
     monkeypatch.setattr(linalg_module, "integer_row", recording)
     # The ball scales its vertex list when it is built, and nothing after.
     p = Polytope(vertices)
@@ -619,7 +620,8 @@ def test_rational_facets_and_table_build_no_fraction(monkeypatch):
             built.append(args)
             return Fraction(*args, **kwargs)
 
-    monkeypatch.setattr(polytope_module, "Fraction", Counting)
+    for module in (polytope_module, scalars_module):
+        monkeypatch.setattr(module, "Fraction", Counting)
     balls.append(Polytope([(2, 1, 0), (-2, -1, 0), (0, 3, 1), (0, -3, -1), (1, 0, 5), (-1, 0, -5)]))
     for p in balls:
         facet_enumeration(p)

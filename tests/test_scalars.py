@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import pickle
+import struct
 from fractions import Fraction
 
 import pytest
@@ -153,6 +154,111 @@ def test_context_keeps_value_semantics_with_exact_an_attribute():
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(ctx, name, value)
     assert EXACT.exact and EXACT.eps == 0.0 and not a.exact and a.eps == 1e-9
+
+
+_FLOAT_EDGES = (-0.0, 0.0, 5e-324, -5e-324, 1.7976931348623157e308, math.inf, -math.inf)
+_finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+_scalars = st.one_of(st.integers(-10 ** 30, 10 ** 30), rationals, _finite_floats)
+
+
+def _bits(x):
+    return struct.pack("<d", x)
+
+
+@given(st.integers(-10 ** 40, 10 ** 40), st.integers(1, 10 ** 20))
+@example(0, 1)
+@example(-6, 4)
+@example(10 ** 400, 3)
+def test_exact_quotient_is_the_fraction(x, scale):
+    got = EXACT.quotient(x, scale)
+    assert type(got) is Fraction and got == Fraction(x, scale)
+
+
+@given(st.floats())
+def test_float_quotient_over_one_is_the_value_bit_for_bit(x):
+    ctx = float_context()
+    for edge in _FLOAT_EDGES:
+        assert _bits(ctx.quotient(edge, 1)) == _bits(edge)
+    got = ctx.quotient(x, 1)
+    assert _bits(got) == _bits(x) or (math.isnan(x) and math.isnan(got))
+    assert ctx.quotient(3.0, 4) == 0.75
+
+
+@given(st.lists(st.integers(-10 ** 30, 10 ** 30), min_size=1, max_size=6))
+@example([0, 0, 0])
+@example([6, -4, 10])
+@example([-5])
+def test_exact_primitive_is_a_positive_multiple_with_gcd_1(v):
+    w = EXACT.primitive(v)
+    assert type(w) is tuple and all(type(x) is int for x in w)
+    if not any(v):
+        assert w == tuple(v)
+        return
+    g = math.gcd(*w)
+    assert g == 1
+    factor = math.gcd(*v)  # v = factor * w, factor > 0
+    assert tuple(x * factor for x in w) == tuple(v)
+
+
+@given(st.lists(_finite_floats, min_size=1, max_size=6))
+@example([0.0, -0.0])
+@example([5e-324, -5e-324, 0.0])
+@example([-3.0, 1.5])
+def test_float_primitive_scales_to_a_largest_magnitude_of_1(v):
+    w = float_context().primitive(v)
+    assert type(w) is tuple and len(w) == len(v)
+    m = max(map(abs, v))
+    if m == 0:
+        assert list(map(_bits, w)) == list(map(_bits, v))
+        return
+    assert max(map(abs, w)) == 1.0
+    assert w == tuple(x / m for x in v)  # v divided by m > 0
+
+
+@given(st.lists(st.lists(_scalars, min_size=3, max_size=3), min_size=1, max_size=5))
+@example([[10 ** 400, Fraction(1, 3), 0.1]])
+def test_exact_rows_over_one_scale_give_their_values(rows):
+    w, scale = EXACT.over_one_scale(rows)
+    assert type(scale) is int and scale > 0
+    assert all(type(x) is int for row in w for x in row)
+    assert [[Fraction(x, scale) for x in row] for row in w] == \
+        [[Fraction(x) for x in row] for row in rows]
+
+
+@given(st.lists(st.lists(_finite_floats, min_size=2, max_size=2), min_size=1, max_size=5))
+def test_float_rows_over_one_scale_are_the_rows_over_1(rows):
+    w, scale = float_context().over_one_scale(rows)
+    assert scale == 1 and len(w) == len(rows)
+    assert all(a is b for a, b in zip(w, rows))
+    assert [[_bits(x / scale) for x in row] for row in w] == [list(map(_bits, r)) for r in rows]
+
+
+@given(st.lists(st.one_of(st.integers(), rationals)))
+@example([10 ** 400, -(10 ** 400)])
+@example([Fraction(10 ** 400, 3)])
+@example([])
+def test_exact_finite_holds_on_every_value(values):
+    assert EXACT.finite(values) is True
+
+
+def test_float_finite_rejects_inf_and_nan_only():
+    ctx = float_context()
+    assert ctx.finite([]) and ctx.finite([0.0, -0.0, -5e-324])
+    assert ctx.finite([1.7976931348623157e308] * 2)  # a sum would overflow; the values do not
+    for bad in (math.inf, -math.inf, math.nan):
+        assert not ctx.finite([1.0, bad])
+
+
+def test_ring_methods_leave_context_value_semantics_alone():
+    for ctx in (EXACT, Context(1e-9)):
+        before = (repr(ctx), hash(ctx), dict(vars(ctx)))
+        ctx.over_one_scale([[1, 2]])
+        ctx.primitive([2, 4])
+        ctx.quotient(3, 1)
+        ctx.finite([1.0])
+        assert (repr(ctx), hash(ctx), vars(ctx)) == before
+    assert Context(1e-9) == Context(1e-9) != EXACT
+    assert [f.name for f in dataclasses.fields(Context)] == ["eps"]
 
 
 _WHITESPACE = st.sampled_from(["", " ", "\t", " \n", "\u2003"])
