@@ -12,6 +12,10 @@ vertex of Q_v; one double description lists Q_v's vertices, as the
 extreme rays of the cone over it (on float balls with the functionals
 scaled by a power of two that follows the ball's size). Rational input
 is processed in exact arbitrary-precision arithmetic.
+
+The LP solver (:mod:`polyindex.linprog`) is loaded on first access to
+``LinearProgram``, ``LPSolution`` or ``solve_lp`` (PEP 562): no command
+calls it, so no command pays for importing it.
 """
 
 __version__ = "0.1.0"
@@ -25,7 +29,6 @@ from .families import (bipyramid_square_prism, irregular_hexagon, linf_sum, obli
                        prism_with_pyramids_witness, prism_witness_operator,
                        pyramid_witness_operator, regular_2n_gon, regular_index,
                        scale_coordinate, scale_witness, segment)
-from .linprog import LinearProgram, LPSolution, solve_lp
 from .operators import Operator, ProfileRow, RadiusCertificate, numerical_radius, \
     operator_norm, radius_profile
 from .polytope import (FacetFunctional, Incidence, Polytope, ValidationReport,
@@ -47,3 +50,10 @@ __all__ = [
     "regular_2n_gon", "regular_index", "scale_coordinate", "scale_witness", "segment",
     "solve_lp", "upper_bound", "validate", "vertex_minimax",
 ]
+
+
+def __getattr__(name):
+    if name not in ("LinearProgram", "LPSolution", "solve_lp"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import linprog
+    return getattr(linprog, name)

@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter, mul, sub
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .errors import ComputationError, InputError
 from .linalg import column_dots
@@ -42,8 +41,7 @@ from .polytope import (Polytope, _double_description, evaluation_table, facet_en
 from .scalars import Scalar
 
 
-@dataclass(frozen=True)
-class VertexBound:
+class VertexBound(NamedTuple):
     """The minimum over the unit sphere of max_r |f_r(x)| for the chosen
     supporting functionals f_r at one vertex, with the minimizer."""
 
@@ -55,8 +53,7 @@ class VertexBound:
     minimizer: tuple
 
 
-@dataclass(frozen=True)
-class LowerBoundCertificate:
+class LowerBoundCertificate(NamedTuple):
     """Per-orbit vertex bounds; their minimum is the certified lower bound."""
 
     entries: tuple
@@ -66,8 +63,7 @@ class LowerBoundCertificate:
         return min(e.value for e in self.entries)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(NamedTuple):
     """Budget-limited multi-start local search over operator entries."""
 
     budget: int = 0
@@ -78,8 +74,7 @@ _STARTS = 6     # search starts: the witnesses, then random matrices up to this 
 _STEP = 0.5     # initial standard deviation of a proposal's move in each entry
 
 
-@dataclass(frozen=True)
-class IndexBracket:
+class IndexBracket(NamedTuple):
     lower: Scalar
     upper: Scalar
     lower_certificate: LowerBoundCertificate

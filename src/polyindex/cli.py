@@ -15,17 +15,17 @@ import math
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 
 from . import __version__
-from .bracket import SearchConfig, index_bracket, lower_bound
+from .bracket import SearchConfig, index_bracket, lower_bound, upper_bound
 from .documents import (operator_from_document, operator_to_document,
                         polytope_from_document, polytope_to_document, scalar_to_json)
 from .errors import ComputationError, InputError, PolyindexError
 from .families import (FAMILIES, HEXAGON_DUAL_VERTEX, HEXAGON_VERTEX_BOUNDS,
                        irregular_hexagon, scale_coordinate, scale_witness)
 from .linalg import rank
-from .operators import norm_and_profile, operator_norm
+from .operators import Operator, norm_and_profile, operator_norm
 from .polytope import evaluation_table, facet_enumeration, gauge, incidence
 from .scalars import check_tolerance, finite_floats, parse_rational
 
@@ -66,9 +66,7 @@ def _render_text(value, indent=0, out=None):
 
 
 def _flat(v):
-    if isinstance(v, list):
-        return "[" + ", ".join(str(x) for x in v) + "]"
-    return str(v)
+    return "[" + ", ".join(map(str, v)) + "]" if isinstance(v, list) else str(v)
 
 
 _SCALAR_JSON = {int: int.__repr__, str: encode_basestring_ascii}  # by exact type: no bool
@@ -109,10 +107,7 @@ def _json(value, pad="\n") -> str:
 
 
 def _emit(report, fmt: str):
-    if fmt == "text":
-        print("\n".join(_render_text(report)))
-    else:
-        print(_json(report))
+    print("\n".join(_render_text(report)) if fmt == "text" else _json(report))
 
 
 def _report(command: str, config: dict, results: dict) -> dict:
@@ -274,9 +269,29 @@ def cmd_bound(args) -> int:
     return 0
 
 
-def _ball_flag(path: str):
-    """The ball of the polytope document at ``path``."""
-    return polytope_from_document(_json_file(path))[0]
+def _summand_flag(path: str):
+    """(ball, witness, v(W)/||W||) of the polytope document at ``path``, the
+    last two None when it carries no witness W. The ratio is
+    :func:`~polyindex.bracket.upper_bound` of the ball with W as its one
+    witness: v(W)/||W|| is at most 1, so the identity there never lowers it."""
+    p, w = polytope_from_document(_json_file(path))
+    return p, w, None if w is None else upper_bound(p, [w])[0]
+
+
+def _sum_witness(summands):
+    """The witness of the ℓ∞ sum of ``summands``, two :func:`_summand_flag`
+    triples: the summand witness W with the smaller v(W)/||W||, the first on
+    a tie, padded with zeros in the other summand's block, in the
+    coordinates of :func:`~polyindex.families.linf_sum`. Its value on the sum
+    is W's own, the least of the two. None when neither carries one."""
+    carried = [(ratio, k, w) for k, (_, w, ratio) in enumerate(summands) if w is not None]
+    if not carried:
+        return None
+    _, k, w = min(carried, key=itemgetter(0))  # the first of equal ratios
+    before, after = (summands[0][0].dim, 0) if k else (0, summands[1][0].dim)
+    zero = [0] * (before + w.dim + after)
+    rows = [[0] * before + list(row) + [0] * after for row in w.matrix]
+    return Operator([zero] * before + rows + [zero] * after, backend=w.ctx.backend)
 
 
 # Each family parameter's flag: how its text is read (--n as argparse
@@ -284,8 +299,8 @@ def _ball_flag(path: str):
 _PARAM_FLAGS = {
     "n": (int, True),
     "l": (lambda text: float(parse_rational(text)), False),
-    "a": (_ball_flag, True),
-    "b": (_ball_flag, True),
+    "a": (_summand_flag, True),
+    "b": (_summand_flag, True),
 }
 
 
@@ -307,8 +322,10 @@ def cmd_family(args) -> int:
         if text is not None:
             with _named(f"--{name}"):
                 params[name] = _PARAM_FLAGS[name][0](text)
-    p = family.ball(**params)
-    witness = family.witness(**params) if args.with_witness else None
+    # linf_sum's summands: their balls go to the family as its (a, b).
+    summands = [params.pop(name) for name in ("a", "b") if name in params]
+    p = family.ball(*[ball for ball, _, _ in summands], **params)
+    witness = family.witness(**params) if args.with_witness else _sum_witness(summands)
     if args.height is not None:
         if p.dim < 3:
             raise InputError("--height: only meaningful for prism families")
@@ -461,8 +478,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         if getattr(args, "eps", None) is not None:
             check_tolerance(args.eps, "--eps")

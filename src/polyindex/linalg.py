@@ -59,10 +59,6 @@ def column_dots(left, right):
     return total
 
 
-def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def vneg(a):
     return tuple(-x for x in a)
 

@@ -183,7 +183,10 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
     other is coerced to a ``Fraction``; ``value`` and ``point`` are
     ``Fraction``s. Scaling an inequality row by a positive factor only
     scales its slack column, so the pivots, basis, point and value stay
-    the same. On floats every coefficient is coerced to a float.
+    the same. On floats every coefficient is coerced to a float, and a
+    pivot that overflows raises ``ComputationError``: a tableau holding an
+    inf or a nan cannot be trusted for a sign, so neither an optimum nor
+    unboundedness read off it is reported.
     """
     if lp.eq_lhs or lp.eq_rhs:
         raise InputError("equality row 0: solve_lp takes inequality rows only")
@@ -228,12 +231,18 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
     basis = list(range(n_struct, width))
 
     objective = tuple(map(take, lp.objective))
-    obj = expand(objective)
+    objs = [expand(objective)]
     if ctx.exact:
         rows = [integer_row(row) for row in rows]
-        obj = integer_row(obj)
+        objs = [integer_row(objs[0])]
     max_pivots = 40 * (width + 1) * (len(rows) + 1) + 1000
-    if _simplex(rows, [obj], basis, ctx, max_pivots) == UNBOUNDED:
+    status = _simplex(rows, objs, basis, ctx, max_pivots)
+    # An inf or a nan that a float pivot leaves in the tableau stays there (a
+    # pivot turns none finite), so one check after the run finds any overflow.
+    if not ctx.finite(x for row in rows + objs for x in row):
+        raise ComputationError("linear program: a pivot overflowed to a non-finite float; "
+                               "the coefficients span too wide a range")
+    if status == UNBOUNDED:
         return LPSolution(status=UNBOUNDED)
 
     # While a float tableau stays finite, a row's entry in its basic column

@@ -36,10 +36,9 @@ entry point takes T in the ball's arithmetic (:func:`_in_ball_arithmetic`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import product, repeat
 from operator import itemgetter
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ComputationError, InputError
 from .linalg import column_dots, matvec
@@ -85,8 +84,7 @@ class Operator:
         return cls([[0] * d for _ in range(d)], backend="rational" if exact else "float")
 
 
-@dataclass(frozen=True)
-class RadiusCertificate:
+class RadiusCertificate(NamedTuple):
     """A (vertex, facet) incidence pair attaining the numerical radius.
 
     The named facet supports the named vertex (f(v) = 1) and
@@ -98,8 +96,7 @@ class RadiusCertificate:
     facet_index: int
 
 
-@dataclass(frozen=True)
-class ProfileRow:
+class ProfileRow(NamedTuple):
     vertex_index: int
     value: Scalar
     facet_index: Optional[int]

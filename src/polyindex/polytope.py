@@ -72,7 +72,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter, mul
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ComputationError, InputError, ValidationError
 from .linalg import dot, rank, vneg
@@ -172,6 +172,8 @@ class Polytope:
         return self._representatives
 
 
+# A dataclass, not a NamedTuple: a rational facet builds its coeffs lazily, in
+# its instance dict.
 @dataclass(frozen=True)
 class FacetFunctional:
     """Supporting functional of a facet, normalized so the facet lies on {f = 1}.
@@ -211,16 +213,14 @@ class FacetFunctional:
         return dot(self.coeffs, x)
 
 
-@dataclass(frozen=True)
-class Incidence:
+class Incidence(NamedTuple):
     """Bidirectional vertex-facet incidence."""
 
     vertex_to_facets: tuple  # tuple of sorted tuples of facet indices
     facet_to_vertices: tuple  # tuple of sorted tuples of vertex indices
 
 
-@dataclass(frozen=True)
-class EvaluationTable:
+class EvaluationTable(NamedTuple):
     """The facet functionals and the vertices as rows for dot products,
     indexed by the ball's antipodal symmetry.
 
@@ -263,8 +263,7 @@ class EvaluationTable:
     incident_entries: tuple
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     ok: bool
     violations: tuple
 

@@ -138,6 +138,8 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+# A dataclass, not a NamedTuple: dataclasses.fields, replace and
+# FrozenInstanceError are part of its interface (tests/test_scalars.py).
 @dataclass(frozen=True)
 class Context:
     """Comparison context: ``eps == 0`` selects the exact rational backend;

@@ -254,6 +254,35 @@ def test_family_linf_sum(capsys, tmp_path):
     assert len(doc["vertices"]) == 16
 
 
+def test_family_linf_sum_keeps_the_summand_witness(capsys, tmp_path, hexagon_file):
+    square = tmp_path / "square.json"
+    square.write_text(json.dumps({
+        "dim": 2, "scalar": "rational", "vertices": [[1, 1], [1, -1], [-1, 1], [-1, -1]],
+        "witness": {"dim": 2, "scalar": "rational", "matrix": [[1, 0], [0, 1]]}}))
+    total = tmp_path / "sum.json"
+    run(capsys, "family", "linf_sum", "--a", str(square), "--b", str(square), "-o", str(total))
+    doc = json.loads(total.read_text())
+    # Both ratios are 1, so the first summand's identity is padded with zeros.
+    assert doc["witness"]["matrix"] == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
+    results = run_json(capsys, "bound", "-i", str(total))["results"]
+    assert (results["lower"], results["upper"], results["status"]) == (1, 1, "tight")
+    doc = run_json(capsys, "family", "linf_sum", "--a", hexagon_file, "--b", hexagon_file)
+    assert "witness" not in doc
+
+
+def test_family_linf_sum_takes_the_smaller_ratio(capsys, tmp_path):
+    # The 4-gon's witness has v(W)/||W|| = 1, the 6-gon's sin(pi/6) = 1/2,
+    # so the second summand's wins, padded into the last two coordinates.
+    paths = []
+    for n in (2, 3):
+        paths.append(str(tmp_path / f"gon{n}.json"))
+        run(capsys, "family", "regular_2n_gon", "--n", str(n), "--with-witness", "-o", paths[-1])
+    doc = run_json(capsys, "family", "linf_sum", "--a", paths[0], "--b", paths[1])
+    c = math.cos(math.pi / 6)
+    assert doc["witness"]["matrix"] == [[0.0] * 4, [0.0] * 4, [0.0, 0.0, 0.0, -c],
+                                        [0.0, 0.0, c, 0.0]]
+
+
 @pytest.mark.parametrize("argv,flag", [
     (("regular_2n_gon", "--n", "2", "--l", "1/2"), "--l"),
     (("prism_with_pyramids", "--n", "3", "--l", "1/2"), "--l"),

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import reference_float_rank, reference_rank, reference_solve_lp
 
 import polyindex.linprog as linprog_module
-from polyindex import InputError, LinearProgram, solve_lp
+from polyindex import ComputationError, InputError, LinearProgram, solve_lp
 from polyindex.linalg import dot, rank
 from polyindex.scalars import EXACT, float_context
 
@@ -126,6 +126,16 @@ def test_float_backend():
     sol = solve_lp(lp, float_context())
     assert sol.is_optimal
     assert abs(sol.value + 3.0) < 1e-9
+
+
+def test_float_pivot_overflow_raises():
+    # The exact optimum is below -2**1024, beyond the float range: the float
+    # pivots overflow, and the optimum once read off them was a nan.
+    lp = LinearProgram(objective=(1e300, 1e200), ineq_lhs=[(-1e100, -1.0), (-1e200, -1.0)],
+                       ineq_rhs=(1e100, 1e300))
+    assert solve_lp(lp).value < -2 ** 1024
+    with pytest.raises(ComputationError, match="^linear program: a pivot overflowed"):
+        solve_lp(lp, float_context())
 
 
 def test_basis_certificate_reported():

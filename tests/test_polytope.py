@@ -3,7 +3,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
-from operator import truediv
+from operator import sub, truediv
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +15,7 @@ from polyindex import (InputError, Operator, Polytope, ValidationError,
                        regular_2n_gon, scale_coordinate, segment, validate)
 import polyindex.linalg as linalg_module
 import polyindex.scalars as scalars_module
-from polyindex.linalg import column_dots, dot, rank, vsub
+from polyindex.linalg import column_dots, dot, rank
 from polyindex.polytope import (_PointIndex, _double_description, _polar_cone, _vertex_flags,
                                 evaluation_table, facet_antipode_pairs)
 from polyindex.scalars import (EXACT, Context, float_context, integer_row, scaled_integer_row,
@@ -379,7 +379,7 @@ def test_incident_sets_span_facet_dimension(bipyramid, bipyramid_facets):
     for f in bipyramid_facets:
         members = sorted(f.incident_vertices)
         base = bipyramid.vertices[members[0]]
-        diffs = [vsub(bipyramid.vertices[j], base) for j in members[1:]]
+        diffs = [tuple(map(sub, bipyramid.vertices[j], base)) for j in members[1:]]
         assert rank(diffs, bipyramid.ctx) == bipyramid.dim - 1
 
 
