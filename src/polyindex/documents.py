@@ -15,7 +15,7 @@ from typing import Optional, Tuple
 from .errors import InputError
 from .operators import Operator
 from .polytope import Polytope
-from .scalars import Scalar, finite_floats, format_rational, parse_rational
+from .scalars import Scalar, finite_floats, format_rational, read_rational
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -27,15 +27,18 @@ def scalar_to_json(x: Scalar):
     return float(x)
 
 
-def _scalar_from_json(value, kind: str):
-    if kind == RATIONAL:
-        if isinstance(value, (bool, float)):
-            raise InputError(f"rational documents take integers or 'p/q' strings, got {value!r}")
-        if isinstance(value, int):
-            return value
-        if isinstance(value, str):
-            return parse_rational(value)
-        raise InputError(f"expected integer or rational string, got {type(value).__name__}")
+def _rational_entry(value) -> tuple:
+    """A rational document's entry as reduced ints ``(p, q)``, q > 0."""
+    if isinstance(value, str):
+        return read_rational(value)
+    if isinstance(value, (bool, float)):
+        raise InputError(f"rational documents take integers or 'p/q' strings, got {value!r}")
+    if isinstance(value, int):
+        return int(value), 1
+    raise InputError(f"expected integer or rational string, got {type(value).__name__}")
+
+
+def _float_entry(value) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"float documents take numbers, got {value!r}")
     try:
@@ -48,13 +51,14 @@ def _scalar_from_json(value, kind: str):
 
 
 def _rows(rows, dim: int, kind: str, where: str) -> list:
-    """The scalars of ``rows``, ``dim`` per row; errors name ``where[i][j]``,
-    built only then. A rational document's ints stay ints: :class:`Polytope`
-    and :class:`Operator` read them as they are, and a row of ints only
-    (``type(x) is int``, so a bool still raises) is passed on as it is. A
-    float document's row of finite floats only (:func:`finite_floats`) is
-    passed on as it is too."""
-    parsed = []
+    """The entries of ``rows``, ``dim`` per row; errors name ``where[i][j]``,
+    built only then. A float document gives rows of floats, and a row of
+    finite floats only (:func:`finite_floats`) is passed on as it is. A
+    rational document gives each row as its numerators and denominators
+    ``(P, Q)``, each entry read once as reduced ints (:func:`read_rational`);
+    a row of ints only (``type(x) is int``, so a bool still raises) is
+    passed on as it is, over a row of ones."""
+    parsed, ones = [], (1,) * dim
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != dim:
             raise InputError(f"{where}[{i}]: expected an array of length {dim}")
@@ -63,18 +67,18 @@ def _rows(rows, dim: int, kind: str, where: str) -> list:
                 if type(x) is not int:
                     break
             else:
-                parsed.append(row)
+                parsed.append((row, ones))
                 continue
         elif finite_floats(row):
             parsed.append(row)
             continue
-        values = []
+        entry, values = _rational_entry if kind == RATIONAL else _float_entry, []
         try:
             for j, x in enumerate(row):
-                values.append(_scalar_from_json(x, kind))
+                values.append(entry(x))
         except InputError as exc:
             raise InputError(f"{where}[{i}][{j}]: {exc}") from exc
-        parsed.append(values)
+        parsed.append(tuple(zip(*values)) if kind == RATIONAL else values)
     return parsed
 
 
@@ -106,7 +110,16 @@ def polytope_from_document(doc, eps: Optional[float] = None) -> Tuple[Polytope, 
     verts = doc.get("vertices")
     if not isinstance(verts, list) or not verts:
         raise InputError("polytope.vertices: expected a nonempty array")
-    p = Polytope(_rows(verts, dim, kind, "polytope.vertices"), backend=kind, eps=eps)
+    rows = _rows(verts, dim, kind, "polytope.vertices")
+    if kind == RATIONAL:
+        # W_ij = p_ij L / q_ij over L, the lcm of every q: the rows
+        # ``ctx.over_one_scale`` gives, with no Fraction built.
+        scale = math.lcm(*[q for _, qs in rows for q in qs])
+        p = Polytope._of_scaled(tuple(tuple(ps) if scale == 1 else
+                                      tuple([a * (scale // q) for a, q in zip(ps, qs)])
+                                      for ps, qs in rows), scale)
+    else:
+        p = Polytope(rows, backend=kind, eps=eps)
     witness = None
     if "witness" in doc and doc["witness"] is not None:
         witness = operator_from_document(doc["witness"], name="witness")
@@ -129,4 +142,7 @@ def operator_from_document(doc, name: str = "operator") -> Operator:
     matrix = doc.get("matrix")
     if not isinstance(matrix, list) or len(matrix) != dim:
         raise InputError(f"{name}.matrix: expected an array of {dim} rows")
-    return Operator(_rows(matrix, dim, kind, f"{name}.matrix"), backend=kind)
+    rows = _rows(matrix, dim, kind, f"{name}.matrix")
+    if kind == RATIONAL:
+        rows = [[a if q == 1 else Fraction(a, q) for a, q in zip(*row)] for row in rows]
+    return Operator(rows, backend=kind)

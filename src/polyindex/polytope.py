@@ -88,7 +88,8 @@ class Polytope:
     read off each coordinate's ``as_integer_ratio()`` (ints and Fractions
     as they are, anything else after ``ctx.coerce``), and the read-only
     ``vertices`` builds the Fractions W_i / L_W on first access; a float
-    ball's rows are its vertices, over 1.
+    ball's rows are its vertices, over 1. A rational document hands its
+    ball (W, L_W) as it read them (:meth:`_of_scaled`).
 
     Args:
         vertices: full vertex list, each a length-d sequence of scalars.
@@ -112,7 +113,7 @@ class Polytope:
             raise InputError("vertices must have at least one coordinate")
         if any(len(v) != d for v in vertices):
             raise InputError("all vertices must have the same dimension")
-        self.ctx = ctx = EXACT if _exact_backend(backend, vertices) else float_context(eps)
+        ctx = EXACT if _exact_backend(backend, vertices) else float_context(eps)
         if ctx.exact:
             rows = [tuple(x if isinstance(x, (int, Fraction)) else ctx.coerce(x) for x in v)
                     for v in vertices]
@@ -120,10 +121,21 @@ class Polytope:
             rows = [v if finite_floats(v) else tuple(map(ctx.coerce, v)) for v in vertices]
         if permissive:
             rows = [rows[i] for i in _kept_points(rows, ctx)]
-        self._scaled = ctx.over_one_scale(rows)
+        self._set(ctx, ctx.over_one_scale(rows), d)
+
+    @classmethod
+    def _of_scaled(cls, rows, scale) -> "Polytope":
+        """The rational ball of the int rows W = ``rows`` over the positive
+        scale L = ``scale``, taken as they are: they must be the rows
+        ``EXACT.over_one_scale`` gives for the vertices W_i / L."""
+        p = object.__new__(cls)
+        p._set(EXACT, (rows, scale), len(rows[0]))
+        return p
+
+    def _set(self, ctx: Context, scaled: tuple, d: int):
+        self.ctx, self._scaled, self.dim = ctx, scaled, d
         # A float ball's rows, over 1, are its vertices: no copy.
-        self._vertices = None if ctx.exact else self._scaled[0]
-        self.dim = d
+        self._vertices = None if ctx.exact else scaled[0]
         self._antipodes = self._index = self._representatives = None
         self._cone = None  # polar cone (rays, lineality), stored once validation passes
         self._facets = self._facet_rows = self._incidence = self._facet_pairs = self._table = None

@@ -16,7 +16,9 @@ the exact backend, as lrs keeps them), a ray's primitive multiple
 (:meth:`Context.quotient`), a finiteness test (:meth:`Context.finite`) and
 the sign (:meth:`Context.sign`). The int-row helpers the exact backend
 scales with (:func:`scaled_integer_row`, :func:`scaled_integer_rows`,
-:func:`integer_row`) live here too.
+:func:`integer_row`) live here too, and so does the one reader of
+rational literals, :func:`read_rational`, whose reduced ints (p, q) a
+rational document's rows are built from.
 """
 from __future__ import annotations
 
@@ -63,26 +65,36 @@ def check_tolerance(eps: float, name: str) -> float:
 _INTEGER_RATIO = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", an integer, or a decimal literal into an exact Fraction.
+def read_rational(text: str) -> tuple:
+    """The value of a rational literal as reduced ints ``(p, q)``, q > 0.
 
-    "5/17" -> Fraction(5, 17); "-1" -> Fraction(-1); "0.5" -> Fraction(1, 2).
-    An ASCII ``[+-]?digits(/digits)?`` literal is read as ``Fraction(p, q)``
-    of its two ints; any other text goes to ``Fraction(text)``, which
-    accepts the same literals and gives the same value.
+    "5/17" -> (5, 17); " -2/4 " -> (-1, 2); "0.5" -> (1, 2). An ASCII
+    ``[+-]?digits(/digits)?`` literal is read with ``int()`` on each part;
+    any other text goes to ``Fraction(text)``, which accepts the same
+    literals and gives the same value.
     """
     if not isinstance(text, str):
         raise InputError(f"expected a rational literal string, got {type(text).__name__}")
     literal = text.strip()
     try:
-        if _INTEGER_RATIO.fullmatch(literal):
-            num, _, den = literal.partition("/")
-            return Fraction(int(num), int(den or 1))
-        return Fraction(literal)
-    except ZeroDivisionError as exc:
-        raise InputError(f"rational literal has zero denominator: {text!r}") from exc
+        if not _INTEGER_RATIO.fullmatch(literal):
+            return Fraction(literal).as_integer_ratio()
+        num, _, den = literal.partition("/")
+        p, q = int(num), int(den or 1)
+        if q:
+            g = math.gcd(p, q)
+            return p // g, q // g
+    except ZeroDivisionError:
+        pass
     except ValueError as exc:
         raise InputError(f"malformed rational literal: {text!r}") from exc
+    raise InputError(f"rational literal has zero denominator: {text!r}")
+
+
+def parse_rational(text: str) -> Fraction:
+    """The ``Fraction`` of a rational literal (:func:`read_rational`):
+    "5/17" -> Fraction(5, 17); "-1" -> Fraction(-1); "0.5" -> Fraction(1, 2)."""
+    return Fraction(*read_rational(text))
 
 
 def finite_floats(values) -> bool:

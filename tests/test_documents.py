@@ -1,10 +1,15 @@
 import json
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from polyindex import InputError, Operator
+from polyindex import InputError, Operator, Polytope, format_rational
+from polyindex import documents as documents_module
+from polyindex import polytope as polytope_module
+from polyindex import scalars as scalars_module
 from polyindex.documents import (operator_from_document, operator_to_document,
                                  polytope_from_document, polytope_to_document)
 from polyindex.families import oblique_prism, pyramid_witness_operator
@@ -159,3 +164,87 @@ def test_float_document_row_with_an_int_reads_it_as_a_float():
     p, _ = polytope_from_document(doc)
     assert p.vertices == ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0))
     assert all(type(x) is float for v in p.vertices for x in v)
+
+
+@pytest.mark.parametrize("bad, want", [
+    ("1/0", "rational literal has zero denominator: '1/0'"),
+    ("1/2/3", "malformed rational literal: '1/2/3'"),
+    ("abc", "malformed rational literal: 'abc'"),
+    ("", "malformed rational literal: ''"),
+    (True, "rational documents take integers or 'p/q' strings, got True"),
+    (0.5, "rational documents take integers or 'p/q' strings, got 0.5"),
+    (None, "expected integer or rational string, got NoneType"),
+    ([1], "expected integer or rational string, got list"),
+])
+def test_bad_rational_entries_keep_their_messages(bad, want):
+    doc = {"dim": 2, "scalar": "rational", "vertices": [[1, 0], [-1, 0], [0, bad], [0, -1]]}
+    with pytest.raises(InputError) as exc:
+        polytope_from_document(doc)
+    assert str(exc.value) == "polytope.vertices[2][1]: " + want
+    doc = {"dim": 2, "scalar": "rational", "vertices": [[1, 0], [-1, 0], [0, 1], [0, -1]],
+           "witness": {"dim": 2, "scalar": "rational", "matrix": [[1, 0], [bad, 1]]}}
+    with pytest.raises(InputError) as exc:
+        polytope_from_document(doc)
+    assert str(exc.value) == "witness.matrix[1][0]: " + want
+
+
+def _literal(draw, x: Fraction):
+    """x as a rational document writes it, or as a user might: an int, or
+    a literal that is reduced, unreduced, signed, space-padded or decimal."""
+    k = draw(st.integers(1, 4))
+    forms = [f"{x.numerator * k}/{x.denominator * k}", f" {format_rational(x)} ",
+             ("+" if x >= 0 else "") + format_rational(x)]
+    if x.denominator == 1:
+        forms.append(x.numerator)
+    if 10 ** 4 % x.denominator == 0:
+        forms.append(str(Decimal(x.numerator) / x.denominator))
+    return draw(st.sampled_from(forms))
+
+
+@st.composite
+def _rational_document(draw):
+    d = draw(st.integers(1, 4))
+    fractions = st.fractions(min_value=-50, max_value=50,
+                             max_denominator=draw(st.sampled_from([1, 8, 40])))
+    values = draw(st.lists(st.lists(fractions, min_size=d, max_size=d), min_size=1, max_size=8))
+    entries = [[_literal(draw, x) for x in row] for row in values]
+    return {"dim": d, "scalar": "rational", "vertices": entries}, values
+
+
+@settings(max_examples=300, deadline=None)
+@given(_rational_document())
+@example(({"dim": 2, "scalar": "rational", "vertices": [["2/4", "+3"], [" -5/7 ", "0.5"], ["-1.25", 0]]},
+          [[Fraction(1, 2), 3], [Fraction(-5, 7), Fraction(1, 2)], [Fraction(-5, 4), 0]]))
+def test_rational_document_gives_the_ball_of_its_values(case):
+    # The entries are read straight into the ball's int rows over one scale:
+    # the rows and vertices Polytope builds from the parsed values.
+    doc, values = case
+    p, _ = polytope_from_document(doc)
+    want = Polytope(values, backend="rational")
+    assert p._scaled == want._scaled and p.vertices == want.vertices
+    assert p.dim == want.dim and p.ctx == want.ctx
+    assert all(type(x) is int for w in p._scaled[0] for x in w) and type(p._scaled[1]) is int
+    matrix = values[:1] * len(values[0])
+    op = operator_from_document({"dim": doc["dim"], "scalar": "rational",
+                                 "matrix": doc["vertices"][:1] * doc["dim"]})
+    assert op.matrix == Operator(matrix, backend="rational").matrix
+
+
+def test_rational_document_loads_without_a_fraction(monkeypatch):
+    # Ints and "p/q" strings become the ball's int rows with no Fraction
+    # built; its vertices build them on first access.
+    built = []
+
+    class Counting(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return Fraction(*args, **kwargs)
+
+    for module in (documents_module, polytope_module, scalars_module):
+        monkeypatch.setattr(module, "Fraction", Counting)
+    doc = {"dim": 3, "scalar": "rational",
+           "vertices": [[1, "1/2", "-2/6"], ["-1", "-1/2", " 1/3 "], [0, 3, "+5/7"], ["0", -3, "-5/7"]]}
+    p, _ = polytope_from_document(doc)
+    assert built == []
+    assert p._scaled == (((42, 21, -14), (-42, -21, 14), (0, 126, 30), (0, -126, -30)), 42)
+    assert p.vertices[2] == (0, 3, Fraction(5, 7)) and built

@@ -9,7 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import reference_parse_rational
 
 from polyindex import InputError, format_rational, parse_rational
-from polyindex.scalars import Context, EXACT, check_tolerance, float_context, infer_exact
+from polyindex.scalars import (Context, EXACT, check_tolerance, float_context, infer_exact,
+                               read_rational)
 
 
 def test_parse_fraction():
@@ -302,3 +303,25 @@ def test_parse_rational_matches_fraction_on_its_text(text):
         with pytest.raises(InputError) as exc:
             parse_rational(text)
         assert str(exc.value) == want
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(_rational_literals(), st.text(max_size=10), st.sampled_from([None, 3, 1.5, b"1"])))
+@example("2/4")
+@example("+3")
+@example(" -5/7 ")
+@example("0.5")
+@example("-1.25")
+@example("-0/8")
+def test_read_rational_gives_the_reduced_pair_of_parse_rational(text):
+    # One reader of rational literals: parse_rational is the Fraction of it.
+    try:
+        want = parse_rational(text)
+    except InputError as exc:
+        with pytest.raises(InputError) as got:
+            read_rational(text)
+        assert str(got.value) == str(exc)
+    else:
+        p, q = read_rational(text)
+        assert type(p) is int and type(q) is int and q > 0 and math.gcd(p, q) == 1
+        assert (p, q) == want.as_integer_ratio()
