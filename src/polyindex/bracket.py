@@ -203,9 +203,10 @@ def _parallelotope_rays(p, bound_rows, vertex_index, facets):
     its incident ``facets``, in the double description's order, read off
     the ball's edges at the vertex (see :func:`vertex_minimax`); None when
     the facets other than some f_j have no single other vertex in common,
-    or c for its edge is not a positive finite number. On rationals the
-    terms D / c go over the lcm of the c's as int rows, with no
-    ``Fraction`` built; floats divide."""
+    or c for its edge is not a positive finite number. The terms D / c go
+    over one scale t (``ctx.over_one_scale``): on rationals int rows over
+    the lcm of the c's, with no ``Fraction`` built; on floats the
+    quotients, over 1."""
     rows, _, scale, s, _ = bound_rows
     ev = evaluation_table(p)
     vertices, vertex_scale = ev.vertices, ev.vertex_scale
@@ -214,7 +215,7 @@ def _parallelotope_rays(p, bound_rows, vertex_index, facets):
     all_facets = facet_enumeration(p)
     members = [all_facets[k].incident_vertices for k in facets]
     v = point(vertex_index)
-    terms = [([scale * x for x in v], scale * vertex_scale)]  # (D, c) with D / c = v
+    terms, scales = [[scale * x for x in v]], [scale * vertex_scale]  # D / c = v
     for j in range(1, len(facets)):
         ends = frozenset.intersection(*members[:j], *members[j + 1:]) - {vertex_index}
         if len(ends) != 1:
@@ -223,14 +224,10 @@ def _parallelotope_rays(p, bound_rows, vertex_index, facets):
         c = scale * vertex_scale - sum(map(mul, rows[facets[j]], w))
         if not 0 < c < math.inf:
             return None
-        terms.append(([2 * scale * (x - y) for x, y in zip(v, w)], c))  # D / c = 2 b_j
-    if p.ctx.exact:
-        t = math.lcm(*[c for _, c in terms])
-        basis = [[x * (t // c) for x in e] for e, c in terms]
-    else:
-        t = 1
-        basis = [[x / c for x in e] for e, c in terms]
-    us = basis[:1]
+        terms.append([2 * scale * (x - y) for x, y in zip(v, w)])  # D / c = 2 b_j
+        scales.append(c)
+    basis, t = p.ctx.over_one_scale(terms, scales)
+    us = [basis[0]]
     for b in basis[1:]:
         us += [list(map(sub, u, b)) for u in us]
     return [(u, t) for u in us]
@@ -342,7 +339,7 @@ def _search_value(p, entries) -> Optional[float]:
     entries of the evaluation table over the largest at all of them.
 
     On a rational ball the float ``entries`` are scaled straight to ints
-    (:func:`scalars.scaled_integer_row`), at their exact values, so both
+    (``ctx.over_one_scale``), at their exact values, so both
     maxima are ints over one common scale, and ``int / int`` rounds their
     quotient as ``float`` of a ``Fraction`` does: the value is float(v) of
     the exact evaluation bit for bit. On a float ball both are floats.

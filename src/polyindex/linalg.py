@@ -8,22 +8,20 @@ version (``sum`` compensates float sums from 3.12 on), and
 Dimensions here are tiny (2 to 5), so :func:`rank` is plain Gaussian
 elimination with exact pivoting on the rational backend and max-magnitude
 pivoting on floats. It eliminates only the rows below each pivot, the rows
-a later pivot search reads, and nothing after the last possible pivot. On
-floats it takes a row of finite floats as it is; any other row is read
-through ``ctx.coerce``.
+a later pivot search reads, and nothing after the last possible pivot. Its
+intake is the same on both backends: a row of finite floats is taken as it
+is, any other row is read through ``ctx.coerce``, and the rows then go over
+one scale (``ctx.over_one_scale``).
 There is no linear solve: every built-in witness operator is written down
 in closed form (:mod:`polyindex.families`).
 
-:func:`rank` on the rational backend eliminates fraction-free. Each row is
-first scaled to integers by the lcm of its denominators
-(:func:`~polyindex.scalars.integer_row`; the int-row helpers live with
-the rest of the backend arithmetic in :mod:`polyindex.scalars`), which
-leaves the rank alone; a row of ints, such as a double-description ray of
-:mod:`polyindex.polytope`, is taken as it is. An elimination step replaces
-a row by ``row*piv - f*prow``, where ``piv`` is the pivot and ``f`` the
-row's entry in the pivot column, and then divides it by the gcd of its
-entries (:func:`eliminate`). So no ``Fraction`` is built while
-eliminating, and the entries stay small. The simplex of
+:func:`rank` on the rational backend eliminates fraction-free. The rows
+are int rows over one common scale, which leaves the rank alone; rows of
+ints, such as the evaluation table's facet rows, keep their ints. An
+elimination step replaces a row by ``row*piv - f*prow``, where ``piv`` is
+the pivot and ``f`` the row's entry in the pivot column, and then divides
+it by the gcd of its entries (:func:`eliminate`). So no ``Fraction`` is
+built while eliminating, and the entries stay small. The simplex of
 :mod:`polyindex.linprog` pivots with the same two helpers. The pivot
 search and the elimination step fork on the backend: they are different
 algorithms, exact pivoting and fraction-free steps against max-magnitude
@@ -37,7 +35,7 @@ from itertools import repeat
 from operator import add, mul
 
 from .errors import InputError
-from .scalars import Context, finite_floats, integer_row
+from .scalars import Context, finite_floats
 
 
 def dot(a, b):
@@ -104,12 +102,8 @@ def rank(rows, ctx: Context) -> int:
     Gauss-Jordan elimination, and on floats so is every value a pivot
     search compares: Gauss-Jordan changes the rows above the pivot only.
     """
-    if ctx.exact:
-        work = [list(row) if all(type(x) is int for x in row)
-                else integer_row([ctx.coerce(x) for x in row]) for row in rows]
-    else:
-        work = [list(row) if finite_floats(row) else list(map(ctx.coerce, row))
-                for row in rows]
+    work = list(ctx.over_one_scale([row if finite_floats(row) else tuple(map(ctx.coerce, row))
+                                    for row in rows])[0])
     if not work:
         return 0
     n, last = len(work), len(work[0]) - 1

@@ -20,8 +20,9 @@ sign of the Fraction entry, and every ratio ``b_i / a_i`` is the same
 number, compared by cross-multiplication. The pivots are therefore those
 of the Fraction simplex, and so are the final basis, the optimal point and
 its value, which are read off as ``ctx.quotient(row[-1], row[basis[i]])``.
-An int coefficient goes into the tableau as it is, and a row holding only
-ints is not scaled. The value and the point are ``Fraction``s all the same.
+Each row goes into the tableau over its own scale (``ctx.over_one_scale``):
+times the lcm of its denominators, so a row of integral values keeps its
+ints. The value and the point are ``Fraction``s all the same.
 
 Problem form::
 
@@ -42,7 +43,7 @@ from typing import Optional
 
 from .errors import ComputationError, InputError
 from .linalg import dot, eliminate
-from .scalars import Context, EXACT, Scalar, integer_row
+from .scalars import Context, EXACT, Scalar
 
 OPTIMAL = "optimal"
 UNBOUNDED = "unbounded"
@@ -179,12 +180,11 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
     nonnegative, which makes the slack basis feasible; an equality row or
     a negative right-hand side raises ``InputError`` naming the row.
 
-    On the exact backend an ``int`` coefficient is taken as it is and any
-    other is coerced to a ``Fraction``; ``value`` and ``point`` are
-    ``Fraction``s. Scaling an inequality row by a positive factor only
-    scales its slack column, so the pivots, basis, point and value stay
-    the same. On floats every coefficient is coerced to a float, and a
-    pivot that overflows raises ``ComputationError``: a tableau holding an
+    Every coefficient is coerced to the backend's type (``ctx.coerce``); on
+    the exact backend ``value`` and ``point`` are ``Fraction``s. Scaling an
+    inequality row by a positive factor only scales its slack column, so
+    the pivots, basis, point and value stay the same. On floats a pivot
+    that overflows raises ``ComputationError``: a tableau holding an
     inf or a nan cannot be trusted for a sign, so neither an optimum nor
     unboundedness read off it is reported.
     """
@@ -192,16 +192,7 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
         raise InputError("equality row 0: solve_lp takes inequality rows only")
     n = lp.n_vars
     nonneg = lp.nonneg or (False,) * n
-    if ctx.exact:
-        # An int coefficient goes into the tableau as it is, and integer_row
-        # leaves a row of ints alone.
-        zero, one = 0, 1
-
-        def take(a):
-            return a if type(a) is int else ctx.coerce(a)
-    else:
-        zero, one = ctx.coerce(0), ctx.coerce(1)
-        take = ctx.coerce
+    zero, one = ctx.coerce(0), ctx.coerce(1)
 
     # Structural columns: x_j (and its negative part when the variable is free).
     col_of_plus, col_of_minus, n_struct = [], [], 0
@@ -214,27 +205,27 @@ def solve_lp(lp: LinearProgram, ctx: Context = EXACT) -> LPSolution:
     def expand(coeffs):
         row = [zero] * (width + 1)
         for j, a in enumerate(coeffs):
-            a = take(a)
+            a = ctx.coerce(a)
             row[col_of_plus[j]] = a
             if col_of_minus[j] is not None:
                 row[col_of_minus[j]] = -a
         return row
 
+    # Each row goes over its own scale: on the rational backend a positive
+    # multiple of the row in ints, which leaves every pivot alone; on floats
+    # the row itself.
     rows = []
     for i, (coeffs, rhs) in enumerate(zip(lp.ineq_lhs, lp.ineq_rhs)):
         row = expand(coeffs)
-        row[-1] = take(rhs)
+        row[-1] = ctx.coerce(rhs)
         if row[-1] < 0:
             raise InputError(f"inequality row {i}: right-hand side {rhs} is negative")
         row[n_struct + i] = one
-        rows.append(row)
+        rows += ctx.over_one_scale([row])[0]
     basis = list(range(n_struct, width))
 
-    objective = tuple(map(take, lp.objective))
-    objs = [expand(objective)]
-    if ctx.exact:
-        rows = [integer_row(row) for row in rows]
-        objs = [integer_row(objs[0])]
+    objective = tuple(map(ctx.coerce, lp.objective))
+    objs = list(ctx.over_one_scale([expand(objective)])[0])
     max_pivots = 40 * (width + 1) * (len(rows) + 1) + 1000
     status = _simplex(rows, objs, basis, ctx, max_pivots)
     # An inf or a nan that a float pivot leaves in the tableau stays there (a

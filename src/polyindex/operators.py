@@ -129,7 +129,7 @@ def _orbit_pair_values(p: Polytope, matrix):
     1 on floats. ``matrix`` is T's matrix in the ball's arithmetic and
     dimension (:func:`_in_ball_arithmetic`); on a rational ball its entries
     may also be floats, taken at their exact values
-    (:func:`scalars.scaled_integer_row`). Each coordinate of the images
+    (``ctx.over_one_scale``). Each coordinate of the images
     T v_a is one :func:`linalg.column_dots` over the table's vertex
     columns, spread to the flat layout, and the pairings are one over the
     pair columns."""

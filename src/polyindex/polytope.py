@@ -654,16 +654,16 @@ def facet_enumeration(p: Polytope) -> tuple:
     scaled to last coordinate 1, are exactly the facet functionals. The
     cone is the one :func:`validate` built and stored on ``p``. Both
     f and -f occur because the ball is symmetric. Facets are returned
-    sorted by coefficient vector for deterministic reports. On the
-    rational backend the sort runs on ints: with L the lcm of the rays'
-    last coordinates t, a ray sorts by x (L // t) over its first d
-    coordinates x, the coefficients x / t times the common positive scale
-    L, so no ``Fraction`` is compared, and each facet keeps its ray, so no
-    ``Fraction`` is built here (see :class:`FacetFunctional`). A float ball
-    sorts on the coefficients themselves, over a scale of 1. The sort keys
-    over their scale are the evaluation table's facet rows. Row i of
-    the cone is the constraint of vertex i, so the zero set of a ray is the
-    set of vertices on its facet. Computed once per ball.
+    sorted by coefficient vector for deterministic reports. The sort keys
+    are the coefficients x / t of each ray (x, t), put over one scale by
+    ``ctx.over_one_scale``. On the rational backend that scale L is the lcm
+    of the t's, and a ray sorts by the ints x (L // t), so no ``Fraction``
+    is compared, and each facet keeps its ray, so no ``Fraction`` is built
+    here (see :class:`FacetFunctional`). A float ball sorts on the
+    quotients x / t, over a scale of 1. The sort keys over their scale are
+    the evaluation table's facet rows. Row i of the cone is the constraint
+    of vertex i, so the zero set of a ray is the set of vertices on its
+    facet. Computed once per ball.
 
     Raises:
         ValidationError: when the input violates a unit-ball invariant.
@@ -679,20 +679,11 @@ def facet_enumeration(p: Polytope) -> tuple:
     for r, _ in rays:
         if p.ctx.sign(r[d]) <= 0:
             raise ComputationError(f"unexpected recession ray {r} in the polar body")
-    # Each ray's (sort key, facet): a rational facet keeps its ray, a float
-    # facet its coefficients, the key.
-    if p.ctx.exact:
-        # x / t = x (L // t) / L with L the lcm of every t (a list goes to
-        # lcm; see scalars.scaled_integer_row), so the int rows x (L // t)
-        # sort as the Fractions x / t do.
-        scale = math.lcm(*[r[d] for r, _ in rays])
-        keyed = [(tuple([x * m for x in r[:d]]), FacetFunctional.of_ray(r, zs))
-                 for r, zs in rays for m in (scale // r[d],)]
-    else:
-        scale = 1
-        keyed = [(row, FacetFunctional.of_coeffs(row, zs))
-                 for r, zs in rays for row in (tuple([x / r[d] for x in r[:d]]),)]
-    keyed.sort(key=itemgetter(0))
+    # A rational facet keeps its ray, a float facet its coefficients, the key.
+    keys, scale = p.ctx.over_one_scale([r[:d] for r, _ in rays], [r[d] for r, _ in rays])
+    made, kept = ((FacetFunctional.of_ray, [r for r, _ in rays]) if p.ctx.exact
+                  else (FacetFunctional.of_coeffs, keys))
+    keyed = sorted(zip(keys, map(made, kept, [zs for _, zs in rays])), key=itemgetter(0))
     p._facet_rows = tuple(row for row, _ in keyed), scale
     p._facets = tuple(f for _, f in keyed)
     return p._facets

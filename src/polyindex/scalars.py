@@ -14,11 +14,11 @@ rows over one common scale (:meth:`Context.over_one_scale`, int rows on
 the exact backend, as lrs keeps them), a ray's primitive multiple
 (:meth:`Context.primitive`), the quotient a report shows
 (:meth:`Context.quotient`), a finiteness test (:meth:`Context.finite`) and
-the sign (:meth:`Context.sign`). The int-row helpers the exact backend
-scales with (:func:`scaled_integer_row`, :func:`scaled_integer_rows`,
-:func:`integer_row`) live here too, and so does the one reader of
-rational literals, :func:`read_rational`, whose reduced ints (p, q) a
-rational document's rows are built from.
+the sign (:meth:`Context.sign`). ``over_one_scale`` is the one place
+that puts rows over a common scale: values, or int numerators over a
+scale per row. The one reader of rational literals, :func:`read_rational`,
+lives here too; a rational document's rows are built from its reduced
+ints (p, q).
 """
 from __future__ import annotations
 
@@ -109,40 +109,6 @@ def finite_floats(values) -> bool:
     return math.isfinite(sum(values))
 
 
-def scaled_integer_row(values) -> tuple:
-    """``(ints, scale)``: ``values`` times ``scale``, the lcm of their
-    denominators, as a row of ints; ``values[i] == ints[i] / scale``.
-
-    Values are read through ``as_integer_ratio()``: ints, Fractions and
-    finite floats may mix, and a float gives the ints and scale of its
-    ``Fraction``, without building one."""
-    # Lists, not generators, go to lcm and gcd here and in linalg.eliminate:
-    # CPython parks the argument tuple of a generator call in a free list of
-    # its resized length, and those free lists grow with every call.
-    ratios = [x.as_integer_ratio() for x in values]
-    scale = math.lcm(*[d for _, d in ratios])
-    return [n * (scale // d) for n, d in ratios], scale
-
-
-def scaled_integer_rows(rows) -> tuple:
-    """``(int rows, scale)``: every row of the rectangular matrix ``rows``
-    (values as :func:`scaled_integer_row` takes them) times one common
-    scale, the lcm of all their denominators, as a tuple of int tuples."""
-    flat, scale = scaled_integer_row([x for row in rows for x in row])
-    d = len(rows[0])
-    return tuple(tuple(flat[i:i + d]) for i in range(0, len(flat), d)), scale
-
-
-def integer_row(values) -> list:
-    """The Fractions ``values`` times the lcm of their denominators: a row of
-    ints that is a positive multiple of the given row. An int counts as a
-    Fraction of denominator 1, and a row of ints comes back as it is."""
-    for x in values:
-        if type(x) is not int:
-            return scaled_integer_row(values)[0]
-    return list(values)
-
-
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as "p/q" (or "p" for integers), losslessly."""
     if value.denominator == 1:
@@ -207,19 +173,47 @@ class Context:
             return -1
         return 0
 
-    def over_one_scale(self, rows) -> tuple:
-        """``(W, L)``: the rows of values as rows W over one common positive
-        scale L, value (i, j) being W_ij / L. On the exact backend the int
-        rows of :func:`scaled_integer_rows`, L the lcm of every denominator;
-        on floats the rows as they are, over 1."""
-        return scaled_integer_rows(rows) if self.exact else (tuple(rows), 1)
+    def over_one_scale(self, rows, scales=None) -> tuple:
+        """``(W, L)``: rows of values as rows W over one common positive
+        scale L, value (i, j) being W_ij / L. The values are the entries of
+        ``rows``, or, with ``scales``, the int numerators x_ij over the
+        positive int scale s_i of their row.
+
+        On the exact backend W holds ints. For values L is the least common
+        scale, the lcm of every denominator, read through
+        ``as_integer_ratio()``: ints, Fractions and finite floats may mix, a
+        float at its exact binary value. With ``scales`` L is the lcm of the
+        scales, and W_ij is x_ij (L // s_i), with no gcd taken: where each
+        row is primitive with its scale, as a double-description ray is, that
+        is the least common scale too. On floats the rows come back as they
+        are, or as the quotients x_ij / s_i, over 1. Rows of values without
+        entries come back empty, over 1.
+        """
+        if not self.exact:
+            if scales is None:
+                return tuple(rows), 1
+            return tuple([tuple([x / s for x in row]) for row, s in zip(rows, scales)]), 1
+        # Lists, not generators, go to lcm and gcd here and in linalg.eliminate:
+        # CPython parks the argument tuple of a generator call in a free list of
+        # its resized length, and those free lists grow with every call.
+        if scales is not None:
+            scale = math.lcm(*scales)
+            return tuple([tuple([x * m for x in row])
+                          for row, s in zip(rows, scales) for m in (scale // s,)]), scale
+        ratios = [x.as_integer_ratio() for row in rows for x in row]
+        if not ratios:
+            return tuple([()] * len(rows)), 1
+        scale = math.lcm(*[q for _, q in ratios])
+        flat = [p * (scale // q) for p, q in ratios]
+        d = len(rows[0])
+        return tuple([tuple(flat[i:i + d]) for i in range(0, len(flat), d)]), scale
 
     def primitive(self, v) -> tuple:
         """v times a positive factor: on the exact backend an int vector
         divided by the gcd of its entries, on floats divided by its largest
         magnitude. A zero vector is returned as it is."""
         if self.exact:
-            # A sequence, never a generator, goes to gcd (see scaled_integer_row).
+            # A sequence, never a generator, goes to gcd (see over_one_scale).
             g = math.gcd(*v)
             return tuple(map(floordiv, v, repeat(g))) if g > 1 else tuple(v)
         m = max(map(abs, v))

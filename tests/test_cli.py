@@ -25,7 +25,7 @@ from polyindex.documents import (operator_to_document, polytope_from_document,
 from polyindex.families import irregular_hexagon
 from polyindex.linalg import rank
 from polyindex.polytope import evaluation_table
-from polyindex.scalars import EXACT, scaled_integer_rows
+from polyindex.scalars import EXACT
 from helpers import random_symmetric_polytope
 
 
@@ -728,7 +728,7 @@ def test_rational_reports_match_their_fractions(doc):
         assert t > 0 and math.gcd(*f.ray) == 1
         assert f.coeffs == tuple(Fraction(c, t) for c in x)
     table = evaluation_table(p)
-    assert (table.facets, table.facet_scale) == scaled_integer_rows([f.coeffs for f in facets])
+    assert (table.facets, table.facet_scale) == EXACT.over_one_scale([f.coeffs for f in facets])
     want = [[scalar_to_json(c) for c in f.coeffs] for f in facets]
     text = json.dumps(doc)
     for command, key in (("hull", "facets"), ("dual", "vertices")):

@@ -250,8 +250,9 @@ def _with_scaled_rows(lp, rng):
 
 
 def test_int_coefficients_taken_as_they_are():
-    # ints reach the integer tableau without a Fraction; the solution is
-    # the Fraction simplex's, with Fraction value and point.
+    # An int coefficient gives what its Fraction gives (the tableau takes
+    # both through ctx.coerce): the Fraction simplex's solution, with
+    # Fraction value and point.
     rng = random.Random(4242)
     scales = random.Random(17)
     for _ in range(300):

@@ -13,13 +13,11 @@ from polyindex import (InputError, Operator, Polytope, ValidationError,
                        bipyramid_square_prism, facet_enumeration, gauge, incidence,
                        irregular_hexagon, linf_sum, oblique_prism, prism_with_pyramids,
                        regular_2n_gon, scale_coordinate, segment, validate)
-import polyindex.linalg as linalg_module
 import polyindex.scalars as scalars_module
 from polyindex.linalg import column_dots, dot, rank
 from polyindex.polytope import (_PointIndex, _double_description, _polar_cone, _vertex_flags,
                                 evaluation_table, facet_antipode_pairs)
-from polyindex.scalars import (EXACT, Context, float_context, integer_row, scaled_integer_row,
-                               scaled_integer_rows)
+from polyindex.scalars import EXACT, Context, float_context
 from helpers import (brute_force_facets, random_symmetric_polytope, reference_antipode_map,
                      reference_double_description, reference_index_of, reference_polar_cone,
                      reference_strip, reference_vertex_flags, scaled_random_polytope)
@@ -507,10 +505,11 @@ def test_evaluation_table_rows(make):
         assert [tuple(Fraction(x, scale) for x in row) for row in rows] == list(want)
         # The least common scale: the lcm of the denominators.
         assert scale == math.lcm(*[x.denominator for row in want for x in row])
-        # Each row and the scale divided by their gcd is the row's own
-        # scaled_integer_row: the one primitive pair of its values.
-        assert [([x // math.gcd(*row, scale) for x in row], scale // math.gcd(*row, scale))
-                for row in rows] == [scaled_integer_row(w) for w in want]
+        # Each row and the scale divided by their gcd is the row over its
+        # own least scale: the one primitive pair of its values.
+        for row, w in zip(rows, want):
+            g = math.gcd(*row, scale)
+            assert EXACT.over_one_scale([w]) == ((tuple(x // g for x in row),), scale // g)
 
 
 @pytest.mark.parametrize("values", [
@@ -518,12 +517,13 @@ def test_evaluation_table_rows(make):
     [0.1, -0.0, 3, Fraction(1, 3), 5e-324, 1e308, -2.5],
 ], ids=["subnormal", "-0.0", "1e308", "extremes", "mixed"])
 def test_scaled_integer_row_reads_floats_at_their_exact_values(values):
-    # The same ints and scale as the Fractions of the floats' binary values.
-    want = scaled_integer_row([Fraction(x) for x in values])
-    got = scaled_integer_row(values)
-    assert got == want and all(type(x) is int for x in got[0])
-    assert scaled_integer_rows([values, values[::-1]]) == \
-        scaled_integer_rows([[Fraction(x) for x in row] for row in (values, values[::-1])])
+    # Rows over one scale: the same ints and scale as the Fractions of the
+    # floats' binary values, for one row and for two.
+    want = EXACT.over_one_scale([[Fraction(x) for x in values]])
+    got = EXACT.over_one_scale([values])
+    assert got == want and all(type(x) is int for x in got[0][0])
+    assert EXACT.over_one_scale([values, values[::-1]]) == \
+        EXACT.over_one_scale([[Fraction(x) for x in row] for row in (values, values[::-1])])
 
 
 def test_dot_adds_left_to_right():
@@ -542,29 +542,25 @@ def test_dot_adds_left_to_right():
 ])
 def test_rational_vertices_scaled_to_ints_once_per_ball(make, monkeypatch):
     vertices = make().vertices
-    scalings, row_calls = [], []
-    real = scalars_module.scaled_integer_rows
+    scalings = []
+    real = Context.over_one_scale
 
-    def counting(rows):
-        scalings.append(rows)
-        return real(rows)
+    def counting(self, rows, scales=None):
+        scalings.append((list(map(tuple, rows)), scales))
+        return real(self, rows, scales)
 
-    def recording(values):
-        row_calls.append(values)
-        return integer_row(values)
-
-    monkeypatch.setattr(scalars_module, "scaled_integer_rows", counting)
-    monkeypatch.setattr(scalars_module, "integer_row", recording)
-    monkeypatch.setattr(linalg_module, "integer_row", recording)
-    # The ball scales its vertex list when it is built, and nothing after.
+    monkeypatch.setattr(Context, "over_one_scale", counting)
     p = Polytope(vertices)
     assert validate(p).ok
-    facet_enumeration(p)
+    facets = facet_enumeration(p)
     assert [p.antipode_index(i) for i in range(len(p))] == list(reference_antipode_map(p.vertices))
     table = evaluation_table(p)
-    assert [list(map(tuple, rows)) for rows in scalings] == [list(vertices)]
-    assert (table.vertices, table.vertex_scale) == real(p.vertices)
-    assert row_calls == []
+    # The ball scales its vertex list when it is built, and no row after: the
+    # one other call puts every facet's sort key over one scale.
+    assert [rows for rows, scales in scalings if scales is None] == [list(vertices)]
+    (rows, scales), = [call for call in scalings if call[1] is not None]
+    assert sorted(zip(rows, scales)) == sorted((f.ray[:-1], f.ray[-1]) for f in facets)
+    assert (table.vertices, table.vertex_scale) == real(EXACT, p.vertices)
 
 
 @pytest.mark.parametrize("make", [
@@ -991,7 +987,7 @@ def test_common_scale_polar_cone_matches_per_row_scaling():
     point_sets += [Polytope(pts, backend="rational").vertices
                    for pts in _repeated_point_sets(random.Random(909))]
     for pts in point_sets:
-        per_row = [tuple(integer_row([-x for x in v] + [Fraction(1)])) for v in pts]
+        per_row = [w for v in pts for w in EXACT.over_one_scale([[-x for x in v] + [1]])[0]]
         rays, lineality = _polar_cone(pts, EXACT)
         ref_rays, ref_lineality = _double_description(per_row, len(pts[0]) + 1, EXACT)
         assert rays == ref_rays, pts

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from helpers import reference_parse_rational
 
 from polyindex import InputError, format_rational, parse_rational
+from polyindex.linalg import rank
 from polyindex.scalars import (Context, EXACT, check_tolerance, float_context, infer_exact,
                                read_rational)
 
@@ -232,6 +233,43 @@ def test_float_rows_over_one_scale_are_the_rows_over_1(rows):
     assert scale == 1 and len(w) == len(rows)
     assert all(a is b for a, b in zip(w, rows))
     assert [[_bits(x / scale) for x in row] for row in w] == [list(map(_bits, r)) for r in rows]
+
+
+_widths = st.integers(0, 4).flatmap(
+    lambda d: st.lists(st.tuples(st.lists(st.integers(-10 ** 6, 10 ** 6), min_size=d, max_size=d),
+                                 st.integers(1, 10 ** 4)), max_size=6))
+
+
+@given(_widths)
+@example([([0, 0], 7), ([2, 4], 6)])
+@example([([], 5), ([], 3)])
+@example([([10 ** 6, -3], 9), ([5, 0], 1), ([-1, 2], 6)])
+def test_rows_over_their_scales_are_the_rows_of_their_quotients(pairs):
+    rows, scales = [row for row, _ in pairs], [s for _, s in pairs]
+    # Exact: int rows over the lcm of the scales. Divided by the gcd of all
+    # their entries and the scale, they are the (W, L) of the Fractions
+    # x / s, whose least common scale has gcd 1 with its rows; where every
+    # row is primitive with its scale they are that (W, L) as they are.
+    w, scale = EXACT.over_one_scale(rows, scales)
+    assert type(scale) is int and all(type(x) is int for row in w for x in row)
+    assert scale == math.lcm(*scales)
+    want = EXACT.over_one_scale([[Fraction(x, s) for x in row] for row, s in pairs])
+    g = math.gcd(*[x for row in w for x in row], scale)
+    assert (tuple(tuple(x // g for x in row) for row in w), scale // g) == want
+    if all(math.gcd(*row, s) == 1 for row, s in pairs):
+        assert (w, scale) == want
+    # Floats: the quotients x / s, bit for bit, over 1.
+    w, scale = float_context().over_one_scale(rows, scales)
+    assert scale == 1 and all(type(row) is tuple for row in w)
+    assert [list(map(_bits, row)) for row in w] == \
+        [[_bits(x / s) for x in row] for row, s in pairs]
+
+
+@pytest.mark.parametrize("ctx", [EXACT, Context(1e-9)], ids=["exact", "float"])
+@pytest.mark.parametrize("rows", [[], [()], [(), ()]], ids=["none", "one", "two"])
+def test_rows_of_width_0_are_empty_rows_over_1(ctx, rows):
+    assert ctx.over_one_scale(rows) == (tuple(rows), 1)
+    assert rank(rows, ctx) == 0
 
 
 @given(st.lists(st.one_of(st.integers(), rationals)))
